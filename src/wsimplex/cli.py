@@ -21,7 +21,6 @@ from .ffl import FFLSpec, classify_ffl, ffl_signature, make_ffl, signature_of_ma
 from .gaussian import GaussianRational
 from .homology import ngon_homology_closed_form, smith_normal_form, weighted_homology
 from .matrices import ExactMatrix
-from .polygons import make_ngon
 from .spectral import (
     cohomology_dim,
     harmonic_basis,
@@ -209,7 +208,6 @@ def _cmd_ngon(args):
         group = ngon_homology_closed_form(alphas)
     except ValueError as exc:
         raise _InputError(exc) from None
-    make_ngon(alphas)  # surfaces the same input checks the long way
     return {"alphas": alphas, "dimension": 0, "free_rank": group.free_rank,
             "torsion": group.torsion}, 0
 

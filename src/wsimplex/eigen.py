@@ -1,20 +1,21 @@
 """Dense eigensolver for the exact operator matrices.
 
-Real symmetric matrices are diagonalised by cyclic Jacobi sweeps, rotating
-away one off-diagonal pair at a time until the off-diagonal Frobenius mass
-drops below 1e-12 times the Frobenius norm of the input.  A complex
-Hermitian matrix X + iY is routed through the real symmetric embedding
+One cyclic Jacobi kernel diagonalises every Hermitian matrix, real or
+complex, in its own dtype.  Each rotation annihilates one off-diagonal pair
+a[p,q] = m e, with m real and |e| = 1: the angle comes from the real 2x2
+problem [[a_pp, m], [m, a_qq]] and the phase e is folded into the rotation,
 
-    [[X, -Y],
-     [Y,  X]]
+    J[p,p] = J[q,q] = c,   J[p,q] = s e,   J[q,p] = -s conj(e).
 
-whose eigenvalues are those of the original, each doubled; one complex
-eigenvector per conjugate pair is recovered by a pivoted Gram-Schmidt over
-the embedded eigenvectors.
+Real input has e = 1, which is the classical real rotation.  Sweeps stop
+once the off-diagonal Frobenius mass drops below 1e-12 times the Frobenius
+norm of the input.  ``hermitian_eigh`` is the same function under its
+public name.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,22 +47,21 @@ def _off_mass(a: np.ndarray) -> float:
     # summed directly: subtracting diagonal mass from total mass cancels
     # catastrophically once the matrix is nearly diagonal
     off = a - np.diag(np.diag(a))
-    return float(np.sum(np.square(off)))
+    return float(np.sum(np.square(np.abs(off))))
 
 
 def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a real symmetric matrix by cyclic Jacobi.
+    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi.
 
-    Returns (eigenvalues ascending, eigenvector columns).
+    Works in the input's own dtype: real input stays real, complex input
+    stays complex.  Returns (eigenvalues ascending, eigenvector columns).
     """
-    a = np.array(a, dtype=np.float64)
+    a = np.array(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError("matrix must be square")
-    if n == 0:
-        return np.zeros(0), np.zeros((0, 0))
-    v = np.eye(n)
-    norm2 = float(np.sum(np.square(a)))
+    v = np.eye(n, dtype=a.dtype)
+    norm2 = float(np.sum(np.square(np.abs(a))))
     if norm2 == 0.0:
         return np.zeros(n), v
     target = (REL_OFF_TOL ** 2) * norm2
@@ -80,8 +80,14 @@ def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                     a[p, q] = 0.0
                     a[q, p] = 0.0
                     continue
-                # rotation annihilating a[p,q], the numerically stable way
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                # rotation annihilating a[p,q], the numerically stable way.
+                # a[p,q] = mag * e with |e| = 1; e rides on the sine.  mag
+                # takes the sign of the real part, so real input has e = 1
+                # and the classical rotation, down to the choice made when
+                # a[p,p] == a[q,q]
+                mag = math.copysign(abs(apq), apq.real)
+                e = apq / mag
+                theta = (a[q, q].real - a[p, p].real) / (2.0 * mag)
                 if abs(theta) > 1e150:
                     t = 0.5 / theta  # theta*theta would overflow
                 else:
@@ -90,60 +96,30 @@ def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                         t = -t
                 c = 1.0 / np.sqrt(1.0 + t * t)
                 s = t * c
+                s_pq = s * e  # J[p, q]; J[q, p] = -conj(s_pq)
+                s_qp = s * e.conjugate()
                 col_p = a[:, p].copy()
                 col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
+                a[:, p] = c * col_p - s_qp * col_q
+                a[:, q] = s_pq * col_p + c * col_q
                 row_p = a[p, :].copy()
                 row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
+                a[p, :] = c * row_p - s_pq * row_q
+                a[q, :] = s_qp * row_p + c * row_q
                 a[p, q] = 0.0
                 a[q, p] = 0.0
                 vp = v[:, p].copy()
                 vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
+                v[:, p] = c * vp - s_qp * vq
+                v[:, q] = s_pq * vp + c * vq
     else:
         raise RuntimeError("Jacobi sweeps did not converge")
-    w = np.diag(a).copy()
+    w = np.diag(a).real.copy()
     order = np.argsort(w, kind="stable")
     return w[order], v[:, order]
 
 
-def hermitian_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Real input goes straight to ``jacobi_eigh``; complex input runs through
-    the doubled real embedding and the conjugate-pair reduction.
-    """
-    a = np.asarray(a)
-    n = a.shape[0]
-    if not np.iscomplexobj(a) or not np.any(a.imag):
-        w, v = jacobi_eigh(a.real.astype(np.float64))
-        return w, v.astype(np.complex128) if np.iscomplexobj(a) else v
-    x = a.real.astype(np.float64)
-    y = a.imag.astype(np.float64)
-    big = np.block([[x, -y], [y, x]])
-    w2, v2 = jacobi_eigh(big)
-    # each eigenvalue shows up twice; each real eigenvector (u; w) encodes
-    # the complex vector u + i w, and the partner vector encodes i times it
-    kept_w = []
-    kept_v = []
-    for k in range(2 * n):
-        cand = v2[:n, k] + 1j * v2[n:, k]
-        for _ in range(2):
-            for prev in kept_v:
-                cand = cand - prev * np.vdot(prev, cand)
-        nrm = np.linalg.norm(cand)
-        if nrm > 1e-6:
-            kept_w.append(w2[k])
-            kept_v.append(cand / nrm)
-            if len(kept_w) == n:
-                break
-    if len(kept_w) != n:
-        raise RuntimeError("conjugate-pair reduction lost an eigenvector")
-    return np.array(kept_w), np.column_stack(kept_v)
+hermitian_eigh = jacobi_eigh
 
 
 def spectrum_of_ndarray(a: np.ndarray) -> Spectrum:

@@ -149,8 +149,7 @@ def signature_of_matrix(matrix: ExactMatrix, cluster_tol: float = MATCH_TOL) -> 
     if abs(w[0]) > zero_tol:
         raise ValueError(f"smallest eigenvalue {w[0]} is not 0; not a motif Laplacian")
     lam2, lam3 = float(w[1]), float(w[2])
-    v = spec.eigenvectors.astype(np.float64) if not np.iscomplexobj(spec.eigenvectors) \
-        else spec.eigenvectors
+    v = spec.eigenvectors
     if abs(lam3 - lam2) <= cluster_tol:
         block = v[:, 1:3]
         clusters = (((lam2 + lam3) / 2.0, block @ block.conj().T),)

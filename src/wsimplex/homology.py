@@ -28,18 +28,20 @@ from .matrices import ExactMatrix
 from .weights import WeightFunction
 
 
-def _int_rows(matrix) -> list[list[int]]:
+def _int_rows(matrix) -> tuple[list[list[int]], int]:
+    """Integer rows and the column count, which a matrix with no rows
+    still has."""
     if isinstance(matrix, ExactMatrix):
-        return matrix.to_int_rows()
+        return matrix.to_int_rows(), matrix.cols
     rows = [[int(x) for x in row] for row in matrix]
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("ragged rows")
-    return rows
+    return rows, len(rows[0]) if rows else 0
 
 
 def integer_det(matrix) -> int:
     """Exact determinant of a square integer matrix (fraction-free)."""
-    a = _int_rows(matrix)
+    a, _ = _int_rows(matrix)
     n = len(a)
     if any(len(r) != n for r in a):
         raise ValueError("determinant needs a square matrix")
@@ -76,9 +78,8 @@ def smith_normal_form(matrix, transforms: bool = False) -> SNFResult:
     With ``transforms`` the unimodular U (rows x rows) and V (cols x cols)
     with U @ M @ V diagonal are returned as plain nested lists.
     """
-    m = _int_rows(matrix)
+    m, nc = _int_rows(matrix)
     nr = len(m)
-    nc = len(m[0]) if m else 0
     U = [[int(i == j) for j in range(nr)] for i in range(nr)] if transforms else None
     V = [[int(i == j) for j in range(nc)] for i in range(nc)] if transforms else None
 
@@ -171,9 +172,8 @@ def smith_normal_form(matrix, transforms: bool = False) -> SNFResult:
 def gcd_minors_oracle(matrix, k: int) -> int:
     """gcd of all k x k minor determinants (0 when k is out of range or all
     minors vanish).  Independent check: it equals d1*...*dk from the SNF."""
-    rows = _int_rows(matrix)
+    rows, nc = _int_rows(matrix)
     nr = len(rows)
-    nc = len(rows[0]) if rows else 0
     if k <= 0:
         raise ValueError("minor order must be positive")
     if k > min(nr, nc):

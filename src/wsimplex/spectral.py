@@ -1,20 +1,19 @@
 """Cohomology dimensions, Hodge Laplacians and harmonic cochains.
 
-Cochain spaces are the duals of the chain spaces in the same simplex bases,
-so dimension counting is exact linear algebra: in degree n the cohomology
-dimension is dim C^n minus the ranks of the coboundaries leaving and
-entering degree n.  The degree-n Laplacian
+Every dimension count comes from the exact boundary ranks r_k = rank d_k,
+two per degree; the coboundary leaving degree n is the transpose of d_{n+1}:
+
+    dim H^n                     = dim C^n - r_n - r_{n+1},
+    zero multiplicity of down_n = dim C^n - r_n,
+    zero multiplicity of up_n   = dim C^n - r_{n+1}.
+
+The degree-n Laplacian
 
     L_n = A_{n-1} A_{n-1}^* + A_n^* A_n,     A_k = coboundary matrix k,
 
 is Hermitian positive semidefinite, its kernel dimension equals the
 cohomology dimension, and the kernel vectors are exactly the cochains
 annihilated by both the coboundary and the adjoint coboundary.
-
-``zero_multiplicity_formulas`` evaluates the closed-form zero-eigenvalue
-counts of the down part, the up part and the full Laplacian from chain-space
-and cohomology dimensions alone; tests confirm them against exact kernel
-ranks and against counted near-zero eigenvalues.
 
 ``weighted_inner_laplacian`` swaps the standard inner products for diagonal
 ones given by positive simplex weights; the resulting matrices are similar
@@ -31,7 +30,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .chains import adjoint_matrix, coboundary_matrix
+from .chains import adjoint_matrix, boundary_matrix, coboundary_matrix
 from .complexes import Simplex, SimplicialComplex
 from .eigen import Spectrum, spectrum_of_ndarray
 from .matrices import ExactMatrix
@@ -44,14 +43,19 @@ class SpectralMismatchError(RuntimeError):
     """Float zero count disagrees with the exact kernel dimension."""
 
 
+def _boundary_ranks(complex: SimplicialComplex, phi: WeightFunction, n: int) -> tuple[int, int]:
+    """(r_n, r_{n+1}) with r_k = rank of the degree-k boundary, computed
+    exactly."""
+    return (boundary_matrix(complex, phi, n).rank(),
+            boundary_matrix(complex, phi, n + 1).rank())
+
+
 def cohomology_dim(complex: SimplicialComplex, phi: WeightFunction, n: int) -> int:
-    """dim H^n = dim C^n - rank(coboundary n) - rank(coboundary n-1),
-    computed exactly.  Degrees below 0 have dimension 0."""
+    """dim H^n = dim C^n - r_n - r_{n+1}.  Degrees below 0 have dimension 0."""
     if n < 0:
         return 0
-    out = coboundary_matrix(complex, phi, n)
-    into = coboundary_matrix(complex, phi, n - 1)
-    return len(complex.basis(n)) - out.rank() - into.rank()
+    r_n, r_next = _boundary_ranks(complex, phi, n)
+    return len(complex.basis(n)) - r_n - r_next
 
 
 def up_down_matrices(
@@ -161,18 +165,12 @@ def zero_multiplicity_formulas(
     complex: SimplicialComplex, phi: WeightFunction, n: int
 ) -> tuple[int, int, int]:
     """Zero-eigenvalue multiplicities (down part, up part, full Laplacian)
-    in degree n, from chain-space dimensions and cohomology dimensions."""
+    in degree n: dim C^n - r_n, dim C^n - r_{n+1} and dim H^n."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    dim_c = [len(complex.basis(j)) for j in range(n + 1)]
-    h = [cohomology_dim(complex, phi, j) for j in range(n + 1)]
-    down = dim_c[n]
-    for j in range(n):
-        down -= (-1) ** (n + j - 1) * (dim_c[j] - h[j])
-    up = dim_c[n]
-    for j in range(n + 1):
-        up -= (-1) ** (n + j) * (dim_c[j] - h[j])
-    return down, up, h[n]
+    dim_c = len(complex.basis(n))
+    r_n, r_next = _boundary_ranks(complex, phi, n)
+    return dim_c - r_n, dim_c - r_next, dim_c - r_n - r_next
 
 
 @dataclass
@@ -205,9 +203,13 @@ def harmonic_basis(
     vectors = spec.vectors_below(zero_tol)
     expected = cohomology_dim(complex, phi, n)
     if vectors.shape[1] != expected:
+        w = spec.eigenvalues
+        below = np.abs(w) <= zero_tol
         raise SpectralMismatchError(
             f"degree {n}: {vectors.shape[1]} eigenvalues below {zero_tol:.3e} "
-            f"but exact kernel dimension is {expected}"
+            f"but exact kernel dimension is {expected}; largest below: "
+            f"{max(w[below], default='none')}, smallest above: "
+            f"{min(w[~below], default='none')}"
         )
     return HarmonicBasis(n, complex.basis(n), vectors)
 

@@ -53,6 +53,13 @@ def test_snf_transforms(capsys):
     assert np.array_equal(np.diag(s), payload["diagonal"])
     assert np.count_nonzero(s - np.diag(np.diag(s))) == 0
 
+    # degree 0: no rows, yet V still spans all three vertices
+    code, payload = run_cli(capsys, "snf", "-k", fx("triangle.cplx"),
+                            "-w", fx("triangle.wts"), "-n", "0", "--transforms")
+    assert code == 0
+    assert payload["diagonal"] == [] and payload["U"] == []
+    assert payload["V"] == np.eye(3, dtype=int).tolist()
+
 
 def _boundary_entries(capsys):
     code, payload = run_cli(capsys, "boundary", "-k", fx("pentagon.cplx"),

@@ -60,16 +60,23 @@ def test_real_degenerate_spectrum():
     assert np.allclose(w, [1, 1, 1, 4, 4], atol=1e-9)
 
 
+def random_imaginary_offdiagonal(rng, n):
+    a = 1j * rng.standard_normal((n, n))
+    a = (a + a.conj().T) / 2
+    return a + np.diag(rng.standard_normal(n))
+
+
 def test_complex_random_against_numpy():
     rng = np.random.default_rng(1234)
-    for n in [1, 2, 3, 5, 9, 14]:
-        for _ in range(5):
-            a = random_hermitian(rng, n)
-            w, v = hermitian_eigh(a)
-            assert w.shape == (n,) and v.shape == (n, n)
-            check_decomposition(a, w, v)
-            ref = np.linalg.eigvalsh(a)
-            assert np.allclose(w, ref, atol=1e-9 * (1 + np.linalg.norm(a)))
+    for n in [1, 2, 3, 5, 9, 14, 22, 30]:
+        for make in (random_hermitian, random_imaginary_offdiagonal):
+            for _ in range(5 if n < 20 else 2):
+                a = make(rng, n)
+                w, v = hermitian_eigh(a)
+                assert w.shape == (n,) and v.shape == (n, n)
+                check_decomposition(a, w, v)
+                ref = np.linalg.eigvalsh(a)
+                assert np.allclose(w, ref, atol=1e-9 * (1 + np.linalg.norm(a)))
 
 
 def test_complex_degenerate_spectrum():

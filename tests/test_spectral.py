@@ -142,6 +142,27 @@ def test_multiplicities_reject_negative_degree():
         zero_multiplicity_formulas(complex, phi, -1)
 
 
+def alternating_sum_multiplicities(complex, phi, n):
+    """Reference: the zero multiplicities as alternating sums of chain-space
+    and cohomology dimensions over degrees 0..n."""
+    dim_c = [len(complex.basis(j)) for j in range(n + 1)]
+    h = [cohomology_dim(complex, phi, j) for j in range(n + 1)]
+    down = dim_c[n]
+    for j in range(n):
+        down -= (-1) ** (n + j - 1) * (dim_c[j] - h[j])
+    up = dim_c[n]
+    for j in range(n + 1):
+        up -= (-1) ** (n + j) * (dim_c[j] - h[j])
+    return down, up, h[n]
+
+
+def test_multiplicities_match_alternating_sums():
+    for name, complex, phi in FIXTURES:
+        for n in range(complex.max_dim + 2):
+            assert zero_multiplicity_formulas(complex, phi, n) == \
+                alternating_sum_multiplicities(complex, phi, n), (name, n)
+
+
 def test_multiplicities_match_exact_kernels():
     for name, complex, phi in FIXTURES:
         for n in range(complex.max_dim + 1):
@@ -194,8 +215,15 @@ def test_harmonic_basis_properties():
 def test_harmonic_basis_mismatch_raises():
     complex, phi = single_edge(p=2, q=3)
     # a huge tolerance swallows the eigenvalue 13 as a spurious zero
-    with pytest.raises(SpectralMismatchError):
+    with pytest.raises(SpectralMismatchError,
+                       match=r"^degree 0: 2 eigenvalues below 1\.000e\+06 but exact "
+                             r"kernel dimension is 1; largest below: 13\.0\d*, "
+                             r"smallest above: none$"):
         harmonic_basis(complex, phi, 0, zero_tol=1e6)
+    # a negative tolerance keeps every eigenvalue above it
+    with pytest.raises(SpectralMismatchError,
+                       match=r"largest below: none, smallest above: 0\.0$"):
+        harmonic_basis(complex, phi, 0, zero_tol=-1.0)
 
 
 # -- weighted inner products --------------------------------------------------
