@@ -1,8 +1,12 @@
 """Dense exact matrices over the Gaussian rationals.
 
-Small and dense on purpose: every boundary, coboundary and Laplacian matrix
-in this package is desk-sized, and exactness matters more than speed.  Rows
-and columns carry optional simplex labels so operator matrices stay readable.
+``ExactMatrix`` is the exact view of an operator: what the CLI prints as
+JSON, what ``rank`` eliminates over Q(i), and what ``to_ndarray`` hands to
+the eigensolver.  Rows and columns carry optional simplex labels so
+operator matrices stay readable.  Laplacians are not formed with ``@``:
+``spectral`` assembles them sparsely from the boundary non-zeros and stores
+the result here.  ``__matmul__`` remains the plain dense product, the
+reference the tests check that assembly against.
 """
 
 from __future__ import annotations

@@ -15,6 +15,20 @@ is Hermitian positive semidefinite, its kernel dimension equals the
 cohomology dimension, and the kernel vectors are exactly the cochains
 annihilated by both the coboundary and the adjoint coboundary.
 
+No Laplacian is formed by matrix products.  Each part is summed over the
+non-zeros of the boundaries d_n and d_{n+1}, exactly over Q(i), for
+n-simplices s, t and diagonal inner weights w (all 1 for the standard
+inner products):
+
+    up[s,t]   = (1/w_s) * sum_r w_r * conj(d_{n+1}[s,r]) * d_{n+1}[t,r]
+                over the (n+1)-simplices r (one column of d_{n+1} each),
+    down[s,t] = w_t * sum_f (1/w_f) * d_n[f,s] * conj(d_n[f,t])
+                over the shared (n-1)-faces f (one row of d_n each).
+
+A column of d_{n+1} holds n+2 non-zeros at most, so the work is the sum of
+the squared non-zero counts per column (or row), not a cube of the basis
+size.
+
 ``weighted_inner_laplacian`` swaps the standard inner products for diagonal
 ones given by positive simplex weights; the resulting matrices are similar
 to Hermitian ones via conjugation by the square roots of the weights, which
@@ -30,9 +44,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .chains import adjoint_matrix, boundary_matrix, coboundary_matrix
+from .chains import boundary_matrix
 from .complexes import Simplex, SimplicialComplex
 from .eigen import Spectrum, spectrum_of_ndarray
+from .gaussian import ZERO
 from .matrices import ExactMatrix
 from .weights import WeightFunction
 
@@ -45,9 +60,16 @@ class SpectralMismatchError(RuntimeError):
 
 def _boundary_ranks(complex: SimplicialComplex, phi: WeightFunction, n: int) -> tuple[int, int]:
     """(r_n, r_{n+1}) with r_k = rank of the degree-k boundary, computed
-    exactly."""
+    exactly.  Each boundary is built and ranked in turn, so only one dense
+    boundary is alive at a time."""
     return (boundary_matrix(complex, phi, n).rank(),
             boundary_matrix(complex, phi, n + 1).rank())
+
+
+def _boundaries(complex: SimplicialComplex, phi: WeightFunction, n: int
+                ) -> tuple[ExactMatrix, ExactMatrix]:
+    """The boundaries (d_n, d_{n+1}) on either side of degree n."""
+    return boundary_matrix(complex, phi, n), boundary_matrix(complex, phi, n + 1)
 
 
 def cohomology_dim(complex: SimplicialComplex, phi: WeightFunction, n: int) -> int:
@@ -58,14 +80,53 @@ def cohomology_dim(complex: SimplicialComplex, phi: WeightFunction, n: int) -> i
     return len(complex.basis(n)) - r_n - r_next
 
 
+def _gram(groups, size: int, scales=None) -> list[list]:
+    """out[i][j] = sum over groups g of scales[g] * conj(a) * b, for every
+    pair of non-zeros (i, a), (j, b) in g; every scale is 1 when scales
+    is None."""
+    out = [[ZERO] * size for _ in range(size)]
+    for g, entries in enumerate(groups):
+        for i, a in entries:
+            ca = a.conjugate() if scales is None else a.conjugate() * scales[g]
+            row = out[i]
+            for j, b in entries:
+                row[j] = row[j] + ca * b
+    return out
+
+
+def _assemble(d_n: ExactMatrix, d_next: ExactMatrix, w=None
+              ) -> tuple[ExactMatrix, ExactMatrix]:
+    """(up, down) parts of the degree-n Laplacian, summed over the non-zeros
+    of the boundaries d_n and d_{n+1} (see the module docstring).
+
+    w is None for the standard inner products, else the diagonal inner
+    weights (w_{n-1}, w_n, w_{n+1}) in basis order."""
+    size, labels = d_next.rows, d_next.row_labels
+    columns = [[(s, x) for s, x in enumerate(d_next.column(r)) if x]
+               for r in range(d_next.cols)]
+    # rows of d_n enter conjugated: the Gram sum then gives
+    # d_n[f,s] * conj(d_n[f,t]) as the down formula needs
+    rows = [[(s, x.conjugate()) for s, x in enumerate(row) if x] for row in d_n.data]
+    if w is None:
+        up, down = _gram(columns, size), _gram(rows, size)
+    else:
+        w_dn, w_n, w_up = w
+        up = _gram(columns, size, w_up)
+        down = _gram(rows, size, [1 / x for x in w_dn])
+        for s, w_s in enumerate(w_n):
+            inv = 1 / w_s
+            up[s] = [x * inv for x in up[s]]
+            down[s] = [x * w_t for x, w_t in zip(down[s], w_n)]
+    return (ExactMatrix(up, labels, labels, cols=size),
+            ExactMatrix(down, labels, labels, cols=size))
+
+
 def up_down_matrices(
     complex: SimplicialComplex, phi: WeightFunction, n: int
 ) -> tuple[ExactMatrix, ExactMatrix]:
     """(up, down) parts of the degree-n Laplacian: A_n^* A_n and
     A_{n-1} A_{n-1}^*."""
-    a_n = coboundary_matrix(complex, phi, n)
-    a_prev = coboundary_matrix(complex, phi, n - 1)
-    return adjoint_matrix(a_n) @ a_n, a_prev @ adjoint_matrix(a_prev)
+    return _assemble(*_boundaries(complex, phi, n))
 
 
 def laplacian_matrix(complex: SimplicialComplex, phi: WeightFunction, n: int) -> ExactMatrix:
@@ -120,18 +181,9 @@ def weighted_inner_laplacian(
 
     With every weight 1 this reduces to ``up_down_matrices``.  Returns
     (up, down, up + down); the matrices need not be Hermitian."""
-    labels_n = complex.basis(n)
-    a_n = coboundary_matrix(complex, phi, n)
-    a_prev = coboundary_matrix(complex, phi, n - 1)
-    w_n = w.diagonal(complex, n)
-    w_up = w.diagonal(complex, n + 1)
-    w_dn = w.diagonal(complex, n - 1)
-    inv_n = ExactMatrix.diagonal([Fraction(1) / x for x in w_n], labels_n, labels_n)
-    diag_n = ExactMatrix.diagonal(w_n, labels_n, labels_n)
-    diag_up = ExactMatrix.diagonal(w_up)
-    inv_dn = ExactMatrix.diagonal([Fraction(1) / x for x in w_dn])
-    up = inv_n @ adjoint_matrix(a_n) @ diag_up @ a_n
-    down = a_prev @ inv_dn @ adjoint_matrix(a_prev) @ diag_n
+    d_n, d_next = _boundaries(complex, phi, n)
+    w_diag = tuple(w.diagonal(complex, k) for k in (n - 1, n, n + 1))
+    up, down = _assemble(d_n, d_next, w_diag)
     return up, down, up + down
 
 
@@ -196,12 +248,14 @@ def harmonic_basis(
 
     The count is cross-checked against the exact cohomology dimension; a
     mismatch means the tolerance split eigenvalues badly and raises."""
-    lap = laplacian_matrix(complex, phi, n)
+    d_n, d_next = _boundaries(complex, phi, n)
+    up, down = _assemble(d_n, d_next)
+    lap = up + down
     spec = spectrum(lap)
     if zero_tol is None:
         zero_tol = ZERO_TOL_SCALE * (1.0 + lap.frobenius_norm())
     vectors = spec.vectors_below(zero_tol)
-    expected = cohomology_dim(complex, phi, n)
+    expected = len(complex.basis(n)) - d_n.rank() - d_next.rank()
     if vectors.shape[1] != expected:
         w = spec.eigenvalues
         below = np.abs(w) <= zero_tol

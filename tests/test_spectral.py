@@ -1,18 +1,25 @@
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wsimplex import (
     ExactMatrix,
+    FFLSpec,
     InnerProductWeights,
     SpectralMismatchError,
+    UnvalidatedWeightError,
+    WeightFunction,
     adjoint_matrix,
     coboundary_matrix,
     cohomology_dim,
+    ffl_signature,
     harmonic_basis,
     identity_weight,
     laplacian_matrix,
+    make_ffl,
     parse_inner_weights_text,
     spectrum,
     up_down_matrices,
@@ -22,10 +29,18 @@ from wsimplex import (
     zero_weight,
 )
 
+from wsimplex.cli import main
+
 from conftest import (
     doubled_edge_triangle,
+    full_tetrahedron,
     full_triangle,
+    glued_triangles,
     hollow_triangle,
+    random_quotient_weight,
+    random_semi_trivial_weight,
+    sample_triangle,
+    sample_triangle_table,
     single_edge,
     spectral_fixtures,
 )
@@ -261,8 +276,6 @@ def test_uniform_weights_reduce_to_standard():
 
 
 def test_identity_weight_matches_incidence_forms():
-    import random
-
     rng = random.Random(7)
     for name, complex, phi in FIXTURES[:10]:
         ident = identity_weight(complex)
@@ -295,8 +308,6 @@ def test_weighted_edge_laplacian_exact():
 
 
 def test_weighted_spectrum_real_nonnegative():
-    import random
-
     rng = random.Random(40)
     for name, complex, phi in FIXTURES[:8]:
         w = random_inner_weights(rng, complex)
@@ -313,8 +324,6 @@ def test_weighted_spectrum_real_nonnegative():
 
 
 def test_weighted_spectrum_kernel_count():
-    import random
-
     rng = random.Random(41)
     for name, complex, phi in FIXTURES[:6]:
         w = random_inner_weights(rng, complex)
@@ -357,3 +366,103 @@ def test_parse_inner_weights():
         parse_inner_weights_text("0 | 1\n0 1 | x\n")
     with pytest.raises(ValueError, match="positive"):
         parse_inner_weights_text("0 | -3\n")
+
+
+# -- sparse assembly against dense products -------------------------------------
+
+
+def dense_parts(complex, phi, n, w=None):
+    """Reference (up, down) of the degree-n Laplacian: dense products of the
+    coboundaries, with the diagonal inner weights w if given."""
+    a_n = coboundary_matrix(complex, phi, n)
+    a_prev = coboundary_matrix(complex, phi, n - 1)
+    if w is None:
+        return adjoint_matrix(a_n) @ a_n, a_prev @ adjoint_matrix(a_prev)
+    labels = complex.basis(n)
+    w_n = w.diagonal(complex, n)
+    inv_n = ExactMatrix.diagonal([1 / x for x in w_n], labels, labels)
+    diag_n = ExactMatrix.diagonal(w_n, labels, labels)
+    diag_up = ExactMatrix.diagonal(w.diagonal(complex, n + 1))
+    inv_dn = ExactMatrix.diagonal([1 / x for x in w.diagonal(complex, n - 1)])
+    return (inv_n @ adjoint_matrix(a_n) @ diag_up @ a_n,
+            a_prev @ inv_dn @ adjoint_matrix(a_prev) @ diag_n)
+
+
+def assert_same(actual: ExactMatrix, expected: ExactMatrix, where) -> None:
+    assert actual == expected, where
+    assert actual.row_labels == expected.row_labels, where
+    assert actual.col_labels == expected.col_labels, where
+
+
+def assembly_pairs():
+    """FIXTURES plus one pair each of complex, zero and semi-trivial
+    weights on complexes with non-empty top degree."""
+    rng = random.Random(11)
+    tetra = full_tetrahedron()
+    glued = glued_triangles()
+    return FIXTURES + [
+        ("complex_tetrahedron", tetra,
+         random_quotient_weight(rng, tetra, complex_scalars=True,
+                                allow_zero_scale=False)),
+        ("zero_glued", glued, zero_weight(glued)),
+        ("semi_trivial_tetrahedron", tetra, random_semi_trivial_weight(rng, tetra)),
+    ]
+
+
+def test_assembly_matches_dense_products():
+    rng = random.Random(12)
+    for name, complex, phi in assembly_pairs():
+        w = random_inner_weights(rng, complex)
+        for n in range(-1, complex.max_dim + 3):
+            where = (name, n)
+            up, down = up_down_matrices(complex, phi, n)
+            ref_up, ref_down = dense_parts(complex, phi, n)
+            assert_same(up, ref_up, where)
+            assert_same(down, ref_down, where)
+            assert_same(laplacian_matrix(complex, phi, n), ref_up + ref_down, where)
+            up_w, down_w, lap_w = weighted_inner_laplacian(complex, phi, w, n)
+            ref_up, ref_down = dense_parts(complex, phi, n, w)
+            assert_same(up_w, ref_up, where)
+            assert_same(down_w, ref_down, where)
+            assert_same(lap_w, ref_up + ref_down, where)
+
+
+def test_assembly_rejects_unvalidated_weight():
+    complex, _ = sample_triangle()
+    raw = WeightFunction(complex, sample_triangle_table())
+    w = InnerProductWeights.uniform()
+    for n in range(3):
+        with pytest.raises(UnvalidatedWeightError):
+            up_down_matrices(complex, raw, n)
+        with pytest.raises(UnvalidatedWeightError):
+            laplacian_matrix(complex, raw, n)
+        with pytest.raises(UnvalidatedWeightError):
+            weighted_inner_laplacian(complex, raw, w, n)
+        with pytest.raises(UnvalidatedWeightError):
+            harmonic_basis(complex, raw, n)
+
+
+def test_laplacian_paths_form_no_dense_product(monkeypatch, capsys):
+    def refuse(self, other):
+        raise AssertionError("dense ExactMatrix product on a Laplacian path")
+
+    monkeypatch.setattr(ExactMatrix, "__matmul__", refuse)
+    complex, phi = sample_triangle()
+    w = InnerProductWeights({(1,): 2}, default=1)
+    for n in range(-1, complex.max_dim + 2):
+        laplacian_matrix(complex, phi, n)
+        weighted_inner_laplacian(complex, phi, w, n)
+        harmonic_basis(complex, phi, n)
+    ffl_signature(*make_ffl(FFLSpec.from_label("coherent1")))
+
+    files = Path(__file__).parent / "fixtures"
+    pair = ["-k", str(files / "triangle.cplx"), "-w", str(files / "triangle.wts")]
+    inner = ["--inner-weights", str(files / "inner.wts")]
+    for n in ("0", "1"):
+        for argv in (["laplacian", *pair, "-n", n],
+                     ["laplacian", *pair, "-n", n, *inner],
+                     ["spectrum", *pair, "-n", n],
+                     ["spectrum", *pair, "-n", n, *inner],
+                     ["harmonic", *pair, "-n", n]):
+            assert main(argv) == 0, argv
+    capsys.readouterr()
