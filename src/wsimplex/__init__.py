@@ -50,7 +50,7 @@ from .homology import (
     smith_normal_form,
     weighted_homology,
 )
-from .eigen import Spectrum, hermitian_eigh, jacobi_eigh
+from .eigen import Spectrum, jacobi_eigh
 from .spectral import (
     HarmonicBasis,
     InnerProductWeights,
@@ -94,7 +94,7 @@ __all__ = [
     "apply_boundary",
     "SNFResult", "smith_normal_form", "gcd_minors_oracle", "integer_det",
     "HomologyGroup", "weighted_homology", "ngon_homology_closed_form",
-    "Spectrum", "jacobi_eigh", "hermitian_eigh",
+    "Spectrum", "jacobi_eigh",
     "cohomology_dim", "up_down_matrices", "laplacian_matrix",
     "InnerProductWeights", "weighted_inner_laplacian",
     "weighted_inner_spectrum", "spectrum",

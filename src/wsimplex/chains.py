@@ -1,15 +1,17 @@
-"""Weighted boundary and coboundary operators as exact matrices.
+"""The weighted boundary operator: sparse columns and their dense views.
 
 The weighted boundary of an n-simplex s is
 
     sum_i (-1)^i * phi(s, d_i s) * d_i s
 
-and ``boundary_matrix`` writes it in the lexicographic simplex bases.  The
-coboundary in degree n is the transpose of the boundary in degree n+1 (both
-bases are self-dual here), and the adjoint against the standard inner
-product is the conjugate transpose.  All three demand a validated weight
-function: for an unvalidated table the composite of two boundaries need not
-vanish and none of the homological formulas downstream apply.
+and ``_signed_faces`` writes it once.  ``boundary_columns`` (the non-zero
+entries of each column, in the lexicographic bases) is the form ranks and
+Laplacians read; ``boundary_matrix`` is its dense view.  The coboundary in
+degree n is the transpose of the boundary in degree n+1 (both bases are
+self-dual here), and the adjoint against the standard inner product is
+the conjugate transpose.  All of them demand a validated weight function:
+for an unvalidated table the composite of two boundaries need not vanish
+and none of the homological formulas downstream apply.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .complexes import Simplex, SimplicialComplex
-from .gaussian import GaussianRational
+from .gaussian import ZERO, GaussianRational
 from .matrices import ExactMatrix
 from .weights import WeightFunction
 
@@ -28,20 +30,29 @@ def _check_pair(complex: SimplicialComplex, phi: WeightFunction) -> None:
     phi.require_validated()
 
 
-def boundary_matrix(complex: SimplicialComplex, phi: WeightFunction, n: int) -> ExactMatrix:
-    """Matrix of the weighted boundary C_n -> C_{n-1}; zero-sized outside
-    the range 1..max_dim."""
+def _signed_faces(phi: WeightFunction, s: Simplex):
+    """The terms (d_i s, (-1)^i phi(s, d_i s)) of the weighted boundary of
+    s; a vertex has none."""
+    return [(s.face(i), -phi.value(s, i) if i % 2 else phi.value(s, i))
+            for i in range(len(s) if s.dim else 0)]
+
+
+def boundary_columns(complex: SimplicialComplex, phi: WeightFunction, n: int) -> list[dict]:
+    """The weighted boundary C_n -> C_{n-1}: for each n-simplex in basis
+    order, its non-zero entries as {index in basis(n-1): value}."""
     _check_pair(complex, phi)
-    rows = complex.basis(n - 1)
-    cols = complex.basis(n)
-    index = {s: i for i, s in enumerate(rows)}
-    out = ExactMatrix.zeros(len(rows), len(cols), row_labels=rows, col_labels=cols)
-    if n >= 1:
-        for j, s in enumerate(cols):
-            for i in range(n + 1):
-                sign = 1 if i % 2 == 0 else -1
-                out.data[index[s.face(i)]][j] = phi.value(s, i) * sign
-    return out
+    index = {t: i for i, t in enumerate(complex.basis(n - 1))}
+    return [{index[t]: x for t, x in _signed_faces(phi, s) if x}
+            for s in complex.basis(n)]
+
+
+def boundary_matrix(complex: SimplicialComplex, phi: WeightFunction, n: int) -> ExactMatrix:
+    """Dense view of ``boundary_columns``; zero-sized outside the range
+    1..max_dim."""
+    rows, cols = complex.basis(n - 1), complex.basis(n)
+    columns = boundary_columns(complex, phi, n)
+    data = [[c.get(i, ZERO) for c in columns] for i in range(len(rows))]
+    return ExactMatrix(data, rows, cols, cols=len(cols))
 
 
 def coboundary_matrix(complex: SimplicialComplex, phi: WeightFunction, n: int) -> ExactMatrix:
@@ -106,15 +117,11 @@ class Chain:
 def apply_boundary(complex: SimplicialComplex, phi: WeightFunction, chain: Chain) -> Chain:
     """Weighted boundary of a chain; 0-chains map to the empty (-1)-chain."""
     _check_pair(complex, phi)
-    n = chain.dimension
     for s in chain.coefficients:
         if s not in complex:
             raise ValueError(f"{s} is not in the complex")
     out: dict[Simplex, GaussianRational] = {}
-    if n >= 1:
-        for s, c in chain.coefficients.items():
-            for i in range(n + 1):
-                sign = 1 if i % 2 == 0 else -1
-                t = s.face(i)
-                out[t] = out.get(t, GaussianRational(0)) + phi.value(s, i) * c * sign
-    return Chain(n - 1, out)
+    for s, c in chain.coefficients.items():
+        for t, x in _signed_faces(phi, s):
+            out[t] = out.get(t, ZERO) + x * c
+    return Chain(chain.dimension - 1, out)

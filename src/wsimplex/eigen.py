@@ -9,8 +9,7 @@ problem [[a_pp, m], [m, a_qq]] and the phase e is folded into the rotation,
 
 Real input has e = 1, which is the classical real rotation.  Sweeps stop
 once the off-diagonal Frobenius mass drops below 1e-12 times the Frobenius
-norm of the input.  ``hermitian_eigh`` is the same function under its
-public name.
+norm of the input.
 """
 
 from __future__ import annotations
@@ -119,9 +118,6 @@ def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[order], v[:, order]
 
 
-hermitian_eigh = jacobi_eigh
-
-
 def spectrum_of_ndarray(a: np.ndarray) -> Spectrum:
-    w, v = hermitian_eigh(a)
+    w, v = jacobi_eigh(a)
     return Spectrum(w, v)

@@ -1,12 +1,12 @@
-"""Dense exact matrices over the Gaussian rationals.
+"""Dense exact matrices over the Gaussian rationals, and exact rank.
 
-``ExactMatrix`` is the exact view of an operator: what the CLI prints as
-JSON, what ``rank`` eliminates over Q(i), and what ``to_ndarray`` hands to
-the eigensolver.  Rows and columns carry optional simplex labels so
-operator matrices stay readable.  Laplacians are not formed with ``@``:
-``spectral`` assembles them sparsely from the boundary non-zeros and stores
-the result here.  ``__matmul__`` remains the plain dense product, the
-reference the tests check that assembly against.
+``ExactMatrix`` is the dense view of an operator: what the CLI prints as
+JSON, what Smith normal form reads and what ``to_ndarray`` hands to the
+eigensolver.  Rows and columns carry optional simplex labels.  It is off
+the rank and assembly paths: ``column_rank`` ranks the sparse boundary
+columns and ``spectral`` sums Laplacians from them, storing only the
+result here.  ``__matmul__`` is the plain dense product, the tests'
+reference for that assembly.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .gaussian import GaussianRational
+from .gaussian import ZERO, GaussianRational
 
 
 class ExactMatrix:
@@ -38,11 +38,6 @@ class ExactMatrix:
             raise ValueError("row label count mismatch")
         if self.col_labels is not None and len(self.col_labels) != self.cols:
             raise ValueError("column label count mismatch")
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int, row_labels=None, col_labels=None):
-        data = [[0] * cols for _ in range(rows)]
-        return cls(data, row_labels, col_labels, cols=cols)
 
     @classmethod
     def identity(cls, n: int):
@@ -157,30 +152,36 @@ class ExactMatrix:
         return math.sqrt(sum(float(x.abs2()) for row in self.data for x in row))
 
     def rank(self) -> int:
-        """Exact rank by Gaussian elimination over Q(i)."""
-        m = [row[:] for row in self.data]
-        rank = 0
-        for col in range(self.cols):
-            pivot = None
-            for i in range(rank, self.rows):
-                if m[i][col]:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            m[rank], m[pivot] = m[pivot], m[rank]
-            head = m[rank][col]
-            for i in range(rank + 1, self.rows):
-                if m[i][col]:
-                    factor = m[i][col] / head
-                    m[i] = [a - factor * b for a, b in zip(m[i], m[rank])]
-            rank += 1
-            if rank == self.rows:
-                break
-        return rank
+        """Exact rank over Q(i), by ``column_rank`` on the columns."""
+        return column_rank({i: x for i, x in enumerate(col) if x} for col in zip(*self.data))
 
     def __repr__(self) -> str:
         if self.rows * self.cols > 64:
             return f"ExactMatrix({self.rows}x{self.cols})"
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
         return f"ExactMatrix({self.rows}x{self.cols}: {body})"
+
+
+def column_rank(columns) -> int:
+    """Exact rank over Q(i) of the matrix with the given columns, each a
+    {row index: non-zero value} dict (left unmodified).  Each column is
+    reduced by the pivot column stored under its largest row index until it
+    vanishes or that index is free, and then stored there; the rank is the
+    number of pivots."""
+    pivots: dict[int, dict] = {}
+    for column in columns:
+        col = dict(column)
+        while col:
+            low = max(col)
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = col
+                break
+            factor = col[low] / pivot[low]
+            for i, x in pivot.items():
+                y = col.get(i, ZERO) - factor * x
+                if y:
+                    col[i] = y
+                else:
+                    del col[i]
+    return len(pivots)

@@ -15,10 +15,11 @@ is Hermitian positive semidefinite, its kernel dimension equals the
 cohomology dimension, and the kernel vectors are exactly the cochains
 annihilated by both the coboundary and the adjoint coboundary.
 
-No Laplacian is formed by matrix products.  Each part is summed over the
-non-zeros of the boundaries d_n and d_{n+1}, exactly over Q(i), for
-n-simplices s, t and diagonal inner weights w (all 1 for the standard
-inner products):
+No boundary is formed dense and no Laplacian by matrix products: ranks
+and Laplacians read the non-zero columns of d_n and d_{n+1}
+(``chains.boundary_columns``).  Each Laplacian part is summed over them,
+exactly over Q(i), for n-simplices s, t and diagonal inner weights w (all
+1 for the standard inner products):
 
     up[s,t]   = (1/w_s) * sum_r w_r * conj(d_{n+1}[s,r]) * d_{n+1}[t,r]
                 over the (n+1)-simplices r (one column of d_{n+1} each),
@@ -44,11 +45,11 @@ from typing import Mapping
 
 import numpy as np
 
-from .chains import boundary_matrix
+from .chains import boundary_columns
 from .complexes import Simplex, SimplicialComplex
 from .eigen import Spectrum, spectrum_of_ndarray
 from .gaussian import ZERO
-from .matrices import ExactMatrix
+from .matrices import ExactMatrix, column_rank
 from .weights import WeightFunction
 
 ZERO_TOL_SCALE = 1e-9
@@ -58,61 +59,53 @@ class SpectralMismatchError(RuntimeError):
     """Float zero count disagrees with the exact kernel dimension."""
 
 
-def _boundary_ranks(complex: SimplicialComplex, phi: WeightFunction, n: int) -> tuple[int, int]:
-    """(r_n, r_{n+1}) with r_k = rank of the degree-k boundary, computed
-    exactly.  Each boundary is built and ranked in turn, so only one dense
-    boundary is alive at a time."""
-    return (boundary_matrix(complex, phi, n).rank(),
-            boundary_matrix(complex, phi, n + 1).rank())
-
-
-def _boundaries(complex: SimplicialComplex, phi: WeightFunction, n: int
-                ) -> tuple[ExactMatrix, ExactMatrix]:
-    """The boundaries (d_n, d_{n+1}) on either side of degree n."""
-    return boundary_matrix(complex, phi, n), boundary_matrix(complex, phi, n + 1)
+def _columns(complex: SimplicialComplex, phi: WeightFunction, n: int):
+    """Non-zero columns of the boundaries (d_n, d_{n+1}) around degree n."""
+    return boundary_columns(complex, phi, n), boundary_columns(complex, phi, n + 1)
 
 
 def cohomology_dim(complex: SimplicialComplex, phi: WeightFunction, n: int) -> int:
     """dim H^n = dim C^n - r_n - r_{n+1}.  Degrees below 0 have dimension 0."""
     if n < 0:
         return 0
-    r_n, r_next = _boundary_ranks(complex, phi, n)
-    return len(complex.basis(n)) - r_n - r_next
+    d_n, d_next = _columns(complex, phi, n)
+    return len(complex.basis(n)) - column_rank(d_n) - column_rank(d_next)
 
 
 def _gram(groups, size: int, scales=None) -> list[list]:
-    """out[i][j] = sum over groups g of scales[g] * conj(a) * b, for every
-    pair of non-zeros (i, a), (j, b) in g; every scale is 1 when scales
-    is None."""
+    """out[i][j] = sum over the groups (g, entries) of
+    scales[g] * conj(entries[i]) * entries[j], entries being a dict
+    {index: non-zero value}; every scale is 1 when scales is None."""
     out = [[ZERO] * size for _ in range(size)]
-    for g, entries in enumerate(groups):
-        for i, a in entries:
+    for g, entries in groups:
+        for i, a in entries.items():
             ca = a.conjugate() if scales is None else a.conjugate() * scales[g]
             row = out[i]
-            for j, b in entries:
+            for j, b in entries.items():
                 row[j] = row[j] + ca * b
     return out
 
 
-def _assemble(d_n: ExactMatrix, d_next: ExactMatrix, w=None
-              ) -> tuple[ExactMatrix, ExactMatrix]:
-    """(up, down) parts of the degree-n Laplacian, summed over the non-zeros
-    of the boundaries d_n and d_{n+1} (see the module docstring).
+def _assemble(labels, d_n, d_next, w=None) -> tuple[ExactMatrix, ExactMatrix]:
+    """(up, down) parts of the degree-n Laplacian, summed over the non-zero
+    columns d_n, d_next of the boundaries d_n and d_{n+1} (see the module
+    docstring); labels is the degree-n basis.
 
     w is None for the standard inner products, else the diagonal inner
     weights (w_{n-1}, w_n, w_{n+1}) in basis order."""
-    size, labels = d_next.rows, d_next.row_labels
-    columns = [[(s, x) for s, x in enumerate(d_next.column(r)) if x]
-               for r in range(d_next.cols)]
+    size = len(labels)
     # rows of d_n enter conjugated: the Gram sum then gives
     # d_n[f,s] * conj(d_n[f,t]) as the down formula needs
-    rows = [[(s, x.conjugate()) for s, x in enumerate(row) if x] for row in d_n.data]
+    rows: dict[int, dict] = {}
+    for s, column in enumerate(d_n):
+        for f, x in column.items():
+            rows.setdefault(f, {})[s] = x.conjugate()
     if w is None:
-        up, down = _gram(columns, size), _gram(rows, size)
+        up, down = _gram(enumerate(d_next), size), _gram(rows.items(), size)
     else:
         w_dn, w_n, w_up = w
-        up = _gram(columns, size, w_up)
-        down = _gram(rows, size, [1 / x for x in w_dn])
+        up = _gram(enumerate(d_next), size, w_up)
+        down = _gram(rows.items(), size, [1 / x for x in w_dn])
         for s, w_s in enumerate(w_n):
             inv = 1 / w_s
             up[s] = [x * inv for x in up[s]]
@@ -126,7 +119,7 @@ def up_down_matrices(
 ) -> tuple[ExactMatrix, ExactMatrix]:
     """(up, down) parts of the degree-n Laplacian: A_n^* A_n and
     A_{n-1} A_{n-1}^*."""
-    return _assemble(*_boundaries(complex, phi, n))
+    return _assemble(complex.basis(n), *_columns(complex, phi, n))
 
 
 def laplacian_matrix(complex: SimplicialComplex, phi: WeightFunction, n: int) -> ExactMatrix:
@@ -181,9 +174,9 @@ def weighted_inner_laplacian(
 
     With every weight 1 this reduces to ``up_down_matrices``.  Returns
     (up, down, up + down); the matrices need not be Hermitian."""
-    d_n, d_next = _boundaries(complex, phi, n)
+    d_n, d_next = _columns(complex, phi, n)
     w_diag = tuple(w.diagonal(complex, k) for k in (n - 1, n, n + 1))
-    up, down = _assemble(d_n, d_next, w_diag)
+    up, down = _assemble(complex.basis(n), d_n, d_next, w_diag)
     return up, down, up + down
 
 
@@ -221,7 +214,8 @@ def zero_multiplicity_formulas(
     if n < 0:
         raise ValueError("degree must be >= 0")
     dim_c = len(complex.basis(n))
-    r_n, r_next = _boundary_ranks(complex, phi, n)
+    d_n, d_next = _columns(complex, phi, n)
+    r_n, r_next = column_rank(d_n), column_rank(d_next)
     return dim_c - r_n, dim_c - r_next, dim_c - r_n - r_next
 
 
@@ -248,14 +242,14 @@ def harmonic_basis(
 
     The count is cross-checked against the exact cohomology dimension; a
     mismatch means the tolerance split eigenvalues badly and raises."""
-    d_n, d_next = _boundaries(complex, phi, n)
-    up, down = _assemble(d_n, d_next)
+    d_n, d_next = _columns(complex, phi, n)
+    up, down = _assemble(complex.basis(n), d_n, d_next)
     lap = up + down
     spec = spectrum(lap)
     if zero_tol is None:
         zero_tol = ZERO_TOL_SCALE * (1.0 + lap.frobenius_norm())
     vectors = spec.vectors_below(zero_tol)
-    expected = len(complex.basis(n)) - d_n.rank() - d_next.rank()
+    expected = len(complex.basis(n)) - column_rank(d_n) - column_rank(d_next)
     if vectors.shape[1] != expected:
         w = spec.eigenvalues
         below = np.abs(w) <= zero_tol

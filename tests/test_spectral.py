@@ -1,18 +1,23 @@
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wsimplex
 from wsimplex import (
     ExactMatrix,
     FFLSpec,
+    GaussianRational,
     InnerProductWeights,
     SpectralMismatchError,
     UnvalidatedWeightError,
     WeightFunction,
     adjoint_matrix,
+    boundary_matrix,
+    build_complex,
     coboundary_matrix,
     cohomology_dim,
     ffl_signature,
@@ -21,6 +26,7 @@ from wsimplex import (
     laplacian_matrix,
     make_ffl,
     parse_inner_weights_text,
+    smith_normal_form,
     spectrum,
     up_down_matrices,
     weighted_inner_laplacian,
@@ -29,7 +35,9 @@ from wsimplex import (
     zero_weight,
 )
 
+from wsimplex.chains import boundary_columns
 from wsimplex.cli import main
+from wsimplex.matrices import column_rank
 
 from conftest import (
     doubled_edge_triangle,
@@ -464,5 +472,134 @@ def test_laplacian_paths_form_no_dense_product(monkeypatch, capsys):
                      ["spectrum", *pair, "-n", n],
                      ["spectrum", *pair, "-n", n, *inner],
                      ["harmonic", *pair, "-n", n]):
+            assert main(argv) == 0, argv
+    capsys.readouterr()
+
+
+# -- sparse boundary columns and their exact rank --------------------------------
+
+
+def columns_of(matrix: ExactMatrix) -> list[dict]:
+    return [{i: x for i, x in enumerate(matrix.column(j)) if x} for j in range(matrix.cols)]
+
+
+def test_boundary_columns_are_the_matrix_nonzeros():
+    for name, complex, phi in assembly_pairs():
+        for n in range(-1, complex.max_dim + 3):
+            columns = boundary_columns(complex, phi, n)
+            assert columns == columns_of(boundary_matrix(complex, phi, n)), (name, n)
+            assert all(x for column in columns for x in column.values()), (name, n)
+            if name == "zero_glued":
+                assert not any(columns), n
+
+
+def test_boundary_columns_check_the_weight():
+    complex, _ = sample_triangle()
+    raw = WeightFunction(complex, sample_triangle_table())
+    with pytest.raises(UnvalidatedWeightError):
+        boundary_columns(complex, raw, 1)
+    other = build_complex([(0, 1, 2), (2, 3)])
+    with pytest.raises(ValueError, match="different complex"):
+        boundary_columns(other, sample_triangle()[1], 1)
+
+
+def dense_rank(matrix: ExactMatrix) -> int:
+    """Reference: exact rank by Gaussian elimination over the dense rows."""
+    m = [row[:] for row in matrix.data]
+    rank = 0
+    for col in range(matrix.cols):
+        pivot = next((i for i in range(rank, matrix.rows) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        head = m[rank][col]
+        for i in range(rank + 1, matrix.rows):
+            if m[i][col]:
+                factor = m[i][col] / head
+                m[i] = [a - factor * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def random_deficient_matrix(rng: random.Random, complex_scalars: bool) -> ExactMatrix:
+    """Sparse random columns plus scaled, summed and duplicated copies of
+    them, shuffled, so the rank can fall below min(rows, cols)."""
+    rows = rng.randint(1, 7)
+
+    def scalar():
+        re = Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]) if complex_scalars else 1)
+        im = Fraction(rng.randint(-2, 2), rng.choice([1, 2])) if complex_scalars else 0
+        return GaussianRational(re, im)
+
+    base = [[scalar() if rng.random() < 0.4 else 0 for _ in range(rows)]
+            for _ in range(rng.randint(1, 5))]
+    columns = list(base)
+    for _ in range(rng.randint(0, 4)):
+        a, b = rng.choice(base), rng.choice(base)
+        c = scalar()
+        columns.append(rng.choice([a, [c * x for x in a],
+                                   [x + c * y for x, y in zip(a, b)]]))
+    rng.shuffle(columns)
+    return ExactMatrix([list(r) for r in zip(*columns)], cols=len(columns))
+
+
+def assert_rank(matrix: ExactMatrix, where) -> int:
+    rank = dense_rank(matrix)
+    assert matrix.rank() == rank, where
+    assert column_rank(columns_of(matrix)) == rank, where
+    assert matrix.transpose().rank() == rank, where
+    if matrix.is_integral():
+        assert smith_normal_form(matrix).rank == rank, where
+    return rank
+
+
+def test_column_rank_matches_references():
+    for name, complex, phi in assembly_pairs():
+        for n in range(-1, complex.max_dim + 3):
+            matrix = boundary_matrix(complex, phi, n)
+            rank = assert_rank(matrix, (name, n))
+            assert column_rank(boundary_columns(complex, phi, n)) == rank, (name, n)
+    for size in range(4):
+        assert_rank(ExactMatrix([], cols=size), ("0 x n", size))
+        assert_rank(ExactMatrix([[]] * size), ("n x 0", size))
+    rng = random.Random(13)
+    deficient = 0
+    for trial in range(120):
+        matrix = random_deficient_matrix(rng, complex_scalars=trial % 2 == 0)
+        deficient += assert_rank(matrix, trial) < min(matrix.shape)
+    assert deficient >= 20
+
+
+def test_spectral_paths_build_no_dense_boundary(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("dense boundary on a rank or Laplacian path")
+
+    original = wsimplex.chains.boundary_matrix
+    for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "wsimplex"]:
+        for key, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, key, refuse)
+    complex, phi = sample_triangle()
+    w = InnerProductWeights({(1,): 2}, default=1)
+    for n in range(-1, complex.max_dim + 2):
+        up_down_matrices(complex, phi, n)
+        laplacian_matrix(complex, phi, n)
+        weighted_inner_laplacian(complex, phi, w, n)
+        harmonic_basis(complex, phi, n)
+        cohomology_dim(complex, phi, n)
+        if n >= 0:
+            zero_multiplicity_formulas(complex, phi, n)
+
+    files = Path(__file__).parent / "fixtures"
+    pair = ["-k", str(files / "triangle.cplx"), "-w", str(files / "triangle.wts")]
+    inner = ["--inner-weights", str(files / "inner.wts")]
+    for n in ("0", "1"):
+        for argv in (["laplacian", *pair, "-n", n],
+                     ["laplacian", *pair, "-n", n, *inner],
+                     ["spectrum", *pair, "-n", n],
+                     ["spectrum", *pair, "-n", n, *inner],
+                     ["harmonic", *pair, "-n", n],
+                     ["multiplicities", *pair, "-n", n],
+                     ["cohomology-dim", *pair, "-n", n]):
             assert main(argv) == 0, argv
     capsys.readouterr()
