@@ -19,7 +19,12 @@ from .chains import boundary_matrix, coboundary_matrix
 from .complexes import read_complex_file
 from .ffl import FFLSpec, classify_ffl, ffl_signature, make_ffl, signature_of_matrix
 from .gaussian import GaussianRational
-from .homology import ngon_homology_closed_form, smith_normal_form, weighted_homology
+from .homology import (
+    boundary_int_rows,
+    ngon_homology_closed_form,
+    smith_normal_form,
+    weighted_homology,
+)
 from .matrices import ExactMatrix
 from .spectral import (
     cohomology_dim,
@@ -135,8 +140,9 @@ def _cmd_cohomology_dim(args):
 def _cmd_snf(args):
     complex, phi = _load_pair(args)
     _require_valid(phi)
-    result = smith_normal_form(boundary_matrix(complex, phi, args.dim),
-                               transforms=args.transforms)
+    result = smith_normal_form(boundary_int_rows(complex, phi, args.dim),
+                               transforms=args.transforms,
+                               cols=len(complex.basis(args.dim)))
     payload = {"dimension": args.dim, "diagonal": result.diagonal,
                "rank": result.rank}
     if args.transforms:

@@ -13,30 +13,42 @@ implementations check each other without sharing any code.
 Homology of a validated integer-weighted complex in degree n comes from the
 normal forms of the two adjacent boundary matrices: the free rank is
 dim C_n - rank(d_n) - rank(d_{n+1}) and the torsion coefficients are the
-diagonal entries of SNF(d_{n+1}) that exceed 1.
+diagonal entries of SNF(d_{n+1}) that exceed 1.  ``boundary_int_rows``
+fills SNF's integer rows straight from the non-zeros of
+``boundary_columns``.
+
+``ngon_homology_closed_form`` gives the degree-0 homology of a weighted
+polygon without a matrix.  The k-th invariant factor has, at every prime
+p, the k-th smallest valuation v_p among the non-zero vertex weights, so
+it is read off a coprime base of the weights refined by gcds, with no
+factoring: the work is polynomial in the number of vertices and in the
+weights' bit length.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd, prod
+from math import gcd
 
-from .chains import boundary_matrix
+# boundary_matrix is not called here; perfbench/selftest.py reaches the
+# dense view through this module's name for it.
+from .chains import boundary_columns, boundary_matrix  # noqa: F401
 from .complexes import SimplicialComplex
 from .matrices import ExactMatrix
 from .weights import WeightFunction
 
 
-def _int_rows(matrix) -> tuple[list[list[int]], int]:
+def _int_rows(matrix, cols: int | None = None) -> tuple[list[list[int]], int]:
     """Integer rows and the column count, which a matrix with no rows
-    still has."""
+    still has: an ExactMatrix knows it, a list of no rows takes ``cols``."""
     if isinstance(matrix, ExactMatrix):
         return matrix.to_int_rows(), matrix.cols
     rows = [[int(x) for x in row] for row in matrix]
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("ragged rows")
-    return rows, len(rows[0]) if rows else 0
+    return rows, len(rows[0]) if rows else cols or 0
 
 
 def integer_det(matrix) -> int:
@@ -72,13 +84,14 @@ class SNFResult:
     V: list[list[int]] | None = None
 
 
-def smith_normal_form(matrix, transforms: bool = False) -> SNFResult:
+def smith_normal_form(matrix, transforms: bool = False, cols: int | None = None) -> SNFResult:
     """Smith normal form of an integer matrix.
 
     With ``transforms`` the unimodular U (rows x rows) and V (cols x cols)
-    with U @ M @ V diagonal are returned as plain nested lists.
+    with U @ M @ V diagonal are returned as plain nested lists.  ``cols``
+    is the column count of a matrix given as a list of no rows.
     """
-    m, nc = _int_rows(matrix)
+    m, nc = _int_rows(matrix, cols)
     nr = len(m)
     U = [[int(i == j) for j in range(nr)] for i in range(nr)] if transforms else None
     V = [[int(i == j) for j in range(nc)] for i in range(nc)] if transforms else None
@@ -188,6 +201,19 @@ def gcd_minors_oracle(matrix, k: int) -> int:
     return g
 
 
+def boundary_int_rows(complex: SimplicialComplex, phi: WeightFunction, n: int) -> list[list[int]]:
+    """Integer rows of the degree-n weighted boundary, filled from the
+    non-zeros of ``boundary_columns``; a non-integer entry is refused."""
+    columns = boundary_columns(complex, phi, n)
+    rows = [[0] * len(columns) for _ in complex.basis(n - 1)]
+    for j, column in enumerate(columns):
+        for i, x in column.items():
+            if not x.is_integer():
+                raise ValueError("matrix has non-integer entries")
+            rows[i][j] = x.re.numerator
+    return rows
+
+
 @dataclass
 class HomologyGroup:
     """Finitely generated abelian group: torsion summands plus a free part."""
@@ -220,34 +246,76 @@ def weighted_homology(complex: SimplicialComplex, phi: WeightFunction, n: int) -
         raise ValueError("integer homology needs integer weight values")
     if n < 0:
         return HomologyGroup([], 0)
-    lower = smith_normal_form(boundary_matrix(complex, phi, n))
-    upper = smith_normal_form(boundary_matrix(complex, phi, n + 1))
+    lower = smith_normal_form(boundary_int_rows(complex, phi, n))
+    upper = smith_normal_form(boundary_int_rows(complex, phi, n + 1))
     free = len(complex.basis(n)) - lower.rank - upper.rank
     torsion = [d for d in upper.diagonal if d > 1]
     return HomologyGroup(torsion, free)
 
 
+def _coprime_base(values) -> list[int]:
+    """Pairwise coprime integers > 1, ascending, such that every given
+    positive integer is a product of their powers (Bernstein 2005,
+    "Factoring into coprimes in essentially linear time", in its naive
+    form).  A value y coprime to the product of the base joins it at once.
+    Otherwise the first base element b sharing a factor with y leaves the
+    base, and g = gcd(b, y), b/g and y/g are inserted in turn: each split
+    divides the product of the base and the pending values by g > 1, so
+    the loop ends.  The scan runs in ascending order because shared
+    factors tend to be small."""
+    base: list[int] = []
+    whole = 1
+    for x in values:
+        pending = [x]
+        while pending:
+            y = pending.pop()
+            shared = gcd(y, whole)
+            if shared == 1:
+                if y > 1:
+                    insort(base, y)
+                    whole *= y
+                continue
+            b = next(b for b in base if gcd(b, shared) > 1)
+            base.remove(b)
+            whole //= b
+            g = gcd(b, y)
+            pending += [g, b // g, y // g]
+    return base
+
+
+def _valuation(x: int, b: int) -> int:
+    v = 0
+    while x % b == 0:
+        x //= b
+        v += 1
+    return v
+
+
 def ngon_homology_closed_form(alphas) -> HomologyGroup:
     """Degree-0 homology of the weighted n-cycle, directly from the vertex
-    weights: the k-th invariant factor is the quotient of consecutive gcds
-    of k-fold products of distinct entries, and the last one is always 0."""
+    weights.
+
+    The k-th invariant factor is g_k / g_{k-1}, where g_k is the gcd of the
+    k-fold products of distinct entries, and the last one is always 0.  At
+    every prime p, v_p(g_k) is the sum of the k smallest v_p over the
+    non-zero entries, and g_k = 0 when fewer than k are non-zero.  So for
+    k <= min(nonzero count, n - 1) the k-th factor is the product of
+    b^(k-th smallest v_b) over a coprime base b of the entries, and every
+    later factor is 0.  The work is polynomial in n and in the entries' bit
+    length; the subset gcds of the definition take 2^n steps.
+    """
     a = [int(x) for x in alphas]
     if len(a) < 3:
         raise ValueError("a polygon needs at least 3 vertices")
     if any(int(x) != x for x in alphas):
         raise ValueError("closed form needs integer weights")
     n = len(a)
-    ds = []
-    prev = 1
-    for k in range(1, n):
-        g = 0
-        for combo in combinations(a, k):
-            g = gcd(g, prod(combo))
-            if g == 1:
-                break
-        ds.append(0 if prev == 0 else g // prev)
-        prev = g
-    ds.append(0)
-    torsion = [d for d in ds if d > 1]
-    free = sum(1 for d in ds if d == 0)
-    return HomologyGroup(torsion, free)
+    nonzero = [abs(x) for x in a if x]
+    top = min(len(nonzero), n - 1)
+    ds = [1] * top
+    for b in _coprime_base(sorted(set(nonzero))):
+        vs = sorted(_valuation(x, b) for x in nonzero if x % b == 0)
+        zeros = len(nonzero) - len(vs)
+        for k in range(zeros, top):
+            ds[k] *= b ** vs[k - zeros]
+    return HomologyGroup([d for d in ds if d > 1], n - top)

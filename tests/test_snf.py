@@ -1,7 +1,8 @@
+import json
 import random
 import time
 from itertools import combinations
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -216,3 +217,117 @@ def test_make_ngon_weight_layout():
     assert phi((0, 2), (2,)) == 7
     with pytest.raises(ValueError):
         make_ngon([1, 2])
+
+
+def signed_prime_power(rng):
+    return rng.choice([-1, 1]) * rng.choice([2, 3, 5, 7]) ** rng.randint(0, 6)
+
+
+def edge_case_alphas(rng, n):
+    """All zero, one non-zero, n - 1 non-zero, all non-zero, and one
+    10^30 entry among small ones, each shuffled."""
+    small = [rng.choice([-1, 1]) * rng.randint(1, 30) for _ in range(n)]
+    cases = [[0] * n,
+             [0] * (n - 1) + [small[0]],
+             [0] + small[1:],
+             small,
+             [10**30] + small[1:],
+             [10**30] + [0] * (n - 1),
+             [10**30, 0] + small[2:]]
+    for case in cases:
+        rng.shuffle(case)
+    return cases
+
+
+def test_ngon_closed_form_matches_subset_gcds():
+    rng = random.Random(2005)
+    draws = [lambda: rng.randint(-12, 12),
+             lambda: rng.randint(-10**12, 10**12),
+             lambda: signed_prime_power(rng),
+             lambda: rng.choice([0, 0, rng.randint(-12, 12), signed_prime_power(rng),
+                                 rng.randint(-10**12, 10**12)])]
+    cases = [[draws[trial % 4]() for _ in range(rng.randint(3, 10))] for trial in range(1200)]
+    for n in range(3, 11):
+        cases += edge_case_alphas(rng, n)
+    for alphas in cases:
+        assert ngon_homology_closed_form(alphas) == brute_force_ngon_group(alphas), alphas
+
+
+def test_ngon_closed_form_matches_pipeline_long_cycles():
+    rng = random.Random(4242)
+    cases = [[2 * rng.choice([1, 2, 3, 5, 6]) for _ in range(200)],
+             [rng.choice([-1, 1]) * 2 ** rng.randint(0, 3) * 3 ** rng.randint(0, 2)
+              for _ in range(120)],
+             [rng.choice([0, 0, 2, 4, 6, 9, -3, 10**13]) for _ in range(80)]]
+    for alphas in cases:
+        k, phi = make_ngon(alphas)
+        assert ngon_homology_closed_form(alphas) == weighted_homology(k, phi, 0)
+
+
+SMALL_PRIMES = [p for p in range(2, 1100) if all(p % q for q in range(2, int(p**0.5) + 1))]
+
+
+def trial_division_group(alphas):
+    """Reference for entries whose cofactor after trial division by
+    SMALL_PRIMES is 1 or a prime: the k-th invariant factor is the
+    product over primes p of p^(k-th smallest v_p) over the non-zero
+    entries."""
+    n = len(alphas)
+    nonzero = [abs(a) for a in alphas if a]
+    top = min(len(nonzero), n - 1)
+    exponents = {}
+    for a in nonzero:
+        for p in SMALL_PRIMES:
+            v = 0
+            while a % p == 0:
+                a //= p
+                v += 1
+            if v:
+                exponents.setdefault(p, []).append(v)
+        assert a < SMALL_PRIMES[-1] ** 2, "cofactor is not known to be prime"
+        if a > 1:
+            exponents.setdefault(a, []).append(1)
+    ds = [1] * top
+    for p, vs in exponents.items():
+        full = [0] * (len(nonzero) - len(vs)) + sorted(vs)
+        for k in range(top):
+            ds[k] *= p ** full[k]
+    return HomologyGroup([d for d in ds if d > 1], n - top)
+
+
+def test_ngon_closed_form_bounded_work_at_1000_vertices(capsys):
+    from wsimplex.cli import main
+
+    rng = random.Random(1000)
+    primes = []
+    candidate = 10**6 + 1
+    while len(primes) < 1000:
+        if all(candidate % p for p in SMALL_PRIMES):
+            primes.append(candidate)
+        candidate += 2
+    smooth = [2 * prod(rng.choice(SMALL_PRIMES[:12]) for _ in range(rng.randint(0, 8)))
+              for _ in range(1000)]
+    wide = [rng.getrandbits(60) for _ in range(1000)]
+
+    def timed(alphas):
+        start = time.perf_counter()
+        group = ngon_homology_closed_form(alphas)
+        assert time.perf_counter() - start < 10.0
+        return group
+
+    assert timed(primes) == trial_division_group(primes) == HomologyGroup([], 1)
+    assert timed(smooth) == trial_division_group(smooth)
+    # 60-bit entries are out of reach of trial division; check the
+    # identities d_1 = gcd of all entries and d_1 * ... * d_(n-1) = gcd of
+    # the (n-1)-fold products = (product of all) / lcm instead.
+    group = timed(wide)
+    assert group.free_rank == 1
+    factors = [1] * (999 - len(group.torsion)) + group.torsion
+    assert factors[0] == gcd(*wide)
+    assert prod(factors) * lcm(*wide) == prod(wide)
+
+    start = time.perf_counter()
+    assert main(["ngon", "--alphas", ",".join(map(str, wide))]) == 0
+    assert time.perf_counter() - start < 10.0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["torsion"], payload["free_rank"]) == (group.torsion, 1)

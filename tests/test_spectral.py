@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 from fractions import Fraction
@@ -11,6 +12,7 @@ from wsimplex import (
     ExactMatrix,
     FFLSpec,
     GaussianRational,
+    HomologyGroup,
     InnerProductWeights,
     SpectralMismatchError,
     UnvalidatedWeightError,
@@ -29,6 +31,7 @@ from wsimplex import (
     smith_normal_form,
     spectrum,
     up_down_matrices,
+    weighted_homology,
     weighted_inner_laplacian,
     weighted_inner_spectrum,
     zero_multiplicity_formulas,
@@ -570,15 +573,20 @@ def test_column_rank_matches_references():
     assert deficient >= 20
 
 
-def test_spectral_paths_build_no_dense_boundary(monkeypatch, capsys):
+def refuse_dense_boundary(monkeypatch):
+    """Make ``chains.boundary_matrix`` and every alias of it raise."""
     def refuse(*args):
-        raise AssertionError("dense boundary on a rank or Laplacian path")
+        raise AssertionError("dense boundary on a sparse path")
 
     original = wsimplex.chains.boundary_matrix
     for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "wsimplex"]:
         for key, value in list(vars(module).items()):
             if value is original:
                 monkeypatch.setattr(module, key, refuse)
+
+
+def test_spectral_paths_build_no_dense_boundary(monkeypatch, capsys):
+    refuse_dense_boundary(monkeypatch)
     complex, phi = sample_triangle()
     w = InnerProductWeights({(1,): 2}, default=1)
     for n in range(-1, complex.max_dim + 2):
@@ -603,3 +611,53 @@ def test_spectral_paths_build_no_dense_boundary(monkeypatch, capsys):
                      ["cohomology-dim", *pair, "-n", n]):
             assert main(argv) == 0, argv
     capsys.readouterr()
+
+
+def write_pair(directory: Path, name: str, complex, phi) -> list[str]:
+    """Complex and weight files for the CLI, every table entry written."""
+    k, w = directory / f"{name}.cplx", directory / f"{name}.wts"
+    k.write_text("".join(" ".join(map(str, s)) + "\n" for s in complex.simplices()))
+    w.write_text("".join(f"{' '.join(map(str, s))} | {' '.join(map(str, s.face(i)))} | {x}\n"
+                         for (s, i), x in phi.entries()))
+    return ["-k", str(k), "-w", str(w), "--strict"]
+
+
+def test_homology_paths_build_no_dense_boundary(monkeypatch, capsys, tmp_path):
+    """weighted_homology and the CLI homology/snf read integer rows from the
+    sparse columns, and answer as the dense view's Smith normal forms do."""
+    def dense_snf(complex, phi, n):
+        return smith_normal_form(boundary_matrix(complex, phi, n), transforms=True)
+
+    cases = []
+    for name, complex, phi in FIXTURES:
+        if not phi.is_integral():
+            continue
+        argv = write_pair(tmp_path, name, complex, phi)
+        for n in range(-1, complex.max_dim + 2):
+            lower, upper = dense_snf(complex, phi, n), dense_snf(complex, phi, n + 1)
+            group = HomologyGroup([d for d in upper.diagonal if d > 1],
+                                  len(complex.basis(n)) - lower.rank - upper.rank
+                                  ) if n >= 0 else HomologyGroup([], 0)
+            cases.append((complex, phi, argv, n, lower, group))
+    assert len(cases) > 30
+
+    refuse_dense_boundary(monkeypatch)
+    for complex, phi, argv, n, snf, group in cases:
+        assert weighted_homology(complex, phi, n) == group, (argv, n)
+        if n < 0:
+            continue
+        assert main(["homology", *argv, "-n", str(n)]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "dimension": n, "free_rank": group.free_rank, "torsion": group.torsion}
+        plain = {"dimension": n, "diagonal": snf.diagonal, "rank": snf.rank}
+        assert main(["snf", *argv, "-n", str(n)]) == 0
+        assert json.loads(capsys.readouterr().out) == plain
+        assert main(["snf", *argv, "-n", str(n), "--transforms"]) == 0
+        assert json.loads(capsys.readouterr().out) == {**plain, "U": snf.U, "V": snf.V}
+
+    complex, phi = single_edge(Fraction(1, 2), 3)
+    argv = write_pair(tmp_path, "half", complex, phi)
+    assert main(["snf", *argv, "-n", "1"]) == 1
+    assert capsys.readouterr().err == "error: matrix has non-integer entries\n"
+    assert main(["homology", *argv, "-n", "0"]) == 1
+    assert capsys.readouterr().err == "error: integer homology needs integer weight values\n"
