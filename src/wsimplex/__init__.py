@@ -44,8 +44,6 @@ from .chains import (
 from .homology import (
     HomologyGroup,
     SNFResult,
-    gcd_minors_oracle,
-    integer_det,
     ngon_homology_closed_form,
     smith_normal_form,
     weighted_homology,
@@ -92,7 +90,7 @@ __all__ = [
     "ExactMatrix",
     "Chain", "boundary_matrix", "coboundary_matrix", "adjoint_matrix",
     "apply_boundary",
-    "SNFResult", "smith_normal_form", "gcd_minors_oracle", "integer_det",
+    "SNFResult", "smith_normal_form",
     "HomologyGroup", "weighted_homology", "ngon_homology_closed_form",
     "Spectrum", "jacobi_eigh",
     "cohomology_dim", "up_down_matrices", "laplacian_matrix",

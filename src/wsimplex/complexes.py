@@ -37,11 +37,13 @@ class Simplex(tuple):
 
     def face(self, i: int) -> "Simplex":
         """Codimension-one face obtained by deleting vertex number i."""
-        if self.dim == 0:
+        last = len(self) - 1
+        if last == 0:
             raise IndexError("a vertex has no faces")
-        if not 0 <= i <= self.dim:
+        if not 0 <= i <= last:
             raise IndexError(f"face index {i} out of range for {self}")
-        return Simplex(self[:i] + self[i + 1 :])
+        # a slice of a strictly ascending tuple is strictly ascending: no re-check
+        return tuple.__new__(Simplex, self[:i] + self[i + 1 :])
 
     def faces(self) -> Iterator["Simplex"]:
         for i in range(len(self)):

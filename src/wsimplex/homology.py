@@ -6,10 +6,6 @@ column operations, always pivoting on a smallest-magnitude nonzero entry
 chain d1 | d2 | ... by folding any offending row into the pivot row.  The
 returned transforms satisfy U @ M @ V == diag(d) with |det U| = |det V| = 1.
 
-``gcd_minors_oracle`` is the independent route to the same invariants: the
-product d1*...*dk equals the gcd of all k x k minor determinants, so the two
-implementations check each other without sharing any code.
-
 Homology of a validated integer-weighted complex in degree n comes from the
 normal forms of the two adjacent boundary matrices: the free rank is
 dim C_n - rank(d_n) - rank(d_{n+1}) and the torsion coefficients are the
@@ -29,7 +25,6 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd
 
 # boundary_matrix is not called here; perfbench/selftest.py reaches the
@@ -49,31 +44,6 @@ def _int_rows(matrix, cols: int | None = None) -> tuple[list[list[int]], int]:
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("ragged rows")
     return rows, len(rows[0]) if rows else cols or 0
-
-
-def integer_det(matrix) -> int:
-    """Exact determinant of a square integer matrix (fraction-free)."""
-    a, _ = _int_rows(matrix)
-    n = len(a)
-    if any(len(r) != n for r in a):
-        raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 @dataclass
@@ -182,25 +152,6 @@ def smith_normal_form(matrix, transforms: bool = False, cols: int | None = None)
     return SNFResult(diagonal, rank, U, V)
 
 
-def gcd_minors_oracle(matrix, k: int) -> int:
-    """gcd of all k x k minor determinants (0 when k is out of range or all
-    minors vanish).  Independent check: it equals d1*...*dk from the SNF."""
-    rows, nc = _int_rows(matrix)
-    nr = len(rows)
-    if k <= 0:
-        raise ValueError("minor order must be positive")
-    if k > min(nr, nc):
-        return 0
-    g = 0
-    for ridx in combinations(range(nr), k):
-        for cidx in combinations(range(nc), k):
-            sub = [[rows[i][j] for j in cidx] for i in ridx]
-            g = gcd(g, integer_det(sub))
-            if g == 1:
-                return 1
-    return g
-
-
 def boundary_int_rows(complex: SimplicialComplex, phi: WeightFunction, n: int) -> list[list[int]]:
     """Integer rows of the degree-n weighted boundary, filled from the
     non-zeros of ``boundary_columns``; a non-integer entry is refused."""
@@ -208,9 +159,10 @@ def boundary_int_rows(complex: SimplicialComplex, phi: WeightFunction, n: int) -
     rows = [[0] * len(columns) for _ in complex.basis(n - 1)]
     for j, column in enumerate(columns):
         for i, x in column.items():
-            if not x.is_integer():
-                raise ValueError("matrix has non-integer entries")
-            rows[i][j] = x.re.numerator
+            try:
+                rows[i][j] = int(x)
+            except ValueError:
+                raise ValueError("matrix has non-integer entries") from None
     return rows
 
 

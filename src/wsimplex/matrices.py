@@ -145,7 +145,7 @@ class ExactMatrix:
         out = np.zeros((self.rows, self.cols), dtype=dtype)
         for i, row in enumerate(self.data):
             for j, x in enumerate(row):
-                out[i, j] = float(x.re) if real else complex(x)
+                out[i, j] = float(x) if real else complex(x)
         return out
 
     def frobenius_norm(self) -> float:

@@ -48,7 +48,7 @@ import numpy as np
 from .chains import boundary_columns
 from .complexes import Simplex, SimplicialComplex
 from .eigen import Spectrum, spectrum_of_ndarray
-from .gaussian import ZERO
+from .gaussian import ZERO, GaussianRational
 from .matrices import ExactMatrix, column_rank
 from .weights import WeightFunction
 
@@ -103,7 +103,8 @@ def _assemble(labels, d_n, d_next, w=None) -> tuple[ExactMatrix, ExactMatrix]:
     if w is None:
         up, down = _gram(enumerate(d_next), size), _gram(rows.items(), size)
     else:
-        w_dn, w_n, w_up = w
+        # the Fraction weights become scalars once, not once per product
+        w_dn, w_n, w_up = ([GaussianRational(x) for x in ws] for ws in w)
         up = _gram(enumerate(d_next), size, w_up)
         down = _gram(rows.items(), size, [1 / x for x in w_dn])
         for s, w_s in enumerate(w_n):

@@ -129,16 +129,18 @@ def validate_weight(phi: WeightFunction) -> list[Violation]:
     the two mismatching products.
     """
     K = phi.complex
+    table = phi._table
     violations: list[Violation] = []
     for n in range(2, K.max_dim + 1):
         for s in K.basis(n):
+            faces = [s.face(i) for i in range(n + 1)]
+            weights = [table[(s, i)] for i in range(n + 1)]
             for i in range(1, n + 1):
-                di = s.face(i)
+                di, w_i = faces[i], weights[i]
                 for j in range(i):
-                    dj = s.face(j)
                     # d_j d_i s == d_{i-1} d_j s: both routes must agree
-                    left = phi.value(s, i) * phi.value(di, j)
-                    right = phi.value(s, j) * phi.value(dj, i - 1)
+                    left = w_i * table[(di, j)]
+                    right = weights[j] * table[(faces[j], i - 1)]
                     if left != right:
                         violations.append(Violation(s, i, j, left, right))
     if not violations:
@@ -263,6 +265,13 @@ def cfw_weight(complex: SimplicialComplex, w, f, C="auto") -> WeightFunction:
 # -- text format ------------------------------------------------------------
 
 
+def _face_index(s: Simplex, t: Simplex) -> int | None:
+    """The i with s.face(i) == t, or None: the position in s of the one
+    vertex of s missing from t, when t is one vertex shorter."""
+    missing = [i for i, v in enumerate(s) if v not in t]
+    return missing[0] if len(missing) == 1 and len(t) == len(s) - 1 else None
+
+
 def parse_weight_text(
     text: str,
     complex: SimplicialComplex,
@@ -276,6 +285,13 @@ def parse_weight_text(
     absent from the file get ``default`` with a warning, or raise when
     ``strict`` is set.
     """
+    known = {s: s for s in complex.simplices()}
+
+    def simplex(field: str) -> Simplex:
+        # a vertex list the complex holds is a valid simplex: no re-check
+        vs = tuple(map(int, field.split()))
+        return known.get(vs) or Simplex(vs)
+
     table: dict[tuple[Simplex, int], GaussianRational] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -285,18 +301,14 @@ def parse_weight_text(
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected 'simplex | face | value'")
         try:
-            s = Simplex(int(tok) for tok in parts[0].split())
-            t = Simplex(int(tok) for tok in parts[1].split())
+            s = simplex(parts[0])
+            t = simplex(parts[1])
             value = GaussianRational.from_string(parts[2])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        if s not in complex:
+        if s not in known:
             raise ValueError(f"line {lineno}: {s} is not in the complex")
-        idx = None
-        for i in range(s.dim + 1) if s.dim >= 1 else ():
-            if s.face(i) == t:
-                idx = i
-                break
+        idx = _face_index(s, t)
         if idx is None:
             raise ValueError(f"line {lineno}: {t} is not a codimension-one face of {s}")
         if (s, idx) in table and table[(s, idx)] != value:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -250,10 +251,14 @@ def test_unknown_command_exit_2(capsys):
 
 
 def test_module_entry_point():
+    # the child process finds the package in src/ as the suite does
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-m", "wsimplex", "spectrum",
          "-k", fx("edge.cplx"), "-w", fx("edge.wts"), "-n", "0"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert np.allclose(payload["eigenvalues"], [0.0, 13.0], atol=1e-12)

@@ -8,6 +8,8 @@ from wsimplex import (
     parse_complex_text,
 )
 
+from conftest import spectral_fixtures
+
 
 def test_simplex_validation():
     assert Simplex((0, 2, 5)).dim == 2
@@ -33,6 +35,26 @@ def test_faces():
         s.face(4)
     with pytest.raises(IndexError):
         Simplex((5,)).face(0)
+
+
+def test_face_is_the_checked_simplex_on_every_fixture():
+    # face() skips the ascending re-check; it must build what Simplex() builds
+    seen = 0
+    for _, complex, _ in spectral_fixtures(count=16):
+        for s in complex.simplices():
+            if s.dim == 0:
+                with pytest.raises(IndexError):
+                    s.face(0)
+                continue
+            for i in range(len(s)):
+                t = s.face(i)
+                assert type(t) is Simplex
+                assert t == Simplex(s[:i] + s[i + 1:])
+                seen += 1
+            for bad in (-1, len(s)):
+                with pytest.raises(IndexError):
+                    s.face(bad)
+    assert seen > 100
 
 
 def test_face_commutation():

@@ -10,15 +10,15 @@ from wsimplex import (
     HomologyGroup,
     boundary_matrix,
     build_complex,
-    gcd_minors_oracle,
     identity_weight,
-    integer_det,
     make_ngon,
     ngon_homology_closed_form,
     smith_normal_form,
     weighted_homology,
     zero_weight,
 )
+
+from oracles import gcd_minors_oracle, integer_det
 
 
 def random_int_matrix(rng, max_side=5, lo=-9, hi=9):
