@@ -234,7 +234,7 @@ def test_parse_weight_strict():
     ("0 1 | 0 | 2 | 9", "expected"),
     ("0 1 | 0", "expected"),
     ("0 3 | 0 | 1", "not in the complex"),
-    ("0 1 | 2 | 1", "not a codimension-one face"),
+    ("0 1 | 2 | 1", "face"),
     ("0 1 2 | 0 1 | x", "malformed"),
     ("0 1 | 0 | 1.5", "malformed"),
     ("0 1 2 | 0 1 3 | 5", "not a codimension-one face"),
