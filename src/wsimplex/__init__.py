@@ -48,14 +48,14 @@ from .homology import (
     smith_normal_form,
     weighted_homology,
 )
-from .eigen import Spectrum, jacobi_eigh
+from .eigen import Spectrum, jacobi_eigh, jacobi_svd
 from .spectral import (
     HarmonicBasis,
     InnerProductWeights,
-    SpectralMismatchError,
     cohomology_dim,
     harmonic_basis,
     laplacian_matrix,
+    laplacian_spectrum,
     parse_inner_weights_text,
     read_inner_weights_file,
     spectrum,
@@ -92,12 +92,13 @@ __all__ = [
     "apply_boundary",
     "SNFResult", "smith_normal_form",
     "HomologyGroup", "weighted_homology", "ngon_homology_closed_form",
-    "Spectrum", "jacobi_eigh",
+    "Spectrum", "jacobi_eigh", "jacobi_svd",
     "cohomology_dim", "up_down_matrices", "laplacian_matrix",
+    "laplacian_spectrum",
     "InnerProductWeights", "weighted_inner_laplacian",
     "weighted_inner_spectrum", "spectrum",
     "zero_multiplicity_formulas", "HarmonicBasis", "harmonic_basis",
-    "SpectralMismatchError", "parse_inner_weights_text",
+    "parse_inner_weights_text",
     "read_inner_weights_file",
     "make_ngon",
     "FFLSpec", "FFLSignature", "all_specs", "make_ffl", "ffl_weights",

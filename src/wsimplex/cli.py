@@ -29,12 +29,10 @@ from .matrices import ExactMatrix
 from .spectral import (
     cohomology_dim,
     harmonic_basis,
-    laplacian_matrix,
+    laplacian_spectrum,
     read_inner_weights_file,
-    spectrum,
     up_down_matrices,
     weighted_inner_laplacian,
-    weighted_inner_spectrum,
     zero_multiplicity_formulas,
 )
 from .weights import read_weight_file
@@ -167,12 +165,7 @@ def _cmd_laplacian(args):
 def _cmd_spectrum(args):
     complex, phi = _load_pair(args)
     _require_valid(phi)
-    inner = _load_inner(args)
-    if inner is None:
-        spec = spectrum(laplacian_matrix(complex, phi, args.dim))
-    else:
-        _, _, total = weighted_inner_laplacian(complex, phi, inner, args.dim)
-        spec = weighted_inner_spectrum(total, inner.diagonal(complex, args.dim))
+    spec = laplacian_spectrum(complex, phi, args.dim, _load_inner(args))
     return {
         "dimension": args.dim,
         "eigenvalues": [_sig12(float(w)) for w in spec.eigenvalues],
@@ -184,7 +177,7 @@ def _cmd_spectrum(args):
 def _cmd_harmonic(args):
     complex, phi = _load_pair(args)
     _require_valid(phi)
-    basis = harmonic_basis(complex, phi, args.dim, zero_tol=args.tol)
+    basis = harmonic_basis(complex, phi, args.dim)
     return {
         "dimension": args.dim,
         "count": basis.count,
@@ -324,10 +317,7 @@ def _parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--inner-weights", metavar="FILE")
 
-    sp = sub.add_parser("harmonic", help="orthonormal harmonic cochain basis")
-    _add_common(sp)
-    sp.add_argument("--tol", type=float, default=None,
-                    help="absolute zero-eigenvalue tolerance override")
+    _add_common(sub.add_parser("harmonic", help="orthonormal harmonic cochain basis"))
 
     _add_common(sub.add_parser("multiplicities",
                                help="zero-eigenvalue multiplicities by formula"))

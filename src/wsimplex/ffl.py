@@ -27,7 +27,7 @@ import numpy as np
 from .complexes import Simplex, SimplicialComplex, build_complex
 from .gaussian import GaussianRational
 from .matrices import ExactMatrix
-from .spectral import ZERO_TOL_SCALE, laplacian_matrix, spectrum
+from .spectral import laplacian_matrix, spectrum
 from .weights import WeightFunction
 
 ACTIVATION = "activation"
@@ -35,6 +35,7 @@ REPRESSION = "repression"
 DEFAULT_ENCODING = {ACTIVATION: 1, REPRESSION: 2}
 
 MATCH_TOL = 1e-6
+ZERO_TOL_SCALE = 1e-9  # the zero eigenvalue may sit this far from 0, times 1 + ||L||
 
 # interaction kinds along (X->Y, Y->Z, X->Z) for each motif type
 _SIGNS = {

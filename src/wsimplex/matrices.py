@@ -140,13 +140,10 @@ class ExactMatrix:
     # -- numerics ---------------------------------------------------------------
 
     def to_ndarray(self) -> np.ndarray:
-        real = all(x.is_real() for row in self.data for x in row)
-        dtype = np.float64 if real else np.complex128
-        out = np.zeros((self.rows, self.cols), dtype=dtype)
-        for i, row in enumerate(self.data):
-            for j, x in enumerate(row):
-                out[i, j] = float(x) if real else complex(x)
-        return out
+        entries = [x for row in self.data for x in row]
+        real = all(x.is_real() for x in entries)
+        out = np.array(to_floats(entries, real), dtype=np.float64 if real else np.complex128)
+        return out.reshape(self.rows, self.cols)
 
     def frobenius_norm(self) -> float:
         return math.sqrt(sum(float(x.abs2()) for row in self.data for x in row))
@@ -160,6 +157,19 @@ class ExactMatrix:
             return f"ExactMatrix({self.rows}x{self.cols})"
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
         return f"ExactMatrix({self.rows}x{self.cols}: {body})"
+
+
+def to_floats(values: list, real: bool) -> list:
+    """Floats of exact scalars, complex ones unless real.  A magnitude
+    beyond float range is refused with a ValueError that names it."""
+    convert = float if real else complex
+    try:
+        return [convert(x) for x in values]
+    except OverflowError:
+        top = max(values, key=GaussianRational.abs2).abs2()
+        exponent = (math.log10(top.numerator) - math.log10(top.denominator)) / 2
+        raise ValueError(f"entry of magnitude about 1e{round(exponent):+d} "
+                         f"is outside float range") from None
 
 
 def column_rank(columns) -> int:

@@ -33,8 +33,27 @@ size.
 ``weighted_inner_laplacian`` swaps the standard inner products for diagonal
 ones given by positive simplex weights; the resulting matrices are similar
 to Hermitian ones via conjugation by the square roots of the weights, which
-is how ``weighted_inner_spectrum`` extracts their (real, non-negative)
-spectra.
+is how ``weighted_inner_spectrum`` extracts the (real, non-negative)
+spectrum of a formed one.
+
+``laplacian_spectrum`` and ``harmonic_basis`` form no Laplacian.  With
+A_n = d_{n+1}^T the coboundary, L_n = M^* M for the stacked float factor
+
+    M = [ d_{n+1}^T ; conj(d_n) ],
+
+whose rows are the (n+1)-simplices r, then the (n-1)-faces f, and whose
+columns are the n-simplices s.  The conjugate sits on d_n because the down
+part is A_{n-1} A_{n-1}^* = (A_{n-1}^*)^* (A_{n-1}^*) with
+A_{n-1}^* = conj(d_n); M^T conj(M) is conj(L_n) instead, which differs
+for complex weights.  For inner weights w, entry (r, s) is scaled by
+sqrt(w_r / w_s) and entry (f, s) by sqrt(w_s / w_f); then M^* M is the
+Hermitian form W^1/2 L W^-1/2, with L's eigenvalues.  The one-sided
+round-robin Jacobi SVD (``eigen.jacobi_svd``) gives the eigenvalues as
+squared singular values and the eigenvectors as right singular vectors,
+without squaring the condition number.  Exactly dim H^n of them are zero,
+the count coming from the exact ranks, and the harmonic basis is the
+singular vectors of that many smallest singular values: no float tolerance
+decides either.
 """
 
 from __future__ import annotations
@@ -47,16 +66,10 @@ import numpy as np
 
 from .chains import boundary_columns
 from .complexes import Simplex, SimplicialComplex
-from .eigen import Spectrum, spectrum_of_ndarray
+from .eigen import Spectrum, jacobi_svd, spectrum_of_ndarray
 from .gaussian import ZERO, GaussianRational
-from .matrices import ExactMatrix, column_rank
+from .matrices import ExactMatrix, column_rank, to_floats
 from .weights import WeightFunction
-
-ZERO_TOL_SCALE = 1e-9
-
-
-class SpectralMismatchError(RuntimeError):
-    """Float zero count disagrees with the exact kernel dimension."""
 
 
 def _columns(complex: SimplicialComplex, phi: WeightFunction, n: int):
@@ -64,12 +77,15 @@ def _columns(complex: SimplicialComplex, phi: WeightFunction, n: int):
     return boundary_columns(complex, phi, n), boundary_columns(complex, phi, n + 1)
 
 
+def _kernel_dim(complex: SimplicialComplex, n: int, d_n, d_next) -> int:
+    return len(complex.basis(n)) - column_rank(d_n) - column_rank(d_next)
+
+
 def cohomology_dim(complex: SimplicialComplex, phi: WeightFunction, n: int) -> int:
     """dim H^n = dim C^n - r_n - r_{n+1}.  Degrees below 0 have dimension 0."""
     if n < 0:
         return 0
-    d_n, d_next = _columns(complex, phi, n)
-    return len(complex.basis(n)) - column_rank(d_n) - column_rank(d_next)
+    return _kernel_dim(complex, n, *_columns(complex, phi, n))
 
 
 def _gram(groups, size: int, scales=None) -> list[list]:
@@ -207,6 +223,64 @@ def weighted_inner_spectrum(matrix: ExactMatrix, w_diag) -> Spectrum:
     return spectrum_of_ndarray(sym)
 
 
+def _factor(complex: SimplicialComplex, n: int, d_n, d_next,
+            w: InnerProductWeights | None = None) -> np.ndarray:
+    """The float factor M = [d_{n+1}^T ; conj(d_n)] of the degree-n
+    Laplacian, L_n = M^* M, filled from the non-zero columns d_n, d_next of
+    the boundaries.  With inner weights w, row r of the upper block is scaled
+    by sqrt(w_r) and row f of the lower block by 1/sqrt(w_f), column s by
+    1/sqrt(w_s) above and sqrt(w_s) below: then M^* M = W^1/2 L W^-1/2.
+
+    The eigenvalues are squares of the singular values, so a factor whose
+    squared entries leave float range is refused."""
+    top, size = len(d_next), len(complex.basis(n))
+    rows, cols, values = [], [], []
+    for r, column in enumerate(d_next):
+        for s, x in column.items():
+            rows.append(r)
+            cols.append(s)
+            values.append(x)
+    for s, column in enumerate(d_n):
+        for f, x in column.items():
+            rows.append(top + f)
+            cols.append(s)
+            values.append(x.conjugate())
+    real = all(x.is_real() for x in values)
+    m = np.zeros((top + len(complex.basis(n - 1)), size),
+                 dtype=np.float64 if real else np.complex128)
+    m[rows, cols] = to_floats(values, real)
+    if w is not None:
+        w_dn, w_n, w_up = (np.sqrt(to_floats([GaussianRational(x) for x in
+                                              w.diagonal(complex, k)], True))
+                           for k in (n - 1, n, n + 1))
+        m[:top] *= w_up[:, None] / w_n[None, :]
+        m[top:] *= w_n[None, :] / w_dn[:, None]
+    with np.errstate(over="ignore", under="ignore"):
+        norm2 = float(np.sum(np.square(np.abs(m))))
+    if values and not (np.isfinite(norm2) and norm2 >= np.finfo(np.float64).tiny):
+        raise ValueError(
+            f"degree {n}: the Laplacian factor's largest entry has magnitude "
+            f"{np.max(np.abs(m)):.1e}; the eigenvalues, sums of squares of such "
+            f"entries, leave float range")
+    return m
+
+
+def laplacian_spectrum(
+    complex: SimplicialComplex,
+    phi: WeightFunction,
+    n: int,
+    w: InnerProductWeights | None = None,
+) -> Spectrum:
+    """Spectrum of the degree-n Laplacian, or for inner weights w of its
+    Hermitian form W^1/2 L W^-1/2, as the squared singular values and right
+    singular vectors of the factor M (one-sided Jacobi); no Laplacian is
+    formed.  Exactly dim H^n eigenvalues are zero: the smallest ones."""
+    d_n, d_next = _columns(complex, phi, n)
+    values, vectors = jacobi_svd(_factor(complex, n, d_n, d_next, w))
+    values[:_kernel_dim(complex, n, d_n, d_next)] = 0.0
+    return Spectrum(values, vectors)
+
+
 def zero_multiplicity_formulas(
     complex: SimplicialComplex, phi: WeightFunction, n: int
 ) -> tuple[int, int, int]:
@@ -233,34 +307,17 @@ class HarmonicBasis:
         return self.vectors.shape[1]
 
 
-def harmonic_basis(
-    complex: SimplicialComplex,
-    phi: WeightFunction,
-    n: int,
-    zero_tol: float | None = None,
-) -> HarmonicBasis:
-    """Near-kernel eigenvectors of the degree-n Laplacian.
-
-    The count is cross-checked against the exact cohomology dimension; a
-    mismatch means the tolerance split eigenvalues badly and raises."""
+def harmonic_basis(complex: SimplicialComplex, phi: WeightFunction, n: int) -> HarmonicBasis:
+    """Orthonormal basis of the degree-n harmonic cochains: the right
+    singular vectors of the Laplacian factor for its dim H^n smallest
+    singular values, that count being exact."""
     d_n, d_next = _columns(complex, phi, n)
-    up, down = _assemble(complex.basis(n), d_n, d_next)
-    lap = up + down
-    spec = spectrum(lap)
-    if zero_tol is None:
-        zero_tol = ZERO_TOL_SCALE * (1.0 + lap.frobenius_norm())
-    vectors = spec.vectors_below(zero_tol)
-    expected = len(complex.basis(n)) - column_rank(d_n) - column_rank(d_next)
-    if vectors.shape[1] != expected:
-        w = spec.eigenvalues
-        below = np.abs(w) <= zero_tol
-        raise SpectralMismatchError(
-            f"degree {n}: {vectors.shape[1]} eigenvalues below {zero_tol:.3e} "
-            f"but exact kernel dimension is {expected}; largest below: "
-            f"{max(w[below], default='none')}, smallest above: "
-            f"{min(w[~below], default='none')}"
-        )
-    return HarmonicBasis(n, complex.basis(n), vectors)
+    count = _kernel_dim(complex, n, d_n, d_next)
+    labels = complex.basis(n)
+    if not count:
+        return HarmonicBasis(n, labels, np.zeros((len(labels), 0)))
+    _, vectors = jacobi_svd(_factor(complex, n, d_n, d_next))
+    return HarmonicBasis(n, labels, vectors[:, :count])
 
 
 # -- inner product weight text format ----------------------------------------

@@ -262,3 +262,34 @@ def test_module_entry_point():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert np.allclose(payload["eigenvalues"], [0.0, 13.0], atol=1e-12)
+
+
+def test_out_of_float_range_refused(capsys, tmp_path):
+    """A weight of 10^200 squares past float range in the Laplacian, and a
+    10^400 matrix entry is past it already: the float commands refuse both
+    with one error line naming the magnitude; exact commands still answer."""
+    k, w = tmp_path / "edge.cplx", tmp_path / "huge.wts"
+    k.write_text("0 1\n")
+    w.write_text(f"0 1 | 0 | {10 ** 200}\n0 1 | 1 | 1\n")
+    pair = ["-k", str(k), "-w", str(w), "-n", "0"]
+    for argv in (["spectrum", *pair], ["spectrum", *pair, "--inner-weights", fx("inner.wts")],
+                 ["harmonic", *pair]):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "1.0e+200" in err, err
+    for argv in (["laplacian", *pair], ["cohomology-dim", *pair]):
+        code, payload = run_cli(capsys, *argv)
+        assert code == 0 and payload["dimension"] == 0, argv
+
+    m = tmp_path / "huge.mat"
+    m.write_text(f"{10 ** 400} 0 0\n0 1 0\n0 0 1\n")
+    assert main(["ffl", "--classify", str(m)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: entry of magnitude about 1e+400 is outside float range\n"
+
+
+def test_harmonic_has_no_tolerance(capsys):
+    # the zero count is exact, so the old --tol override is gone: a usage error
+    assert main(["harmonic", "-k", fx("edge.cplx"), "-w", fx("edge.wts"),
+                 "-n", "0", "--tol", "1e-9"]) == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err

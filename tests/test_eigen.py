@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from wsimplex import jacobi_eigh
-from wsimplex.eigen import spectrum_of_ndarray
+from wsimplex import jacobi_eigh, jacobi_svd
+from wsimplex.eigen import _schedule, spectrum_of_ndarray
 
 
 def random_symmetric(rng, n):
@@ -107,3 +107,99 @@ def test_spectrum_wrapper():
     assert spec.size == 3
     assert spec.zero_count(1e-9) == 2
     assert spec.vectors_below(1e-9).shape == (3, 2)
+
+
+def test_round_robin_schedule():
+    for n in range(13):
+        steps = _schedule(n)
+        # n - 1 steps of n/2 pairs; odd n takes n steps of (n - 1)/2
+        assert len(steps) == (0 if n < 2 else n - 1 if n % 2 == 0 else n)
+        pairs = []
+        for pq in steps:
+            k = len(pq) // 2
+            assert k == n // 2 and len(set(pq.tolist())) == 2 * k  # disjoint
+            pairs += list(zip(pq[:k].tolist(), pq[k:].tolist()))
+        assert sorted(pairs) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+
+def random_matrix(rng, shape, complex_):
+    m = rng.standard_normal(shape)
+    return m + 1j * rng.standard_normal(shape) if complex_ else m
+
+
+def check_svd(m, w, v, tol=1e-13):
+    """w ascending equals numpy's squared singular values padded with zeros
+    to m's column count; v is unitary and m^* m v = v diag(w)."""
+    n = m.shape[1]
+    assert w.shape == (n,) and v.shape == (n, n)
+    assert np.iscomplexobj(v) == np.iscomplexobj(m)
+    sigma = np.linalg.svd(m, compute_uv=False) if m.size else np.zeros(0)
+    ref = np.sort(np.concatenate([sigma ** 2, np.zeros(n - len(sigma))]))
+    scale = 1.0 + (ref[-1] if n else 0.0)
+    assert np.all(np.diff(w) >= 0)
+    assert np.allclose(w, ref, rtol=0, atol=tol * scale)
+    assert np.linalg.norm(v.conj().T @ v - np.eye(n)) <= tol * 10
+    gram = m.conj().T @ m
+    assert np.linalg.norm(gram @ v - v * w) <= tol * scale
+    if n:
+        assert np.allclose(w, np.linalg.eigvalsh(gram), rtol=0, atol=tol * scale)
+
+
+def test_svd_shapes_against_numpy():
+    rng = np.random.default_rng(17)
+    for complex_ in (False, True):
+        for shape in [(12, 5), (4, 9), (7, 7), (1, 1), (3, 1), (1, 4), (0, 4), (5, 0), (0, 0)]:
+            for _ in range(3):
+                m = random_matrix(rng, shape, complex_)
+                check_svd(m, *jacobi_svd(m))
+        for shape in [(6, 4), (3, 8), (0, 3)]:
+            m = np.zeros(shape, dtype=complex if complex_ else float)
+            w, v = jacobi_svd(m)
+            assert np.all(w == 0)
+            assert np.allclose(v.conj().T @ v, np.eye(shape[1]), rtol=0, atol=1e-14)
+
+
+def test_svd_rank_deficient():
+    rng = np.random.default_rng(18)
+    for complex_ in (False, True):
+        for rows, cols, rank in [(8, 6, 2), (5, 9, 3), (15, 20, 7), (6, 6, 5), (30, 12, 1)]:
+            m = random_matrix(rng, (rows, rank), complex_) @ random_matrix(rng, (rank, cols),
+                                                                           complex_)
+            w, v = jacobi_svd(m)
+            check_svd(m, w, v, tol=1e-12)
+            # the numerical kernel: cols - rank values at rounding level, the
+            # rest well above it
+            tiny = w <= 1e-20 * w[-1]
+            assert np.count_nonzero(tiny) == cols - rank, (rows, cols, rank)
+            assert np.linalg.norm(m @ v[:, tiny]) <= 1e-12 * np.sqrt(w[-1])
+
+
+def test_svd_graded_columns_relative_accuracy():
+    """Columns 10^15 apart: every squared singular value, the smallest too,
+    to relative accuracy.  LAPACK's bidiagonal SVD loses the small ones."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(7)
+    for shape in [(8, 5), (5, 5), (12, 6)]:
+        for complex_ in (False, True):
+            b = random_matrix(rng, shape, complex_)
+            m = b * (10.0 ** np.linspace(0, 15, shape[1]))[None, :]
+            w, _ = jacobi_svd(m)
+            with mpmath.workdps(50):
+                ref = sorted(float(x) ** 2 for x in
+                             mpmath.svd(mpmath.matrix(m.tolist()), compute_uv=False))
+            rel = np.abs(w - ref) / np.array(ref)
+            assert np.all(rel <= 1e-12 * np.linalg.cond(b)), (shape, complex_, rel)
+
+
+def test_eigh_vectors_against_numpy():
+    """The two-sided kernel on random Hermitian input: eigenvalues as numpy's,
+    and each eigenvector spans numpy's for the simple eigenvalues."""
+    rng = np.random.default_rng(19)
+    for n in [2, 3, 4, 5, 6, 9, 16, 25]:
+        for make in (random_symmetric, random_hermitian, random_imaginary_offdiagonal):
+            a = make(rng, n)
+            w, v = jacobi_eigh(a)
+            ref_w, ref_v = np.linalg.eigh(a)
+            assert np.allclose(w, ref_w, rtol=0, atol=1e-12 * (1 + np.linalg.norm(a)))
+            overlap = np.abs(np.sum(ref_v.conj() * v, axis=0))
+            assert np.allclose(overlap, 1.0, atol=1e-8), (n, make.__name__)

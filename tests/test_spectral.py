@@ -14,7 +14,6 @@ from wsimplex import (
     GaussianRational,
     HomologyGroup,
     InnerProductWeights,
-    SpectralMismatchError,
     UnvalidatedWeightError,
     WeightFunction,
     adjoint_matrix,
@@ -26,7 +25,9 @@ from wsimplex import (
     harmonic_basis,
     identity_weight,
     laplacian_matrix,
+    laplacian_spectrum,
     make_ffl,
+    make_ngon,
     parse_inner_weights_text,
     smith_normal_form,
     spectrum,
@@ -38,6 +39,7 @@ from wsimplex import (
     zero_weight,
 )
 
+from wsimplex import spectral
 from wsimplex.chains import boundary_columns
 from wsimplex.cli import main
 from wsimplex.matrices import column_rank
@@ -238,18 +240,35 @@ def test_harmonic_basis_properties():
                     assert np.linalg.norm(into @ h) <= 1e-8, name
 
 
-def test_harmonic_basis_mismatch_raises():
-    complex, phi = single_edge(p=2, q=3)
-    # a huge tolerance swallows the eigenvalue 13 as a spurious zero
-    with pytest.raises(SpectralMismatchError,
-                       match=r"^degree 0: 2 eigenvalues below 1\.000e\+06 but exact "
-                             r"kernel dimension is 1; largest below: 13\.0\d*, "
-                             r"smallest above: none$"):
-        harmonic_basis(complex, phi, 0, zero_tol=1e6)
-    # a negative tolerance keeps every eigenvalue above it
-    with pytest.raises(SpectralMismatchError,
-                       match=r"largest below: none, smallest above: 0\.0$"):
-        harmonic_basis(complex, phi, 0, zero_tol=-1.0)
+# [1/10^e, 1, 1, 1, 10^e]: lambda_2 from 60-digit mpmath on the exact Laplacian
+PENTAGON_LAMBDA_2 = {5: 0.42933194229277, 7: 0.42933194217233}
+
+
+def pentagon(e: int):
+    return make_ngon([Fraction(1, 10 ** e), 1, 1, 1, 10 ** e])
+
+
+@pytest.mark.parametrize("e", sorted(PENTAGON_LAMBDA_2))
+def test_ill_conditioned_pentagons(e, capsys, tmp_path):
+    """Eigensolving the formed Laplacian (condition number about 10^(2e))
+    gave lambda_2 = 0.505 at e = 7 and a harmonic count mismatch at both."""
+    complex, phi = pentagon(e)
+    argv = write_pair(tmp_path, f"pentagon{e}", complex, phi)
+    for n in (0, 1):
+        lap = laplacian_matrix(complex, phi, n).to_ndarray()
+        assert main(["spectrum", *argv, "-n", str(n)]) == 0
+        values = json.loads(capsys.readouterr().out)["eigenvalues"]
+        assert values[0] == 0.0
+        assert values[1] == pytest.approx(PENTAGON_LAMBDA_2[e], rel=1e-12), n
+        spec = laplacian_spectrum(complex, phi, n)
+        assert spec.eigenvalues[1] == pytest.approx(PENTAGON_LAMBDA_2[e], rel=1e-12), n
+
+        assert main(["harmonic", *argv, "-n", str(n)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["count"] == len(payload["vectors"]) == 1
+        v = np.array(payload["vectors"]).T
+        assert np.allclose(v.T @ v, np.eye(1), atol=1e-9)
+        assert np.linalg.norm(lap @ v) <= 1e-8 * spec.eigenvalues[-1], n
 
 
 # -- weighted inner products --------------------------------------------------
@@ -611,6 +630,71 @@ def test_spectral_paths_build_no_dense_boundary(monkeypatch, capsys):
                      ["cohomology-dim", *pair, "-n", n]):
             assert main(argv) == 0, argv
     capsys.readouterr()
+
+
+def test_spectra_form_no_laplacian(monkeypatch, capsys):
+    """spectrum (plain and inner-weighted) and harmonic bases come from the
+    factor: neither an exact Laplacian nor its float copy is built."""
+    def refuse(*args):
+        raise AssertionError("Laplacian formed for a spectrum")
+
+    monkeypatch.setattr(spectral, "_assemble", refuse)
+    monkeypatch.setattr(ExactMatrix, "to_ndarray", refuse)
+    complex, phi = sample_triangle()
+    for n in range(-1, complex.max_dim + 2):
+        harmonic_basis(complex, phi, n)
+        laplacian_spectrum(complex, phi, n, InnerProductWeights({(1,): 2}, default=1))
+
+    files = Path(__file__).parent / "fixtures"
+    pair = ["-k", str(files / "triangle.cplx"), "-w", str(files / "triangle.wts")]
+    inner = ["--inner-weights", str(files / "inner.wts")]
+    for n in ("0", "1", "2"):
+        for argv in (["spectrum", *pair, "-n", n],
+                     ["spectrum", *pair, "-n", n, *inner],
+                     ["harmonic", *pair, "-n", n]):
+            assert main(argv) == 0, argv
+    capsys.readouterr()
+
+
+def hermitian_form(matrix: ExactMatrix, w_n=None) -> np.ndarray:
+    """Float reference: the formed Laplacian, or for inner weights its
+    similarity transform W^1/2 L W^-1/2."""
+    lap = matrix.to_ndarray()
+    if w_n is None:
+        return lap
+    roots = np.sqrt([float(x) for x in w_n])
+    return roots[:, None] * lap / roots[None, :]
+
+
+def test_factor_spectrum_matches_formed_laplacian():
+    """M^* M is the (weighted) Laplacian, and laplacian_spectrum gives its
+    eigenvalues with exactly dim H^n zeros and orthonormal eigenvectors."""
+    rng = random.Random(14)
+    for name, complex, phi in assembly_pairs():
+        w = random_inner_weights(rng, complex)
+        for n in range(-1, complex.max_dim + 2):
+            d_n, d_next = spectral._columns(complex, phi, n)
+            zeros = cohomology_dim(complex, phi, n)
+            for inner in (None, w):
+                where = (name, n, inner is not None)
+                if inner is None:
+                    ref = hermitian_form(laplacian_matrix(complex, phi, n))
+                else:
+                    ref = hermitian_form(weighted_inner_laplacian(complex, phi, w, n)[2],
+                                         w.diagonal(complex, n))
+                m = spectral._factor(complex, n, d_n, d_next, inner)
+                scale = 1.0 + np.linalg.norm(ref)
+                assert np.linalg.norm(m.conj().T @ m - ref) <= 1e-13 * scale, where
+                spec = laplacian_spectrum(complex, phi, n, inner)
+                values, vectors = spec.eigenvalues, spec.eigenvectors
+                assert values.shape == (len(ref),) and vectors.shape == ref.shape, where
+                assert np.all(values[:zeros] == 0.0) and np.all(values[zeros:] > 0.0), where
+                if len(ref):
+                    assert np.allclose(values, np.linalg.eigvalsh(ref), rtol=0,
+                                       atol=1e-12 * scale), where
+                    assert np.linalg.norm(ref @ vectors - vectors * values) <= 1e-12 * scale
+                    assert np.allclose(vectors.conj().T @ vectors, np.eye(len(ref)),
+                                       atol=1e-12), where
 
 
 def write_pair(directory: Path, name: str, complex, phi) -> list[str]:
