@@ -82,13 +82,17 @@ def _require_valid(phi):
             f"(simplex {v.simplex}, faces {v.i},{v.j}): {v.left} != {v.right}")
 
 
-def _load_inner(args):
+def _load_inner(args, complex):
     if getattr(args, "inner_weights", None) is None:
         return None
     try:
-        return read_inner_weights_file(args.inner_weights)
+        inner = read_inner_weights_file(args.inner_weights)
     except (OSError, ValueError) as exc:
         raise _InputError(exc) from None
+    for s in inner.simplices():
+        if s not in complex:
+            raise _InputError(f"inner weights: {s} is not in the complex")
+    return inner
 
 
 # -- handlers ----------------------------------------------------------------
@@ -152,7 +156,7 @@ def _cmd_snf(args):
 def _cmd_laplacian(args):
     complex, phi = _load_pair(args)
     _require_valid(phi)
-    inner = _load_inner(args)
+    inner = _load_inner(args, complex)
     if inner is None:
         up, down = up_down_matrices(complex, phi, args.dim)
         total = up + down
@@ -165,7 +169,7 @@ def _cmd_laplacian(args):
 def _cmd_spectrum(args):
     complex, phi = _load_pair(args)
     _require_valid(phi)
-    spec = laplacian_spectrum(complex, phi, args.dim, _load_inner(args))
+    spec = laplacian_spectrum(complex, phi, args.dim, _load_inner(args, complex))
     return {
         "dimension": args.dim,
         "eigenvalues": [_sig12(float(w)) for w in spec.eigenvalues],

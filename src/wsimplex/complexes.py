@@ -84,9 +84,6 @@ class SimplicialComplex:
         """The n-simplices in lexicographic order (empty if out of range)."""
         return self._basis.get(n, ())
 
-    def dim_chain_space(self, n: int) -> int:
-        return len(self.basis(n))
-
     @property
     def vertices(self) -> tuple[Simplex, ...]:
         return self.basis(0)

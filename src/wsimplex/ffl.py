@@ -140,7 +140,7 @@ class FFLSignature:
     clusters: tuple  # ((value, 3x3 projector ndarray), ...) ascending
 
 
-def signature_of_matrix(matrix: ExactMatrix, cluster_tol: float = MATCH_TOL) -> FFLSignature:
+def signature_of_matrix(matrix: ExactMatrix) -> FFLSignature:
     """Signature of a 3x3 degree-0 motif Laplacian."""
     if matrix.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got {matrix.shape}")
@@ -151,7 +151,7 @@ def signature_of_matrix(matrix: ExactMatrix, cluster_tol: float = MATCH_TOL) -> 
         raise ValueError(f"smallest eigenvalue {w[0]} is not 0; not a motif Laplacian")
     lam2, lam3 = float(w[1]), float(w[2])
     v = spec.eigenvectors
-    if abs(lam3 - lam2) <= cluster_tol:
+    if abs(lam3 - lam2) <= MATCH_TOL:
         block = v[:, 1:3]
         clusters = (((lam2 + lam3) / 2.0, block @ block.conj().T),)
     else:

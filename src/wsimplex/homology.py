@@ -35,12 +35,24 @@ from .matrices import ExactMatrix
 from .weights import WeightFunction
 
 
+def _int_entry(x) -> int:
+    try:
+        n = int(x)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != x:
+        raise ValueError("matrix has non-integer entries")
+    return n
+
+
 def _int_rows(matrix, cols: int | None = None) -> tuple[list[list[int]], int]:
     """Integer rows and the column count, which a matrix with no rows
-    still has: an ExactMatrix knows it, a list of no rows takes ``cols``."""
+    still has: an ExactMatrix knows it, a list of no rows takes ``cols``.
+    An entry that is not an integer is refused, not truncated; int entries
+    pass through as they are."""
     if isinstance(matrix, ExactMatrix):
-        return matrix.to_int_rows(), matrix.cols
-    rows = [[int(x) for x in row] for row in matrix]
+        matrix, cols = matrix.data, matrix.cols
+    rows = [[x if type(x) is int else _int_entry(x) for x in row] for row in matrix]
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("ragged rows")
     return rows, len(rows[0]) if rows else cols or 0

@@ -40,10 +40,6 @@ class ExactMatrix:
             raise ValueError("column label count mismatch")
 
     @classmethod
-    def identity(cls, n: int):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
-
-    @classmethod
     def diagonal(cls, values, row_labels=None, col_labels=None):
         vals = list(values)
         n = len(vals)
@@ -54,18 +50,9 @@ class ExactMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def entry(self, i: int, j: int) -> GaussianRational:
-        return self.data[i][j]
-
     def __getitem__(self, key):
         i, j = key
         return self.data[i][j]
-
-    def row(self, i: int):
-        return list(self.data[i])
-
-    def column(self, j: int):
-        return [self.data[i][j] for i in range(self.rows)]
 
     # -- algebra ------------------------------------------------------------
 
@@ -89,15 +76,6 @@ class ExactMatrix:
                for i in range(self.rows)]
         return ExactMatrix(out, self.row_labels or other.row_labels,
                            self.col_labels or other.col_labels, cols=self.cols)
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "ExactMatrix":
-        out = [[-x for x in row] for row in self.data]
-        return ExactMatrix(out, self.row_labels, self.col_labels, cols=self.cols)
 
     def scale(self, scalar) -> "ExactMatrix":
         c = GaussianRational.coerce(scalar)
@@ -128,14 +106,6 @@ class ExactMatrix:
             return False
         return all(self.data[i][j] == self.data[j][i].conjugate()
                    for i in range(self.rows) for j in range(i + 1))
-
-    def is_integral(self) -> bool:
-        return all(x.is_integer() for row in self.data for x in row)
-
-    def to_int_rows(self) -> list[list[int]]:
-        if not self.is_integral():
-            raise ValueError("matrix has non-integer entries")
-        return [[int(x) for x in row] for row in self.data]
 
     # -- numerics ---------------------------------------------------------------
 

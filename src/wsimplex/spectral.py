@@ -66,7 +66,7 @@ import numpy as np
 
 from .chains import boundary_columns
 from .complexes import Simplex, SimplicialComplex
-from .eigen import Spectrum, jacobi_svd, spectrum_of_ndarray
+from .eigen import Spectrum, jacobi_eigh, jacobi_svd
 from .gaussian import ZERO, GaussianRational
 from .matrices import ExactMatrix, column_rank, to_floats
 from .weights import WeightFunction
@@ -174,6 +174,10 @@ class InnerProductWeights:
             return self._default
         raise KeyError(f"no inner product weight for {s}")
 
+    def simplices(self) -> tuple[Simplex, ...]:
+        """The simplices that have a weight of their own."""
+        return tuple(self._table)
+
     def diagonal(self, complex: SimplicialComplex, n: int) -> list[Fraction]:
         return [self.value(s) for s in complex.basis(n)]
 
@@ -202,7 +206,7 @@ def spectrum(matrix: ExactMatrix) -> Spectrum:
     if not matrix.is_hermitian():
         raise ValueError("matrix is not Hermitian; for weighted inner products "
                          "use weighted_inner_spectrum")
-    return spectrum_of_ndarray(matrix.to_ndarray())
+    return Spectrum(*jacobi_eigh(matrix.to_ndarray()))
 
 
 def weighted_inner_spectrum(matrix: ExactMatrix, w_diag) -> Spectrum:
@@ -220,7 +224,7 @@ def weighted_inner_spectrum(matrix: ExactMatrix, w_diag) -> Spectrum:
     m = matrix.to_ndarray()
     sym = (roots[:, None] * m) / roots[None, :] if len(vals) else m
     sym = (sym + sym.conj().T) / 2.0
-    return spectrum_of_ndarray(sym)
+    return Spectrum(*jacobi_eigh(sym))
 
 
 def _factor(complex: SimplicialComplex, n: int, d_n, d_next,

@@ -29,11 +29,11 @@ def test_sample_triangle_boundaries():
     k, phi = sample_triangle()
     b2 = boundary_matrix(k, phi, 2)
     assert b2.shape == (3, 1)
-    assert b2.column(0) == [1, -3, 0]  # rows [0,1], [0,2], [1,2]
+    assert [row[0] for row in b2.data] == [1, -3, 0]  # rows [0,1], [0,2], [1,2]
     b1 = boundary_matrix(k, phi, 1)
-    assert b1.column(0) == [-6, 0, 0]
-    assert b1.column(1) == [-2, 0, 0]
-    assert b1.column(2) == [0, -4, 2]
+    assert [row[0] for row in b1.data] == [-6, 0, 0]
+    assert [row[1] for row in b1.data] == [-2, 0, 0]
+    assert [row[2] for row in b1.data] == [0, -4, 2]
     assert (b1 @ b2).is_zero()
 
 
@@ -55,9 +55,9 @@ def test_boundary_out_of_range():
 def test_identity_weight_gives_classical_signs():
     k = build_complex([(0, 1, 2)])
     b1 = boundary_matrix(k, identity_weight(k), 1)
-    assert b1.column(0) == [-1, 1, 0]
-    assert b1.column(1) == [-1, 0, 1]
-    assert b1.column(2) == [0, -1, 1]
+    assert [row[0] for row in b1.data] == [-1, 1, 0]
+    assert [row[1] for row in b1.data] == [-1, 0, 1]
+    assert [row[2] for row in b1.data] == [0, -1, 1]
 
 
 def test_zero_weight_gives_zero_matrices():
@@ -75,9 +75,9 @@ def test_coboundary_is_transpose():
     assert d0.row_labels == k.basis(1)
     assert d0.col_labels == k.basis(0)
     # rows: [0,1] -> -2 r0 + r1; [0,2] -> r2 - r0; [1,2] -> r2 - r1
-    assert d0.row(0) == [-2, 1, 0]
-    assert d0.row(1) == [-1, 0, 1]
-    assert d0.row(2) == [0, -1, 1]
+    assert d0.data[0] == [-2, 1, 0]
+    assert d0.data[1] == [-1, 0, 1]
+    assert d0.data[2] == [0, -1, 1]
 
 
 def test_adjoint_conjugates():

@@ -213,6 +213,16 @@ def test_bad_grammar_exit_2(capsys):
     assert code == 2
 
 
+def test_inner_weights_unknown_simplex_exit_2(capsys, tmp_path):
+    inner = tmp_path / "unknown.wts"
+    inner.write_text("7 8 | 3\n", encoding="utf-8")
+    for command in ("laplacian", "spectrum"):
+        assert main([command, "-k", fx("triangle.cplx"), "-w", fx("triangle.wts"),
+                     "-n", "0", "--inner-weights", str(inner)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: inner weights: [7,8] is not in the complex\n"
+
+
 def test_strict_missing_exit_2(capsys):
     code, _ = run_cli(capsys, "homology", "-k", fx("pentagon.cplx"),
                       "-w", fx("pentagon_ones.wts"), "-n", "0", "--strict")

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from wsimplex import jacobi_eigh, jacobi_svd
-from wsimplex.eigen import _schedule, spectrum_of_ndarray
+from wsimplex import Spectrum, jacobi_eigh, jacobi_svd
+from wsimplex.eigen import _schedule
 
 
 def random_symmetric(rng, n):
@@ -15,7 +15,7 @@ def random_hermitian(rng, n):
     return (a + a.conj().T) / 2
 
 
-def check_decomposition(a, w, v, tol=1e-9):
+def check_decomposition(a, w, v, tol=1e-13):
     n = a.shape[0]
     scale = 1.0 + np.linalg.norm(a)
     assert np.all(np.diff(w) >= -1e-12 * scale)  # ascending
@@ -36,6 +36,16 @@ def test_real_small_cases():
 
     w, _ = jacobi_eigh(np.array([[5.0]]))
     assert np.allclose(w, [5.0])
+
+    # edge inputs of the shift a + ||a||_F I: an exactly singular shifted
+    # copy, eigenvalues +-||a||_F / sqrt(2), and a rank-one negative matrix
+    one = np.ones(3)
+    for a, ref in [(np.diag([-3.0, 0.0, 0.0]), [-3.0, 0.0, 0.0]),
+                   (np.diag([5.0, -5.0]), [-5.0, 5.0]),
+                   (-np.outer(one, one), [-3.0, 0.0, 0.0])]:
+        w, v = jacobi_eigh(a)
+        check_decomposition(a, w, v)
+        assert np.allclose(w, ref, rtol=0, atol=1e-14 * np.linalg.norm(a))
 
 
 def test_real_random_against_numpy():
@@ -103,7 +113,7 @@ def test_rejects_non_square():
 
 
 def test_spectrum_wrapper():
-    spec = spectrum_of_ndarray(np.diag([3.0, 0.0, 1e-14]))
+    spec = Spectrum(*jacobi_eigh(np.diag([3.0, 0.0, 1e-14])))
     assert spec.size == 3
     assert spec.zero_count(1e-9) == 2
     assert spec.vectors_below(1e-9).shape == (3, 2)
@@ -192,7 +202,7 @@ def test_svd_graded_columns_relative_accuracy():
 
 
 def test_eigh_vectors_against_numpy():
-    """The two-sided kernel on random Hermitian input: eigenvalues as numpy's,
+    """The shifted SVD on random Hermitian input: eigenvalues as numpy's,
     and each eigenvector spans numpy's for the simple eigenvalues."""
     rng = np.random.default_rng(19)
     for n in [2, 3, 4, 5, 6, 9, 16, 25]:

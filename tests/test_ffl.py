@@ -136,7 +136,7 @@ def test_signature_input_checks():
     with pytest.raises(ValueError, match="3x3"):
         signature_of_matrix(ExactMatrix([[1, 0], [0, 1]]))
     with pytest.raises(ValueError, match="not 0"):
-        signature_of_matrix(ExactMatrix.identity(3))
+        signature_of_matrix(ExactMatrix.diagonal([1, 1, 1]))
 
 
 def test_cluster_counts():

@@ -1,12 +1,15 @@
 import json
 import random
 import time
+from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, prod
 
 import pytest
 
 from wsimplex import (
+    ExactMatrix,
+    GaussianRational,
     HomologyGroup,
     boundary_matrix,
     build_complex,
@@ -67,6 +70,21 @@ def test_snf_zero_sized():
     res = smith_normal_form([[], []])
     assert res.diagonal == []
     assert res.rank == 0
+
+
+def test_snf_refuses_non_integer_entries():
+    """Non-integer entries are refused, not truncated, from a list of rows
+    and from an ExactMatrix alike; integer-valued ones of any type pass."""
+    exact = [[Fraction(1, 2), 0], [0, 3]], [[GaussianRational(1, 1), 0]]
+    for rows in exact:
+        for matrix in (rows, ExactMatrix(rows)):
+            with pytest.raises(ValueError, match="matrix has non-integer entries"):
+                smith_normal_form(matrix)
+    for rows in ([[1.5, 0], [0, 3]], [[float("nan")]], [[float("inf")]], [["3"]]):
+        with pytest.raises(ValueError, match="matrix has non-integer entries"):
+            smith_normal_form(rows)
+    for matrix in ([[Fraction(4), 0], [0, 6.0]], ExactMatrix([[Fraction(4), 0], [0, 6]])):
+        assert smith_normal_form(matrix).diagonal == [2, 12]
 
 
 def test_snf_transforms_random():
