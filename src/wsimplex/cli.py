@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -197,6 +198,15 @@ def _cmd_multiplicities(args):
     return {"dimension": args.dim, "down": down, "up": up, "laplacian": total}, 0
 
 
+def tolerance(text: str) -> float:
+    """argparse type of ``ffl --tol``; argparse names it in the message for
+    a non-number ("invalid tolerance value")."""
+    tol = float(text)
+    if not 0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return tol
+
+
 def _parse_alphas(text: str) -> list[int]:
     toks = [t for t in re.split(r"[,\s]+", text.strip()) if t]
     try:
@@ -334,8 +344,8 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--type", help="motif label like coherent1")
     sp.add_argument("--classify", metavar="FILE",
                     help="classify a 3x3 Laplacian matrix file")
-    sp.add_argument("--tol", type=float, default=1e-6,
-                    help="matching tolerance")
+    sp.add_argument("--tol", type=tolerance, default=1e-6,
+                    help="matching tolerance, finite and >= 0")
 
     return p
 

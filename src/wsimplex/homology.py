@@ -4,14 +4,15 @@
 column operations, always pivoting on a smallest-magnitude nonzero entry
 (ties broken by lowest row, then column) and repairing the divisibility
 chain d1 | d2 | ... by folding any offending row into the pivot row.  The
-returned transforms satisfy U @ M @ V == diag(d) with |det U| = |det V| = 1.
+returned transforms satisfy U @ M @ V == diag(d) with |det U| = |det V| = 1;
+they are carried inside the working matrix, so one loop serves both calls.
 
-Homology of a validated integer-weighted complex in degree n comes from the
-normal forms of the two adjacent boundary matrices: the free rank is
-dim C_n - rank(d_n) - rank(d_{n+1}) and the torsion coefficients are the
-diagonal entries of SNF(d_{n+1}) that exceed 1.  ``boundary_int_rows``
-fills SNF's integer rows straight from the non-zeros of
-``boundary_columns``.
+Homology of a validated integer-weighted complex in degree n needs one
+normal form, that of d_{n+1}: the torsion coefficients are its diagonal
+entries that exceed 1, and the free rank is dim C_n - rank(d_n) -
+rank(d_{n+1}), with rank(d_n) the exact rank ``column_rank`` gives every
+other dimension count.  ``boundary_int_rows`` fills SNF's integer rows
+straight from the non-zeros of ``boundary_columns``.
 
 ``ngon_homology_closed_form`` gives the degree-0 homology of a weighted
 polygon without a matrix.  The k-th invariant factor has, at every prime
@@ -31,18 +32,18 @@ from math import gcd
 # dense view through this module's name for it.
 from .chains import boundary_columns, boundary_matrix  # noqa: F401
 from .complexes import SimplicialComplex
-from .matrices import ExactMatrix
+from .matrices import ExactMatrix, column_rank
 from .weights import WeightFunction
 
 
 def _int_entry(x) -> int:
     try:
         n = int(x)
+        if n == x:
+            return n
     except (TypeError, ValueError, OverflowError):
-        n = None
-    if n is None or n != x:
-        raise ValueError("matrix has non-integer entries")
-    return n
+        pass
+    raise ValueError("matrix has non-integer entries")
 
 
 def _int_rows(matrix, cols: int | None = None) -> tuple[list[list[int]], int]:
@@ -70,45 +71,17 @@ def smith_normal_form(matrix, transforms: bool = False, cols: int | None = None)
     """Smith normal form of an integer matrix.
 
     With ``transforms`` the unimodular U (rows x rows) and V (cols x cols)
-    with U @ M @ V diagonal are returned as plain nested lists.  ``cols``
-    is the column count of a matrix given as a list of no rows.
+    with U @ M @ V diagonal are returned as plain nested lists.  They ride
+    in the working matrix: U as extra columns of each row and V as extra
+    rows below it, so every row or column operation is one statement that
+    updates M and its transform together.  ``cols`` is the column count of
+    a matrix given as a list of no rows.
     """
     m, nc = _int_rows(matrix, cols)
     nr = len(m)
-    U = [[int(i == j) for j in range(nr)] for i in range(nr)] if transforms else None
-    V = [[int(i == j) for j in range(nc)] for i in range(nc)] if transforms else None
-
-    def swap_rows(a, b):
-        m[a], m[b] = m[b], m[a]
-        if U is not None:
-            U[a], U[b] = U[b], U[a]
-
-    def negate_row(a):
-        m[a] = [-x for x in m[a]]
-        if U is not None:
-            U[a] = [-x for x in U[a]]
-
-    def row_combine(dst, src, q):
-        # row dst -= q * row src
-        m[dst] = [x - q * y for x, y in zip(m[dst], m[src])]
-        if U is not None:
-            U[dst] = [x - q * y for x, y in zip(U[dst], U[src])]
-
-    def swap_cols(a, b):
-        for row in m:
-            row[a], row[b] = row[b], row[a]
-        if V is not None:
-            for row in V:
-                row[a], row[b] = row[b], row[a]
-
-    def col_combine(dst, src, q):
-        # col dst -= q * col src
-        for row in m:
-            row[dst] -= q * row[src]
-        if V is not None:
-            for row in V:
-                row[dst] -= q * row[src]
-
+    if transforms:
+        m = [row + [int(i == k) for k in range(nr)] for i, row in enumerate(m)]
+        m += [[int(i == j) for j in range(nc)] for i in range(nc)]
     t = 0
     bound = min(nr, nc)
     while t < bound:
@@ -126,21 +99,25 @@ def smith_normal_form(matrix, transforms: bool = False, cols: int | None = None)
             break
         _, pi, pj = best
         if pi != t:
-            swap_rows(t, pi)
+            m[t], m[pi] = m[pi], m[t]
         if pj != t:
-            swap_cols(t, pj)
+            for row in m:
+                row[t], row[pj] = row[pj], row[t]
         if m[t][t] < 0:
-            negate_row(t)
+            m[t] = [-x for x in m[t]]
         pivot = m[t][t]
         clean = True
         for i in range(t + 1, nr):
             if m[i][t]:
-                row_combine(i, t, m[i][t] // pivot)
+                q = m[i][t] // pivot
+                m[i] = [x - q * y for x, y in zip(m[i], m[t])]
                 if m[i][t]:
                     clean = False
         for j in range(t + 1, nc):
             if m[t][j]:
-                col_combine(j, t, m[t][j] // pivot)
+                q = m[t][j] // pivot
+                for row in m:
+                    row[j] -= q * row[t]
                 if m[t][j]:
                     clean = False
         if not clean:
@@ -155,13 +132,15 @@ def smith_normal_form(matrix, transforms: bool = False, cols: int | None = None)
                 break
         if offender is not None:
             # fold the offending row in; the next division pass shrinks the pivot
-            row_combine(t, offender, -1)
+            m[t] = [x + y for x, y in zip(m[t], m[offender])]
             continue
         t += 1
 
     diagonal = [m[i][i] for i in range(bound)]
     rank = sum(1 for d in diagonal if d)
-    return SNFResult(diagonal, rank, U, V)
+    if not transforms:
+        return SNFResult(diagonal, rank)
+    return SNFResult(diagonal, rank, [row[nc:] for row in m[:nr]], m[nr:])
 
 
 def boundary_int_rows(complex: SimplicialComplex, phi: WeightFunction, n: int) -> list[list[int]]:
@@ -171,10 +150,7 @@ def boundary_int_rows(complex: SimplicialComplex, phi: WeightFunction, n: int) -
     rows = [[0] * len(columns) for _ in complex.basis(n - 1)]
     for j, column in enumerate(columns):
         for i, x in column.items():
-            try:
-                rows[i][j] = int(x)
-            except ValueError:
-                raise ValueError("matrix has non-integer entries") from None
+            rows[i][j] = _int_entry(x)
     return rows
 
 
@@ -208,11 +184,8 @@ def weighted_homology(complex: SimplicialComplex, phi: WeightFunction, n: int) -
     """
     if not phi.is_integral():
         raise ValueError("integer homology needs integer weight values")
-    if n < 0:
-        return HomologyGroup([], 0)
-    lower = smith_normal_form(boundary_int_rows(complex, phi, n))
     upper = smith_normal_form(boundary_int_rows(complex, phi, n + 1))
-    free = len(complex.basis(n)) - lower.rank - upper.rank
+    free = len(complex.basis(n)) - column_rank(boundary_columns(complex, phi, n)) - upper.rank
     torsion = [d for d in upper.diagonal if d > 1]
     return HomologyGroup(torsion, free)
 

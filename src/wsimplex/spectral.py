@@ -58,6 +58,7 @@ decides either.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -328,7 +329,8 @@ def harmonic_basis(complex: SimplicialComplex, phi: WeightFunction, n: int) -> H
 
 
 def parse_inner_weights_text(text: str) -> InnerProductWeights:
-    """Lines 'simplex | value' with positive rational values."""
+    """Lines 'simplex | value' with positive rational values; a second line
+    for a simplex with another value warns, and the last one is kept."""
     table = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -342,6 +344,8 @@ def parse_inner_weights_text(text: str) -> InnerProductWeights:
             value = Fraction(parts[1].strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+        if s in table and table[s] != value:
+            warnings.warn(f"line {lineno}: duplicate entry for {s}; keeping the last")
         table[s] = value
     return InnerProductWeights(table, default=1)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from wsimplex import (
     GaussianRational,
@@ -193,3 +194,15 @@ def spectral_fixtures(count=50, seed=20240817, complex_scalars_every=7):
         out.append((f"fixture_{i}", complex, phi))
         i += 1
     return out
+
+
+# -- files for the CLI ---------------------------------------------------------
+
+
+def write_pair(directory: Path, name: str, complex, phi) -> list[str]:
+    """Complex and weight files for the CLI, every table entry written."""
+    k, w = directory / f"{name}.cplx", directory / f"{name}.wts"
+    k.write_text("".join(" ".join(map(str, s)) + "\n" for s in complex.simplices()))
+    w.write_text("".join(f"{' '.join(map(str, s))} | {' '.join(map(str, s.face(i)))} | {x}\n"
+                         for (s, i), x in phi.entries()))
+    return ["-k", str(k), "-w", str(w), "--strict"]

@@ -248,6 +248,21 @@ def test_ffl_usage_errors(capsys):
     assert code == 2
 
 
+def test_ffl_tol_must_be_finite_and_non_negative(capsys):
+    # NaN matched every reference and a negative tolerance matched none
+    for tol in ("nan", "inf", "-1"):
+        assert main(["ffl", "--type", "coherent1", "--tol", tol]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert [line for line in err.splitlines() if "error" in line] == [
+            f"wsimplex ffl: error: argument --tol: must be finite and >= 0, got '{tol}'"]
+    assert main(["ffl", "--type", "coherent1", "--tol", "abc"]) == 2
+    assert "argument --tol: invalid tolerance value: 'abc'" in capsys.readouterr().err
+    for tol in ("0", "1e-6"):
+        code, payload = run_cli(capsys, "ffl", "--type", "coherent1", "--tol", tol)
+        assert code == 0 and payload["classified"] == "coherent1"
+
+
 def test_ngon_usage_errors(capsys):
     code, _ = run_cli(capsys, "ngon", "--alphas", "1,2,x")
     assert code == 2

@@ -2,6 +2,9 @@
 
 * ``matrices.column_rank`` on weighted boundary columns against sympy's
   ``DomainMatrix`` rank over QQ_I (test-only, skipped without sympy);
+* ``smith_normal_form`` on zero-heavy integer matrices, and
+  ``weighted_homology`` on Dawson and cfw weights, against sympy's
+  ``invariant_factors`` over ZZ (skipped without sympy);
 * ``validate_weight`` on corrupted tables against the same check run on the
   two-Fraction reference scalar (``reference_gaussian.py``): the same
   violations in the same order, with the same ``str`` of both products.
@@ -14,16 +17,25 @@ import pytest
 
 from wsimplex import (
     GaussianRational,
+    HomologyGroup,
     WeightFunction,
     boundary_matrix,
     build_complex,
+    smith_normal_form,
     validate_weight,
+    weighted_homology,
 )
 from wsimplex.chains import boundary_columns
 from wsimplex.matrices import column_rank
 from wsimplex.weights import required_pairs
 
-from conftest import random_complex, random_quotient_weight, spectral_fixtures
+from conftest import (
+    random_cfw_weight,
+    random_complex,
+    random_dawson_weight,
+    random_quotient_weight,
+    spectral_fixtures,
+)
 from reference_gaussian import GaussianRational as Reference
 
 FIXTURES = spectral_fixtures(count=16)
@@ -84,6 +96,53 @@ def test_column_rank_matches_sympy_over_qq_i(name, complex, phi):
         expected = _sympy_rank(columns, len(complex.basis(n - 1)))
         assert column_rank(columns) == expected, (name, n)
         assert boundary_matrix(complex, phi, n).rank() == expected, (name, n)
+
+
+def _sympy_invariant_factors(rows: list[list[int]], cols: int) -> list[int]:
+    """sympy's invariant factors over ZZ, made non-negative and padded with
+    zeros to min(rows, cols)."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    if not rows or not cols:
+        return []
+    factors = [abs(int(d)) for d in invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)]
+    return factors + [0] * (min(len(rows), cols) - len(factors))
+
+
+def test_snf_diagonal_matches_sympy_invariant_factors():
+    rng = random.Random(6113)
+    for trial in range(1200):
+        r, c = rng.randint(1, 7), rng.randint(1, 7)
+        density = rng.choice([0.1, 0.25, 0.5, 1.0])
+        hi = rng.choice([2, 9, 10**6])
+        m = [[rng.randint(-hi, hi) if rng.random() < density else 0 for _ in range(c)]
+             for _ in range(r)]
+        assert smith_normal_form(m).diagonal == _sympy_invariant_factors(m, c), m
+
+
+def _sympy_rank_and_torsion(complex, phi, n) -> tuple[int, list[int]]:
+    """Rank and torsion of the degree-n boundary, from the dense view."""
+    d = boundary_matrix(complex, phi, n)
+    factors = _sympy_invariant_factors([[int(x) for x in row] for row in d.data], d.cols)
+    return sum(1 for f in factors if f), [f for f in factors if f > 1]
+
+
+def test_homology_matches_sympy_invariant_factors():
+    rng = random.Random(7207)
+    checked = 0
+    for trial in range(40):
+        complex = random_complex(rng, max_vertices=7, max_dim=3)
+        make = random_dawson_weight if trial % 2 else random_cfw_weight
+        phi = make(rng, complex)
+        assert phi.is_integral()
+        refs = [_sympy_rank_and_torsion(complex, phi, n) for n in range(complex.max_dim + 3)]
+        for n in range(complex.max_dim + 2):
+            (rank, _), (rank_up, torsion) = refs[n], refs[n + 1]
+            free = len(complex.basis(n)) - rank - rank_up
+            assert weighted_homology(complex, phi, n) == HomologyGroup(torsion, free), (trial, n)
+            checked += 1
+    assert checked > 100
 
 
 def _reference_violations(phi):

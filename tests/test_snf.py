@@ -20,7 +20,10 @@ from wsimplex import (
     weighted_homology,
     zero_weight,
 )
+from wsimplex import homology
+from wsimplex.cli import main
 
+from conftest import spectral_fixtures, write_pair
 from oracles import gcd_minors_oracle, integer_det
 
 
@@ -167,6 +170,42 @@ def test_homology_out_of_range():
     one = identity_weight(k)
     assert weighted_homology(k, one, -1) == HomologyGroup([], 0)
     assert weighted_homology(k, one, 5) == HomologyGroup([], 0)
+
+
+def test_one_snf_per_homology_query(monkeypatch, capsys, tmp_path):
+    """weighted_homology and the CLI homology run one Smith normal form, of
+    the boundary above the degree, and answer as the normal forms of both
+    adjacent boundaries do, in every degree from -1 to max_dim + 1."""
+    cases = []
+    for name, complex, phi in spectral_fixtures(count=16):
+        if not phi.is_integral():
+            continue
+        argv = write_pair(tmp_path, name, complex, phi)
+        for n in range(-1, complex.max_dim + 2):
+            lower = smith_normal_form(boundary_matrix(complex, phi, n))
+            upper = smith_normal_form(boundary_matrix(complex, phi, n + 1))
+            group = HomologyGroup([d for d in upper.diagonal if d > 1],
+                                  len(complex.basis(n)) - lower.rank - upper.rank)
+            cases.append((complex, phi, argv, n, group))
+    assert len(cases) > 30
+
+    calls = []
+    snf = homology.smith_normal_form
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return snf(*args, **kwargs)
+
+    monkeypatch.setattr(homology, "smith_normal_form", counted)
+    for complex, phi, argv, n, group in cases:
+        calls.clear()
+        assert weighted_homology(complex, phi, n) == group, (argv, n)
+        assert len(calls) == 1, (argv, n)
+        calls.clear()
+        assert main(["homology", *argv, "-n", str(n)]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "dimension": n, "free_rank": group.free_rank, "torsion": group.torsion}
+        assert len(calls) == 1, (argv, n)
 
 
 def test_homology_rejects_fractional_weights():

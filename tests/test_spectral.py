@@ -56,6 +56,7 @@ from conftest import (
     sample_triangle_table,
     single_edge,
     spectral_fixtures,
+    write_pair,
 )
 
 FIXTURES = spectral_fixtures(count=16)
@@ -398,6 +399,18 @@ def test_parse_inner_weights():
         parse_inner_weights_text("0 | -3\n")
 
 
+def test_parse_inner_weights_duplicates(recwarn):
+    """A second line for one simplex with another value warns, as a weight
+    file does, and the last value is kept; a repeated value is silent."""
+    with pytest.warns(UserWarning, match=r"line 3: duplicate entry for \[0\]; keeping the last"):
+        w = parse_inner_weights_text("0 | 2\n1 | 3\n0 | 5\n")
+    assert w.value((0,)) == 5
+    recwarn.clear()
+    w = parse_inner_weights_text("0 | 2\n0 | 4/2\n0 1 | 1\n0 1 | 1\n")
+    assert not recwarn.list
+    assert (w.value((0,)), w.value((0, 1))) == (2, 1)
+
+
 # -- sparse assembly against dense products -------------------------------------
 
 
@@ -695,15 +708,6 @@ def test_factor_spectrum_matches_formed_laplacian():
                     assert np.linalg.norm(ref @ vectors - vectors * values) <= 1e-12 * scale
                     assert np.allclose(vectors.conj().T @ vectors, np.eye(len(ref)),
                                        atol=1e-12), where
-
-
-def write_pair(directory: Path, name: str, complex, phi) -> list[str]:
-    """Complex and weight files for the CLI, every table entry written."""
-    k, w = directory / f"{name}.cplx", directory / f"{name}.wts"
-    k.write_text("".join(" ".join(map(str, s)) + "\n" for s in complex.simplices()))
-    w.write_text("".join(f"{' '.join(map(str, s))} | {' '.join(map(str, s.face(i)))} | {x}\n"
-                         for (s, i), x in phi.entries()))
-    return ["-k", str(k), "-w", str(w), "--strict"]
 
 
 def test_homology_paths_build_no_dense_boundary(monkeypatch, capsys, tmp_path):
