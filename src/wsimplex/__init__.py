@@ -8,6 +8,9 @@ or Gaussian rationals, Hodge Laplacians with exact kernel bookkeeping, and
 spectra through a hand-rolled Jacobi solver.  Includes the weighted polygon
 family (closed-form degree-0 homology) and the spectral classifier for the
 eight feedforward-loop motif types.
+
+numpy loads with the float layer (``eigen``) on its first use, so the
+exact invariants run without it.
 """
 
 from .complexes import (
@@ -48,7 +51,6 @@ from .homology import (
     smith_normal_form,
     weighted_homology,
 )
-from .eigen import Spectrum, jacobi_eigh, jacobi_svd
 from .spectral import (
     HarmonicBasis,
     InnerProductWeights,
@@ -105,3 +107,16 @@ __all__ = [
     "ffl_signature", "signature_of_matrix", "classify_ffl",
     "ClassificationError",
 ]
+
+_EIGEN_NAMES = ("Spectrum", "jacobi_eigh", "jacobi_svd")
+
+
+def __getattr__(name):
+    if name in _EIGEN_NAMES:
+        from . import eigen
+        return getattr(eigen, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EIGEN_NAMES))

@@ -10,11 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
-
-import numpy as np
 
 from .chains import boundary_matrix, coboundary_matrix
 from .complexes import read_complex_file
@@ -47,10 +46,13 @@ def _sig12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _vector_json(col: np.ndarray) -> list:
-    if np.iscomplexobj(col):
-        return [[_sig12(z.real), _sig12(z.imag)] for z in col]
-    return [_sig12(float(z)) for z in col]
+def _vector_json(col) -> list:
+    """A float column (a numpy array) as a JSON list, [re, im] per complex
+    entry; the column is read out once, not entry by entry."""
+    if col.dtype.kind == "c":
+        return [[_sig12(x), _sig12(y)]
+                for x, y in zip(col.real.tolist(), col.imag.tolist())]
+    return [_sig12(x) for x in col.tolist()]
 
 
 def _matrix_json(m: ExactMatrix) -> dict:
@@ -173,7 +175,7 @@ def _cmd_spectrum(args):
     spec = laplacian_spectrum(complex, phi, args.dim, _load_inner(args, complex))
     return {
         "dimension": args.dim,
-        "eigenvalues": [_sig12(float(w)) for w in spec.eigenvalues],
+        "eigenvalues": [_sig12(w) for w in spec.eigenvalues.tolist()],
         "eigenvectors": [_vector_json(spec.eigenvectors[:, k])
                          for k in range(spec.size)],
     }, 0
@@ -338,7 +340,8 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ngon", help="degree-0 homology of a weighted polygon")
     sp.add_argument("--alphas", required=True,
-                    help="comma separated vertex weights, e.g. 1,2,2,2,2")
+                    help="comma separated vertex weights, e.g. 1,2,2,2,2; "
+                         "write --alphas=-3,6,1 when the first is negative")
 
     sp = sub.add_parser("ffl", help="feedforward-loop motif signatures")
     sp.add_argument("--type", help="motif label like coherent1")
@@ -364,7 +367,14 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps(payload, indent=2))
+    try:
+        print(json.dumps(payload, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: send the interpreter's final flush of the
+        # unwritten rest to devnull, as the Python docs (signal module) do
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
     return code
 
 

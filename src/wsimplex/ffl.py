@@ -22,8 +22,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .complexes import Simplex, SimplicialComplex, build_complex
 from .gaussian import GaussianRational
 from .matrices import ExactMatrix
@@ -181,7 +179,7 @@ def _match(sig: FFLSignature, ref: FFLSignature, tol: float) -> bool:
     if len(sig.clusters) != len(ref.clusters):
         return False
     for (_, p), (_, q) in zip(sig.clusters, ref.clusters):
-        if math.sqrt(float(np.sum(np.abs(p - q) ** 2))) > tol:
+        if math.sqrt(float((abs(p - q) ** 2).sum())) > tol:
             return False
     return True
 

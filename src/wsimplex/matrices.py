@@ -12,10 +12,12 @@ reference for that assembly.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .gaussian import ZERO, GaussianRational
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ExactMatrix:
@@ -110,6 +112,8 @@ class ExactMatrix:
     # -- numerics ---------------------------------------------------------------
 
     def to_ndarray(self) -> np.ndarray:
+        import numpy as np
+
         entries = [x for row in self.data for x in row]
         real = all(x.is_real() for x in entries)
         out = np.array(to_floats(entries, real), dtype=np.float64 if real else np.complex128)

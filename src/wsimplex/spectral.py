@@ -54,6 +54,10 @@ without squaring the condition number.  Exactly dim H^n of them are zero,
 the count coming from the exact ranks, and the harmonic basis is the
 singular vectors of that many smallest singular values: no float tolerance
 decides either.
+
+numpy is imported by the float functions alone (``spectrum``,
+``weighted_inner_spectrum``, ``laplacian_spectrum``, ``harmonic_basis``),
+so the exact ones leave it unloaded.
 """
 
 from __future__ import annotations
@@ -61,16 +65,17 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from .chains import boundary_columns
 from .complexes import Simplex, SimplicialComplex
-from .eigen import Spectrum, jacobi_eigh, jacobi_svd
 from .gaussian import ZERO, GaussianRational
 from .matrices import ExactMatrix, column_rank, to_floats
 from .weights import WeightFunction
+
+if TYPE_CHECKING:
+    import numpy as np
+    from .eigen import Spectrum
 
 
 def _columns(complex: SimplicialComplex, phi: WeightFunction, n: int):
@@ -204,6 +209,8 @@ def weighted_inner_laplacian(
 
 def spectrum(matrix: ExactMatrix) -> Spectrum:
     """Spectrum of an exactly Hermitian matrix (checked before any floats)."""
+    from .eigen import Spectrum, jacobi_eigh
+
     if not matrix.is_hermitian():
         raise ValueError("matrix is not Hermitian; for weighted inner products "
                          "use weighted_inner_spectrum")
@@ -216,6 +223,9 @@ def weighted_inner_spectrum(matrix: ExactMatrix, w_diag) -> Spectrum:
     w_diag holds the positive weights of the matrix's own degree.  The
     matrix is conjugated by diag(sqrt(w)), which lands on a Hermitian
     matrix with the same eigenvalues."""
+    import numpy as np
+    from .eigen import Spectrum, jacobi_eigh
+
     vals = [Fraction(x) for x in w_diag]
     if len(vals) != matrix.rows or matrix.rows != matrix.cols:
         raise ValueError("weight count must match a square matrix")
@@ -238,6 +248,8 @@ def _factor(complex: SimplicialComplex, n: int, d_n, d_next,
 
     The eigenvalues are squares of the singular values, so a factor whose
     squared entries leave float range is refused."""
+    import numpy as np
+
     top, size = len(d_next), len(complex.basis(n))
     rows, cols, values = [], [], []
     for r, column in enumerate(d_next):
@@ -280,6 +292,8 @@ def laplacian_spectrum(
     Hermitian form W^1/2 L W^-1/2, as the squared singular values and right
     singular vectors of the factor M (one-sided Jacobi); no Laplacian is
     formed.  Exactly dim H^n eigenvalues are zero: the smallest ones."""
+    from .eigen import Spectrum, jacobi_svd
+
     d_n, d_next = _columns(complex, phi, n)
     values, vectors = jacobi_svd(_factor(complex, n, d_n, d_next, w))
     values[:_kernel_dim(complex, n, d_n, d_next)] = 0.0
@@ -290,9 +304,8 @@ def zero_multiplicity_formulas(
     complex: SimplicialComplex, phi: WeightFunction, n: int
 ) -> tuple[int, int, int]:
     """Zero-eigenvalue multiplicities (down part, up part, full Laplacian)
-    in degree n: dim C^n - r_n, dim C^n - r_{n+1} and dim H^n."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
+    in degree n: dim C^n - r_n, dim C^n - r_{n+1} and dim H^n.  Degrees
+    below 0 give (0, 0, 0)."""
     dim_c = len(complex.basis(n))
     d_n, d_next = _columns(complex, phi, n)
     r_n, r_next = column_rank(d_n), column_rank(d_next)
@@ -316,6 +329,9 @@ def harmonic_basis(complex: SimplicialComplex, phi: WeightFunction, n: int) -> H
     """Orthonormal basis of the degree-n harmonic cochains: the right
     singular vectors of the Laplacian factor for its dim H^n smallest
     singular values, that count being exact."""
+    import numpy as np
+    from .eigen import jacobi_svd
+
     d_n, d_next = _columns(complex, phi, n)
     count = _kernel_dim(complex, n, d_n, d_next)
     labels = complex.basis(n)

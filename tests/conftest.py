@@ -9,6 +9,7 @@ suites can assume validation passes and test everything downstream.
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -206,3 +207,11 @@ def write_pair(directory: Path, name: str, complex, phi) -> list[str]:
     w.write_text("".join(f"{' '.join(map(str, s))} | {' '.join(map(str, s.face(i)))} | {x}\n"
                          for (s, i), x in phi.entries()))
     return ["-k", str(k), "-w", str(w), "--strict"]
+
+
+def child_env() -> dict:
+    """Environment in which a child process finds the package in src/, as
+    the suite does."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))

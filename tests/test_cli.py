@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import child_env
 from wsimplex.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -270,20 +271,65 @@ def test_ngon_usage_errors(capsys):
     assert code == 2
 
 
+def test_ngon_leading_negative_alpha(capsys):
+    # "--alphas -3,6,1" reads as an option to argparse; the "=" form does not
+    code, negative = run_cli(capsys, "ngon", "--alphas=-3,6,1")
+    assert code == 0 and negative["alphas"] == [-3, 6, 1]
+    code, positive = run_cli(capsys, "ngon", "--alphas", "3,6,1")
+    assert code == 0
+    assert ((negative["free_rank"], negative["torsion"])
+            == (positive["free_rank"], positive["torsion"]))
+
+
+def _no_answer(value) -> bool:
+    """True when every number of an answer is 0 and every list of it is
+    empty (or holds only empty lists); labels and the degree are not
+    part of the answer."""
+    if isinstance(value, dict):
+        return all(_no_answer(v) for k, v in value.items()
+                   if k not in ("dimension", "labels", "row_labels", "col_labels"))
+    if isinstance(value, list):
+        return all(isinstance(v, list) and _no_answer(v) for v in value)
+    return value == 0
+
+
+@pytest.mark.parametrize("n", [-1, 4])  # the triangle's top dimension is 2
+@pytest.mark.parametrize("command", [
+    "homology", "cohomology-dim", "snf", "boundary", "coboundary",
+    "laplacian", "spectrum", "harmonic", "multiplicities"])
+def test_degree_outside_the_complex_is_empty(capsys, command, n):
+    code, payload = run_cli(capsys, command, "-k", fx("triangle.cplx"),
+                            "-w", fx("triangle.wts"), "-n", str(n))
+    assert code == 0
+    assert payload.get("dimension", n) == n
+    assert _no_answer(payload), payload
+
+
+def test_closed_stdout_is_quiet():
+    """A reader that has gone (``wsimplex ... | head``) costs no traceback:
+    the answer's exit code stands, as it would with the reader there."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "wsimplex", "homology",
+             "-k", fx("triangle.cplx"), "-w", fx("triangle.wts"), "-n", "1"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=child_env())
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def test_unknown_command_exit_2(capsys):
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
 
 
 def test_module_entry_point():
-    # the child process finds the package in src/ as the suite does
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-m", "wsimplex", "spectrum",
          "-k", fx("edge.cplx"), "-w", fx("edge.wts"), "-n", "0"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert np.allclose(payload["eigenvalues"], [0.0, 13.0], atol=1e-12)

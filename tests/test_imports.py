@@ -1,0 +1,100 @@
+"""Import footprint: numpy loads with the float layer, not before.
+
+Each check runs in a fresh interpreter, since the suite itself has numpy
+loaded long before any of these tests start.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from conftest import child_env
+from wsimplex.cli import main
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+# run the given cli.main argv lists in order; print, per run, its exit code,
+# its stdout and whether numpy was loaded after it
+CHILD = """
+import contextlib, io, json, sys
+import wsimplex, wsimplex.cli
+report = [["import", None, "", "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = wsimplex.cli.main(argv)
+    report.append([argv[0], code, out.getvalue(), "numpy" in sys.modules])
+print(json.dumps(report))
+"""
+
+
+def fx(name: str) -> str:
+    return str(FIXTURES / name)
+
+
+def run_child(script: str, *args: str) -> str:
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def run_in_child(argvs: list[list[str]]) -> list:
+    return json.loads(run_child(CHILD, json.dumps(argvs)))
+
+
+TRIANGLE = ["-k", fx("triangle.cplx"), "-w", fx("triangle.wts")]
+EXACT = [
+    ["validate", *TRIANGLE],
+    ["boundary", *TRIANGLE, "-n", "1"],
+    ["coboundary", *TRIANGLE, "-n", "1"],
+    ["homology", *TRIANGLE, "-n", "1"],
+    ["snf", *TRIANGLE, "-n", "1", "--transforms"],
+    ["cohomology-dim", *TRIANGLE, "-n", "1"],
+    ["multiplicities", *TRIANGLE, "-n", "1"],
+    ["laplacian", *TRIANGLE, "-n", "1"],
+    ["laplacian", *TRIANGLE, "-n", "0", "--inner-weights", fx("inner.wts")],
+    ["ngon", "--alphas", "1,2,2,2,2"],
+]
+
+
+def test_exact_subcommands_leave_numpy_unloaded():
+    report = run_in_child(EXACT)
+    assert [r[0] for r in report] == ["import"] + [argv[0] for argv in EXACT]
+    for name, code, out, numpy_loaded in report:
+        assert not numpy_loaded, f"numpy loaded by {name}"
+        assert code in (None, 0), name
+        assert name == "import" or json.loads(out), name
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "-k", fx("edge.cplx"), "-w", fx("edge.wts"), "-n", "0"],
+    ["harmonic", *TRIANGLE, "-n", "0"],
+    ["ffl", "--classify", fx("ffl_matrix.txt")],
+], ids=lambda argv: argv[0])
+def test_float_subcommands_load_numpy_and_answer_as_before(argv, capsys):
+    (_, _, _, at_import), (name, code, out, numpy_loaded) = run_in_child([argv])
+    assert not at_import and numpy_loaded
+    assert main(argv) == code == 0
+    assert out == capsys.readouterr().out
+
+
+def test_star_import_and_dir_cover_all():
+    out = run_child(
+        "import sys, wsimplex\n"
+        "ns = {}\n"
+        "exec('from wsimplex import *', ns)\n"
+        "missing = [n for n in wsimplex.__all__ if n not in ns]\n"
+        "print(missing, sorted(set(wsimplex.__all__) - set(dir(wsimplex))),\n"
+        "      wsimplex.Spectrum is wsimplex.eigen.Spectrum)\n")
+    assert out.strip() == "[] [] True"
+
+
+def test_unknown_attribute_is_an_attribute_error():
+    import wsimplex
+
+    with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
+        getattr(wsimplex, "nonesuch")

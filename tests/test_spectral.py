@@ -165,10 +165,10 @@ def test_multiplicities_hollow_triangle_identity():
     assert zero_multiplicity_formulas(complex, phi, 0) == (3, 1, 1)
 
 
-def test_multiplicities_reject_negative_degree():
+def test_multiplicities_negative_degree_is_zero():
+    # dim C^n - r_n, dim C^n - r_{n+1} and dim H^n are all 0 below degree 0
     complex, phi = single_edge()
-    with pytest.raises(ValueError):
-        zero_multiplicity_formulas(complex, phi, -1)
+    assert zero_multiplicity_formulas(complex, phi, -1) == (0, 0, 0)
 
 
 def alternating_sum_multiplicities(complex, phi, n):
