@@ -63,7 +63,8 @@ def _matrix_json(m: ExactMatrix) -> dict:
     }
 
 
-def _load_pair(args):
+def _load_pair(args, validate=True):
+    """The complex and weights the arguments name, validated if ``validate``."""
     try:
         complex = read_complex_file(args.complex)
         default = Fraction(1) if args.default == "one" else Fraction(0)
@@ -73,16 +74,13 @@ def _load_pair(args):
         raise _InputError(exc) from None
     if args.field == "real" and not phi.is_real():
         raise _InputError("weight file has complex values; pass --field complex")
-    return complex, phi
-
-
-def _require_valid(phi):
-    bad = phi.validate()
+    bad = phi.validate() if validate else []
     if bad:
         v = bad[0]
         raise ValueError(
             f"weight function fails validation: {len(bad)} violations, first at "
             f"(simplex {v.simplex}, faces {v.i},{v.j}): {v.left} != {v.right}")
+    return complex, phi
 
 
 def _load_inner(args, complex):
@@ -102,7 +100,7 @@ def _load_inner(args, complex):
 
 
 def _cmd_validate(args):
-    complex, phi = _load_pair(args)
+    complex, phi = _load_pair(args, validate=False)
     bad = phi.validate()
     payload = {
         "valid": not bad,
@@ -117,19 +115,16 @@ def _cmd_validate(args):
 
 def _cmd_boundary(args):
     complex, phi = _load_pair(args)
-    _require_valid(phi)
     return _matrix_json(boundary_matrix(complex, phi, args.dim)), 0
 
 
 def _cmd_coboundary(args):
     complex, phi = _load_pair(args)
-    _require_valid(phi)
     return _matrix_json(coboundary_matrix(complex, phi, args.dim)), 0
 
 
 def _cmd_homology(args):
     complex, phi = _load_pair(args)
-    _require_valid(phi)
     group = weighted_homology(complex, phi, args.dim)
     return {"dimension": args.dim, "free_rank": group.free_rank,
             "torsion": group.torsion}, 0
@@ -137,14 +132,12 @@ def _cmd_homology(args):
 
 def _cmd_cohomology_dim(args):
     complex, phi = _load_pair(args)
-    _require_valid(phi)
     return {"dimension": args.dim,
             "cohomology_dim": cohomology_dim(complex, phi, args.dim)}, 0
 
 
 def _cmd_snf(args):
     complex, phi = _load_pair(args)
-    _require_valid(phi)
     result = smith_normal_form(boundary_int_rows(complex, phi, args.dim),
                                transforms=args.transforms,
                                cols=len(complex.basis(args.dim)))
@@ -158,7 +151,6 @@ def _cmd_snf(args):
 
 def _cmd_laplacian(args):
     complex, phi = _load_pair(args)
-    _require_valid(phi)
     inner = _load_inner(args, complex)
     if inner is None:
         up, down = up_down_matrices(complex, phi, args.dim)
@@ -171,7 +163,6 @@ def _cmd_laplacian(args):
 
 def _cmd_spectrum(args):
     complex, phi = _load_pair(args)
-    _require_valid(phi)
     spec = laplacian_spectrum(complex, phi, args.dim, _load_inner(args, complex))
     return {
         "dimension": args.dim,
@@ -183,7 +174,6 @@ def _cmd_spectrum(args):
 
 def _cmd_harmonic(args):
     complex, phi = _load_pair(args)
-    _require_valid(phi)
     basis = harmonic_basis(complex, phi, args.dim)
     return {
         "dimension": args.dim,
@@ -195,7 +185,6 @@ def _cmd_harmonic(args):
 
 def _cmd_multiplicities(args):
     complex, phi = _load_pair(args)
-    _require_valid(phi)
     down, up, total = zero_multiplicity_formulas(complex, phi, args.dim)
     return {"dimension": args.dim, "down": down, "up": up, "laplacian": total}, 0
 
@@ -250,27 +239,20 @@ def _cmd_ffl(args):
             spec = FFLSpec.from_label(args.type)
         except ValueError as exc:
             raise _InputError(exc) from None
-        complex, phi = make_ffl(spec)
-        sig = ffl_signature(complex, phi)
-        found = classify_ffl(sig, tol=args.tol)
         xy, yz, xz = spec.signs
-        return {
-            "type": spec.label,
-            "signs": {"xy": xy, "yz": yz, "xz": xz},
-            "eigenvalues": [_sig12(w) for w in sig.eigenvalues],
-            "classified": found.label,
-        }, 0
-    try:
-        with open(args.classify, encoding="utf-8") as fh:
-            matrix = _parse_matrix_text(fh.read())
-    except (OSError, ValueError) as exc:
-        raise _InputError(exc) from None
-    sig = signature_of_matrix(matrix)
-    found = classify_ffl(sig, tol=args.tol)
-    return {
-        "eigenvalues": [_sig12(w) for w in sig.eigenvalues],
-        "classified": found.label,
-    }, 0
+        payload = {"type": spec.label, "signs": {"xy": xy, "yz": yz, "xz": xz}}
+        sig = ffl_signature(*make_ffl(spec))
+    else:
+        try:
+            with open(args.classify, encoding="utf-8") as fh:
+                matrix = _parse_matrix_text(fh.read())
+        except (OSError, ValueError) as exc:
+            raise _InputError(exc) from None
+        payload = {}
+        sig = signature_of_matrix(matrix)
+    payload["eigenvalues"] = [_sig12(w) for w in sig.eigenvalues]
+    payload["classified"] = classify_ffl(sig, tol=args.tol).label
+    return payload, 0
 
 
 _HANDLERS = {

@@ -12,7 +12,10 @@ degree-0 Laplacian
      [-c^2,      -b^2,       b^2 + c^2 ]]
 
 whose nonzero eigenvalues plus eigenspace projectors separate all eight
-types, even where bare eigenvalue pairs collide.
+types, even where bare eigenvalue pairs collide.  Whether a matrix is a
+motif Laplacian, and whether its two eigenvalues coincide, is decided exactly
+on its characteristic polynomial; the matching tolerance decides only how
+near a signature is to a reference, and when two eigenvalues count as one.
 """
 
 from __future__ import annotations
@@ -24,16 +27,15 @@ from fractions import Fraction
 
 from .complexes import Simplex, SimplicialComplex, build_complex
 from .gaussian import GaussianRational
-from .matrices import ExactMatrix
-from .spectral import laplacian_matrix, spectrum
-from .weights import WeightFunction
+from .matrices import ExactMatrix, to_floats
+from .spectral import laplacian_matrix
+from .weights import WeightFunction, _validated
 
 ACTIVATION = "activation"
 REPRESSION = "repression"
 DEFAULT_ENCODING = {ACTIVATION: 1, REPRESSION: 2}
 
 MATCH_TOL = 1e-6
-ZERO_TOL_SCALE = 1e-9  # the zero eigenvalue may sit this far from 0, times 1 + ||L||
 
 # interaction kinds along (X->Y, Y->Z, X->Z) for each motif type
 _SIGNS = {
@@ -115,9 +117,7 @@ def ffl_weights(a, b, c) -> tuple[SimplicialComplex, WeightFunction]:
         e = Simplex(edge)
         table[(e, 0)] = value
         table[(e, 1)] = value
-    phi = WeightFunction(complex, table)
-    assert not phi.validate()
-    return complex, phi
+    return complex, _validated(WeightFunction(complex, table))
 
 
 def make_ffl(spec: FFLSpec, encoding=None) -> tuple[SimplicialComplex, WeightFunction]:
@@ -139,24 +139,39 @@ class FFLSignature:
 
 
 def signature_of_matrix(matrix: ExactMatrix) -> FFLSignature:
-    """Signature of a 3x3 degree-0 motif Laplacian."""
+    """Signature of a 3x3 degree-0 motif Laplacian L.
+
+    L has the characteristic polynomial x^3 - t x^2 + e2 x - det with exact
+    t = tr L, e2 the sum of its principal 2x2 minors.  It must be Hermitian
+    with det = 0, e2 > 0 and t > 0, so its eigenvalues are 0 < lam2 <= lam3,
+    one cluster exactly when t^2 = 4 e2.  The projectors come from L itself:
+    P2 = L(L - lam3)/(lam2 (lam2 - lam3)) and P3 = (L - lam2 P2)/lam3."""
     if matrix.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got {matrix.shape}")
-    spec = spectrum(matrix)
-    w = spec.eigenvalues
-    zero_tol = ZERO_TOL_SCALE * (1.0 + matrix.frobenius_norm())
-    if abs(w[0]) > zero_tol:
-        raise ValueError(f"smallest eigenvalue {w[0]} is not 0; not a motif Laplacian")
-    lam2, lam3 = float(w[1]), float(w[2])
-    v = spec.eigenvectors
-    if abs(lam3 - lam2) <= MATCH_TOL:
-        block = v[:, 1:3]
-        clusters = (((lam2 + lam3) / 2.0, block @ block.conj().T),)
+    if not matrix.is_hermitian():
+        raise ValueError("matrix is not Hermitian; not a motif Laplacian")
+    m = matrix.to_ndarray()
+    (a, b, c), (b_, d, e), (c_, e_, f) = matrix.data
+    trace = a + d + f
+    t = trace.re
+    e2 = (a * d - b * b_ + a * f - c * c_ + d * f - e * e_).re
+    det = a * (d * f - e * e_) - b * (b_ * f - e * c_) + c * (b_ * e_ - d * c_)
+    if det or e2 <= 0 or t <= 0:
+        raise ValueError("eigenvalues are not 0, x, y with x, y > 0; "
+                         "not a motif Laplacian")
+    # L/t has eigenvalues 0, mu2, mu3 with mu2 + mu3 = 1 and mu2 mu3 = r, and
+    # floats that neither overflow nor underflow where those of L would
+    r = e2 / (t * t)
+    scale = to_floats([trace], True)[0]  # entries are in float range, t may not be
+    mu3 = (1 + math.sqrt(1 - 4 * r)) / 2
+    mu2 = float(r) / mu3
+    m = m / scale
+    if 4 * r == 1:
+        clusters = ((scale / 2, 2 * m),)
     else:
-        v2 = v[:, 1:2]
-        v3 = v[:, 2:3]
-        clusters = ((lam2, v2 @ v2.conj().T), (lam3, v3 @ v3.conj().T))
-    return FFLSignature((lam2, lam3), clusters)
+        p2 = (m @ m - mu3 * m) / (mu2 * (mu2 - mu3))
+        clusters = ((scale * mu2, p2), (scale * mu3, (m - mu2 * p2) / mu3))
+    return FFLSignature((scale * mu2, scale * mu3), clusters)
 
 
 def ffl_signature(complex: SimplicialComplex, phi: WeightFunction) -> FFLSignature:
@@ -173,15 +188,19 @@ def _reference_signatures() -> dict[FFLSpec, FFLSignature]:
     return _REFERENCE_SIGNATURES
 
 
+def _projectors(sig: FFLSignature, tol: float) -> list:
+    """The signature's projectors, the two summed when its eigenvalues lie
+    within tol of each other and so count as one double root."""
+    ps = [p for _, p in sig.clusters]
+    return [sum(ps)] if sig.eigenvalues[1] - sig.eigenvalues[0] <= tol else ps
+
+
 def _match(sig: FFLSignature, ref: FFLSignature, tol: float) -> bool:
     if any(abs(x - y) > tol for x, y in zip(sig.eigenvalues, ref.eigenvalues)):
         return False
-    if len(sig.clusters) != len(ref.clusters):
-        return False
-    for (_, p), (_, q) in zip(sig.clusters, ref.clusters):
-        if math.sqrt(float((abs(p - q) ** 2).sum())) > tol:
-            return False
-    return True
+    ps, qs = _projectors(sig, tol), _projectors(ref, tol)
+    return len(ps) == len(qs) and all(
+        math.sqrt(float((abs(p - q) ** 2).sum())) <= tol for p, q in zip(ps, qs))
 
 
 def classify_ffl(signature: FFLSignature, tol: float = MATCH_TOL) -> FFLSpec:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .complexes import SimplicialComplex, Simplex, build_complex
 from .gaussian import GaussianRational
-from .weights import WeightFunction
+from .weights import WeightFunction, _validated
 
 
 def make_ngon(alphas) -> tuple[SimplicialComplex, WeightFunction]:
@@ -30,7 +30,5 @@ def make_ngon(alphas) -> tuple[SimplicialComplex, WeightFunction]:
         e = Simplex((u, v))
         table[(e, 0)] = vals[v]  # face [v]
         table[(e, 1)] = vals[u]  # face [u]
-    phi = WeightFunction(complex, table)
-    bad = phi.validate()
-    assert not bad  # no simplex of dimension 2, nothing to violate
-    return complex, phi
+    # no simplex of dimension 2, nothing to violate
+    return complex, _validated(WeightFunction(complex, table))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +102,55 @@ def test_ffl_classify_file(capsys):
     assert code == 0
     assert payload["classified"] == "coherent2"
     assert payload["eigenvalues"] == [6.0, 12.0]
+
+
+def test_ffl_types_print_pinned_bytes(capsys):
+    out = []
+    for label in ("coherent1", "coherent2", "coherent3", "coherent4",
+                  "incoherent1", "incoherent2", "incoherent3", "incoherent4"):
+        assert main(["ffl", "--type", label]) == 0
+        out.append(capsys.readouterr().out)
+    pinned = FIXTURES / "expected" / "ffl_types.out"
+    assert "".join(out) == pinned.read_text(encoding="utf-8")
+
+
+NOT_A_MOTIF = "error: eigenvalues are not 0, x, y with x, y > 0; not a motif Laplacian\n"
+
+
+@pytest.mark.parametrize("text, err", [
+    # exact rank 3, smallest eigenvalue about 3e-11
+    ("2 -1 -1\n-1 2 -1\n-1 -1 20000000001/10000000000\n", NOT_A_MOTIF),
+    ("1 -1 0\n-1 1 0\n0 0 0\n", NOT_A_MOTIF),
+    ("0 0 0\n0 0 0\n0 0 0\n", NOT_A_MOTIF),
+    ("1 0 0\n0 -1 0\n0 0 0\n", NOT_A_MOTIF),
+    ("2 1+1i 0\n1-1i 3 0\n0 0 1\n", NOT_A_MOTIF),
+    ("2 1 0\n0 3 0\n0 0 1\n", "error: matrix is not Hermitian; not a motif Laplacian\n"),
+], ids=["near-singular", "rank-1", "zero", "indefinite", "complex", "non-hermitian"])
+def test_ffl_classify_refuses_non_motif_matrices(capsys, tmp_path, text, err):
+    m = tmp_path / "m.txt"
+    m.write_text(text)
+    assert main(["ffl", "--classify", str(m)]) == 1
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("c2, tol, found", [
+    ("1000000001/1000000000", [], "coherent1"),  # eigenvalues 3, 3.000000002
+    ("1000000001/1000000000", ["--tol", "1e-10"], None),
+    ("11/10", [], None),  # eigenvalues 3, 3.2
+    ("11/10", ["--tol", "0.5"], "coherent1"),
+])
+def test_ffl_tol_decides_double_roots(capsys, tmp_path, c2, tol, found):
+    """Weights (1, 1, c) with c^2 = 1 + d give eigenvalues 3 and 3 + 2d: they
+    count as coherent1's double root exactly when both lie within tol."""
+    m = tmp_path / "m.txt"
+    m.write_text(f"{1 + Fraction(c2)} -1 -{c2}\n-1 2 -1\n-{c2} -1 {1 + Fraction(c2)}\n")
+    code, payload = run_cli(capsys, "ffl", "--classify", str(m), *tol)
+    if found is None:
+        assert (code, payload) == (1, None)
+    else:
+        assert code == 0
+        assert payload == {"eigenvalues": [3.0, 1 + 2 * float(Fraction(c2))],
+                           "classified": found}
 
 
 def test_boundary_edge(capsys):

@@ -15,6 +15,7 @@ from wsimplex import (
     make_ffl,
     signature_of_matrix,
 )
+from wsimplex import eigen, ffl
 from wsimplex.ffl import ACTIVATION, REFERENCE_TABLE, REPRESSION, _SIGNS
 
 
@@ -142,6 +143,21 @@ def test_signature_input_checks():
 def test_cluster_counts():
     one = ffl_signature(*make_ffl(FFLSpec("coherent", 1)))
     assert len(one.clusters) == 1
+    # an exactly double root is one cluster however its floats round
+    for scale in (1, Fraction(1, 7), Fraction(10**9, 3)):
+        sig = signature_of_matrix(motif_laplacian_formula(1, 1, 1).scale(scale))
+        assert len(sig.clusters) == 1
+        assert np.allclose(sig.clusters[0][1], np.eye(3) - 1 / 3, atol=1e-12)
     two = ffl_signature(*make_ffl(FFLSpec("coherent", 2)))
     assert len(two.clusters) == 2
     assert two.clusters[0][0] < two.clusters[1][0]
+
+
+def test_signature_runs_no_eigensolver(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("eigensolver called for a motif signature")
+
+    monkeypatch.setattr(eigen, "jacobi_svd", refuse)
+    monkeypatch.setattr(ffl, "_REFERENCE_SIGNATURES", {})  # rebuilt under the patch
+    for spec in all_specs():
+        assert classify_ffl(ffl_signature(*make_ffl(spec))) == spec

@@ -98,3 +98,18 @@ def test_unknown_attribute_is_an_attribute_error():
 
     with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
         getattr(wsimplex, "nonesuch")
+
+
+@pytest.mark.parametrize("args", [
+    ["-m", "wsimplex", "ffl", "--type", "coherent1"],
+    ["-c", "from wsimplex import make_ngon, weighted_homology\n"
+           "print(weighted_homology(*make_ngon([1, 2, 2, 2, 2]), 0))"],
+], ids=["ffl_weights", "make_ngon"])
+def test_constructed_weights_are_validated_under_optimisation(args):
+    """The motif and polygon constructors validate in code, not in an assert
+    that ``python -O`` strips, so both answer alike with and without it."""
+    runs = [subprocess.run([sys.executable, *flags, *args], capture_output=True,
+                           text=True, env=child_env()) for flags in ([], ["-O"])]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    assert runs[0].stdout == runs[1].stdout != ""
