@@ -1,11 +1,12 @@
 """Integer homology of weighted complexes via Smith normal form.
 
-``smith_normal_form`` diagonalises an integer matrix by unimodular row and
-column operations, always pivoting on a smallest-magnitude nonzero entry
-(ties broken by lowest row, then column) and repairing the divisibility
-chain d1 | d2 | ... by folding any offending row into the pivot row.  The
-returned transforms satisfy U @ M @ V == diag(d) with |det U| = |det V| = 1;
-they are carried inside the working matrix, so one loop serves both calls.
+``smith_normal_form`` diagonalises an integer matrix held as sparse rows
+by unimodular row and column operations, always pivoting on a
+smallest-magnitude nonzero entry (ties broken by lowest row, then column
+position) and repairing the divisibility chain d1 | d2 | ... by folding
+any offending row into the pivot row.  Columns move through a permutation,
+not through the rows.  The transforms satisfy U @ M @ V == diag(d) with
+|det U| = |det V| = 1; U is kept as sparse rows and V as sparse columns.
 
 Homology of a validated integer-weighted complex in degree n needs one
 normal form, that of d_{n+1}: the torsion coefficients are its diagonal
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
 
 # boundary_matrix is not called here; perfbench/selftest.py reaches the
@@ -49,14 +51,19 @@ def _int_entry(x) -> int:
 def _int_rows(matrix, cols: int | None = None) -> tuple[list[list[int]], int]:
     """Integer rows and the column count, which a matrix with no rows
     still has: an ExactMatrix knows it, a list of no rows takes ``cols``.
-    An entry that is not an integer is refused, not truncated; int entries
-    pass through as they are."""
+    A ``cols`` that disagrees with the rows is refused, as is an entry that
+    is not an integer (not truncated); int entries pass through as they
+    are."""
+    width = cols
     if isinstance(matrix, ExactMatrix):
-        matrix, cols = matrix.data, matrix.cols
+        matrix, width = matrix.data, matrix.cols
     rows = [[x if type(x) is int else _int_entry(x) for x in row] for row in matrix]
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise ValueError("ragged rows")
-    return rows, len(rows[0]) if rows else cols or 0
+    width = len(rows[0]) if rows else width or 0
+    if cols is not None and cols != width:
+        raise ValueError(f"cols={cols} disagrees with the matrix's {width} columns")
+    return rows, width
 
 
 @dataclass
@@ -67,80 +74,95 @@ class SNFResult:
     V: list[list[int]] | None = None
 
 
-def smith_normal_form(matrix, transforms: bool = False, cols: int | None = None) -> SNFResult:
-    """Smith normal form of an integer matrix.
+def _sub(y: dict, q: int, x: dict) -> None:
+    """y -= q * x on sparse vectors (q and the entries of x non-zero),
+    dropping the zeros it leaves."""
+    for k, v in x.items():
+        w = y.get(k, 0) - q * v
+        if w:
+            y[k] = w
+        else:
+            del y[k]
 
-    With ``transforms`` the unimodular U (rows x rows) and V (cols x cols)
-    with U @ M @ V diagonal are returned as plain nested lists.  They ride
-    in the working matrix: U as extra columns of each row and V as extra
-    rows below it, so every row or column operation is one statement that
-    updates M and its transform together.  ``cols`` is the column count of
-    a matrix given as a list of no rows.
+
+def smith_normal_form(matrix, transforms: bool = False, cols: int | None = None) -> SNFResult:
+    """Smith normal form of an integer matrix, on sparse rows.
+
+    Each row is a ``{column id: value}`` dict of its non-zeros.  A row swap
+    swaps two list slots; a column swap swaps two entries of the position
+    <-> column id permutation and touches no row.  The pivot is a smallest
+    |v|, ties to the lowest row and then the lowest column position: the
+    rule of the dense loop this replaced (kept in tests/oracles.py), so the
+    diagonal, U and V are its own entry for entry.  The pivot search, both
+    division passes, the divisibility check and the fold visit only
+    non-zeros.  With ``transforms`` the unimodular U (rows x rows) and V
+    (cols x cols) with U @ M @ V diagonal are returned as nested lists.  U
+    is one sparse row per matrix row and follows every row operation; V is
+    one sparse column per column id and follows every column operation.
+    ``cols`` is the column count of a list of no rows; else it must agree.
     """
-    m, nc = _int_rows(matrix, cols)
-    nr = len(m)
-    if transforms:
-        m = [row + [int(i == k) for k in range(nr)] for i, row in enumerate(m)]
-        m += [[int(i == j) for j in range(nc)] for i in range(nc)]
-    t = 0
-    bound = min(nr, nc)
+    dense, nc = _int_rows(matrix, cols)
+    rows, nr = [{j: x for j, x in enumerate(row) if x} for row in dense], len(dense)
+    col_at, pos_of = list(range(nc)), list(range(nc))
+    U = [{i: 1} for i in range(nr)] if transforms else None
+    V = [{j: 1} for j in range(nc)] if transforms else None
+    t, bound = 0, min(nr, nc)
     while t < bound:
-        best = None
+        best = None  # smallest |entry| of the trailing rows, first row holding it
         for i in range(t, nr):
-            for j in range(t, nc):
-                v = abs(m[i][j])
-                if v and (best is None or v < best[0]):
-                    best = (v, i, j)
+            if rows[i]:
+                v = min(map(abs, rows[i].values()))
+                if best is None or v < best[0]:
+                    best = (v, i)
                     if v == 1:
                         break
-            if best is not None and best[0] == 1:
-                break
         if best is None:
             break
-        _, pi, pj = best
-        if pi != t:
-            m[t], m[pi] = m[pi], m[t]
-        if pj != t:
-            for row in m:
-                row[t], row[pj] = row[pj], row[t]
-        if m[t][t] < 0:
-            m[t] = [-x for x in m[t]]
-        pivot = m[t][t]
-        clean = True
-        for i in range(t + 1, nr):
-            if m[i][t]:
-                q = m[i][t] // pivot
-                m[i] = [x - q * y for x, y in zip(m[i], m[t])]
-                if m[i][t]:
-                    clean = False
-        for j in range(t + 1, nc):
-            if m[t][j]:
-                q = m[t][j] // pivot
-                for row in m:
-                    row[j] -= q * row[t]
-                if m[t][j]:
-                    clean = False
-        if not clean:
+        v, pi = best
+        pj = min(pos_of[c] for c, x in rows[pi].items() if abs(x) == v)
+        rows[t], rows[pi] = rows[pi], rows[t]
+        ct, cs = col_at[pj], col_at[t]
+        col_at[t], col_at[pj], pos_of[ct], pos_of[cs] = ct, cs, t, pj
+        if transforms:
+            U[t], U[pi] = U[pi], U[t]
+        if rows[t][ct] < 0:
+            rows[t] = {c: -x for c, x in rows[t].items()}
+            if transforms:
+                U[t] = {k: -x for k, x in U[t].items()}
+        row, pivot = rows[t], rows[t][ct]
+        below = []  # rows under the pivot left with a non-zero in its column
+        for i in [i for i in range(t + 1, nr) if ct in rows[i]]:
+            q = rows[i][ct] // pivot
+            _sub(rows[i], q, row)
+            if transforms:
+                _sub(U[i], q, U[t])
+            if ct in rows[i]:
+                below.append(i)
+        quotients = {c: x // pivot for c, x in row.items() if c != ct}
+        for r in [row] + [rows[i] for i in below]:
+            _sub(r, r[ct], quotients)  # every column op at once on one row
+        if transforms:
+            for c, q in quotients.items():
+                _sub(V[c], q, V[ct])
+        if below or len(row) > 1:
             continue
-        offender = None
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if m[i][j] % pivot:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
+        lower = chain.from_iterable(map(dict.values, rows[t + 1:]))
+        if pivot > 1 and any(map(pivot.__rmod__, lower)):
+            offender = next(i for i in range(t + 1, nr)
+                            if any(x % pivot for x in rows[i].values()))
             # fold the offending row in; the next division pass shrinks the pivot
-            m[t] = [x + y for x, y in zip(m[t], m[offender])]
+            _sub(row, -1, rows[offender])
+            if transforms:
+                _sub(U[t], -1, U[offender])
             continue
         t += 1
 
-    diagonal = [m[i][i] for i in range(bound)]
+    diagonal = [rows[i].get(col_at[i], 0) for i in range(bound)]
     rank = sum(1 for d in diagonal if d)
     if not transforms:
         return SNFResult(diagonal, rank)
-    return SNFResult(diagonal, rank, [row[nc:] for row in m[:nr]], m[nr:])
+    return SNFResult(diagonal, rank, [[u.get(k, 0) for k in range(nr)] for u in U],
+                     [[V[c].get(r, 0) for c in col_at] for r in range(nc)])
 
 
 def boundary_int_rows(complex: SimplicialComplex, phi: WeightFunction, n: int) -> list[list[int]]:

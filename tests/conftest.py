@@ -5,6 +5,13 @@ every run sees the same fixtures.  Weight functions come out of
 constructions that are compatible by design (quotients of per-simplex
 scalars, integer constructor families, semi-trivial zero patterns), so the
 suites can assume validation passes and test everything downstream.
+
+hypothesis runs under its default profile unless HYPOTHESIS_PROFILE names
+another.  ``deep`` draws 20,000 random examples instead of a fixed few
+hundred, for a long search on request; property tests that fix their own
+settings keep them:
+
+    HYPOTHESIS_PROFILE=deep python -m pytest tests/test_snf_property.py
 """
 
 from __future__ import annotations
@@ -27,6 +34,14 @@ from wsimplex import (
     zero_weight,
 )
 from wsimplex.weights import required_pairs
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    settings.register_profile("deep", max_examples=20_000, derandomize=False, deadline=None)
+    settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 # -- fixed small complexes ----------------------------------------------------
 

@@ -1,15 +1,22 @@
 """Test-only oracles for the Smith normal form.
 
+``dense_smith_normal_form`` is the dense loop the sparse-row
+``smith_normal_form`` replaced, kept as the reference it must match entry
+for entry: it rescans the whole trailing submatrix for each pivot, with U
+riding as extra columns of each row and V as extra rows below.
+
 ``gcd_minors_oracle`` is an independent route to the invariant factors:
 the product d1*...*dk equals the gcd of all k x k minor determinants, so it
-checks ``smith_normal_form`` without sharing any code with it.  Both take
-matrices as lists of integer rows.
+checks ``smith_normal_form`` without sharing any code with it.  It and
+``integer_det`` take matrices as lists of integer rows.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from math import gcd
+
+from wsimplex.homology import SNFResult, _int_rows as _snf_rows, smith_normal_form
 
 
 def _int_rows(matrix) -> list[list[int]]:
@@ -61,3 +68,82 @@ def gcd_minors_oracle(matrix, k: int) -> int:
             if g == 1:
                 return 1
     return g
+
+
+def dense_smith_normal_form(matrix, transforms: bool = False, cols: int | None = None) -> SNFResult:
+    """``smith_normal_form`` as a dense loop: the same pivot order, so the
+    same diagonal, rank, U and V."""
+    m, nc = _snf_rows(matrix, cols)
+    nr = len(m)
+    if transforms:
+        m = [row + [int(i == k) for k in range(nr)] for i, row in enumerate(m)]
+        m += [[int(i == j) for j in range(nc)] for i in range(nc)]
+    t = 0
+    bound = min(nr, nc)
+    while t < bound:
+        best = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                v = abs(m[i][j])
+                if v and (best is None or v < best[0]):
+                    best = (v, i, j)
+                    if v == 1:
+                        break
+            if best is not None and best[0] == 1:
+                break
+        if best is None:
+            break
+        _, pi, pj = best
+        if pi != t:
+            m[t], m[pi] = m[pi], m[t]
+        if pj != t:
+            for row in m:
+                row[t], row[pj] = row[pj], row[t]
+        if m[t][t] < 0:
+            m[t] = [-x for x in m[t]]
+        pivot = m[t][t]
+        clean = True
+        for i in range(t + 1, nr):
+            if m[i][t]:
+                q = m[i][t] // pivot
+                m[i] = [x - q * y for x, y in zip(m[i], m[t])]
+                if m[i][t]:
+                    clean = False
+        for j in range(t + 1, nc):
+            if m[t][j]:
+                q = m[t][j] // pivot
+                for row in m:
+                    row[j] -= q * row[t]
+                if m[t][j]:
+                    clean = False
+        if not clean:
+            continue
+        offender = None
+        for i in range(t + 1, nr):
+            for j in range(t + 1, nc):
+                if m[i][j] % pivot:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            # fold the offending row in; the next division pass shrinks the pivot
+            m[t] = [x + y for x, y in zip(m[t], m[offender])]
+            continue
+        t += 1
+
+    diagonal = [m[i][i] for i in range(bound)]
+    rank = sum(1 for d in diagonal if d)
+    if not transforms:
+        return SNFResult(diagonal, rank)
+    return SNFResult(diagonal, rank, [row[nc:] for row in m[:nr]], m[nr:])
+
+
+def assert_matches_dense(matrix, cols=None):
+    """Both modes of the sparse loop against the dense loop with
+    transforms, whose diagonal and rank do not depend on the mode."""
+    dense = dense_smith_normal_form(matrix, transforms=True, cols=cols)
+    assert smith_normal_form(matrix, transforms=True, cols=cols) == dense
+    plain = smith_normal_form(matrix, cols=cols)
+    assert (plain.diagonal, plain.rank) == (dense.diagonal, dense.rank)
+    assert plain.U is plain.V is None

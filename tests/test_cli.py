@@ -64,6 +64,24 @@ def test_snf_transforms(capsys):
     assert payload["V"] == np.eye(3, dtype=int).tolist()
 
 
+@pytest.mark.parametrize("pair, degrees", [
+    ("pentagon", [1]),
+    ("triangle", [1, 2]),
+    ("cycle40_even", [1]),  # even vertex weights, as the shared polygon case
+    ("simplex5_dawson", [1, 2]),  # 2-skeleton of the 5-simplex
+])
+def test_snf_transforms_print_pinned_bytes(capsys, pair, degrees):
+    """Diagonal, rank, U and V of ``snf --transforms``, byte for byte as
+    the dense Smith normal form loop printed them."""
+    out = []
+    for n in degrees:
+        assert main(["snf", "-k", fx(f"{pair}.cplx"), "-w", fx(f"{pair}.wts"),
+                     "-n", str(n), "--transforms", "--strict"]) == 0
+        out.append(capsys.readouterr().out)
+    pinned = FIXTURES / "expected" / f"{pair}_snf_transforms.out"
+    assert "".join(out) == pinned.read_text(encoding="utf-8")
+
+
 def _boundary_entries(capsys):
     code, payload = run_cli(capsys, "boundary", "-k", fx("pentagon.cplx"),
                             "-w", fx("pentagon.wts"), "-n", "1")
