@@ -2,7 +2,10 @@
 
 Every subcommand prints one JSON object to stdout.  Exit codes: 0 on
 success, 1 when the input fails validation (or a computation's domain
-check), 2 on file, grammar or usage errors.  Diagnostics go to stderr.
+check), 2 on file, grammar or usage errors.  Diagnostics go to stderr,
+one line each: ``error: ...`` for the failure behind the exit code, and
+``warning: ...`` for each warning raised (a missing or duplicate weight
+entry, say), which leaves stdout and the exit code as they are.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import math
 import os
 import re
 import sys
+import warnings
 from fractions import Fraction
 
 from .chains import boundary_matrix, coboundary_matrix
@@ -255,22 +259,6 @@ def _cmd_ffl(args):
     return payload, 0
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "boundary": _cmd_boundary,
-    "coboundary": _cmd_coboundary,
-    "homology": _cmd_homology,
-    "cohomology-dim": _cmd_cohomology_dim,
-    "snf": _cmd_snf,
-    "laplacian": _cmd_laplacian,
-    "spectrum": _cmd_spectrum,
-    "harmonic": _cmd_harmonic,
-    "multiplicities": _cmd_multiplicities,
-    "ngon": _cmd_ngon,
-    "ffl": _cmd_ffl,
-}
-
-
 def _add_common(sp, need_dim=True):
     sp.add_argument("--complex", "-k", required=True, metavar="FILE",
                     help="complex file: one simplex per line")
@@ -287,68 +275,89 @@ def _add_common(sp, need_dim=True):
                     help="reject complex weight values with 'real'")
 
 
-def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="wsimplex",
-        description="homology, cohomology and Laplacian spectra of weighted "
-                    "simplicial complexes")
-    sub = p.add_subparsers(dest="command", required=True)
+def _add_inner(sp, help=None):
+    _add_common(sp)
+    sp.add_argument("--inner-weights", metavar="FILE", help=help)
 
-    _add_common(sub.add_parser("validate", help="check the weight condition"),
-                need_dim=False)
-    _add_common(sub.add_parser("boundary", help="weighted boundary matrix"))
-    _add_common(sub.add_parser("coboundary", help="weighted coboundary matrix"))
-    _add_common(sub.add_parser("homology", help="integer homology with torsion"))
-    _add_common(sub.add_parser("cohomology-dim", help="cohomology dimension"))
 
-    sp = sub.add_parser("snf", help="Smith normal form of a boundary matrix")
+def _add_snf(sp):
     _add_common(sp)
     sp.add_argument("--transforms", action="store_true",
                     help="also emit the unimodular transforms")
 
-    sp = sub.add_parser("laplacian", help="up, down and full Laplacian matrices")
-    _add_common(sp)
-    sp.add_argument("--inner-weights", metavar="FILE",
-                    help="per-simplex inner product weights 'simplex | value'")
 
-    sp = sub.add_parser("spectrum", help="Laplacian eigenvalues and eigenvectors")
-    _add_common(sp)
-    sp.add_argument("--inner-weights", metavar="FILE")
-
-    _add_common(sub.add_parser("harmonic", help="orthonormal harmonic cochain basis"))
-
-    _add_common(sub.add_parser("multiplicities",
-                               help="zero-eigenvalue multiplicities by formula"))
-
-    sp = sub.add_parser("ngon", help="degree-0 homology of a weighted polygon")
+def _add_ngon(sp):
     sp.add_argument("--alphas", required=True,
                     help="comma separated vertex weights, e.g. 1,2,2,2,2; "
                          "write --alphas=-3,6,1 when the first is negative")
 
-    sp = sub.add_parser("ffl", help="feedforward-loop motif signatures")
+
+def _add_ffl(sp):
     sp.add_argument("--type", help="motif label like coherent1")
     sp.add_argument("--classify", metavar="FILE",
                     help="classify a 3x3 Laplacian matrix file")
     sp.add_argument("--tol", type=tolerance, default=1e-6,
                     help="matching tolerance, finite and >= 0")
 
+
+# name -> (handler, help, function adding the subcommand's options)
+_COMMANDS = {
+    "validate": (_cmd_validate, "check the weight condition",
+                 lambda sp: _add_common(sp, need_dim=False)),
+    "boundary": (_cmd_boundary, "weighted boundary matrix", _add_common),
+    "coboundary": (_cmd_coboundary, "weighted coboundary matrix", _add_common),
+    "homology": (_cmd_homology, "integer homology with torsion", _add_common),
+    "cohomology-dim": (_cmd_cohomology_dim, "cohomology dimension", _add_common),
+    "snf": (_cmd_snf, "Smith normal form of a boundary matrix", _add_snf),
+    "laplacian": (_cmd_laplacian, "up, down and full Laplacian matrices",
+                  lambda sp: _add_inner(sp, "per-simplex inner product weights "
+                                            "'simplex | value'")),
+    "spectrum": (_cmd_spectrum, "Laplacian eigenvalues and eigenvectors", _add_inner),
+    "harmonic": (_cmd_harmonic, "orthonormal harmonic cochain basis", _add_common),
+    "multiplicities": (_cmd_multiplicities, "zero-eigenvalue multiplicities by formula",
+                       _add_common),
+    "ngon": (_cmd_ngon, "degree-0 homology of a weighted polygon", _add_ngon),
+    "ffl": (_cmd_ffl, "feedforward-loop motif signatures", _add_ffl),
+}
+
+
+def _parser(command=None) -> argparse.ArgumentParser:
+    """The argument parser.  When ``command`` names a subcommand only its
+    subparser is built, since all twelve cost 2-3 ms a call, more than most
+    queries compute; the usage line still lists every command.  Otherwise
+    all twelve are built under argparse's default metavar, which its
+    "required: command" and "invalid choice" messages name."""
+    p = argparse.ArgumentParser(
+        prog="wsimplex",
+        description="homology, cohomology and Laplacian spectra of weighted "
+                    "simplicial complexes")
+    one = command in _COMMANDS
+    sub = p.add_subparsers(dest="command", required=True,
+                           metavar="{" + ",".join(_COMMANDS) + "}" if one else None)
+    for name in [command] if one else _COMMANDS:
+        _, text, add_options = _COMMANDS[name]
+        add_options(sub.add_parser(name, help=text))
     return p
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parser().parse_args(argv)
+        args = _parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 
-    try:
-        payload, code = _HANDLERS[args.command](args)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    error = None
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            payload, code = _COMMANDS[args.command][0](args)
+        except (_InputError, ValueError, RuntimeError) as exc:
+            error, code = exc, 2 if isinstance(exc, _InputError) else 1
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return code
     try:
         print(json.dumps(payload, indent=2))
         sys.stdout.flush()

@@ -1,7 +1,9 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import child_env
+from wsimplex import cli
 from wsimplex.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -388,9 +391,78 @@ def test_closed_stdout_is_quiet():
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
+COMMANDS = ["validate", "boundary", "coboundary", "homology", "cohomology-dim", "snf",
+            "laplacian", "spectrum", "harmonic", "multiplicities", "ngon", "ffl"]
+PENTAGON = ["-k", fx("pentagon.cplx"), "-w", fx("pentagon.wts")]
+
+
 def test_unknown_command_exit_2(capsys):
-    assert main(["frobnicate"]) == 2
-    assert main([]) == 2
+    """Every top-level usage error lists all commands, also when only the
+    named subcommand's parser was built (the stray trailing argument)."""
+    usage = "{" + ",".join(COMMANDS) + "}"
+    for argv, message in (([], "required: command"),
+                          (["frobnicate"], "argument command: invalid choice"),
+                          (["homology", *PENTAGON, "-n", "0", "extra"],
+                           "unrecognized arguments: extra")):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and usage in err and message in err, err
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> list[str]:
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+def test_parser_builds_only_the_named_subcommand():
+    assert _subcommands(cli._parser("homology")) == ["homology"]
+    assert _subcommands(cli._parser(None)) == COMMANDS == list(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("argv", [
+    *([command, "--help"] for command in COMMANDS),
+    ["--help"],
+    [],
+    ["frobnicate"],
+    ["homology", "-k", fx("pentagon.cplx")],  # missing required options
+    ["homology", *PENTAGON, "-n", "0", "extra"],
+    ["homology", *PENTAGON, "-n", "x"],
+    ["homology", *PENTAGON, "-n", "0", "--default", "two"],
+    ["ffl", "--tol", "nan"],
+    ["snf", *PENTAGON, "-n", "1", "--transforms"],  # parses
+])
+def test_one_subparser_parses_as_all_twelve(capsys, monkeypatch, argv):
+    """The parser built for the named subcommand alone gives the same exit
+    code, output, messages and arguments as the parser with all twelve."""
+    monkeypatch.setenv("COLUMNS", "80")
+    outcomes = []
+    for command in (argv[0] if argv else None, None):
+        try:
+            parsed, code = vars(cli._parser(command).parse_args(argv)), 0
+        except SystemExit as exc:
+            parsed, code = None, exc.code
+        outcomes.append((code, parsed, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == (0 if argv[:1] == ["snf"] or "--help" in argv else 2)
+
+
+@pytest.mark.parametrize("text, warning", [
+    ("0 1 | 0 | 2\n", "1 weight entries missing, defaulting to 1"),
+    ("0 1 | 0 | 2\n0 1 | 0 | 5\n0 1 | 1 | 3\n",
+     "line 2: duplicate entry for ([0,1], [0]); keeping the last"),
+], ids=["missing", "duplicate"])
+def test_warnings_print_one_line_each(capsys, tmp_path, text, warning):
+    """A reader's warning is one ``warning:`` line on stderr, not Python's
+    file:line report with its source line; stdout and the exit code are
+    those of the same call with warnings ignored."""
+    w = tmp_path / "edge.wts"
+    w.write_text(text)
+    argv = ["homology", "-k", fx("edge.cplx"), "-w", str(w), "-n", "0"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        quiet = main(argv), *capsys.readouterr()
+    assert quiet[0] == 0 and quiet[2] == ""
+    assert (main(argv), *capsys.readouterr()) == (*quiet[:2], f"warning: {warning}\n")
 
 
 def test_module_entry_point():
