@@ -248,7 +248,7 @@ def _cmd_ffl(args):
         sig = ffl_signature(*make_ffl(spec))
     else:
         try:
-            with open(args.classify, encoding="utf-8") as fh:
+            with open(args.classify, encoding="utf-8-sig") as fh:
                 matrix = _parse_matrix_text(fh.read())
         except (OSError, ValueError) as exc:
             raise _InputError(exc) from None

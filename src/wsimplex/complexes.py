@@ -5,10 +5,16 @@ ascending order fixes the orientation used everywhere else.  A complex stores
 every face of every simplex handed to it, and ``basis(n)`` returns the
 n-simplices in lexicographic order, which is the basis ordering all matrices
 in this package are written in.
+
+The closure is built top down: each distinct simplex yields its faces once,
+as ``itertools.combinations`` of its vertices, which skip the ascending
+re-check a subset of an ascending tuple cannot fail.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import combinations
 from typing import Iterable, Iterator
 
 
@@ -53,6 +59,10 @@ class Simplex(tuple):
         return "[" + ",".join(str(v) for v in self) + "]"
 
 
+# an ascending tuple known to be valid, as a Simplex without the checks
+_trusted = partial(tuple.__new__, Simplex)
+
+
 def face(simplex, i: int) -> Simplex:
     return Simplex(simplex).face(i)
 
@@ -61,20 +71,17 @@ class SimplicialComplex:
     """Finite complex, closed under taking faces."""
 
     def __init__(self, simplices: Iterable):
-        members: set[Simplex] = set()
-        todo = [Simplex(s) for s in simplices]
-        while todo:
-            s = todo.pop()
-            if s in members:
-                continue
-            members.add(s)
-            if s.dim >= 1:
-                todo.extend(s.faces())
-        by_dim: dict[int, list[Simplex]] = {}
-        for s in members:
-            by_dim.setdefault(s.dim, []).append(s)
-        self._basis = {d: tuple(sorted(v)) for d, v in by_dim.items()}
-        self._members = frozenset(members)
+        given = list(map(Simplex, simplices))
+        levels: list[set[Simplex]] = [set() for _ in range(max(map(len, given), default=0))]
+        for s in given:
+            levels[len(s) - 1].add(s)
+        # top down, so each distinct simplex yields its faces once
+        for d in range(len(levels) - 1, 0, -1):
+            lower = levels[d - 1]
+            for s in levels[d]:
+                lower.update(map(_trusted, combinations(s, d)))
+        self._basis = {d: tuple(sorted(level)) for d, level in enumerate(levels)}
+        self._members = frozenset().union(*levels)
 
     @property
     def max_dim(self) -> int:
@@ -128,8 +135,7 @@ def parse_complex_text(text: str) -> SimplicialComplex:
         if not line:
             continue
         try:
-            vs = [int(tok) for tok in line.split()]
-            simplices.append(Simplex(vs))
+            simplices.append(Simplex(map(int, line.split())))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     if not simplices:
@@ -138,5 +144,5 @@ def parse_complex_text(text: str) -> SimplicialComplex:
 
 
 def read_complex_file(path) -> SimplicialComplex:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_complex_text(fh.read())

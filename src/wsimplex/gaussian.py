@@ -252,5 +252,19 @@ def _quotient(x: tuple, y: tuple) -> GaussianRational:
     return _reduced((a * c + b * e) * f, (b * c - a * e) * f, d * n)
 
 
+def products_equal(x: GaussianRational, y: GaussianRational,
+                   z: GaussianRational, w: GaussianRational) -> bool:
+    """Whether x*y == z*w, decided on the triples without building either
+    product: (a+bi)(c+ei)/(df) equals (A+Bi)(C+Ei)/(DF) exactly when
+    (ac-be)*DF == (AC-BE)*df and (ae+bc)*DF == (AE+BC)*df."""
+    a, b, d = x._t
+    c, e, f = y._t
+    A, B, D = z._t
+    C, E, F = w._t
+    df, DF = d * f, D * F
+    return ((a * c - b * e) * DF == (A * C - B * E) * df
+            and (a * e + b * c) * DF == (A * E + B * C) * df)
+
+
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)

@@ -367,5 +367,5 @@ def parse_inner_weights_text(text: str) -> InnerProductWeights:
 
 
 def read_inner_weights_file(path) -> InnerProductWeights:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_inner_weights_text(fh.read())

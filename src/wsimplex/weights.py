@@ -15,6 +15,14 @@ Constructors: ``identity_weight`` and ``zero_weight`` are the constant ones;
 ``semi_trivial_weight`` zeroes every pair touching two covering families;
 ``dawson_weight`` takes quotients w(s)/w(d_i s) of a divisibility-compatible
 simplex weighting; ``cfw_weight`` generalises it to C * f(w(s)) / f(w(d_i s)).
+
+Loading does each piece of work once, since the command line loads a pair
+per call and loading used to cost more than the homology after it.
+``parse_weight_text`` parses each distinct vertex list and value text once
+per call (files repeat them many times) and finds face indices in one
+{face: i} map per simplex; ``validate_weight`` compares the two sides of
+each condition crosswise on integer triples and multiplies out only a
+violation.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from math import lcm
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .complexes import Simplex, SimplicialComplex
-from .gaussian import GaussianRational
+from .gaussian import GaussianRational, products_equal
 
 
 class WeightCompletenessError(ValueError):
@@ -58,10 +66,13 @@ class WeightFunction:
     def __init__(self, complex: SimplicialComplex, table: Mapping):
         self.complex = complex
         tbl: dict[tuple[Simplex, int], GaussianRational] = {}
-        for key, value in table.items():
-            s, i = key
-            s = Simplex(s)
-            tbl[(s, int(i))] = GaussianRational.coerce(value)
+        for (s, i), value in table.items():
+            # a parsed table is already normal: convert only what is not
+            if type(s) is not Simplex:
+                s = Simplex(s)
+            if type(value) is not GaussianRational:
+                value = GaussianRational.coerce(value)
+            tbl[s, int(i)] = value
         for s, i in required_pairs(complex):
             if (s, i) not in tbl:
                 raise WeightCompletenessError(f"no weight for ({s}, face {i})")
@@ -133,16 +144,16 @@ def validate_weight(phi: WeightFunction) -> list[Violation]:
     violations: list[Violation] = []
     for n in range(2, K.max_dim + 1):
         for s in K.basis(n):
-            faces = [s.face(i) for i in range(n + 1)]
+            # plain tuples: the faces only look up table keys
+            faces = [s[:i] + s[i + 1:] for i in range(n + 1)]
             weights = [table[(s, i)] for i in range(n + 1)]
             for i in range(1, n + 1):
                 di, w_i = faces[i], weights[i]
                 for j in range(i):
                     # d_j d_i s == d_{i-1} d_j s: both routes must agree
-                    left = w_i * table[(di, j)]
-                    right = weights[j] * table[(faces[j], i - 1)]
-                    if left != right:
-                        violations.append(Violation(s, i, j, left, right))
+                    x, y = table[(di, j)], table[(faces[j], i - 1)]
+                    if not products_equal(w_i, x, weights[j], y):
+                        violations.append(Violation(s, i, j, w_i * x, weights[j] * y))
     if not violations:
         phi._validated = True
     return violations
@@ -265,13 +276,6 @@ def cfw_weight(complex: SimplicialComplex, w, f, C="auto") -> WeightFunction:
 # -- text format ------------------------------------------------------------
 
 
-def _face_index(s: Simplex, t: Simplex) -> int | None:
-    """The i with s.face(i) == t, or None: the position in s of the one
-    vertex of s missing from t, when t is one vertex shorter."""
-    missing = [i for i, v in enumerate(s) if v not in t]
-    return missing[0] if len(missing) == 1 and len(t) == len(s) - 1 else None
-
-
 def parse_weight_text(
     text: str,
     complex: SimplicialComplex,
@@ -286,11 +290,17 @@ def parse_weight_text(
     ``strict`` is set.
     """
     known = {s: s for s in complex.simplices()}
+    # field text -> parsed field, for this call only: a repeat skips int(),
+    # Simplex and the scalar regex
+    simplices: dict[str, Simplex] = {}
+    values: dict[str, GaussianRational] = {}
+    face_maps: dict[Simplex, dict[tuple, int]] = {}
 
     def simplex(field: str) -> Simplex:
         # a vertex list the complex holds is a valid simplex: no re-check
         vs = tuple(map(int, field.split()))
-        return known.get(vs) or Simplex(vs)
+        s = simplices[field] = known.get(vs) or Simplex(vs)
+        return s
 
     table: dict[tuple[Simplex, int], GaussianRational] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -300,22 +310,32 @@ def parse_weight_text(
         parts = line.split("|")
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected 'simplex | face | value'")
+        sf, tf, vf = parts
         try:
-            s = simplex(parts[0])
-            t = simplex(parts[1])
-            value = GaussianRational.from_string(parts[2])
+            s = simplices.get(sf) or simplex(sf)
+            t = simplices.get(tf) or simplex(tf)
+            value = values.get(vf)
+            if value is None:
+                value = values[vf] = GaussianRational.from_string(vf)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
         if s not in known:
             raise ValueError(f"line {lineno}: {s} is not in the complex")
-        idx = _face_index(s, t)
+        faces = face_maps.get(s)
+        if faces is None:
+            # a vertex maps only the empty tuple, which no parsed face equals
+            faces = face_maps[s] = {s[:i] + s[i + 1:]: i for i in range(len(s))}
+        idx = faces.get(t)
         if idx is None:
             raise ValueError(f"line {lineno}: {t} is not a codimension-one face of {s}")
-        if (s, idx) in table and table[(s, idx)] != value:
+        key = (s, idx)
+        if key in table and table[key] != value:
             warnings.warn(f"line {lineno}: duplicate entry for ({s}, {t}); keeping the last")
-        table[(s, idx)] = value
-    missing = [pair for pair in required_pairs(complex) if pair not in table]
-    if missing:
+        table[key] = value
+    # every key is a distinct required pair, so the count tells whether any is missing
+    required = sum((n + 1) * len(complex.basis(n)) for n in range(1, complex.max_dim + 1))
+    if len(table) < required:
+        missing = [pair for pair in required_pairs(complex) if pair not in table]
         if strict:
             s, i = missing[0]
             raise WeightCompletenessError(
@@ -330,5 +350,5 @@ def parse_weight_text(
 
 
 def read_weight_file(path, complex, default=Fraction(1), strict=False) -> WeightFunction:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_weight_text(fh.read(), complex, default=default, strict=strict)

@@ -9,14 +9,31 @@ riding as extra columns of each row and V as extra rows below.
 the product d1*...*dk equals the gcd of all k x k minor determinants, so it
 checks ``smith_normal_form`` without sharing any code with it.  It and
 ``integer_det`` take matrices as lists of integer rows.
+
+The loading references are the readers the one-pass loader replaced, kept
+so the loader can be checked against them output for output:
+``stack_closure`` closes a simplex list under faces with a work stack,
+``reference_parse_weight_text`` parses every field of every line afresh and
+finds each face index by scanning, and ``reference_violations`` multiplies
+out both sides of every compatibility condition as Gaussian rationals.
 """
 
 from __future__ import annotations
 
+import warnings
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+from wsimplex.complexes import Simplex, SimplicialComplex
+from wsimplex.gaussian import GaussianRational
 from wsimplex.homology import SNFResult, _int_rows as _snf_rows, smith_normal_form
+from wsimplex.weights import (
+    Violation,
+    WeightCompletenessError,
+    WeightFunction,
+    required_pairs,
+)
 
 
 def _int_rows(matrix) -> list[list[int]]:
@@ -147,3 +164,98 @@ def assert_matches_dense(matrix, cols=None):
     plain = smith_normal_form(matrix, cols=cols)
     assert (plain.diagonal, plain.rank) == (dense.diagonal, dense.rank)
     assert plain.U is plain.V is None
+
+
+# -- loading references --------------------------------------------------------
+
+
+def stack_closure(simplices) -> dict[int, tuple[Simplex, ...]]:
+    """The face closure as {dimension: simplices in lexicographic order},
+    built by pushing every face of every new simplex on a stack."""
+    members: set[Simplex] = set()
+    todo = [Simplex(s) for s in simplices]
+    while todo:
+        s = todo.pop()
+        if s in members:
+            continue
+        members.add(s)
+        if s.dim >= 1:
+            todo.extend(s.faces())
+    by_dim: dict[int, list[Simplex]] = {}
+    for s in members:
+        by_dim.setdefault(s.dim, []).append(s)
+    return {d: tuple(sorted(v)) for d, v in by_dim.items()}
+
+
+def _face_index(s: Simplex, t: Simplex) -> int | None:
+    missing = [i for i, v in enumerate(s) if v not in t]
+    return missing[0] if len(missing) == 1 and len(t) == len(s) - 1 else None
+
+
+def reference_parse_weight_text(
+    text: str,
+    complex: SimplicialComplex,
+    default=Fraction(1),
+    strict: bool = False,
+) -> WeightFunction:
+    """``parse_weight_text`` without caches: the same table, warnings and
+    errors."""
+    known = {s: s for s in complex.simplices()}
+
+    def simplex(field: str) -> Simplex:
+        vs = tuple(map(int, field.split()))
+        return known.get(vs) or Simplex(vs)
+
+    table: dict[tuple[Simplex, int], GaussianRational] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split("|")
+        if len(parts) != 3:
+            raise ValueError(f"line {lineno}: expected 'simplex | face | value'")
+        try:
+            s = simplex(parts[0])
+            t = simplex(parts[1])
+            value = GaussianRational.from_string(parts[2])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        if s not in known:
+            raise ValueError(f"line {lineno}: {s} is not in the complex")
+        idx = _face_index(s, t)
+        if idx is None:
+            raise ValueError(f"line {lineno}: {t} is not a codimension-one face of {s}")
+        if (s, idx) in table and table[(s, idx)] != value:
+            warnings.warn(f"line {lineno}: duplicate entry for ({s}, {t}); keeping the last")
+        table[(s, idx)] = value
+    missing = [pair for pair in required_pairs(complex) if pair not in table]
+    if missing:
+        if strict:
+            s, i = missing[0]
+            raise WeightCompletenessError(
+                f"{len(missing)} missing entries, first ({s}, face {i})"
+            )
+        warnings.warn(
+            f"{len(missing)} weight entries missing, defaulting to {default}"
+        )
+        for pair in missing:
+            table[pair] = GaussianRational.coerce(default)
+    return WeightFunction(complex, table)
+
+
+def reference_violations(phi: WeightFunction) -> list[Violation]:
+    """``validate_weight``'s violations, with both products built and
+    compared for every (simplex, i, j); phi is left as it was."""
+    K = phi.complex
+    violations: list[Violation] = []
+    for n in range(2, K.max_dim + 1):
+        for s in K.basis(n):
+            faces = [s.face(i) for i in range(n + 1)]
+            weights = [phi.value(s, i) for i in range(n + 1)]
+            for i in range(1, n + 1):
+                for j in range(i):
+                    left = weights[i] * phi.value(faces[i], j)
+                    right = weights[j] * phi.value(faces[j], i - 1)
+                    if left != right:
+                        violations.append(Violation(s, i, j, left, right))
+    return violations

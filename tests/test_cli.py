@@ -209,6 +209,31 @@ def test_laplacian_inner_weights(capsys):
     assert payload["up"]["entries"] == [["4", "-6"], ["-3", "9/2"]]
 
 
+@pytest.mark.parametrize("marked", ["complex", "weights", "inner"])
+def test_byte_order_mark_is_skipped(capsys, tmp_path, marked):
+    """A file saved with a UTF-8 byte-order mark before its first data line
+    reads as the same file without one."""
+    texts = {"complex": "0 1\n", "weights": "0 1 | 1 | 3\n0 1 | 0 | 2\n", "inner": "1 | 2\n"}
+    paths = {}
+    for name, text in texts.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text, encoding="utf-8-sig" if name == marked else "utf-8")
+    assert paths[marked].read_bytes().startswith(b"\xef\xbb\xbf")
+    code, payload = run_cli(capsys, "laplacian", "-k", str(paths["complex"]),
+                            "-w", str(paths["weights"]), "-n", "0",
+                            "--inner-weights", str(paths["inner"]), "--strict")
+    assert code == 0
+    assert payload["up"]["entries"] == [["4", "-6"], ["-3", "9/2"]]
+
+
+def test_byte_order_mark_is_skipped_in_matrix_files(capsys, tmp_path):
+    m = tmp_path / "m.txt"
+    m.write_text("8 -4 -4\n-4 5 -1\n-4 -1 5\n", encoding="utf-8-sig")
+    code, payload = run_cli(capsys, "ffl", "--classify", str(m))
+    assert code == 0
+    assert payload == {"eigenvalues": [6.0, 12.0], "classified": "coherent2"}
+
+
 def test_spectrum_edge(capsys):
     code, payload = run_cli(capsys, "spectrum", "-k", fx("edge.cplx"),
                             "-w", fx("edge.wts"), "-n", "0")
@@ -299,6 +324,36 @@ def test_strict_missing_exit_2(capsys):
     code, _ = run_cli(capsys, "homology", "-k", fx("pentagon.cplx"),
                       "-w", fx("pentagon_ones.wts"), "-n", "0", "--strict")
     assert code == 2
+
+
+@pytest.mark.parametrize("text, flags, err", [
+    ("0 1 | 0 | 2 | 9\n", [], "line 1: expected 'simplex | face | value'"),
+    ("0 1 2 | 0 | 5\n", [], "line 1: [0] is not a codimension-one face of [0,1,2]"),
+    ("0 3 | 3 | 1\n", [], "line 1: [0,3] is not in the complex"),
+    ("# header\n0 1 | 0 | 1/0\n", [], "line 2: zero denominator in ' 1/0'"),
+    ("0 1 | 0 | 1\n", ["--strict"], "8 missing entries, first ([0,1], face 0)"),
+    ("1 0 | 0 | 1\n", [], "line 1: vertices (1, 0) not strictly ascending"),
+], ids=["four-fields", "not-a-face", "outside", "zero-denominator", "strict-missing",
+        "descending"])
+def test_weight_file_refusals_print_pinned_errors(capsys, tmp_path, text, flags, err):
+    w = tmp_path / "refused.wts"
+    w.write_text(text)
+    assert main(["validate", "-k", fx("triangle.cplx"), "-w", str(w), *flags]) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+def test_duplicate_entry_warns_and_validate_exits_1(capsys, tmp_path):
+    # a repeated entry with the same value is silent; with another value it
+    # warns, and the last one wins and breaks the triangle
+    w = tmp_path / "dup.wts"
+    w.write_text("0 1 | 0 | 6\n" + Path(fx("triangle.wts")).read_text())
+    assert main(["validate", "-k", fx("triangle.cplx"), "-w", str(w)]) == 0
+    assert capsys.readouterr().err == ""
+    w.write_text(Path(fx("triangle.wts")).read_text() + "0 1 | 0 | 5\n")
+    assert main(["validate", "-k", fx("triangle.cplx"), "-w", str(w)]) == 1
+    out, err = capsys.readouterr()
+    assert err == "warning: line 11: duplicate entry for ([0,1], [0]); keeping the last\n"
+    assert json.loads(out)["valid"] is False
 
 
 def test_field_real_rejects_complex(capsys):
