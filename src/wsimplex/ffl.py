@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .complexes import Simplex, SimplicialComplex, build_complex
 from .gaussian import GaussianRational
@@ -47,22 +46,6 @@ _SIGNS = {
     ("incoherent", 2): (REPRESSION, REPRESSION, REPRESSION),
     ("incoherent", 3): (ACTIVATION, ACTIVATION, REPRESSION),
     ("incoherent", 4): (REPRESSION, ACTIVATION, ACTIVATION),
-}
-
-_H = Fraction(1, 2)
-
-# reference eigendata under the default encoding, keyed like _SIGNS:
-# (a, b, c, u2, u3, lam2, lam3); the (lam2, lam3) labels follow the
-# closed-form branches and are not always ascending
-REFERENCE_TABLE = {
-    ("coherent", 1): (1, 1, 1, (-_H, -_H, 1), (-1, 1, 0), 3, 3),
-    ("coherent", 2): (2, 1, 2, (0, -1, 1), (-2, 1, 1), 6, 12),
-    ("coherent", 3): (1, 2, 2, (-_H, -_H, 1), (-1, 1, 0), 12, 6),
-    ("coherent", 4): (2, 2, 1, (-1, 0, 1), (1, -2, 1), 6, 12),
-    ("incoherent", 1): (1, 2, 1, (-2, 1, 1), (0, -1, 1), 3, 9),
-    ("incoherent", 2): (2, 2, 2, (-_H, -_H, 1), (-1, 1, 0), 12, 12),
-    ("incoherent", 3): (1, 1, 2, (1, -2, 1), (-1, 0, 1), 3, 9),
-    ("incoherent", 4): (2, 1, 1, (-_H, -_H, 1), (-1, 1, 0), 3, 9),
 }
 
 _LABEL_RE = re.compile(r"(coherent|incoherent)[ _-]?([1-4])\Z")

@@ -5,8 +5,7 @@ JSON, what Smith normal form reads and what ``to_ndarray`` hands to the
 eigensolver.  Rows and columns carry optional simplex labels.  It is off
 the rank and assembly paths: ``column_rank`` ranks the sparse boundary
 columns and ``spectral`` sums Laplacians from them, storing only the
-result here.  ``__matmul__`` is the plain dense product, the tests'
-reference for that assembly.
+result here.
 """
 
 from __future__ import annotations
@@ -41,13 +40,6 @@ class ExactMatrix:
         if self.col_labels is not None and len(self.col_labels) != self.cols:
             raise ValueError("column label count mismatch")
 
-    @classmethod
-    def diagonal(cls, values, row_labels=None, col_labels=None):
-        vals = list(values)
-        n = len(vals)
-        data = [[vals[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        return cls(data, row_labels, col_labels, cols=n)
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
@@ -58,17 +50,6 @@ class ExactMatrix:
 
     # -- algebra ------------------------------------------------------------
 
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        out = [[sum((self.data[i][k] * other.data[k][j] for k in range(self.cols)),
-                    GaussianRational(0))
-                for j in range(other.cols)]
-               for i in range(self.rows)]
-        return ExactMatrix(out, self.row_labels, other.col_labels, cols=other.cols)
-
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -78,11 +59,6 @@ class ExactMatrix:
                for i in range(self.rows)]
         return ExactMatrix(out, self.row_labels or other.row_labels,
                            self.col_labels or other.col_labels, cols=self.cols)
-
-    def scale(self, scalar) -> "ExactMatrix":
-        c = GaussianRational.coerce(scalar)
-        out = [[c * x for x in row] for row in self.data]
-        return ExactMatrix(out, self.row_labels, self.col_labels, cols=self.cols)
 
     def transpose(self) -> "ExactMatrix":
         out = [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
@@ -118,9 +94,6 @@ class ExactMatrix:
         real = all(x.is_real() for x in entries)
         out = np.array(to_floats(entries, real), dtype=np.float64 if real else np.complex128)
         return out.reshape(self.rows, self.cols)
-
-    def frobenius_norm(self) -> float:
-        return math.sqrt(sum(float(x.abs2()) for row in self.data for x in row))
 
     def rank(self) -> int:
         """Exact rank over Q(i), by ``column_rank`` on the columns."""

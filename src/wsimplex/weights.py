@@ -61,7 +61,8 @@ def required_pairs(complex: SimplicialComplex):
 
 
 class WeightFunction:
-    """Total table (simplex, face index) -> scalar over one complex."""
+    """Total table (simplex, face index) -> scalar over one complex; a key
+    that is not such a pair of the complex is refused."""
 
     def __init__(self, complex: SimplicialComplex, table: Mapping):
         self.complex = complex
@@ -73,9 +74,15 @@ class WeightFunction:
             if type(value) is not GaussianRational:
                 value = GaussianRational.coerce(value)
             tbl[s, int(i)] = value
-        for s, i in required_pairs(complex):
+        count = 0
+        for count, (s, i) in enumerate(required_pairs(complex), 1):
             if (s, i) not in tbl:
                 raise WeightCompletenessError(f"no weight for ({s}, face {i})")
+        if count != len(tbl):
+            # every required pair is present, so the surplus keys are foreign
+            required = set(required_pairs(complex))
+            s, i = next(pair for pair in tbl if pair not in required)
+            raise ValueError(f"({s}, face {i}) is not a (simplex, face) pair of the complex")
         self._table = tbl
         self._validated = False
 

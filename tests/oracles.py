@@ -1,4 +1,4 @@
-"""Test-only oracles for the Smith normal form.
+"""Test-only oracles: the references the library is checked against.
 
 ``dense_smith_normal_form`` is the dense loop the sparse-row
 ``smith_normal_form`` replaced, kept as the reference it must match entry
@@ -16,18 +16,26 @@ so the loader can be checked against them output for output:
 ``reference_parse_weight_text`` parses every field of every line afresh and
 finds each face index by scanning, and ``reference_violations`` multiplies
 out both sides of every compatibility condition as Gaussian rationals.
+
+The dense algebra references are the exact products the sparse Laplacian
+assembly replaced: ``matmul`` multiplies ``ExactMatrix`` factors out entry
+by entry, ``scale`` multiplies every entry by one scalar and ``diagonal``
+builds a diagonal matrix.  ``MOTIF_REFERENCE_TABLE`` holds the feedforward
+loop eigendata the motif tests reproduce.
 """
 
 from __future__ import annotations
 
 import warnings
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import gcd
 
 from wsimplex.complexes import Simplex, SimplicialComplex
 from wsimplex.gaussian import GaussianRational
 from wsimplex.homology import SNFResult, _int_rows as _snf_rows, smith_normal_form
+from wsimplex.matrices import ExactMatrix
 from wsimplex.weights import (
     Violation,
     WeightCompletenessError,
@@ -259,3 +267,53 @@ def reference_violations(phi: WeightFunction) -> list[Violation]:
                     if left != right:
                         violations.append(Violation(s, i, j, left, right))
     return violations
+
+
+# -- dense algebra references ---------------------------------------------------
+
+
+def _product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
+    out = [[sum((a.data[i][k] * b.data[k][j] for k in range(a.cols)), GaussianRational(0))
+            for j in range(b.cols)]
+           for i in range(a.rows)]
+    return ExactMatrix(out, a.row_labels, b.col_labels, cols=b.cols)
+
+
+def matmul(*factors: ExactMatrix) -> ExactMatrix:
+    """Dense exact product of the factors, left to right; the row labels
+    come from the first factor and the column labels from the last."""
+    return reduce(_product, factors)
+
+
+def scale(m: ExactMatrix, scalar) -> ExactMatrix:
+    c = GaussianRational.coerce(scalar)
+    return ExactMatrix([[c * x for x in row] for row in m.data],
+                       m.row_labels, m.col_labels, cols=m.cols)
+
+
+def diagonal(values, row_labels=None, col_labels=None) -> ExactMatrix:
+    vals = list(values)
+    n = len(vals)
+    data = [[vals[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    return ExactMatrix(data, row_labels, col_labels, cols=n)
+
+
+# -- motif reference data ---------------------------------------------------------
+
+_H = Fraction(1, 2)
+
+# eigendata of the degree-0 motif Laplacian under the default encoding,
+# keyed like ``ffl._SIGNS``: (a, b, c, u2, u3, lam2, lam3); the (lam2,
+# lam3) labels follow the closed-form branches and are not always ascending
+MOTIF_REFERENCE_TABLE = {
+    ("coherent", 1): (1, 1, 1, (-_H, -_H, 1), (-1, 1, 0), 3, 3),
+    ("coherent", 2): (2, 1, 2, (0, -1, 1), (-2, 1, 1), 6, 12),
+    ("coherent", 3): (1, 2, 2, (-_H, -_H, 1), (-1, 1, 0), 12, 6),
+    ("coherent", 4): (2, 2, 1, (-1, 0, 1), (1, -2, 1), 6, 12),
+    ("incoherent", 1): (1, 2, 1, (-2, 1, 1), (0, -1, 1), 3, 9),
+    ("incoherent", 2): (2, 2, 2, (-_H, -_H, 1), (-1, 1, 0), 12, 12),
+    ("incoherent", 3): (1, 1, 2, (1, -2, 1), (-1, 0, 1), 3, 9),
+    ("incoherent", 4): (2, 1, 1, (-_H, -_H, 1), (-1, 1, 0), 3, 9),
+}

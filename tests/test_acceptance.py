@@ -36,7 +36,6 @@ from wsimplex import (
     weighted_inner_laplacian,
 )
 from wsimplex.chains import adjoint_matrix
-from wsimplex.ffl import REFERENCE_TABLE
 from wsimplex.spectral import InnerProductWeights, zero_multiplicity_formulas
 
 from conftest import (
@@ -46,7 +45,7 @@ from conftest import (
     single_edge,
     spectral_fixtures,
 )
-from oracles import gcd_minors_oracle
+from oracles import MOTIF_REFERENCE_TABLE, diagonal, gcd_minors_oracle, matmul, scale
 
 
 _capsys = None
@@ -157,8 +156,8 @@ def test_criterion_04_boundary_squares_to_zero():
             complex = random_complex(rng)
             phi = random_valid_weight(rng, complex)
             for n in range(1, complex.max_dim + 1):
-                step = boundary_matrix(complex, phi, n) @ boundary_matrix(
-                    complex, phi, n + 1)
+                step = matmul(boundary_matrix(complex, phi, n),
+                              boundary_matrix(complex, phi, n + 1))
                 assert step.is_zero(), trial
 
 
@@ -210,19 +209,20 @@ def test_criterion_07_zero_multiplicities():
                 assert kernel_dim(up) == up_m, name
                 assert kernel_dim(lap) == lap_m, name
                 for matrix, expected in [(down, down_m), (up, up_m), (lap, lap_m)]:
-                    tol = 1e-9 * (1 + matrix.frobenius_norm())
-                    assert spectrum(matrix).zero_count(tol) == expected, name
+                    tol = 1e-9 * (1 + np.linalg.norm(matrix.to_ndarray()))
+                    zeros = np.sum(np.abs(spectrum(matrix).eigenvalues) <= tol)
+                    assert zeros == expected, name
 
 
 def test_criterion_08_motif_reference_table():
     with criterion(8, "motif table eigendata reproduced, all 8 types classified"):
         start = time.monotonic()
-        for key, (a, b, c, u2, u3, lam2, lam3) in REFERENCE_TABLE.items():
+        for key, (a, b, c, u2, u3, lam2, lam3) in MOTIF_REFERENCE_TABLE.items():
             complex, phi = ffl_weights(a, b, c)
             lap = laplacian_matrix(complex, phi, 0)
             for u, lam in [(u2, lam2), (u3, lam3)]:
                 col = ExactMatrix([[x] for x in u])
-                assert lap @ col == col.scale(lam), key
+                assert matmul(lap, col) == scale(col, lam), key
             sig = ffl_signature(complex, phi)
             assert np.allclose(sorted(sig.eigenvalues), sorted([lam2, lam3]),
                                atol=1e-9), key
@@ -261,14 +261,12 @@ def test_criterion_09_inner_product_reduction():
                 up_w, down_w, _ = weighted_inner_laplacian(complex, ident, w, n)
                 d_n = incidence_matrix(complex, n)
                 d_prev = incidence_matrix(complex, n - 1)
-                w_n = ExactMatrix.diagonal(w.diagonal(complex, n))
-                w_up = ExactMatrix.diagonal(w.diagonal(complex, n + 1))
-                inv_n = ExactMatrix.diagonal(
-                    [Fraction(1) / x for x in w.diagonal(complex, n)])
-                inv_dn = ExactMatrix.diagonal(
-                    [Fraction(1) / x for x in w.diagonal(complex, n - 1)])
-                assert up_w == inv_n @ d_n.transpose() @ w_up @ d_n, name
-                assert down_w == d_prev @ inv_dn @ d_prev.transpose() @ w_n, name
+                w_n = diagonal(w.diagonal(complex, n))
+                w_up = diagonal(w.diagonal(complex, n + 1))
+                inv_n = diagonal([Fraction(1) / x for x in w.diagonal(complex, n)])
+                inv_dn = diagonal([Fraction(1) / x for x in w.diagonal(complex, n - 1)])
+                assert up_w == matmul(inv_n, d_n.transpose(), w_up, d_n), name
+                assert down_w == matmul(d_prev, inv_dn, d_prev.transpose(), w_n), name
 
 
 def test_criterion_10_harmonic_cochains():
@@ -277,8 +275,8 @@ def test_criterion_10_harmonic_cochains():
         for name, complex, phi in spectral_fixtures(count=50):
             for n in range(complex.max_dim + 1):
                 a_n = coboundary_matrix(complex, phi, n)
-                lhs = laplacian_matrix(complex, phi, n + 1) @ a_n
-                rhs = a_n @ laplacian_matrix(complex, phi, n)
+                lhs = matmul(laplacian_matrix(complex, phi, n + 1), a_n)
+                rhs = matmul(a_n, laplacian_matrix(complex, phi, n))
                 assert lhs == rhs, name
                 basis = harmonic_basis(complex, phi, n)
                 assert basis.count == cohomology_dim(complex, phi, n), name

@@ -10,6 +10,7 @@ from conftest import (
     sample_triangle,
     single_edge,
 )
+from oracles import matmul
 from wsimplex import (
     Chain,
     ExactMatrix,
@@ -34,7 +35,7 @@ def test_sample_triangle_boundaries():
     assert [row[0] for row in b1.data] == [-6, 0, 0]
     assert [row[1] for row in b1.data] == [-2, 0, 0]
     assert [row[2] for row in b1.data] == [0, -4, 2]
-    assert (b1 @ b2).is_zero()
+    assert matmul(b1, b2).is_zero()
 
 
 def test_boundary_labels():
@@ -96,7 +97,7 @@ def test_boundary_squares_to_zero_randomized():
         k = random_complex(rng)
         phi = random_valid_weight(rng, k)
         for n in range(k.max_dim + 2):
-            prod = boundary_matrix(k, phi, n) @ boundary_matrix(k, phi, n + 1)
+            prod = matmul(boundary_matrix(k, phi, n), boundary_matrix(k, phi, n + 1))
             assert prod.is_zero()
 
 
@@ -112,7 +113,7 @@ def test_violating_table_breaks_square_zero():
     phi = WeightFunction(k, table)
     assert phi.validate()  # nonempty violations
     phi._validated = True  # bypass the gate on purpose
-    prod = boundary_matrix(k, phi, 1) @ boundary_matrix(k, phi, 2)
+    prod = matmul(boundary_matrix(k, phi, 1), boundary_matrix(k, phi, 2))
     assert not prod.is_zero()
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import child_env
-from wsimplex import cli
+from wsimplex import cli, ngon_homology_closed_form
 from wsimplex.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -40,6 +40,13 @@ def test_homology_pentagon(capsys):
                             "-w", fx("pentagon.wts"), "-n", "0")
     assert code == 0
     assert payload == expected("pentagon_homology.json")
+    # zeros among the vertex scalars: the closed form's answer
+    code, payload = run_cli(capsys, "homology", "-k", fx("pentagon.cplx"),
+                            "-w", fx("pentagon_zeros.wts"), "-n", "0")
+    closed = ngon_homology_closed_form([0, 3, 0, 5, 7])
+    assert code == 0
+    assert payload == {"dimension": 0, "free_rank": 2, "torsion": [105]}
+    assert (payload["free_rank"], payload["torsion"]) == (closed.free_rank, closed.torsion)
 
 
 def test_snf_pentagon(capsys):
@@ -276,6 +283,10 @@ def test_multiplicities_pentagon(capsys):
                             "-w", fx("pentagon_ones.wts"), "-n", "1")
     assert code == 0
     assert payload == {"dimension": 1, "down": 1, "up": 5, "laplacian": 1}
+    code, payload = run_cli(capsys, "multiplicities", "-k", fx("pentagon.cplx"),
+                            "-w", fx("pentagon_zeros.wts"), "-n", "0")
+    assert code == 0
+    assert payload == {"dimension": 0, "down": 5, "up": 2, "laplacian": 2}
 
 
 @pytest.mark.filterwarnings("ignore:.*missing, defaulting")
@@ -296,6 +307,27 @@ def test_invalid_weights_exit_1(capsys):
                             "-w", fx("triangle_bad.wts"), "-n", "1")
     assert code == 1
     assert payload is None
+
+
+def test_purely_imaginary_weights(capsys):
+    """The pentagon (i, 2i, -i, 3i, i): the integer commands refuse it with
+    exit 1, the commands over Q(i) answer it, and the spectrum has exactly
+    cohomology_dim zeros."""
+    pair = ["-k", fx("pentagon.cplx"), "-w", fx("pentagon_imaginary.wts"), "--strict"]
+    for argv, err in [(["homology", "-n", "1"], "integer homology needs integer weight values"),
+                      (["snf", "-n", "1"], "matrix has non-integer entries")]:
+        assert main([*argv, *pair]) == 1, argv
+        out, stderr = capsys.readouterr()
+        assert (out, stderr) == ("", f"error: {err}\n"), argv
+    for n in (0, 1):
+        for command in ("cohomology-dim", "multiplicities", "spectrum", "harmonic"):
+            code, payload = run_cli(capsys, command, *pair, "-n", str(n))
+            assert code == 0, (command, n)
+            if command == "cohomology-dim":
+                dim = payload["cohomology_dim"]
+            elif command == "spectrum":
+                assert payload["eigenvalues"].count(0.0) == dim == 1, n
+                assert min(payload["eigenvalues"][1:]) > 1, n
 
 
 def test_missing_file_exit_2(capsys):

@@ -113,3 +113,16 @@ def test_constructed_weights_are_validated_under_optimisation(args):
     for proc in runs:
         assert proc.returncode == 0, proc.stderr
     assert runs[0].stdout == runs[1].stdout != ""
+
+
+def test_aliases_the_benchmark_tracer_wraps():
+    """The benchmark's tracer probe (``TRACER_PROBE`` in perfbench/selftest.py)
+    asserts that each of these aliases is its home function.  A cleanup that
+    drops one of the imports behind them fails here, not only in the probe."""
+    import wsimplex
+    from wsimplex import chains, cli, ffl, homology, spectral
+
+    assert cli.smith_normal_form is homology.smith_normal_form
+    assert homology.boundary_matrix is chains.boundary_matrix
+    assert ffl.laplacian_matrix is spectral.laplacian_matrix
+    assert wsimplex.harmonic_basis is spectral.harmonic_basis

@@ -13,6 +13,8 @@ from wsimplex import (
     HomologyGroup,
     boundary_matrix,
     build_complex,
+    cohomology_dim,
+    harmonic_basis,
     identity_weight,
     make_ngon,
     ngon_homology_closed_form,
@@ -163,6 +165,39 @@ def test_homology_of_classical_complexes():
 
     assert weighted_homology(hollow, zero_weight(hollow), 0) == HomologyGroup([], 3)
     assert weighted_homology(hollow, zero_weight(hollow), 1) == HomologyGroup([], 3)
+
+
+# Minimal triangulations of closed surfaces (Munkres, Elements of Algebraic
+# Topology, section 6): six vertices for the real projective plane (half of
+# the icosahedron), seven for the torus (triangles {i, i+1, i+3} and
+# {i, i+2, i+3} mod 7), nine for the Klein bottle (a 3 x 3 grid on the square
+# with (x, 0) ~ (x, 3) and (0, y) ~ (3, -y)).
+CLOSED_SURFACES = {
+    "rp2": ([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+             (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5)],
+            [(1, []), (0, [2]), (0, [])], [1, 0, 0]),
+    "torus": ([(0, 1, 3), (0, 1, 5), (0, 2, 3), (0, 2, 6), (0, 4, 5), (0, 4, 6),
+               (1, 2, 4), (1, 2, 6), (1, 3, 4), (1, 5, 6), (2, 3, 5), (2, 4, 5),
+               (3, 4, 6), (3, 5, 6)],
+              [(1, []), (2, []), (1, [])], [1, 2, 1]),
+    "klein": ([(0, 1, 4), (0, 1, 8), (0, 2, 3), (0, 2, 6), (0, 3, 4), (0, 6, 8),
+               (1, 2, 5), (1, 2, 7), (1, 4, 5), (1, 7, 8), (2, 3, 5), (2, 6, 7),
+               (3, 4, 7), (3, 5, 6), (3, 6, 7), (4, 5, 8), (4, 7, 8), (5, 6, 8)],
+              [(1, []), (1, [2]), (0, [])], [1, 1, 0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_SURFACES))
+def test_homology_of_closed_surfaces(name):
+    """Integer homology with its torsion, and the rational cohomology that
+    the harmonic bases span, of RP^2, the torus and the Klein bottle."""
+    triangles, groups, betti = CLOSED_SURFACES[name]
+    k = build_complex(triangles)
+    one = identity_weight(k)
+    for n, (free, torsion) in enumerate(groups):
+        assert weighted_homology(k, one, n) == HomologyGroup(torsion, free), (name, n)
+        assert cohomology_dim(k, one, n) == betti[n], (name, n)
+        assert harmonic_basis(k, one, n).count == betti[n], (name, n)
 
 
 def test_homology_out_of_range():

@@ -58,6 +58,7 @@ from conftest import (
     spectral_fixtures,
     write_pair,
 )
+from oracles import diagonal, matmul
 
 FIXTURES = spectral_fixtures(count=16)
 
@@ -128,23 +129,23 @@ def test_laplacian_hermitian_psd():
             if lap.rows == 0:
                 continue
             w = spectrum(lap).eigenvalues
-            assert np.all(w >= -1e-9 * (1 + lap.frobenius_norm())), name
+            assert np.all(w >= -1e-9 * (1 + np.linalg.norm(lap.to_ndarray()))), name
 
 
 def test_laplacian_commutes_with_coboundary():
     for name, complex, phi in FIXTURES:
         for n in range(complex.max_dim + 1):
             a_n = coboundary_matrix(complex, phi, n)
-            lhs = laplacian_matrix(complex, phi, n + 1) @ a_n
-            rhs = a_n @ laplacian_matrix(complex, phi, n)
+            lhs = matmul(laplacian_matrix(complex, phi, n + 1), a_n)
+            rhs = matmul(a_n, laplacian_matrix(complex, phi, n))
             assert lhs == rhs, name
 
 
 def test_coboundary_squares_to_zero():
     for name, complex, phi in FIXTURES:
         for n in range(complex.max_dim + 1):
-            step = coboundary_matrix(complex, phi, n + 1) @ coboundary_matrix(
-                complex, phi, n)
+            step = matmul(coboundary_matrix(complex, phi, n + 1),
+                          coboundary_matrix(complex, phi, n))
             assert step.is_zero(), name
 
 
@@ -212,8 +213,9 @@ def test_multiplicities_match_float_zero_counts():
                 if matrix.rows == 0:
                     assert expected == 0, name
                     continue
-                tol = 1e-9 * (1 + matrix.frobenius_norm())
-                assert spectrum(matrix).zero_count(tol) == expected, name
+                tol = 1e-9 * (1 + np.linalg.norm(matrix.to_ndarray()))
+                zeros = np.sum(np.abs(spectrum(matrix).eigenvalues) <= tol)
+                assert zeros == expected, name
 
 
 # -- harmonic bases -----------------------------------------------------------
@@ -242,7 +244,7 @@ def test_harmonic_basis_properties():
 
 
 # [1/10^e, 1, 1, 1, 10^e]: lambda_2 from 60-digit mpmath on the exact Laplacian
-PENTAGON_LAMBDA_2 = {5: 0.42933194229277, 7: 0.42933194217233}
+PENTAGON_LAMBDA_2 = {5: 0.42933194229277, 7: 0.42933194217233, 9: 0.42933194217231793}
 
 
 def pentagon(e: int):
@@ -315,14 +317,12 @@ def test_identity_weight_matches_incidence_forms():
             up_w, down_w, _ = weighted_inner_laplacian(complex, ident, w, n)
             d_n = incidence_matrix(complex, n)
             d_prev = incidence_matrix(complex, n - 1)
-            w_n = ExactMatrix.diagonal(w.diagonal(complex, n))
-            w_up = ExactMatrix.diagonal(w.diagonal(complex, n + 1))
-            inv_n = ExactMatrix.diagonal(
-                [Fraction(1) / x for x in w.diagonal(complex, n)])
-            inv_dn = ExactMatrix.diagonal(
-                [Fraction(1) / x for x in w.diagonal(complex, n - 1)])
-            assert up_w == inv_n @ d_n.transpose() @ w_up @ d_n, name
-            assert down_w == d_prev @ inv_dn @ d_prev.transpose() @ w_n, name
+            w_n = diagonal(w.diagonal(complex, n))
+            w_up = diagonal(w.diagonal(complex, n + 1))
+            inv_n = diagonal([Fraction(1) / x for x in w.diagonal(complex, n)])
+            inv_dn = diagonal([Fraction(1) / x for x in w.diagonal(complex, n - 1)])
+            assert up_w == matmul(inv_n, d_n.transpose(), w_up, d_n), name
+            assert down_w == matmul(d_prev, inv_dn, d_prev.transpose(), w_n), name
 
 
 def test_weighted_edge_laplacian_exact():
@@ -349,7 +349,7 @@ def test_weighted_spectrum_real_nonnegative():
             diag = w.diagonal(complex, n)
             for matrix in (up, down, lap):
                 spec = weighted_inner_spectrum(matrix, diag)
-                scale = 1 + matrix.frobenius_norm()
+                scale = 1 + np.linalg.norm(matrix.to_ndarray())
                 assert np.all(spec.eigenvalues >= -1e-9 * scale), name
                 assert spec.size == matrix.rows
 
@@ -363,8 +363,8 @@ def test_weighted_spectrum_kernel_count():
             if lap.rows == 0:
                 continue
             spec = weighted_inner_spectrum(lap, w.diagonal(complex, n))
-            tol = 1e-9 * (1 + lap.frobenius_norm())
-            assert spec.zero_count(tol) == kernel_dim(lap), name
+            tol = 1e-9 * (1 + np.linalg.norm(lap.to_ndarray()))
+            assert np.sum(np.abs(spec.eigenvalues) <= tol) == kernel_dim(lap), name
 
 
 def test_weighted_spectrum_input_checks():
@@ -420,15 +420,15 @@ def dense_parts(complex, phi, n, w=None):
     a_n = coboundary_matrix(complex, phi, n)
     a_prev = coboundary_matrix(complex, phi, n - 1)
     if w is None:
-        return adjoint_matrix(a_n) @ a_n, a_prev @ adjoint_matrix(a_prev)
+        return matmul(adjoint_matrix(a_n), a_n), matmul(a_prev, adjoint_matrix(a_prev))
     labels = complex.basis(n)
     w_n = w.diagonal(complex, n)
-    inv_n = ExactMatrix.diagonal([1 / x for x in w_n], labels, labels)
-    diag_n = ExactMatrix.diagonal(w_n, labels, labels)
-    diag_up = ExactMatrix.diagonal(w.diagonal(complex, n + 1))
-    inv_dn = ExactMatrix.diagonal([1 / x for x in w.diagonal(complex, n - 1)])
-    return (inv_n @ adjoint_matrix(a_n) @ diag_up @ a_n,
-            a_prev @ inv_dn @ adjoint_matrix(a_prev) @ diag_n)
+    inv_n = diagonal([1 / x for x in w_n], labels, labels)
+    diag_n = diagonal(w_n, labels, labels)
+    diag_up = diagonal(w.diagonal(complex, n + 1))
+    inv_dn = diagonal([1 / x for x in w.diagonal(complex, n - 1)])
+    return (matmul(inv_n, adjoint_matrix(a_n), diag_up, a_n),
+            matmul(a_prev, inv_dn, adjoint_matrix(a_prev), diag_n))
 
 
 def assert_same(actual: ExactMatrix, expected: ExactMatrix, where) -> None:
@@ -489,7 +489,8 @@ def test_laplacian_paths_form_no_dense_product(monkeypatch, capsys):
     def refuse(self, other):
         raise AssertionError("dense ExactMatrix product on a Laplacian path")
 
-    monkeypatch.setattr(ExactMatrix, "__matmul__", refuse)
+    # ExactMatrix has no product of its own; one added back must stay off these paths
+    monkeypatch.setattr(ExactMatrix, "__matmul__", refuse, raising=False)
     complex, phi = sample_triangle()
     w = InnerProductWeights({(1,): 2}, default=1)
     for n in range(-1, complex.max_dim + 2):

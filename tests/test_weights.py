@@ -41,6 +41,20 @@ def test_completeness_checked_at_construction():
     assert "[0,2]" in str(err.value)
 
 
+def test_foreign_keys_refused_at_construction():
+    """A key that is not a (simplex, face) pair of the complex once leaked
+    into is_integral, is_real, entries and ==."""
+    k = full_triangle()
+    table = {pair: 1 for pair in required_pairs(k)}
+    table[((0, 5), 0)] = Fraction(1, 2)
+    table[((0, 1), 7)] = 3
+    with pytest.raises(ValueError, match=r"\(\[0,5\], face 0\) is not a \(simplex, face\) pair"):
+        WeightFunction(k, table)
+    del table[((0, 5), 0)]
+    with pytest.raises(ValueError, match=r"\(\[0,1\], face 7\)"):
+        WeightFunction(k, table)
+
+
 def test_sample_table_validates():
     k, phi = sample_triangle()
     assert phi.validated
