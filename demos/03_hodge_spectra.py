@@ -19,10 +19,9 @@ from wsimplex import (
     harmonic_basis,
     identity_weight,
     laplacian_matrix,
+    laplacian_spectrum,
     spectrum,
     up_down_matrices,
-    weighted_inner_laplacian,
-    weighted_inner_spectrum,
     zero_multiplicity_formulas,
 )
 
@@ -67,10 +66,10 @@ def main():
 
     section("weighted inner products deform the operators")
     w = InnerProductWeights({(0,): 1, (1,): 2, (0, 1): 1})
-    up_w, down_w, lap_w = weighted_inner_laplacian(complex, phi, w, 0)
+    up_w, _ = up_down_matrices(complex, phi, 0, w)
     print("deformed degree-0 up part (not Hermitian):")
     print(up_w)
-    spec_w = weighted_inner_spectrum(lap_w, w.diagonal(complex, 0))
+    spec_w = laplacian_spectrum(complex, phi, 0, w)
     print("its spectrum stays real and non-negative:",
           np.round(spec_w.eigenvalues, 9) + 0.0)
 

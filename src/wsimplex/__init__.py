@@ -62,8 +62,6 @@ from .spectral import (
     read_inner_weights_file,
     spectrum,
     up_down_matrices,
-    weighted_inner_laplacian,
-    weighted_inner_spectrum,
     zero_multiplicity_formulas,
 )
 from .polygons import make_ngon
@@ -94,11 +92,10 @@ __all__ = [
     "apply_boundary",
     "SNFResult", "smith_normal_form",
     "HomologyGroup", "weighted_homology", "ngon_homology_closed_form",
-    "Spectrum", "jacobi_eigh", "jacobi_svd",
+    "Spectrum", "jacobi_svd",
     "cohomology_dim", "up_down_matrices", "laplacian_matrix",
     "laplacian_spectrum",
-    "InnerProductWeights", "weighted_inner_laplacian",
-    "weighted_inner_spectrum", "spectrum",
+    "InnerProductWeights", "spectrum",
     "zero_multiplicity_formulas", "HarmonicBasis", "harmonic_basis",
     "parse_inner_weights_text",
     "read_inner_weights_file",
@@ -108,7 +105,7 @@ __all__ = [
     "ClassificationError",
 ]
 
-_EIGEN_NAMES = ("Spectrum", "jacobi_eigh", "jacobi_svd")
+_EIGEN_NAMES = ("Spectrum", "jacobi_svd")
 
 
 def __getattr__(name):

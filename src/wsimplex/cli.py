@@ -36,7 +36,6 @@ from .spectral import (
     laplacian_spectrum,
     read_inner_weights_file,
     up_down_matrices,
-    weighted_inner_laplacian,
     zero_multiplicity_formulas,
 )
 from .weights import read_weight_file
@@ -155,12 +154,8 @@ def _cmd_snf(args):
 
 def _cmd_laplacian(args):
     complex, phi = _load_pair(args)
-    inner = _load_inner(args, complex)
-    if inner is None:
-        up, down = up_down_matrices(complex, phi, args.dim)
-        total = up + down
-    else:
-        up, down, total = weighted_inner_laplacian(complex, phi, inner, args.dim)
+    up, down = up_down_matrices(complex, phi, args.dim, _load_inner(args, complex))
+    total = up + down
     return {"dimension": args.dim, "up": _matrix_json(up),
             "down": _matrix_json(down), "laplacian": _matrix_json(total)}, 0
 

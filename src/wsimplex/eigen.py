@@ -1,4 +1,4 @@
-"""Dense one-sided Jacobi: an SVD, and through it a Hermitian eigensolver.
+"""Dense one-sided Jacobi SVD, and the ``Spectrum`` result type.
 
 ``jacobi_svd`` is the one-sided (Hestenes) form.  It rotates the columns of
 the stack [M; I], G <- G J, until every pair of columns of the M part is
@@ -45,15 +45,6 @@ degree 1, where the true values are 0.548, 1.597, 2.855: inside that bound
 (about 4e16), but not relatively accurate.  The likely cause is the
 numerical-zero rule above, which there leaves every column of squared norm
 below about 9.9, the unit-weight ones among them, unrotated.
-
-``jacobi_eigh`` diagonalises a matrix A that arrives already formed through
-the same driver.  With s = ||A||_F, which bounds every |lambda|, the shifted
-copy B = A + s I is Hermitian positive semidefinite, so B^* B = B^2 has the
-eigenvectors of A with eigenvalues (lambda + s)^2, distinct where the lambda
-are.  The right singular vectors of B are therefore eigenvectors of A, and
-lambda = sqrt(w) - s.  The shift costs each eigenvalue an absolute error of
-order eps ||A||_F, the accuracy a formed matrix allows any backward-stable
-eigensolver.
 """
 
 from __future__ import annotations
@@ -108,21 +99,6 @@ def _rotations(app, aqq, apq):
     c = 1.0 / np.hypot(1.0, t_m * m)
     s_pq = (t_m * c) * apq
     return c[:, None], s_pq[:, None], s_pq.conj()[:, None]
-
-
-def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix: (eigenvalues ascending,
-    eigenvector columns), from the one-sided SVD of a + ||a||_F I.
-
-    Real input gives real eigenvectors, complex input complex ones.
-    """
-    a = np.asarray(a)
-    n = len(a)
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    shift = float(np.linalg.norm(a))
-    w, v = jacobi_svd(a + shift * np.eye(n))
-    return np.sqrt(w) - shift, v
 
 
 def jacobi_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

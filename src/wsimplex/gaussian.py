@@ -71,11 +71,11 @@ class GaussianRational:
         """Parse 'a', 'a/b', 'a+bi' or 'a-bi' (rationals, no decimals)."""
         m = _SCALAR_RE.match(text.strip().replace(" ", ""))
         if m is None:
-            raise ValueError(f"malformed scalar {text!r}")
+            raise ValueError(f"malformed scalar {text.strip()!r}")
         p, q, r, s = m.groups()
         p, q, r, s = int(p), int(q or 1), int(r or 0), int(s or 1)
         if q == 0 or s == 0:
-            raise ValueError(f"zero denominator in {text!r}")
+            raise ValueError(f"zero denominator in {text.strip()!r}")
         return _reduced(p * s, r * q, q * s)
 
     # -- views --------------------------------------------------------------

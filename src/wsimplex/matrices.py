@@ -30,6 +30,9 @@ class ExactMatrix:
             for r in rows:
                 if len(r) != self.cols:
                     raise ValueError("ragged rows")
+            if cols is not None and cols != self.cols:
+                raise ValueError(f"cols={cols} disagrees with the matrix's "
+                                 f"{self.cols} columns")
         else:
             self.cols = 0 if cols is None else cols
         self.data = rows

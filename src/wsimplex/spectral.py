@@ -30,11 +30,11 @@ A column of d_{n+1} holds n+2 non-zeros at most, so the work is the sum of
 the squared non-zero counts per column (or row), not a cube of the basis
 size.
 
-``weighted_inner_laplacian`` swaps the standard inner products for diagonal
-ones given by positive simplex weights; the resulting matrices are similar
-to Hermitian ones via conjugation by the square roots of the weights, which
-is how ``weighted_inner_spectrum`` extracts the (real, non-negative)
-spectrum of a formed one.
+``up_down_matrices(..., w)`` swaps the standard inner products for
+diagonal ones given by positive simplex weights w; the resulting matrices
+need not be Hermitian, but are similar to Hermitian ones via conjugation by
+the square roots of the weights, so their spectra stay real and
+non-negative (``laplacian_spectrum(..., w)``).
 
 ``laplacian_spectrum`` and ``harmonic_basis`` form no Laplacian.  With
 A_n = d_{n+1}^T the coboundary, L_n = M^* M for the stacked float factor
@@ -56,8 +56,8 @@ singular vectors of that many smallest singular values: no float tolerance
 decides either.
 
 numpy is imported by the float functions alone (``spectrum``,
-``weighted_inner_spectrum``, ``laplacian_spectrum``, ``harmonic_basis``),
-so the exact ones leave it unloaded.
+``laplacian_spectrum``, ``harmonic_basis``), so the exact ones leave it
+unloaded.
 """
 
 from __future__ import annotations
@@ -138,11 +138,21 @@ def _assemble(labels, d_n, d_next, w=None) -> tuple[ExactMatrix, ExactMatrix]:
 
 
 def up_down_matrices(
-    complex: SimplicialComplex, phi: WeightFunction, n: int
+    complex: SimplicialComplex,
+    phi: WeightFunction,
+    n: int,
+    w: InnerProductWeights | None = None,
 ) -> tuple[ExactMatrix, ExactMatrix]:
     """(up, down) parts of the degree-n Laplacian: A_n^* A_n and
-    A_{n-1} A_{n-1}^*."""
-    return _assemble(complex.basis(n), *_columns(complex, phi, n))
+    A_{n-1} A_{n-1}^*, or for the diagonal inner products given by w
+
+        up   = W_n^{-1} A_n^* W_{n+1} A_n
+        down = A_{n-1} W_{n-1}^{-1} A_{n-1}^* W_n,
+
+    which need not be Hermitian.  Every weight 1 gives the standard parts."""
+    w_diag = None if w is None else tuple(w.diagonal(complex, k)
+                                          for k in (n - 1, n, n + 1))
+    return _assemble(complex.basis(n), *_columns(complex, phi, n), w_diag)
 
 
 def laplacian_matrix(complex: SimplicialComplex, phi: WeightFunction, n: int) -> ExactMatrix:
@@ -188,54 +198,18 @@ class InnerProductWeights:
         return [self.value(s) for s in complex.basis(n)]
 
 
-def weighted_inner_laplacian(
-    complex: SimplicialComplex,
-    phi: WeightFunction,
-    w: InnerProductWeights,
-    n: int,
-) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
-    """Degree-n Laplacian parts for the diagonal inner products given by w:
-
-        up   = W_n^{-1} A_n^* W_{n+1} A_n
-        down = A_{n-1} W_{n-1}^{-1} A_{n-1}^* W_n
-
-    With every weight 1 this reduces to ``up_down_matrices``.  Returns
-    (up, down, up + down); the matrices need not be Hermitian."""
-    d_n, d_next = _columns(complex, phi, n)
-    w_diag = tuple(w.diagonal(complex, k) for k in (n - 1, n, n + 1))
-    up, down = _assemble(complex.basis(n), d_n, d_next, w_diag)
-    return up, down, up + down
-
-
 def spectrum(matrix: ExactMatrix) -> Spectrum:
-    """Spectrum of an exactly Hermitian matrix (checked before any floats)."""
-    from .eigen import Spectrum, jacobi_eigh
+    """Spectrum of an exactly Hermitian matrix (checked before any floats)
+    by LAPACK ``eigh`` on its float copy.  The eigenvalues are only
+    normwise accurate, to about eps ||A||_F each; for an ill-conditioned
+    Laplacian use ``laplacian_spectrum``, which forms none."""
+    import numpy as np
+    from .eigen import Spectrum
 
     if not matrix.is_hermitian():
         raise ValueError("matrix is not Hermitian; for weighted inner products "
-                         "use weighted_inner_spectrum")
-    return Spectrum(*jacobi_eigh(matrix.to_ndarray()))
-
-
-def weighted_inner_spectrum(matrix: ExactMatrix, w_diag) -> Spectrum:
-    """Spectrum of a weighted-inner-product Laplacian part.
-
-    w_diag holds the positive weights of the matrix's own degree.  The
-    matrix is conjugated by diag(sqrt(w)), which lands on a Hermitian
-    matrix with the same eigenvalues."""
-    import numpy as np
-    from .eigen import Spectrum, jacobi_eigh
-
-    vals = [Fraction(x) for x in w_diag]
-    if len(vals) != matrix.rows or matrix.rows != matrix.cols:
-        raise ValueError("weight count must match a square matrix")
-    if any(v <= 0 for v in vals):
-        raise ValueError("inner product weights must be positive")
-    roots = np.array([np.sqrt(float(v)) for v in vals])
-    m = matrix.to_ndarray()
-    sym = (roots[:, None] * m) / roots[None, :] if len(vals) else m
-    sym = (sym + sym.conj().T) / 2.0
-    return Spectrum(*jacobi_eigh(sym))
+                         "use laplacian_spectrum(..., w)")
+    return Spectrum(*np.linalg.eigh(matrix.to_ndarray()))
 
 
 def _factor(complex: SimplicialComplex, n: int, d_n, d_next,

@@ -63,8 +63,8 @@ class GaussianRational:
             if m:
                 return cls(Fraction(m.group(1)), Fraction(m.group(2)))
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {text!r}") from None
-        raise ValueError(f"malformed scalar {text!r}")
+            raise ValueError(f"zero denominator in {text.strip()!r}") from None
+        raise ValueError(f"malformed scalar {text.strip()!r}")
 
     # -- arithmetic -------------------------------------------------------
 

@@ -33,7 +33,6 @@ from wsimplex import (
     spectrum,
     up_down_matrices,
     weighted_homology,
-    weighted_inner_laplacian,
 )
 from wsimplex.chains import adjoint_matrix
 from wsimplex.spectral import InnerProductWeights, zero_multiplicity_formulas
@@ -258,7 +257,7 @@ def test_criterion_09_inner_product_reduction():
                 {s: Fraction(rng.randint(1, 9), rng.randint(1, 4))
                  for s in complex.simplices()})
             for n in range(complex.max_dim + 1):
-                up_w, down_w, _ = weighted_inner_laplacian(complex, ident, w, n)
+                up_w, down_w = up_down_matrices(complex, ident, n, w)
                 d_n = incidence_matrix(complex, n)
                 d_prev = incidence_matrix(complex, n - 1)
                 w_n = diagonal(w.diagonal(complex, n))

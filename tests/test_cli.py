@@ -362,7 +362,7 @@ def test_strict_missing_exit_2(capsys):
     ("0 1 | 0 | 2 | 9\n", [], "line 1: expected 'simplex | face | value'"),
     ("0 1 2 | 0 | 5\n", [], "line 1: [0] is not a codimension-one face of [0,1,2]"),
     ("0 3 | 3 | 1\n", [], "line 1: [0,3] is not in the complex"),
-    ("# header\n0 1 | 0 | 1/0\n", [], "line 2: zero denominator in ' 1/0'"),
+    ("# header\n0 1 | 0 | 1/0\n", [], "line 2: zero denominator in '1/0'"),
     ("0 1 | 0 | 1\n", ["--strict"], "8 missing entries, first ([0,1], face 0)"),
     ("1 0 | 0 | 1\n", [], "line 1: vertices (1, 0) not strictly ascending"),
 ], ids=["four-fields", "not-a-face", "outside", "zero-denominator", "strict-missing",
@@ -563,9 +563,11 @@ def test_module_entry_point():
 
 
 def test_out_of_float_range_refused(capsys, tmp_path):
-    """A weight of 10^200 squares past float range in the Laplacian, and a
-    10^400 matrix entry is past it already: the float commands refuse both
-    with one error line naming the magnitude; exact commands still answer."""
+    """A weight of 10^200 squares past float range in the Laplacian, one of
+    10^-200 squares below it, and a 10^400 matrix entry is past it already:
+    the float commands refuse all three with one error line naming the
+    magnitude; exact commands still answer.  Weights 10^16 and 10^-16 on a
+    pentagon stay in range and keep their exact zero counts."""
     k, w = tmp_path / "edge.cplx", tmp_path / "huge.wts"
     k.write_text("0 1\n")
     w.write_text(f"0 1 | 0 | {10 ** 200}\n0 1 | 1 | 1\n")
@@ -578,6 +580,32 @@ def test_out_of_float_range_refused(capsys, tmp_path):
     for argv in (["laplacian", *pair], ["cohomology-dim", *pair]):
         code, payload = run_cli(capsys, *argv)
         assert code == 0 and payload["dimension"] == 0, argv
+
+    tiny = tmp_path / "tiny.wts"
+    tiny.write_text(f"0 1 | 0 | 1/{10 ** 200}\n0 1 | 1 | 1/{10 ** 200}\n")
+    pair = ["-k", str(k), "-w", str(tiny), "-n", "0"]
+    for argv in (["spectrum", *pair], ["spectrum", *pair, "--inner-weights", fx("inner.wts")],
+                 ["harmonic", *pair]):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "1.0e-200" in err, err
+
+    # the pentagon [1, 10^16, 1, 10^-16, 1]: only exit codes and zero counts
+    # are pinned, the non-zero eigenvalues are not relatively accurate here
+    alphas = [1, 10 ** 16, 1, f"1/{10 ** 16}", 1]
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
+    k, w = tmp_path / "pentagon.cplx", tmp_path / "extreme.wts"
+    k.write_text("".join(f"{u} {v}\n" for u, v in edges))
+    w.write_text("".join(f"{u} {v} | {u} | {alphas[u]}\n{u} {v} | {v} | {alphas[v]}\n"
+                         for u, v in edges))
+    pair = ["-k", str(k), "-w", str(w)]
+    for n in ("0", "1"):
+        code, payload = run_cli(capsys, "cohomology-dim", *pair, "-n", n)
+        assert code == 0 and payload["cohomology_dim"] == 1, n
+        code, payload = run_cli(capsys, "spectrum", *pair, "-n", n)
+        assert code == 0 and payload["eigenvalues"].count(0.0) == 1, (n, payload["eigenvalues"])
+    code, payload = run_cli(capsys, "harmonic", *pair, "-n", "1")
+    assert code == 0 and payload["count"] == 1
 
     m = tmp_path / "huge.mat"
     m.write_text(f"{10 ** 400} 0 0\n0 1 0\n0 0 1\n")

@@ -94,3 +94,14 @@ def test_cols_must_agree_with_the_rows():
             smith_normal_form(matrix, cols=cols)
     assert smith_normal_form([[2, 4], [6, 8]], cols=2).diagonal == [2, 4]
     assert smith_normal_form([], transforms=True, cols=3).V == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def test_exact_matrix_cols_must_agree_with_the_rows():
+    """An ExactMatrix refuses a ``cols`` its rows contradict, as
+    smith_normal_form does; with no rows, ``cols`` is the width."""
+    with pytest.raises(ValueError, match="cols=3 disagrees with the matrix's 2 columns"):
+        ExactMatrix([[1, 2]], cols=3)
+    with pytest.raises(ValueError, match="cols=1 disagrees with the matrix's 0 columns"):
+        ExactMatrix([[], []], cols=1)
+    assert ExactMatrix([[1, 2]], cols=2).shape == (1, 2)
+    assert ExactMatrix([], cols=3).shape == (0, 3)

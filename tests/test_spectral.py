@@ -33,8 +33,6 @@ from wsimplex import (
     spectrum,
     up_down_matrices,
     weighted_homology,
-    weighted_inner_laplacian,
-    weighted_inner_spectrum,
     zero_multiplicity_formulas,
     zero_weight,
 )
@@ -301,11 +299,11 @@ def test_uniform_weights_reduce_to_standard():
     for name, complex, phi in FIXTURES[:10]:
         w = InnerProductWeights.uniform()
         for n in range(complex.max_dim + 1):
-            up_w, down_w, lap_w = weighted_inner_laplacian(complex, phi, w, n)
+            up_w, down_w = up_down_matrices(complex, phi, n, w)
             up, down = up_down_matrices(complex, phi, n)
             assert up_w == up, name
             assert down_w == down, name
-            assert lap_w == up + down, name
+            assert up_w + down_w == up + down, name
 
 
 def test_identity_weight_matches_incidence_forms():
@@ -314,7 +312,7 @@ def test_identity_weight_matches_incidence_forms():
         ident = identity_weight(complex)
         w = random_inner_weights(rng, complex)
         for n in range(complex.max_dim + 1):
-            up_w, down_w, _ = weighted_inner_laplacian(complex, ident, w, n)
+            up_w, down_w = up_down_matrices(complex, ident, n, w)
             d_n = incidence_matrix(complex, n)
             d_prev = incidence_matrix(complex, n - 1)
             w_n = diagonal(w.diagonal(complex, n))
@@ -328,30 +326,36 @@ def test_identity_weight_matches_incidence_forms():
 def test_weighted_edge_laplacian_exact():
     complex, phi = single_edge(p=2, q=3)
     w = InnerProductWeights({(0,): 1, (1,): 2, (0, 1): 1})
-    up, down, _ = weighted_inner_laplacian(complex, phi, w, 0)
+    up, down = up_down_matrices(complex, phi, 0, w)
     assert down.is_zero()
     assert up == ExactMatrix([[4, -6], [-3, Fraction(9, 2)]])
     assert not up.is_hermitian()
-    with pytest.raises(ValueError, match="Hermitian"):
+    with pytest.raises(ValueError, match=r"Hermitian; .* laplacian_spectrum\(\.\.\., w\)"):
         spectrum(up)
-    spec = weighted_inner_spectrum(up, w.diagonal(complex, 0))
+    spec = laplacian_spectrum(complex, phi, 0, w)
     assert np.allclose(spec.eigenvalues, [0.0, 8.5], atol=1e-9)
 
 
 def test_weighted_spectrum_real_nonnegative():
+    """The full Laplacian through laplacian_spectrum, and each part through
+    numpy on its Hermitian form W^1/2 L W^-1/2."""
     rng = random.Random(40)
     for name, complex, phi in FIXTURES[:8]:
         w = random_inner_weights(rng, complex)
         for n in range(complex.max_dim + 1):
-            up, down, lap = weighted_inner_laplacian(complex, phi, w, n)
+            up, down = up_down_matrices(complex, phi, n, w)
             if up.rows == 0:
                 continue
             diag = w.diagonal(complex, n)
-            for matrix in (up, down, lap):
-                spec = weighted_inner_spectrum(matrix, diag)
+            for matrix in (up, down):
+                values = np.linalg.eigvalsh(hermitian_form(matrix, diag))
                 scale = 1 + np.linalg.norm(matrix.to_ndarray())
-                assert np.all(spec.eigenvalues >= -1e-9 * scale), name
-                assert spec.size == matrix.rows
+                assert np.all(values >= -1e-9 * scale), name
+                assert len(values) == matrix.rows
+            spec = laplacian_spectrum(complex, phi, n, w)
+            scale = 1 + np.linalg.norm((up + down).to_ndarray())
+            assert np.all(spec.eigenvalues >= -1e-9 * scale), name
+            assert spec.size == up.rows
 
 
 def test_weighted_spectrum_kernel_count():
@@ -359,20 +363,13 @@ def test_weighted_spectrum_kernel_count():
     for name, complex, phi in FIXTURES[:6]:
         w = random_inner_weights(rng, complex)
         for n in range(complex.max_dim + 1):
-            up, down, lap = weighted_inner_laplacian(complex, phi, w, n)
+            up, down = up_down_matrices(complex, phi, n, w)
+            lap = up + down
             if lap.rows == 0:
                 continue
-            spec = weighted_inner_spectrum(lap, w.diagonal(complex, n))
+            spec = laplacian_spectrum(complex, phi, n, w)
             tol = 1e-9 * (1 + np.linalg.norm(lap.to_ndarray()))
             assert np.sum(np.abs(spec.eigenvalues) <= tol) == kernel_dim(lap), name
-
-
-def test_weighted_spectrum_input_checks():
-    m = ExactMatrix([[1, 0], [0, 2]])
-    with pytest.raises(ValueError, match="match"):
-        weighted_inner_spectrum(m, [1])
-    with pytest.raises(ValueError, match="positive"):
-        weighted_inner_spectrum(m, [1, -1])
 
 
 def test_inner_weights_validation():
@@ -463,11 +460,11 @@ def test_assembly_matches_dense_products():
             assert_same(up, ref_up, where)
             assert_same(down, ref_down, where)
             assert_same(laplacian_matrix(complex, phi, n), ref_up + ref_down, where)
-            up_w, down_w, lap_w = weighted_inner_laplacian(complex, phi, w, n)
+            up_w, down_w = up_down_matrices(complex, phi, n, w)
             ref_up, ref_down = dense_parts(complex, phi, n, w)
             assert_same(up_w, ref_up, where)
             assert_same(down_w, ref_down, where)
-            assert_same(lap_w, ref_up + ref_down, where)
+            assert_same(up_w + down_w, ref_up + ref_down, where)
 
 
 def test_assembly_rejects_unvalidated_weight():
@@ -480,7 +477,7 @@ def test_assembly_rejects_unvalidated_weight():
         with pytest.raises(UnvalidatedWeightError):
             laplacian_matrix(complex, raw, n)
         with pytest.raises(UnvalidatedWeightError):
-            weighted_inner_laplacian(complex, raw, w, n)
+            up_down_matrices(complex, raw, n, w)
         with pytest.raises(UnvalidatedWeightError):
             harmonic_basis(complex, raw, n)
 
@@ -495,7 +492,7 @@ def test_laplacian_paths_form_no_dense_product(monkeypatch, capsys):
     w = InnerProductWeights({(1,): 2}, default=1)
     for n in range(-1, complex.max_dim + 2):
         laplacian_matrix(complex, phi, n)
-        weighted_inner_laplacian(complex, phi, w, n)
+        up_down_matrices(complex, phi, n, w)
         harmonic_basis(complex, phi, n)
     ffl_signature(*make_ffl(FFLSpec.from_label("coherent1")))
 
@@ -625,7 +622,7 @@ def test_spectral_paths_build_no_dense_boundary(monkeypatch, capsys):
     for n in range(-1, complex.max_dim + 2):
         up_down_matrices(complex, phi, n)
         laplacian_matrix(complex, phi, n)
-        weighted_inner_laplacian(complex, phi, w, n)
+        up_down_matrices(complex, phi, n, w)
         harmonic_basis(complex, phi, n)
         cohomology_dim(complex, phi, n)
         if n >= 0:
@@ -694,8 +691,8 @@ def test_factor_spectrum_matches_formed_laplacian():
                 if inner is None:
                     ref = hermitian_form(laplacian_matrix(complex, phi, n))
                 else:
-                    ref = hermitian_form(weighted_inner_laplacian(complex, phi, w, n)[2],
-                                         w.diagonal(complex, n))
+                    up, down = up_down_matrices(complex, phi, n, w)
+                    ref = hermitian_form(up + down, w.diagonal(complex, n))
                 m = spectral._factor(complex, n, d_n, d_next, inner)
                 scale = 1.0 + np.linalg.norm(ref)
                 assert np.linalg.norm(m.conj().T @ m - ref) <= 1e-13 * scale, where

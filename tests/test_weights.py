@@ -251,6 +251,7 @@ def test_parse_weight_strict():
     ("0 1 | 2 | 1", "face"),
     ("0 1 2 | 0 1 | x", "malformed"),
     ("0 1 | 0 | 1.5", "malformed"),
+    ("0 1 | 0 |  2i", "malformed scalar '2i'"),
     ("0 1 2 | 0 1 3 | 5", "not a codimension-one face"),
     ("0 1 2 | 0 | 5", "not a codimension-one face"),
     ("0 1 2 | 0 1 2 | 5", "not a codimension-one face"),
