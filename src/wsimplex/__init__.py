@@ -5,7 +5,7 @@ pair; when it passes the compatibility check, the weighted boundary operator
 squares to zero and the whole homological toolbox applies: integer homology
 with torsion via Smith normal form, cohomology dimensions over the rationals
 or Gaussian rationals, Hodge Laplacians with exact kernel bookkeeping, and
-spectra through a hand-rolled Jacobi solver.  Includes the weighted polygon
+spectra through a one-sided Jacobi SVD.  Includes the weighted polygon
 family (closed-form degree-0 homology) and the spectral classifier for the
 eight feedforward-loop motif types.
 

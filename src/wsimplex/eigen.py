@@ -1,13 +1,32 @@
 """Dense one-sided Jacobi SVD, and the ``Spectrum`` result type.
 
-``jacobi_svd`` is the one-sided (Hestenes) form.  It rotates the columns of
-the stack [M; I], G <- G J, until every pair of columns of the M part is
-orthogonal to working precision.  The M part's squared column norms are then
-the eigenvalues of M^* M and the I part holds its eigenvectors, without M^* M
+``jacobi_svd(m)`` gives the eigenvalues and eigenvectors of m^* m as the
+squared singular values and right singular vectors of m, without m^* m
 ever being formed: the condition number is not squared (Demmel & Veselic
-1992, "Jacobi's method is more accurate than QR").  A column whose norm
-falls below eps times ||M||_F is a numerical zero and is left alone; rotating
-such columns against each other chases rounding noise.
+1992, "Jacobi's method is more accurate than QR").
+
+By default it calls LAPACK's preconditioned one-sided Jacobi SVD, xGEJSV
+(Drmac & Veselic 2008, "New fast and accurate Jacobi SVD algorithm I/II"),
+in the OpenBLAS that numpy's wheel bundles, through ctypes.  The library
+is opened at the first call, never at import.  The call asks for V alone
+(JOBU='N', JOBV='V') with JOBA='F', the mode that keeps the singular
+values of m = D1 C D2 to relative accuracy when C is well conditioned
+and D1, D2 are diagonal: graded rows and columns cost no accuracy.  The
+workspaces are sized here from the routine's documented bounds, with
+room to spare, and no workspace query is made.  Each call runs on one
+OpenBLAS thread, set with the thread-local setter (so other threads keep
+their count) and restored after it: at two threads xGEJSV takes a flat
+~8 ms even on a 5x5 input, against about 0.09 ms on one.
+
+Where numpy bundles no such library (a conda, MKL, Accelerate or system
+BLAS numpy), or when xGEJSV reports no convergence, the hand-rolled
+one-sided (Hestenes) loop below does the work.  It rotates the columns of
+the stack [M; I], G <- G J, until every pair of columns of the M part is
+orthogonal to working precision.  The M part's squared column norms are
+then the eigenvalues of M^* M and the I part holds its eigenvectors.  A
+column whose norm falls below eps times ||M||_F is a numerical zero and is
+left alone; rotating such columns against each other chases rounding
+noise.
 
 Each rotation annihilates the off-diagonal entry a_pq = m e (m = |a_pq|,
 |e| = 1) of the Hermitian 2x2 Gram problem [[a_pp, a_pq], [conj(a_pq),
@@ -25,31 +44,36 @@ floor(n/2) disjoint pairs, so every pair meets once a sweep.  Rotations on
 disjoint pairs commute, and each step is applied as one numpy block
 operation.  The schedule is cached per order.
 
-Jacobi runs on a square matrix only (Drmac & Veselic 2008 precondition the
-same way).  A tall M is replaced by the triangular factor R of its
-Householder QR factorisation, R^* R = M^* M, so that a step touches as many
-rows as M has columns; Householder QR perturbs each column by a relative
-eps, so graded columns keep every singular value to relative accuracy,
-within the range stated below.  A wide M (r rows, n > r columns) goes
-through the complete QR factorisation M^* = Q [R; 0]: then M^* M = Q [[R
-R^*, 0], [0, 0]] Q^*, the last n - r columns of Q span exact zeros, and
-Jacobi on the r x r matrix R^* gives the rest.
+The loop runs on a square matrix only.  A tall M is replaced by the
+triangular factor R of its Householder QR factorisation, R^* R = M^* M, so
+that a step touches as many rows as M has columns; Householder QR perturbs
+each column by a relative eps, so graded columns keep every singular value
+to relative accuracy, within the range stated below.  xGEJSV needs at least
+as many rows as columns too, so on either path a wide M (r rows, n > r
+columns) goes through the complete QR factorisation M^* = Q [R; 0]: then
+M^* M = Q [[R R^*, 0], [0, 0]] Q^*, the last n - r columns of Q span exact
+zeros, and the SVD of the r x r matrix R^* gives the rest.
 
-How far the relative accuracy reaches, measured against 60-digit mpmath as
-the largest relative error over lambda_2..lambda_4 of the Laplacian of the
-pentagon [10^-e, 1, 1, 1, 10^e]: at most 1.4e-15 in degrees 0 and 1 for
-e = 5, 7, 8 and 9; in degree 1, 6.8e-14 at e = 10 and 1.1e-8 at e = 12.
-Past that only the normwise bound eps ||L||_F holds.  The pentagon [1,
-10^16, 1, 10^-16, 1] reads lambda = 2, 2, 2 in degree 0 and 1, 1, 2 in
-degree 1, where the true values are 0.548, 1.597, 2.855: inside that bound
-(about 4e16), but not relatively accurate.  The likely cause is the
-numerical-zero rule above, which there leaves every column of squared norm
-below about 9.9, the unit-weight ones among them, unrotated.
+Accuracy, measured against 60-digit mpmath as the largest relative error
+over lambda_2..lambda_4 of the Laplacian of the pentagon [10^-e, 1, 1, 1,
+10^e] in degrees 0 and 1: through xGEJSV at most 1.1e-15 for every e of
+5, 7, 8, 9, 10, 12 and 15, and 4.8e-16 on the alternating pentagon [1,
+10^16, 1, 10^-16, 1], whose lambda_2..lambda_4 are 0.548, 1.597, 2.855.
+The fallback loop matches that up to e = 9, then reads 6.8e-14 at e = 10,
+1.1e-8 at e = 12 and 4.4e-3 at e = 15, all in degree 1; on the alternating
+pentagon it reads lambda = 2, 2, 2 in degree 0, a relative error of 2.6.
+Past e = 10 only the normwise bound eps ||L||_F holds for the loop.  The
+likely cause is its numerical-zero rule above, which on the alternating
+pentagon leaves every column of squared norm below about 9.9, the
+unit-weight ones among them, unrotated.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import glob
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,19 +125,12 @@ def _rotations(app, aqq, apq):
     return c[:, None], s_pq[:, None], s_pq.conj()[:, None]
 
 
-def jacobi_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Squared singular values and right singular vectors of m by one-sided
-    Jacobi: (w ascending, v) with m^* m = v diag(w) v^*, v unitary.
 
-    m may be real or complex, of any shape; v has m's column count in each
-    dimension and m's dtype."""
-    m = np.asarray(m)
+
+def _jacobi(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, v) for m with at least as many rows as columns by the one-sided
+    Jacobi loop, w unsorted."""
     rows, n = m.shape
-    if rows < n:
-        q, r = np.linalg.qr(m.conj().T, mode="complete")
-        w, u = jacobi_svd(r[:rows].conj().T)
-        w = np.concatenate((np.zeros(n - rows), w))
-        return w, np.concatenate((q[:, rows:], q[:, :rows] @ u), axis=1)
     if rows > n:
         m = np.linalg.qr(m, mode="r")
     # row j of h is column j of [m; I], m now n x n, in m's float dtype
@@ -147,7 +164,101 @@ def jacobi_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             break
     else:
         raise RuntimeError("one-sided Jacobi sweeps did not converge")
-    w = np.einsum("ij,ij->i", h[:, :n].conj(), h[:, :n]).real
-    order = np.argsort(w, kind="stable")
-    return w[order], h[order, n:].T
+    return np.einsum("ij,ij->i", h[:, :n].conj(), h[:, :n]).real, h[:, n:].T
 
+
+@functools.cache
+def _lapack():
+    """(dgejsv, zgejsv, openblas_set_num_threads_local) from the OpenBLAS
+    that numpy's wheel bundles, or None when numpy links no such library."""
+    site = os.path.dirname(os.path.dirname(np.__file__))
+    for path in glob.glob(os.path.join(site, "numpy.libs", "libscipy_openblas64_*")):
+        try:
+            lib = ctypes.CDLL(path)
+            dgejsv, zgejsv = lib.scipy_dgejsv_64_, lib.scipy_zgejsv_64_
+            set_threads = lib.openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        # JOBA..JOBP; M N A LDA SVA U LDU V LDV; the workspaces, each an
+        # array and its length (ZGEJSV's CWORK then RWORK, DGEJSV's WORK);
+        # IWORK INFO; then Fortran's six hidden string lengths
+        int_, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+        head = [ctypes.c_char_p] * 6 + [int_, int_, ptr, int_, ptr, ptr, int_, ptr, int_]
+        tail = [ptr, int_] + [ctypes.c_size_t] * 6
+        dgejsv.argtypes = head + [ptr, int_] + tail
+        zgejsv.argtypes = head + [ptr, int_, ptr, int_] + tail
+        dgejsv.restype = zgejsv.restype = None
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], ctypes.c_int
+        return dgejsv, zgejsv, set_threads
+    return None
+
+
+def _gejsv(routines, m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(w, v) for m with rows >= columns >= 1 by LAPACK's xGEJSV on one
+    OpenBLAS thread, w unsorted; None when it reports no convergence."""
+    dgejsv, zgejsv, set_threads = routines
+    rows, n = m.shape
+    real = not np.iscomplexobj(m)
+    a = np.array(m, dtype=np.float64 if real else np.complex128, order="F")
+    sva = np.empty(n)
+    v = np.empty((n, n), dtype=a.dtype, order="F")
+    unused_u = np.empty(1, dtype=a.dtype)
+    iwork = np.empty(rows + 3 * n, dtype=np.int64)
+    if real:
+        work = np.empty(max(2 * rows + n, 6 * n + 2 * n * n, 7))
+        scale, workspace = work, (work.ctypes, _int(work.size))
+    else:
+        work = np.empty(4 * n * n + 10 * n, dtype=np.complex128)
+        scale = np.empty(2 * rows + n + 7)
+        workspace = (work.ctypes, _int(work.size), scale.ctypes, _int(scale.size))
+    info = ctypes.c_int64()
+    before = set_threads(1)
+    try:
+        (dgejsv if real else zgejsv)(
+            b"F", b"N", b"V", b"N", b"N", b"N", _int(rows), _int(n), a.ctypes,
+            _int(rows), sva.ctypes, unused_u.ctypes, _int(1), v.ctypes, _int(n),
+            *workspace, iwork.ctypes, ctypes.byref(info), 1, 1, 1, 1, 1, 1)
+    finally:
+        set_threads(before)
+    if info.value < 0:
+        raise RuntimeError(f"xGEJSV: argument {-info.value} had an illegal value")
+    if info.value:
+        return None
+    # the singular values are sva scaled by WORK(2)/WORK(1) (RWORK's, complex)
+    return np.square(sva * (scale[1] / scale[0])), v
+
+
+def _int(k: int):
+    """A Fortran INTEGER argument of the ILP64 build, by reference."""
+    return ctypes.byref(ctypes.c_int64(k))
+
+
+def jacobi_svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared singular values and right singular vectors of m: (w
+    ascending, v) with m^* m = v diag(w) v^*, v unitary.
+
+    m may be real or complex, of any shape, with finite entries; v has m's
+    column count in each dimension and m's float dtype."""
+    m = np.asarray(m)
+    bad = np.argwhere(~np.isfinite(m))
+    if len(bad):
+        row, col = bad[0]
+        raise ValueError(f"entry ({row}, {col}) is {m[row, col]}, not finite")
+    rows, n = m.shape
+    if rows < n:
+        q, r = np.linalg.qr(m.conj().T, mode="complete")
+        w, u = _svd_tall(r[:rows].conj().T)
+        w = np.concatenate((np.zeros(n - rows), w))
+        return w, np.concatenate((q[:, rows:], q[:, :rows] @ u), axis=1)
+    return _svd_tall(m)
+
+
+def _svd_tall(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """jacobi_svd for m with at least as many rows as columns: xGEJSV
+    where numpy's OpenBLAS has it, else (or when it does not converge) the
+    one-sided Jacobi loop."""
+    routines = _lapack() if m.shape[1] else None
+    found = _gejsv(routines, m) if routines else None
+    w, v = found if found is not None else _jacobi(m)
+    order = np.argsort(w, kind="stable")
+    return w[order], v[:, order]

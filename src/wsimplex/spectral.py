@@ -48,8 +48,9 @@ A_{n-1}^* = conj(d_n); M^T conj(M) is conj(L_n) instead, which differs
 for complex weights.  For inner weights w, entry (r, s) is scaled by
 sqrt(w_r / w_s) and entry (f, s) by sqrt(w_s / w_f); then M^* M is the
 Hermitian form W^1/2 L W^-1/2, with L's eigenvalues.  The one-sided
-round-robin Jacobi SVD (``eigen.jacobi_svd``) gives the eigenvalues as
-squared singular values and the eigenvectors as right singular vectors,
+Jacobi SVD (``eigen.jacobi_svd``: LAPACK's xGEJSV, or a round-robin loop
+where numpy bundles no OpenBLAS) gives the eigenvalues as squared
+singular values and the eigenvectors as right singular vectors,
 without squaring the condition number.  Exactly dim H^n of them are zero,
 the count coming from the exact ranks, and the harmonic basis is the
 singular vectors of that many smallest singular values: no float tolerance

@@ -9,7 +9,8 @@ suites can assume validation passes and test everything downstream.
 hypothesis runs under its default profile unless HYPOTHESIS_PROFILE names
 another.  ``deep`` draws 20,000 random examples instead of a fixed few
 hundred, for a long search on request; property tests that fix their own
-settings keep them:
+settings keep them, and the seeded differential tests that read ``DEEP``
+draw ten times their default count:
 
     HYPOTHESIS_PROFILE=deep python -m pytest tests/test_snf_property.py
 """
@@ -20,6 +21,8 @@ import os
 import random
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from wsimplex import (
     GaussianRational,
@@ -42,6 +45,22 @@ except ImportError:  # the property tests skip themselves
 else:
     settings.register_profile("deep", max_examples=20_000, derandomize=False, deadline=None)
     settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+DEEP = os.environ.get("HYPOTHESIS_PROFILE") == "deep"
+
+
+@pytest.fixture(params=["lapack", "loop"])
+def svd_path(request, monkeypatch):
+    """Runs a test on each path of ``jacobi_svd``: LAPACK's xGEJSV, and the
+    one-sided Jacobi loop, taken by making the library loader report no
+    library.  The LAPACK run skips where numpy bundles no such library."""
+    from wsimplex import eigen
+
+    if request.param == "loop":
+        monkeypatch.setattr(eigen, "_lapack", lambda: None)
+    elif eigen._lapack() is None:
+        pytest.skip("numpy bundles no OpenBLAS with xGEJSV")
+    return request.param
 
 # -- fixed small complexes ----------------------------------------------------
 

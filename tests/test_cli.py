@@ -1,6 +1,8 @@
 import argparse
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -10,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import child_env
-from wsimplex import cli, ngon_homology_closed_form
+from conftest import child_env, random_quotient_weight, write_pair
+from wsimplex import build_complex, cli, ngon_homology_closed_form
 from wsimplex.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -476,6 +478,22 @@ def test_closed_stdout_is_quiet():
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_tall_complex_spectrum_is_quiet_on_stderr(tmp_path):
+    """The degree-1 factor of the Delta^6 2-skeleton under complex weights
+    is tall (42 x 21); its spectrum writes nothing to fd 2, where LAPACK's
+    messages would go."""
+    complex = build_complex(itertools.combinations(range(7), 3))
+    phi = random_quotient_weight(random.Random(6), complex, complex_scalars=True,
+                                 allow_zero_scale=False)
+    argv = write_pair(tmp_path, "delta6", complex, phi)
+    proc = subprocess.run([sys.executable, "-m", "wsimplex", "spectrum", *argv, "-n", "1"],
+                          capture_output=True, text=True, env=child_env())
+    assert (proc.returncode, proc.stderr) == (0, "")
+    payload = json.loads(proc.stdout)
+    assert len(payload["eigenvalues"]) == 21
+    assert any(isinstance(x, list) for vector in payload["eigenvectors"] for x in vector)
 
 
 COMMANDS = ["validate", "boundary", "coboundary", "homology", "cohomology-dim", "snf",

@@ -1,13 +1,16 @@
-"""jacobi_svd, and spectrum(ExactMatrix): an exact Hermitian check, then
-numpy's eigh on the float copy."""
+"""jacobi_svd on both its paths (LAPACK's xGEJSV and the one-sided Jacobi
+loop), and spectrum(ExactMatrix): an exact Hermitian check, then numpy's
+eigh on the float copy."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from wsimplex import ExactMatrix, GaussianRational, Spectrum, jacobi_svd, spectrum
+from wsimplex import ExactMatrix, GaussianRational, Spectrum, eigen, jacobi_svd, spectrum
 from wsimplex.eigen import _schedule
+
+from conftest import DEEP
 
 
 def random_symmetric(rng, n):
@@ -178,7 +181,7 @@ def check_svd(m, w, v, tol=1e-13):
         assert np.allclose(w, np.linalg.eigvalsh(gram), rtol=0, atol=tol * scale)
 
 
-def test_svd_shapes_against_numpy():
+def test_svd_shapes_against_numpy(svd_path):
     rng = np.random.default_rng(17)
     for complex_ in (False, True):
         for shape in [(12, 5), (4, 9), (7, 7), (1, 1), (3, 1), (1, 4), (0, 4), (5, 0), (0, 0)]:
@@ -192,7 +195,7 @@ def test_svd_shapes_against_numpy():
             assert np.allclose(v.conj().T @ v, np.eye(shape[1]), rtol=0, atol=1e-14)
 
 
-def test_svd_rank_deficient():
+def test_svd_rank_deficient(svd_path):
     rng = np.random.default_rng(18)
     for complex_ in (False, True):
         for rows, cols, rank in [(8, 6, 2), (5, 9, 3), (15, 20, 7), (6, 6, 5), (30, 12, 1)]:
@@ -207,9 +210,10 @@ def test_svd_rank_deficient():
             assert np.linalg.norm(m @ v[:, tiny]) <= 1e-12 * np.sqrt(w[-1])
 
 
-def test_svd_graded_columns_relative_accuracy():
+def test_svd_graded_columns_relative_accuracy(svd_path):
     """Columns 10^15 apart: every squared singular value, the smallest too,
-    to relative accuracy.  LAPACK's bidiagonal SVD loses the small ones."""
+    to relative accuracy.  LAPACK's bidiagonal SVD (numpy's svd) loses the
+    small ones."""
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(7)
     for shape in [(8, 5), (5, 5), (12, 6)]:
@@ -222,3 +226,54 @@ def test_svd_graded_columns_relative_accuracy():
                              mpmath.svd(mpmath.matrix(m.tolist()), compute_uv=False))
             rel = np.abs(w - ref) / np.array(ref)
             assert np.all(rel <= 1e-12 * np.linalg.cond(b)), (shape, complex_, rel)
+
+
+def test_svd_refuses_non_finite(svd_path):
+    """Refused before either path, naming the first non-finite entry in
+    row-major order."""
+    cases = [
+        (np.array([[1.0, np.inf, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), (0, 1)),
+        (np.array([[1.0, 2.0], [3.0, 4.0], [np.nan, -np.inf]]), (2, 0)),
+        (np.array([[1.0, 1j, 0.0, 2.0], [0.0, 1.0, complex(0.0, np.nan), 0.0]]), (1, 2)),
+        (np.array([[complex(-np.inf, 0.0)]]), (0, 0)),
+    ]
+    for m, (row, col) in cases:
+        with pytest.raises(ValueError, match=rf"entry \({row}, {col}\) .* not finite"):
+            jacobi_svd(m)
+
+
+def differential_matrix(rng, i: int) -> np.ndarray:
+    """Random real or complex matrix of 1 to 30 columns and 1 to 40 rows;
+    every third has a zeroed column, every third another a collinear pair."""
+    rows, cols = int(rng.integers(1, 41)), int(rng.integers(1, 31))
+    complex_ = bool(rng.integers(2))
+    m = random_matrix(rng, (rows, cols), complex_)
+    if i % 3 == 1:
+        m[:, rng.integers(cols)] = 0
+    elif i % 3 == 2 and cols > 1:
+        p, q = rng.choice(cols, 2, replace=False)
+        m[:, q] = m[:, p] * random_matrix(rng, (), complex_)
+    return m
+
+
+def test_svd_lapack_against_loop_and_numpy(monkeypatch):
+    """Seeded differential test of xGEJSV against the one-sided Jacobi loop
+    and numpy's svd: w within 1e-13 of the largest, v unitary.  300
+    matrices, 3,000 under HYPOTHESIS_PROFILE=deep."""
+    if eigen._lapack() is None:
+        pytest.skip("numpy bundles no OpenBLAS with xGEJSV")
+    rng = np.random.default_rng(1717)
+    for i in range(3000 if DEEP else 300):
+        m = differential_matrix(rng, i)
+        n = m.shape[1]
+        w, v = jacobi_svd(m)
+        with monkeypatch.context() as patch:
+            patch.setattr(eigen, "_lapack", lambda: None)
+            w_loop, _ = jacobi_svd(m)
+        sigma = np.linalg.svd(m, compute_uv=False)
+        ref = np.sort(np.concatenate([sigma ** 2, np.zeros(n - len(sigma))]))
+        scale = max(ref[-1], np.finfo(float).tiny)
+        assert np.all(np.diff(w) >= 0), i
+        assert np.max(np.abs(w - ref)) <= 1e-13 * scale, i
+        assert np.max(np.abs(w - w_loop)) <= 1e-13 * scale, i
+        assert np.linalg.norm(v.conj().T @ v - np.eye(n)) <= 1e-13, i

@@ -1,4 +1,5 @@
-"""Import footprint: numpy loads with the float layer, not before.
+"""Import footprint: numpy loads with the float layer, not before, and
+ctypes and the OpenBLAS handle the SVD opens not before its first call.
 
 Each check runs in a fresh interpreter, since the suite itself has numpy
 loaded long before any of these tests start.
@@ -17,16 +18,24 @@ from wsimplex.cli import main
 FIXTURES = Path(__file__).parent / "fixtures"
 
 # run the given cli.main argv lists in order; print, per run, its exit code,
-# its stdout and whether numpy was loaded after it
+# its stdout, whether numpy was loaded after it, and which of ctypes and the
+# OpenBLAS handle were
 CHILD = """
 import contextlib, io, json, sys
 import wsimplex, wsimplex.cli
-report = [["import", None, "", "numpy" in sys.modules]]
+
+def loaded():
+    eigen = sys.modules.get("wsimplex.eigen")
+    return [name for name, on in [
+        ("ctypes", "ctypes" in sys.modules),
+        ("openblas", eigen is not None and eigen._lapack.cache_info().currsize > 0)] if on]
+
+report = [["import", None, "", "numpy" in sys.modules, loaded()]]
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = wsimplex.cli.main(argv)
-    report.append([argv[0], code, out.getvalue(), "numpy" in sys.modules])
+    report.append([argv[0], code, out.getvalue(), "numpy" in sys.modules, loaded()])
 print(json.dumps(report))
 """
 
@@ -64,10 +73,24 @@ EXACT = [
 def test_exact_subcommands_leave_numpy_unloaded():
     report = run_in_child(EXACT)
     assert [r[0] for r in report] == ["import"] + [argv[0] for argv in EXACT]
-    for name, code, out, numpy_loaded in report:
+    for name, code, out, numpy_loaded, _ in report:
         assert not numpy_loaded, f"numpy loaded by {name}"
         assert code in (None, 0), name
         assert name == "import" or json.loads(out), name
+
+
+def test_ctypes_and_openblas_wait_for_the_first_svd():
+    """Neither the import nor an exact subcommand loads ctypes or opens the
+    OpenBLAS library; a spectrum opens it (where numpy bundles one), once
+    numpy, which brings ctypes itself, is in."""
+    from wsimplex import eigen
+
+    spectrum = ["spectrum", "-k", fx("edge.cplx"), "-w", fx("edge.wts"), "-n", "0"]
+    report = run_in_child([*EXACT, spectrum])
+    for name, _, _, _, loaded in report[:-1]:
+        assert loaded == [], f"{loaded} loaded by {name}"
+    bundled = ["openblas"] if eigen._lapack() is not None else []
+    assert report[-1][0] == "spectrum" and report[-1][4] == ["ctypes", *bundled]
 
 
 @pytest.mark.parametrize("argv", [
@@ -76,7 +99,7 @@ def test_exact_subcommands_leave_numpy_unloaded():
     ["ffl", "--classify", fx("ffl_matrix.txt")],
 ], ids=lambda argv: argv[0])
 def test_float_subcommands_load_numpy_and_answer_as_before(argv, capsys):
-    (_, _, _, at_import), (name, code, out, numpy_loaded) = run_in_child([argv])
+    (_, _, _, at_import, _), (name, code, out, numpy_loaded, _) = run_in_child([argv])
     assert not at_import and numpy_loaded
     assert main(argv) == code == 0
     assert out == capsys.readouterr().out

@@ -241,28 +241,33 @@ def test_harmonic_basis_properties():
                     assert np.linalg.norm(into @ h) <= 1e-8, name
 
 
-# [1/10^e, 1, 1, 1, 10^e]: lambda_2 from 60-digit mpmath on the exact Laplacian
-PENTAGON_LAMBDA_2 = {5: 0.42933194229277, 7: 0.42933194217233, 9: 0.42933194217231793}
+# lambda_2..lambda_4 of the Laplacian of [1/10^e, 1, 1, 1, 10^e], from
+# 60-digit mpmath on the exact Laplacian; degrees 0 and 1 share them
+PENTAGON_LAMBDAS = {
+    5: (0.42933194229277001747, 1.7575690235522179913, 3.3130990342675119912),
+    7: (0.42933194217232997782, 1.757569023564034079, 3.3130990342636471932),
+    9: (0.42933194217231793382, 1.7575690235640352606, 3.3130990342636468067),
+    12: (0.42933194217231793261, 1.7575690235640352607, 3.3130990342636468067),
+    15: (0.42933194217231793261, 1.7575690235640352607, 3.3130990342636468067),
+}
+# the same for the alternating pentagon [1, 10^16, 1, 10^-16, 1]
+ALTERNATING_LAMBDAS = (0.54839403704422335626, 1.5969682832373152241, 2.8546376797184614196)
 
 
-def pentagon(e: int):
-    return make_ngon([Fraction(1, 10 ** e), 1, 1, 1, 10 ** e])
-
-
-@pytest.mark.parametrize("e", sorted(PENTAGON_LAMBDA_2))
-def test_ill_conditioned_pentagons(e, capsys, tmp_path):
-    """Eigensolving the formed Laplacian (condition number about 10^(2e))
-    gave lambda_2 = 0.505 at e = 7 and a harmonic count mismatch at both."""
-    complex, phi = pentagon(e)
-    argv = write_pair(tmp_path, f"pentagon{e}", complex, phi)
+def check_pentagon(alphas, lambdas, capsys, tmp_path):
+    """lambda_2..lambda_4 in degrees 0 and 1: to a relative 1e-12 from the
+    library, and as the reference's 12 significant digits from the CLI,
+    which prints that many; and a one-vector harmonic basis."""
+    complex, phi = make_ngon(alphas)
+    argv = write_pair(tmp_path, "pentagon", complex, phi)
     for n in (0, 1):
         lap = laplacian_matrix(complex, phi, n).to_ndarray()
         assert main(["spectrum", *argv, "-n", str(n)]) == 0
         values = json.loads(capsys.readouterr().out)["eigenvalues"]
         assert values[0] == 0.0
-        assert values[1] == pytest.approx(PENTAGON_LAMBDA_2[e], rel=1e-12), n
+        assert values[1:4] == [float(f"{x:.12g}") for x in lambdas], n
         spec = laplacian_spectrum(complex, phi, n)
-        assert spec.eigenvalues[1] == pytest.approx(PENTAGON_LAMBDA_2[e], rel=1e-12), n
+        assert spec.eigenvalues[1:4] == pytest.approx(lambdas, rel=1e-12), n
 
         assert main(["harmonic", *argv, "-n", str(n)]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -270,6 +275,22 @@ def test_ill_conditioned_pentagons(e, capsys, tmp_path):
         v = np.array(payload["vectors"]).T
         assert np.allclose(v.T @ v, np.eye(1), atol=1e-9)
         assert np.linalg.norm(lap @ v) <= 1e-8 * spec.eigenvalues[-1], n
+
+
+@pytest.mark.parametrize("e", sorted(PENTAGON_LAMBDAS))
+def test_ill_conditioned_pentagons(e, capsys, tmp_path):
+    """Eigensolving the formed Laplacian (condition number about 10^(2e))
+    gave lambda_2 = 0.505 at e = 7 and a harmonic count mismatch at both;
+    the one-sided Jacobi loop alone loses lambda_3 in degree 1 from
+    e = 12 on (1.1e-8 there, 4.4e-3 at e = 15)."""
+    check_pentagon([Fraction(1, 10 ** e), 1, 1, 1, 10 ** e], PENTAGON_LAMBDAS[e],
+                   capsys, tmp_path)
+
+
+def test_alternating_pentagon(capsys, tmp_path):
+    """The one-sided Jacobi loop alone reads 2, 2, 2 in degree 0 here."""
+    check_pentagon([1, 10 ** 16, 1, Fraction(1, 10 ** 16), 1], ALTERNATING_LAMBDAS,
+                   capsys, tmp_path)
 
 
 # -- weighted inner products --------------------------------------------------
