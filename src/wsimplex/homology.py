@@ -1,19 +1,21 @@
 """Integer homology of weighted complexes via Smith normal form.
 
-``smith_normal_form`` diagonalises an integer matrix held as sparse rows
-by unimodular row and column operations, always pivoting on a
+``smith_normal_form`` diagonalises an integer matrix (dense rows, an
+``ExactMatrix`` or sparse ``{column: value}`` rows) by unimodular row and
+column operations on one dict of non-zeros per row, always pivoting on a
 smallest-magnitude nonzero entry (ties broken by lowest row, then column
 position) and repairing the divisibility chain d1 | d2 | ... by folding
-any offending row into the pivot row.  Columns move through a permutation,
-not through the rows.  The transforms satisfy U @ M @ V == diag(d) with
-|det U| = |det V| = 1; U is kept as sparse rows and V as sparse columns.
+any offending row into the pivot row.  Indexes keep each pivot step's
+cost near the non-zeros it changes.  The transforms satisfy U @ M @ V ==
+diag(d) with |det U| = |det V| = 1; U is kept as sparse rows and V as
+sparse columns.
 
 Homology of a validated integer-weighted complex in degree n needs one
 normal form, that of d_{n+1}: the torsion coefficients are its diagonal
 entries that exceed 1, and the free rank is dim C_n - rank(d_n) -
 rank(d_{n+1}), with rank(d_n) the exact rank ``column_rank`` gives every
-other dimension count.  ``boundary_int_rows`` fills SNF's integer rows
-straight from the non-zeros of ``boundary_columns``.
+other dimension count.  ``boundary_int_rows`` writes SNF's sparse integer
+rows straight from the non-zeros of ``boundary_columns``.
 
 ``ngon_homology_closed_form`` gives the degree-0 homology of a weighted
 polygon without a matrix.  The k-th invariant factor has, at every prime
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from itertools import chain
+from itertools import compress, repeat
 from math import gcd
 
 # boundary_matrix is not called here; perfbench/selftest.py reaches the
@@ -48,19 +50,35 @@ def _int_entry(x) -> int:
     raise ValueError("matrix has non-integer entries")
 
 
-def _int_rows(matrix, cols: int | None = None) -> tuple[list[list[int]], int]:
-    """Integer rows and the column count, which a matrix with no rows
-    still has: an ExactMatrix knows it, a list of no rows takes ``cols``.
-    A ``cols`` that disagrees with the rows is refused, as is an entry that
-    is not an integer (not truncated); int entries pass through as they
-    are."""
-    width = cols
+def _sparse_rows(matrix, cols: int | None = None) -> tuple[list[dict], int]:
+    """The matrix as one ``{column: int}`` dict of non-zeros per row, and
+    its column count.  Three forms are read: an ``ExactMatrix``, of which
+    only the non-zeros are converted; dense rows of one length, a list of
+    no rows taking its width from ``cols``; and ``{column: value}`` dicts,
+    which need ``cols``.  A ragged row, a ``cols`` that disagrees with the
+    rows, a column outside ``range(cols)`` and an entry that is not an
+    integer (not truncated) are refused; int entries pass through."""
     if isinstance(matrix, ExactMatrix):
-        matrix, width = matrix.data, matrix.cols
-    rows = [[x if type(x) is int else _int_entry(x) for x in row] for row in matrix]
-    if rows and any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError("ragged rows")
-    width = len(rows[0]) if rows else width or 0
+        rows = [{j: _int_entry(x) for j, x in enumerate(row) if x} for row in matrix.data]
+        width = matrix.cols
+    elif (matrix := list(matrix)) and isinstance(matrix[0], dict):
+        if cols is None:
+            raise ValueError("sparse rows need cols")
+        if not all(isinstance(row, dict) for row in matrix):
+            raise ValueError("sparse and dense rows mixed")
+        rows = [{j: y for j, x in row.items() if (y := x if type(x) is int else _int_entry(x))}
+                for row in matrix]
+        width = cols
+        for row in rows:
+            if row and not (0 <= min(row) and max(row) < cols):
+                raise ValueError(f"column outside range({cols}) in a sparse row")
+    else:
+        width = len(matrix[0]) if matrix else cols or 0
+        if any(isinstance(row, dict) or len(row) != width for row in matrix):
+            mixed = any(isinstance(row, dict) for row in matrix)
+            raise ValueError("sparse and dense rows mixed" if mixed else "ragged rows")
+        rows = [{j: y for j, x in enumerate(row) if (y := x if type(x) is int else _int_entry(x))}
+                for row in matrix]
     if cols is not None and cols != width:
         raise ValueError(f"cols={cols} disagrees with the matrix's {width} columns")
     return rows, width
@@ -85,92 +103,147 @@ def _sub(y: dict, q: int, x: dict) -> None:
             del y[k]
 
 
+def _sub_row(y: dict, i: int, q: int, x: dict, holders: list, low):
+    """``_sub`` on the matrix row with id i: a fill-in adds i to its
+    column's holder set, a cancellation removes it.  Returns ``low``
+    lowered to every |entry| written, so a lower bound on the row's least
+    |entry| stays one."""
+    for k, v in x.items():
+        w = y.get(k)
+        if w is None:
+            w = -q * v
+            holders[k].add(i)
+        else:
+            w -= q * v
+            if not w:
+                del y[k]
+                holders[k].discard(i)
+                continue
+        y[k] = w
+        if w < 0:
+            w = -w
+        if w < low:
+            low = w
+    return low
+
+
+_EMPTY = float("inf")  # the least |entry| of a row with none
+
+
 def smith_normal_form(matrix, transforms: bool = False, cols: int | None = None) -> SNFResult:
     """Smith normal form of an integer matrix, on sparse rows.
 
-    Each row is a ``{column id: value}`` dict of its non-zeros.  A row swap
-    swaps two list slots; a column swap swaps two entries of the position
-    <-> column id permutation and touches no row.  The pivot is a smallest
-    |v|, ties to the lowest row and then the lowest column position: the
-    rule of the dense loop this replaced (kept in tests/oracles.py), so the
-    diagonal, U and V are its own entry for entry.  The pivot search, both
-    division passes, the divisibility check and the fold visit only
-    non-zeros.  With ``transforms`` the unimodular U (rows x rows) and V
-    (cols x cols) with U @ M @ V diagonal are returned as nested lists.  U
-    is one sparse row per matrix row and follows every row operation; V is
-    one sparse column per column id and follows every column operation.
-    ``cols`` is the column count of a list of no rows; else it must agree.
+    ``matrix`` is dense integer rows, an ``ExactMatrix`` or ``{column:
+    value}`` rows; ``cols`` is the column count of sparse rows and of a
+    list of no rows, and must agree with any other form.  Each row is read
+    once into a dict of its non-zeros.  Rows and columns move through slot
+    <-> id permutations, so a swap touches no dict.
+
+    Three indexes make a pivot step cost about the non-zeros it changes.
+    ``least[s]`` bounds the least |entry| of the row in slot s from below:
+    row operations lower it to what they write, a swap swaps it, and the
+    pivot row is the first slot holding ``min(least[t:])`` once its true
+    least |entry| confirms the bound (a stale bound is raised to the truth
+    and the search repeated).  ``holders[c]`` is the set of ids of the rows
+    with a non-zero in column c.  ``g`` divides every trailing entry, as
+    integer row and column operations keep a common divisor: it starts at
+    1 and becomes the pivot once a divisibility check passes, so a pivot
+    equal to ``g`` skips the check.
+
+    The pivot is a smallest |v|, ties to the lowest row slot and then the
+    lowest column position, and a fold takes the first slot under the
+    pivot with an entry it does not divide: the rules of the dense loop in
+    tests/oracles.py, so the diagonal, U and V are its own entry for
+    entry.  With ``transforms``, U (rows x rows, one sparse row per row
+    id) and V (cols x cols, one sparse column per column id), unimodular
+    with U @ M @ V diagonal, follow every row and column operation and are
+    returned as nested lists.
     """
-    dense, nc = _int_rows(matrix, cols)
-    rows, nr = [{j: x for j, x in enumerate(row) if x} for row in dense], len(dense)
-    col_at, pos_of = list(range(nc)), list(range(nc))
+    rows, nc = _sparse_rows(matrix, cols)
+    nr = len(rows)
+    least = [min(map(abs, row.values())) if row else _EMPTY for row in rows]
+    holders = [set() for _ in range(nc)]
+    for i, row in enumerate(rows):
+        for c in row:
+            holders[c].add(i)
+    row_at, col_at = list(range(nr)), list(range(nc))
+    slot_of, pos_of = row_at[:], col_at[:]
     U = [{i: 1} for i in range(nr)] if transforms else None
     V = [{j: 1} for j in range(nc)] if transforms else None
-    t, bound = 0, min(nr, nc)
+    t, bound, g = 0, min(nr, nc), 1
     while t < bound:
-        best = None  # smallest |entry| of the trailing rows, first row holding it
-        for i in range(t, nr):
-            if rows[i]:
-                v = min(map(abs, rows[i].values()))
-                if best is None or v < best[0]:
-                    best = (v, i)
-                    if v == 1:
-                        break
-        if best is None:
+        v = min(least[t:])
+        if v == _EMPTY:
             break
-        v, pi = best
-        pj = min(pos_of[c] for c, x in rows[pi].items() if abs(x) == v)
-        rows[t], rows[pi] = rows[pi], rows[t]
+        pi = least.index(v, t)
+        rt = row_at[pi]
+        row = rows[rt]
+        true = min(map(abs, row.values())) if row else _EMPTY
+        if true != v:  # a stale bound: raise it and search again
+            least[pi] = true
+            continue
+        pj = min(pos_of[c] for c, x in row.items() if abs(x) == v)
+        rs = row_at[t]
+        row_at[t], row_at[pi], slot_of[rt], slot_of[rs] = rt, rs, t, pi
+        least[t], least[pi] = v, least[t]
         ct, cs = col_at[pj], col_at[t]
         col_at[t], col_at[pj], pos_of[ct], pos_of[cs] = ct, cs, t, pj
-        if transforms:
-            U[t], U[pi] = U[pi], U[t]
-        if rows[t][ct] < 0:
-            rows[t] = {c: -x for c, x in rows[t].items()}
+        if row[ct] < 0:
+            row = rows[rt] = {c: -x for c, x in row.items()}
             if transforms:
-                U[t] = {k: -x for k, x in U[t].items()}
-        row, pivot = rows[t], rows[t][ct]
+                U[rt] = {k: -x for k, x in U[rt].items()}
+        pivot = row[ct]
         below = []  # rows under the pivot left with a non-zero in its column
-        for i in [i for i in range(t + 1, nr) if ct in rows[i]]:
-            q = rows[i][ct] // pivot
-            _sub(rows[i], q, row)
+        for i in holders[ct] - {rt}:
+            r = rows[i]
+            q = r[ct] // pivot
+            s = slot_of[i]
+            least[s] = _sub_row(r, i, q, row, holders, least[s])
             if transforms:
-                _sub(U[i], q, U[t])
-            if ct in rows[i]:
+                _sub(U[i], q, U[rt])
+            if ct in r:
                 below.append(i)
-        quotients = {c: x // pivot for c, x in row.items() if c != ct}
-        for r in [row] + [rows[i] for i in below]:
-            _sub(r, r[ct], quotients)  # every column op at once on one row
-        if transforms:
-            for c, q in quotients.items():
-                _sub(V[c], q, V[ct])
+        if len(row) > 1:
+            quotients = {c: x // pivot for c, x in row.items() if c != ct}
+            for i in [rt] + below:  # every column op at once on one row
+                s = slot_of[i]
+                least[s] = _sub_row(rows[i], i, rows[i][ct], quotients, holders, least[s])
+            if transforms:
+                for c, q in quotients.items():
+                    _sub(V[c], q, V[ct])
         if below or len(row) > 1:
             continue
-        lower = chain.from_iterable(map(dict.values, rows[t + 1:]))
-        if pivot > 1 and any(map(pivot.__rmod__, lower)):
-            offender = next(i for i in range(t + 1, nr)
-                            if any(x % pivot for x in rows[i].values()))
-            # fold the offending row in; the next division pass shrinks the pivot
-            _sub(row, -1, rows[offender])
-            if transforms:
-                _sub(U[t], -1, U[offender])
-            continue
+        if pivot != g:
+            # the first row under the pivot with an entry it does not divide,
+            # found by one C-level pass: per row, any(x % pivot for x in it)
+            lower = row_at[t + 1:]
+            remainders = map(map, repeat(pivot.__rmod__),
+                             map(dict.values, map(rows.__getitem__, lower)))
+            offender = next(compress(lower, map(any, remainders)), None)
+            if offender is not None:
+                # fold the offending row in; the next division pass shrinks the pivot
+                least[t] = _sub_row(row, rt, -1, rows[offender], holders, least[t])
+                if transforms:
+                    _sub(U[rt], -1, U[offender])
+                continue
+            g = pivot
         t += 1
 
-    diagonal = [rows[i].get(col_at[i], 0) for i in range(bound)]
+    diagonal = [rows[row_at[i]].get(col_at[i], 0) for i in range(bound)]
     rank = sum(1 for d in diagonal if d)
     if not transforms:
         return SNFResult(diagonal, rank)
-    return SNFResult(diagonal, rank, [[u.get(k, 0) for k in range(nr)] for u in U],
+    return SNFResult(diagonal, rank, [[U[i].get(k, 0) for k in range(nr)] for i in row_at],
                      [[V[c].get(r, 0) for c in col_at] for r in range(nc)])
 
 
-def boundary_int_rows(complex: SimplicialComplex, phi: WeightFunction, n: int) -> list[list[int]]:
-    """Integer rows of the degree-n weighted boundary, filled from the
-    non-zeros of ``boundary_columns``; a non-integer entry is refused."""
-    columns = boundary_columns(complex, phi, n)
-    rows = [[0] * len(columns) for _ in complex.basis(n - 1)]
-    for j, column in enumerate(columns):
+def boundary_int_rows(complex: SimplicialComplex, phi: WeightFunction, n: int) -> list[dict]:
+    """Sparse integer rows ``{column: int}`` of the degree-n weighted
+    boundary, from the non-zeros of ``boundary_columns``; a non-integer
+    entry is refused.  ``smith_normal_form`` reads them with ``cols`` =
+    the number of n-simplices."""
+    rows = [{} for _ in complex.basis(n - 1)]
+    for j, column in enumerate(boundary_columns(complex, phi, n)):
         for i, x in column.items():
             rows[i][j] = _int_entry(x)
     return rows
@@ -206,7 +279,8 @@ def weighted_homology(complex: SimplicialComplex, phi: WeightFunction, n: int) -
     """
     if not phi.is_integral():
         raise ValueError("integer homology needs integer weight values")
-    upper = smith_normal_form(boundary_int_rows(complex, phi, n + 1))
+    upper = smith_normal_form(boundary_int_rows(complex, phi, n + 1),
+                              cols=len(complex.basis(n + 1)))
     free = len(complex.basis(n)) - column_rank(boundary_columns(complex, phi, n)) - upper.rank
     torsion = [d for d in upper.diagonal if d > 1]
     return HomologyGroup(torsion, free)

@@ -34,7 +34,7 @@ from math import gcd
 
 from wsimplex.complexes import Simplex, SimplicialComplex
 from wsimplex.gaussian import GaussianRational
-from wsimplex.homology import SNFResult, _int_rows as _snf_rows, smith_normal_form
+from wsimplex.homology import SNFResult, smith_normal_form
 from wsimplex.matrices import ExactMatrix
 from wsimplex.weights import (
     Violation,
@@ -95,9 +95,21 @@ def gcd_minors_oracle(matrix, k: int) -> int:
     return g
 
 
+def _snf_rows(matrix, cols) -> tuple[list[list[int]], int]:
+    """Dense integer rows and the column count of dense rows, an
+    ExactMatrix or sparse ``{column: value}`` rows with ``cols``."""
+    if isinstance(matrix, ExactMatrix):
+        return [[int(x) for x in row] for row in matrix.data], matrix.cols
+    rows = list(matrix)
+    if rows and isinstance(rows[0], dict):
+        return [[int(row.get(j, 0)) for j in range(cols)] for row in rows], cols
+    return [[int(x) for x in row] for row in rows], len(rows[0]) if rows else cols or 0
+
+
 def dense_smith_normal_form(matrix, transforms: bool = False, cols: int | None = None) -> SNFResult:
     """``smith_normal_form`` as a dense loop: the same pivot order, so the
-    same diagonal, rank, U and V."""
+    same diagonal, rank, U and V.  It takes the three input forms
+    ``smith_normal_form`` takes, on valid input only."""
     m, nc = _snf_rows(matrix, cols)
     nr = len(m)
     if transforms:

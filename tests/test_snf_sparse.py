@@ -1,22 +1,25 @@
 """The sparse-row Smith normal form against the dense loop it replaced.
 
 ``dense_smith_normal_form`` (``oracles.py``) rescans the whole trailing
-submatrix at every pivot; ``smith_normal_form`` keeps sparse rows and a
-column permutation with the same pivot rule, so the diagonal, the rank, U
-and V must agree entry for entry, with and without transforms.  The
-bounded-work checks run the sparse loop at sizes the dense one takes
+submatrix at every pivot; ``smith_normal_form`` keeps sparse rows, row and
+column permutations and indexes with the same pivot rule, so the diagonal,
+the rank, U and V must agree entry for entry, with and without transforms,
+whether the matrix arrives as dense rows, an ExactMatrix or sparse rows.
+The bounded-work checks run the sparse loop at sizes the dense one takes
 seconds to reach.
 """
 
 import json
 import random
 import time
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from wsimplex import (
     ExactMatrix,
+    GaussianRational,
     build_complex,
     make_ngon,
     ngon_homology_closed_form,
@@ -54,7 +57,7 @@ def test_matches_dense_loop_on_cycles_and_skeleta():
     rng = random.Random(2001)
     for n in (40, 200):
         complex, phi = make_ngon([2 * rng.choice([1, 2, 3, 5, 6]) for _ in range(n)])
-        assert_matches_dense(boundary_int_rows(complex, phi, 1))
+        assert_matches_dense(boundary_int_rows(complex, phi, 1), n)
     for k in (5, 7):
         complex = build_complex(list(combinations(range(k + 1), 3)))
         for phi in (random_dawson_weight(rng, complex), random_cfw_weight(rng, complex)):
@@ -75,6 +78,18 @@ def test_sparse_snf_bounded_work(capsys, tmp_path):
     group = ngon_homology_closed_form(alphas)
     assert (payload["torsion"], payload["free_rank"]) == (group.torsion, group.free_rank)
 
+    # a 2,000-cycle with shared weights: the indexed pivot search, the
+    # column index and the divisibility skip keep it near linear (the
+    # rescanning loop took about 4.6 s)
+    alphas = [2 * rng.choice([1, 2, 3, 5, 6]) for _ in range(2000)]
+    argv = write_pair(tmp_path, "long", *make_ngon(alphas))
+    start = time.perf_counter()
+    assert main(["homology", *argv, "-n", "0"]) == 0
+    assert time.perf_counter() - start < 2.0
+    payload = json.loads(capsys.readouterr().out)
+    group = ngon_homology_closed_form(alphas)
+    assert (payload["torsion"], payload["free_rank"]) == (group.torsion, group.free_rank)
+
     complex = build_complex(list(combinations(range(18), 3)))
     phi = random_dawson_weight(rng, complex)
     argv = write_pair(tmp_path, "simplex", complex, phi)
@@ -82,7 +97,8 @@ def test_sparse_snf_bounded_work(capsys, tmp_path):
     assert main(["snf", *argv, "-n", "2"]) == 0
     assert time.perf_counter() - start < 3.0
     payload = json.loads(capsys.readouterr().out)
-    dense = dense_smith_normal_form(boundary_int_rows(complex, phi, 2))
+    dense = dense_smith_normal_form(boundary_int_rows(complex, phi, 2),
+                                    cols=len(complex.basis(2)))
     assert payload["diagonal"] == dense.diagonal
 
 
@@ -105,3 +121,79 @@ def test_exact_matrix_cols_must_agree_with_the_rows():
         ExactMatrix([[], []], cols=1)
     assert ExactMatrix([[1, 2]], cols=2).shape == (1, 2)
     assert ExactMatrix([], cols=3).shape == (0, 3)
+
+
+# -- the three input forms -----------------------------------------------------
+
+def input_forms(dense, cols):
+    """One integer matrix as dense rows, as an ExactMatrix and as sparse rows."""
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in dense]
+    return dense, ExactMatrix(dense, cols=cols), sparse
+
+
+def assert_forms_match_dense(dense, cols):
+    """Every input form against one run of the dense loop: U and V entry
+    for entry with transforms, the diagonal and rank without, so the three
+    forms' results are equal too."""
+    reference = dense_smith_normal_form(dense, transforms=True, cols=cols)
+    for matrix in input_forms(dense, cols):
+        assert smith_normal_form(matrix, transforms=True, cols=cols) == reference
+        plain = smith_normal_form(matrix, cols=cols)
+        assert (plain.diagonal, plain.rank, plain.U, plain.V) == (
+            reference.diagonal, reference.rank, None, None)
+    return reference
+
+
+def path_rows(alphas):
+    """Dense boundary of the weighted path 0 - 1 - ... - n-1, weighted as a
+    polygon with its closing edge left out: edge (j, j+1) is
+    alphas[j+1] * [j+1] - alphas[j] * [j]."""
+    n = len(alphas)
+    rows = [[0] * (n - 1) for _ in range(n)]
+    for j in range(n - 1):
+        rows[j][j], rows[j + 1][j] = -alphas[j], alphas[j + 1]
+    return rows
+
+
+def test_input_forms_on_shared_weight_cycles_and_paths():
+    rng = random.Random(2018)
+    for n in (40, 200):
+        alphas = [2 * rng.choice([1, 2, 3, 5, 6]) for _ in range(n)]
+        complex, phi = make_ngon(alphas)
+        cycle = [[row.get(j, 0) for j in range(n)] for row in boundary_int_rows(complex, phi, 1)]
+        result = assert_forms_match_dense(cycle, n)
+        group = ngon_homology_closed_form(alphas)
+        assert [d for d in result.diagonal if d > 1] == group.torsion
+        assert_forms_match_dense(path_rows(alphas), n - 1)
+
+
+def test_input_forms_on_folds_cancellations_and_empty_shapes():
+    # a pivot above the common divisor of what is left below it forces a fold
+    folds = {((2, 0), (0, 3)): [1, 6], ((4, 6), (6, 4)): [2, 10],
+             ((6, 0, 0), (0, 10, 0), (0, 0, 15)): [1, 30, 30]}
+    for block, diagonal in folds.items():
+        dense = [list(row) for row in block]
+        assert assert_forms_match_dense(dense, len(dense[0])).diagonal == diagonal
+    # rows that one row operation empties, and a zero row from the start
+    for dense in ([[1, 2, 3], [2, 4, 6], [3, 6, 9]], [[2, 4], [2, 4], [0, 0]],
+                  [[0, 0, 0], [3, 3, 6], [6, 6, 12], [1, 1, 2]]):
+        assert assert_forms_match_dense(dense, len(dense[0])).rank == 1
+    for rows, cols in ((0, 0), (0, 3), (3, 0), (2, 3)):
+        result = assert_forms_match_dense([[0] * cols for _ in range(rows)], cols)
+        assert (result.diagonal, result.rank) == ([0] * min(rows, cols), 0)
+
+
+def test_sparse_rows_are_checked():
+    assert smith_normal_form([{0: Fraction(4)}, {1: 6.0}], cols=2).diagonal == [2, 12]
+    assert smith_normal_form([{0: 3, 1: 0}, {}], cols=2).diagonal == [3, 0]
+    for rows in ([{0: Fraction(1, 2)}], [{1: 1.5}], [{0: GaussianRational(1, 1)}], [{0: "3"}]):
+        with pytest.raises(ValueError, match="matrix has non-integer entries"):
+            smith_normal_form(rows, cols=2)
+    for rows in ([{2: 1}], [{0: 1}, {5: 2}], [{-1: 1}]):
+        with pytest.raises(ValueError, match=r"column outside range\(2\)"):
+            smith_normal_form(rows, cols=2)
+    with pytest.raises(ValueError, match="sparse rows need cols"):
+        smith_normal_form([{0: 1}])
+    for rows in ([{0: 1}, [1, 0]], [[1, 0], {0: 1}]):
+        with pytest.raises(ValueError, match="sparse and dense rows mixed"):
+            smith_normal_form(rows, cols=2)
