@@ -12,6 +12,15 @@ self-dual here), and the adjoint against the standard inner product is
 the conjugate transpose.  All of them demand a validated weight function:
 for an unvalidated table the composite of two boundaries need not vanish
 and none of the homological formulas downstream apply.
+
+A weight function stands for its (complex, weight) pair, and each exact
+operator of the pair is built once: ``_cached`` fills the weight
+function's private table of sparse exact parts on the first ask, after
+the pair has passed ``_check_pair``, and every later call reads it.  The
+columns of d_n (``_boundary``) and their rank (``_rank``) live there, and
+the Laplacian parts and normal forms that ``spectral`` and ``homology``
+derive from them.  What a public function returns is built fresh from
+the cached parts, so a caller that changes it changes nothing held.
 """
 
 from __future__ import annotations
@@ -20,14 +29,27 @@ from dataclasses import dataclass, field
 
 from .complexes import Simplex, SimplicialComplex
 from .gaussian import ZERO, GaussianRational
-from .matrices import ExactMatrix
+from .matrices import ExactMatrix, column_rank
 from .weights import WeightFunction
 
 
 def _check_pair(complex: SimplicialComplex, phi: WeightFunction) -> None:
-    if phi.complex != complex:
+    # equal complexes compare two frozensets, which has no identity short-cut
+    if phi.complex is not complex and phi.complex != complex:
         raise ValueError("weight function belongs to a different complex")
     phi.require_validated()
+
+
+def _cached(phi: WeightFunction, part: str, n: int, build):
+    """phi's cached ``part`` in degree n, made by ``build()`` on the first
+    ask.  The caller has checked the pair, and reads the value only.  Two
+    threads that miss together both build it; the builds are equal, so
+    either may stay."""
+    try:
+        return phi._operators[part, n]
+    except KeyError:
+        value = phi._operators[part, n] = build()
+        return value
 
 
 def _signed_faces(phi: WeightFunction, s: Simplex):
@@ -37,28 +59,48 @@ def _signed_faces(phi: WeightFunction, s: Simplex):
             for i in range(len(s) if s.dim else 0)]
 
 
-def boundary_columns(complex: SimplicialComplex, phi: WeightFunction, n: int) -> list[dict]:
-    """The weighted boundary C_n -> C_{n-1}: for each n-simplex in basis
-    order, its non-zero entries as {index in basis(n-1): value}."""
-    _check_pair(complex, phi)
+def _build_columns(phi: WeightFunction, n: int) -> list[dict]:
+    complex = phi.complex
     index = {t: i for i, t in enumerate(complex.basis(n - 1))}
     return [{index[t]: x for t, x in _signed_faces(phi, s) if x}
             for s in complex.basis(n)]
 
 
+def _boundary(phi: WeightFunction, n: int) -> list[dict]:
+    """The cached non-zero columns of d_n (see ``boundary_columns``)."""
+    return _cached(phi, "columns", n, lambda: _build_columns(phi, n))
+
+
+def _rank(phi: WeightFunction, n: int) -> int:
+    """The cached exact rank r_n of d_n."""
+    return _cached(phi, "rank", n, lambda: column_rank(_boundary(phi, n)))
+
+
+def boundary_columns(complex: SimplicialComplex, phi: WeightFunction, n: int) -> list[dict]:
+    """The weighted boundary C_n -> C_{n-1}: for each n-simplex in basis
+    order, its non-zero entries as {index in basis(n-1): value}."""
+    _check_pair(complex, phi)
+    return [dict(column) for column in _boundary(phi, n)]
+
+
 def boundary_matrix(complex: SimplicialComplex, phi: WeightFunction, n: int) -> ExactMatrix:
     """Dense view of ``boundary_columns``; zero-sized outside the range
     1..max_dim."""
+    _check_pair(complex, phi)
     rows, cols = complex.basis(n - 1), complex.basis(n)
-    columns = boundary_columns(complex, phi, n)
+    columns = _boundary(phi, n)
     data = [[c.get(i, ZERO) for c in columns] for i in range(len(rows))]
     return ExactMatrix(data, rows, cols, cols=len(cols))
 
 
 def coboundary_matrix(complex: SimplicialComplex, phi: WeightFunction, n: int) -> ExactMatrix:
     """Matrix of the weighted coboundary C^n -> C^{n+1}: the transpose of
-    the degree-(n+1) boundary matrix."""
-    return boundary_matrix(complex, phi, n + 1).transpose()
+    the degree-(n+1) boundary matrix, one row per column of it."""
+    _check_pair(complex, phi)
+    rows, cols = complex.basis(n + 1), complex.basis(n)
+    width = range(len(cols))
+    data = [[c.get(i, ZERO) for i in width] for c in _boundary(phi, n + 1)]
+    return ExactMatrix(data, rows, cols, cols=len(cols))
 
 
 def adjoint_matrix(matrix: ExactMatrix) -> ExactMatrix:

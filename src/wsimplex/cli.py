@@ -31,11 +31,11 @@ from .homology import (
 )
 from .matrices import ExactMatrix
 from .spectral import (
+    _laplacian_views,
     cohomology_dim,
     harmonic_basis,
     laplacian_spectrum,
     read_inner_weights_file,
-    up_down_matrices,
     zero_multiplicity_formulas,
 )
 from .weights import read_weight_file
@@ -154,8 +154,7 @@ def _cmd_snf(args):
 
 def _cmd_laplacian(args):
     complex, phi = _load_pair(args)
-    up, down = up_down_matrices(complex, phi, args.dim, _load_inner(args, complex))
-    total = up + down
+    up, down, total = _laplacian_views(complex, phi, args.dim, _load_inner(args, complex))
     return {"dimension": args.dim, "up": _matrix_json(up),
             "down": _matrix_json(down), "laplacian": _matrix_json(total)}, 0
 

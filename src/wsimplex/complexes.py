@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import combinations
+from operator import lt
 from typing import Iterable, Iterator
 
 
@@ -135,7 +136,11 @@ def parse_complex_text(text: str) -> SimplicialComplex:
         if not line:
             continue
         try:
-            simplices.append(Simplex(map(int, line.split())))
+            vs = tuple(map(int, line.split()))
+            # int() makes no bool, so a non-negative strictly ascending line
+            # is a valid simplex; Simplex() words the refusal of any other
+            valid = vs[0] >= 0 and all(map(lt, vs, vs[1:]))
+            simplices.append(_trusted(vs) if valid else Simplex(vs))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     if not simplices:

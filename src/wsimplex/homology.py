@@ -14,8 +14,10 @@ Homology of a validated integer-weighted complex in degree n needs one
 normal form, that of d_{n+1}: the torsion coefficients are its diagonal
 entries that exceed 1, and the free rank is dim C_n - rank(d_n) -
 rank(d_{n+1}), with rank(d_n) the exact rank ``column_rank`` gives every
-other dimension count.  ``boundary_int_rows`` writes SNF's sparse integer
-rows straight from the non-zeros of ``boundary_columns``.
+other dimension count.  The pair caches that torsion and rank, as it
+caches the boundary columns and ranks (see ``chains``), so a repeated
+query runs no normal form.  ``boundary_int_rows`` writes SNF's sparse
+integer rows straight from the non-zeros of ``boundary_columns``.
 
 ``ngon_homology_closed_form`` gives the degree-0 homology of a weighted
 polygon without a matrix.  The k-th invariant factor has, at every prime
@@ -34,9 +36,9 @@ from math import gcd
 
 # boundary_matrix is not called here; perfbench/selftest.py reaches the
 # dense view through this module's name for it.
-from .chains import boundary_columns, boundary_matrix  # noqa: F401
+from .chains import _boundary, _cached, _check_pair, _rank, boundary_matrix  # noqa: F401
 from .complexes import SimplicialComplex
-from .matrices import ExactMatrix, column_rank
+from .matrices import ExactMatrix
 from .weights import WeightFunction
 
 
@@ -242,8 +244,9 @@ def boundary_int_rows(complex: SimplicialComplex, phi: WeightFunction, n: int) -
     boundary, from the non-zeros of ``boundary_columns``; a non-integer
     entry is refused.  ``smith_normal_form`` reads them with ``cols`` =
     the number of n-simplices."""
+    _check_pair(complex, phi)
     rows = [{} for _ in complex.basis(n - 1)]
-    for j, column in enumerate(boundary_columns(complex, phi, n)):
+    for j, column in enumerate(_boundary(phi, n)):
         for i, x in column.items():
             rows[i][j] = _int_entry(x)
     return rows
@@ -275,15 +278,20 @@ def weighted_homology(complex: SimplicialComplex, phi: WeightFunction, n: int) -
     """Homology with integer coefficients in degree n.
 
     Needs integer weight entries; rational or complex weights have no
-    torsion story and are rejected.
+    torsion story and are rejected.  The pair caches the torsion and rank
+    of d_{n+1}'s normal form.
     """
     if not phi.is_integral():
         raise ValueError("integer homology needs integer weight values")
-    upper = smith_normal_form(boundary_int_rows(complex, phi, n + 1),
-                              cols=len(complex.basis(n + 1)))
-    free = len(complex.basis(n)) - column_rank(boundary_columns(complex, phi, n)) - upper.rank
-    torsion = [d for d in upper.diagonal if d > 1]
-    return HomologyGroup(torsion, free)
+    _check_pair(complex, phi)
+
+    def upper():
+        snf = smith_normal_form(boundary_int_rows(complex, phi, n + 1),
+                                cols=len(complex.basis(n + 1)))
+        return tuple(d for d in snf.diagonal if d > 1), snf.rank
+
+    torsion, rank = _cached(phi, "snf", n + 1, upper)
+    return HomologyGroup(list(torsion), len(complex.basis(n)) - _rank(phi, n) - rank)
 
 
 def _coprime_base(values) -> list[int]:

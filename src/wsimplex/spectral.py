@@ -17,9 +17,10 @@ annihilated by both the coboundary and the adjoint coboundary.
 
 No boundary is formed dense and no Laplacian by matrix products: ranks
 and Laplacians read the non-zero columns of d_n and d_{n+1}
-(``chains.boundary_columns``).  Each Laplacian part is summed over them,
-exactly over Q(i), for n-simplices s, t and diagonal inner weights w (all
-1 for the standard inner products):
+(``chains.boundary_columns``), which the pair builds once, as it does
+their ranks (see ``chains``).  Each Laplacian part is summed over them
+into sparse rows {t: value}, exactly over Q(i), for n-simplices s, t and
+diagonal inner weights w (all 1 for the standard inner products):
 
     up[s,t]   = (1/w_s) * sum_r w_r * conj(d_{n+1}[s,r]) * d_{n+1}[t,r]
                 over the (n+1)-simplices r (one column of d_{n+1} each),
@@ -28,7 +29,9 @@ exactly over Q(i), for n-simplices s, t and diagonal inner weights w (all
 
 A column of d_{n+1} holds n+2 non-zeros at most, so the work is the sum of
 the squared non-zero counts per column (or row), not a cube of the basis
-size.
+size.  The pair caches the two standard parts as these rows;
+``laplacian_matrix`` adds them sparse and makes one dense view, and no
+dense matrix is cached.  Parts for inner weights are built per call.
 
 ``up_down_matrices(..., w)`` swaps the standard inner products for
 diagonal ones given by positive simplex weights w; the resulting matrices
@@ -68,10 +71,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping
 
-from .chains import boundary_columns
+from .chains import _boundary, _cached, _check_pair, _rank
 from .complexes import Simplex, SimplicialComplex
 from .gaussian import ZERO, GaussianRational
-from .matrices import ExactMatrix, column_rank, to_floats
+from .matrices import ExactMatrix, to_floats
 from .weights import WeightFunction
 
 if TYPE_CHECKING:
@@ -80,43 +83,48 @@ if TYPE_CHECKING:
 
 
 def _columns(complex: SimplicialComplex, phi: WeightFunction, n: int):
-    """Non-zero columns of the boundaries (d_n, d_{n+1}) around degree n."""
-    return boundary_columns(complex, phi, n), boundary_columns(complex, phi, n + 1)
+    """The cached non-zero columns of the boundaries (d_n, d_{n+1}) around
+    degree n, read only."""
+    _check_pair(complex, phi)
+    return _boundary(phi, n), _boundary(phi, n + 1)
 
 
-def _kernel_dim(complex: SimplicialComplex, n: int, d_n, d_next) -> int:
-    return len(complex.basis(n)) - column_rank(d_n) - column_rank(d_next)
+def _kernel_dim(complex: SimplicialComplex, phi: WeightFunction, n: int) -> int:
+    """dim C^n - r_n - r_{n+1}, from the cached ranks of a checked pair."""
+    return len(complex.basis(n)) - _rank(phi, n) - _rank(phi, n + 1)
 
 
 def cohomology_dim(complex: SimplicialComplex, phi: WeightFunction, n: int) -> int:
     """dim H^n = dim C^n - r_n - r_{n+1}.  Degrees below 0 have dimension 0."""
     if n < 0:
         return 0
-    return _kernel_dim(complex, n, *_columns(complex, phi, n))
+    _check_pair(complex, phi)
+    return _kernel_dim(complex, phi, n)
 
 
-def _gram(groups, size: int, scales=None) -> list[list]:
-    """out[i][j] = sum over the groups (g, entries) of
-    scales[g] * conj(entries[i]) * entries[j], entries being a dict
-    {index: non-zero value}; every scale is 1 when scales is None."""
-    out = [[ZERO] * size for _ in range(size)]
+def _gram(groups, size: int, scales=None) -> list[dict]:
+    """Sparse rows {j: out[i][j]} of out[i][j] = sum over the groups
+    (g, entries) of scales[g] * conj(entries[i]) * entries[j], entries
+    being a dict {index: non-zero value}; every scale is 1 when scales is
+    None."""
+    out = [{} for _ in range(size)]
     for g, entries in groups:
         for i, a in entries.items():
             ca = a.conjugate() if scales is None else a.conjugate() * scales[g]
             row = out[i]
             for j, b in entries.items():
-                row[j] = row[j] + ca * b
+                x = row.get(j)
+                row[j] = ca * b if x is None else x + ca * b
     return out
 
 
-def _assemble(labels, d_n, d_next, w=None) -> tuple[ExactMatrix, ExactMatrix]:
-    """(up, down) parts of the degree-n Laplacian, summed over the non-zero
-    columns d_n, d_next of the boundaries d_n and d_{n+1} (see the module
-    docstring); labels is the degree-n basis.
+def _assemble(size: int, d_n, d_next, w=None) -> tuple[list[dict], list[dict]]:
+    """Sparse rows of the (up, down) parts of the degree-n Laplacian, summed
+    over the non-zero columns d_n, d_next of the boundaries d_n and d_{n+1}
+    (see the module docstring); size is dim C^n.
 
     w is None for the standard inner products, else the diagonal inner
     weights (w_{n-1}, w_n, w_{n+1}) in basis order."""
-    size = len(labels)
     # rows of d_n enter conjugated: the Gram sum then gives
     # d_n[f,s] * conj(d_n[f,t]) as the down formula needs
     rows: dict[int, dict] = {}
@@ -124,18 +132,46 @@ def _assemble(labels, d_n, d_next, w=None) -> tuple[ExactMatrix, ExactMatrix]:
         for f, x in column.items():
             rows.setdefault(f, {})[s] = x.conjugate()
     if w is None:
-        up, down = _gram(enumerate(d_next), size), _gram(rows.items(), size)
-    else:
-        # the Fraction weights become scalars once, not once per product
-        w_dn, w_n, w_up = ([GaussianRational(x) for x in ws] for ws in w)
-        up = _gram(enumerate(d_next), size, w_up)
-        down = _gram(rows.items(), size, [1 / x for x in w_dn])
-        for s, w_s in enumerate(w_n):
-            inv = 1 / w_s
-            up[s] = [x * inv for x in up[s]]
-            down[s] = [x * w_t for x, w_t in zip(down[s], w_n)]
-    return (ExactMatrix(up, labels, labels, cols=size),
-            ExactMatrix(down, labels, labels, cols=size))
+        return _gram(enumerate(d_next), size), _gram(rows.items(), size)
+    # the Fraction weights become scalars once, not once per product
+    w_dn, w_n, w_up = ([GaussianRational(x) for x in ws] for ws in w)
+    up = _gram(enumerate(d_next), size, w_up)
+    down = _gram(rows.items(), size, [1 / x for x in w_dn])
+    for s, w_s in enumerate(w_n):
+        inv = 1 / w_s
+        up[s] = {t: x * inv for t, x in up[s].items()}
+        down[s] = {t: x * w_n[t] for t, x in down[s].items()}
+    return up, down
+
+
+def _parts(complex: SimplicialComplex, phi: WeightFunction, n: int,
+           w: InnerProductWeights | None = None) -> tuple[list[dict], list[dict]]:
+    """Sparse rows of the (up, down) parts of the degree-n Laplacian, read
+    only: cached per pair for the standard inner products, built afresh
+    for inner weights w."""
+    d_n, d_next = _columns(complex, phi, n)
+    size = len(complex.basis(n))
+    if w is None:
+        return _cached(phi, "parts", n, lambda: _assemble(size, d_n, d_next))
+    return _assemble(size, d_n, d_next,
+                     tuple(w.diagonal(complex, k) for k in (n - 1, n, n + 1)))
+
+
+def _sum(up: list[dict], down: list[dict]) -> list[dict]:
+    """Sparse rows of up + down, new dicts."""
+    out = [dict(row) for row in up]
+    for row, other in zip(out, down):
+        for j, x in other.items():
+            y = row.get(j)
+            row[j] = x if y is None else y + x
+    return out
+
+
+def _dense(rows: list[dict], labels) -> ExactMatrix:
+    """The dense view of sparse square rows over the basis labels."""
+    width = range(len(labels))
+    return ExactMatrix([[row.get(j, ZERO) for j in width] for row in rows],
+                       labels, labels, cols=len(labels))
 
 
 def up_down_matrices(
@@ -151,14 +187,24 @@ def up_down_matrices(
         down = A_{n-1} W_{n-1}^{-1} A_{n-1}^* W_n,
 
     which need not be Hermitian.  Every weight 1 gives the standard parts."""
-    w_diag = None if w is None else tuple(w.diagonal(complex, k)
-                                          for k in (n - 1, n, n + 1))
-    return _assemble(complex.basis(n), *_columns(complex, phi, n), w_diag)
+    labels = complex.basis(n)
+    up, down = _parts(complex, phi, n, w)
+    return _dense(up, labels), _dense(down, labels)
 
 
 def laplacian_matrix(complex: SimplicialComplex, phi: WeightFunction, n: int) -> ExactMatrix:
-    up, down = up_down_matrices(complex, phi, n)
-    return up + down
+    """L_n = up + down, added on the sparse parts before the one dense view."""
+    return _dense(_sum(*_parts(complex, phi, n)), complex.basis(n))
+
+
+def _laplacian_views(complex: SimplicialComplex, phi: WeightFunction, n: int,
+                     w: InnerProductWeights | None = None):
+    """Dense (up, down, up + down) of the degree-n Laplacian, as
+    ``up_down_matrices`` and ``laplacian_matrix`` give them, from one read
+    of the sparse parts."""
+    labels = complex.basis(n)
+    up, down = _parts(complex, phi, n, w)
+    return _dense(up, labels), _dense(down, labels), _dense(_sum(up, down), labels)
 
 
 class InnerProductWeights:
@@ -271,7 +317,7 @@ def laplacian_spectrum(
 
     d_n, d_next = _columns(complex, phi, n)
     values, vectors = jacobi_svd(_factor(complex, n, d_n, d_next, w))
-    values[:_kernel_dim(complex, n, d_n, d_next)] = 0.0
+    values[:_kernel_dim(complex, phi, n)] = 0.0
     return Spectrum(values, vectors)
 
 
@@ -281,9 +327,9 @@ def zero_multiplicity_formulas(
     """Zero-eigenvalue multiplicities (down part, up part, full Laplacian)
     in degree n: dim C^n - r_n, dim C^n - r_{n+1} and dim H^n.  Degrees
     below 0 give (0, 0, 0)."""
+    _check_pair(complex, phi)
     dim_c = len(complex.basis(n))
-    d_n, d_next = _columns(complex, phi, n)
-    r_n, r_next = column_rank(d_n), column_rank(d_next)
+    r_n, r_next = _rank(phi, n), _rank(phi, n + 1)
     return dim_c - r_n, dim_c - r_next, dim_c - r_n - r_next
 
 
@@ -308,7 +354,7 @@ def harmonic_basis(complex: SimplicialComplex, phi: WeightFunction, n: int) -> H
     from .eigen import jacobi_svd
 
     d_n, d_next = _columns(complex, phi, n)
-    count = _kernel_dim(complex, n, d_n, d_next)
+    count = _kernel_dim(complex, phi, n)
     labels = complex.basis(n)
     if not count:
         return HarmonicBasis(n, labels, np.zeros((len(labels), 0)))

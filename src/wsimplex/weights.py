@@ -19,10 +19,18 @@ simplex weighting; ``cfw_weight`` generalises it to C * f(w(s)) / f(w(d_i s)).
 Loading does each piece of work once, since the command line loads a pair
 per call and loading used to cost more than the homology after it.
 ``parse_weight_text`` parses each distinct vertex list and value text once
-per call (files repeat them many times) and finds face indices in one
-{face: i} map per simplex; ``validate_weight`` compares the two sides of
+per call (files repeat them many times), finds face indices in one
+{face: i} map per simplex, and hands its table, complete by count, to
+``WeightFunction._trusted``, which skips the constructor's second walk
+over the required pairs; ``validate_weight`` compares the two sides of
 each condition crosswise on integer triples and multiplies out only a
 violation.
+
+A weight function stands for its (complex, weight) pair.  Its table never
+changes, so it also holds, per degree, the sparse exact operators built
+from it (boundary columns, ranks, normal-form torsion, Laplacian parts;
+see ``chains``): each is built on the first ask of a validated pair and read
+afterwards.
 """
 
 from __future__ import annotations
@@ -65,10 +73,9 @@ class WeightFunction:
     that is not such a pair of the complex is refused."""
 
     def __init__(self, complex: SimplicialComplex, table: Mapping):
-        self.complex = complex
         tbl: dict[tuple[Simplex, int], GaussianRational] = {}
         for (s, i), value in table.items():
-            # a parsed table is already normal: convert only what is not
+            # keys from required_pairs are Simplex already: convert only what is not
             if type(s) is not Simplex:
                 s = Simplex(s)
             if type(value) is not GaussianRational:
@@ -83,8 +90,22 @@ class WeightFunction:
             required = set(required_pairs(complex))
             s, i = next(pair for pair in tbl if pair not in required)
             raise ValueError(f"({s}, face {i}) is not a (simplex, face) pair of the complex")
-        self._table = tbl
+        self._adopt(complex, tbl)
+
+    @classmethod
+    def _trusted(cls, complex: SimplicialComplex, table: dict) -> "WeightFunction":
+        """A weight function on a table already known to hold exactly the
+        required pairs, keyed by Simplex and valued by GaussianRational."""
+        phi = cls.__new__(cls)
+        phi._adopt(complex, table)
+        return phi
+
+    def _adopt(self, complex: SimplicialComplex, table: dict) -> None:
+        self.complex = complex
+        self._table = table
         self._validated = False
+        # (part, degree) -> sparse exact operator, filled by chains._cached
+        self._operators: dict[tuple[str, int], object] = {}
 
     @property
     def validated(self) -> bool:
@@ -353,7 +374,7 @@ def parse_weight_text(
         )
         for pair in missing:
             table[pair] = GaussianRational.coerce(default)
-    return WeightFunction(complex, table)
+    return WeightFunction._trusted(complex, table)
 
 
 def read_weight_file(path, complex, default=Fraction(1), strict=False) -> WeightFunction:

@@ -16,10 +16,13 @@ import warnings
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+
 from conftest import random_complex, random_valid_weight
 from oracles import reference_parse_weight_text, reference_violations, stack_closure
 from wsimplex import (
     GaussianRational,
+    Simplex,
     SimplicialComplex,
     WeightFunction,
     parse_complex_text,
@@ -178,6 +181,27 @@ def test_closure_matches_the_reference():
         text = "".join(rng.choice(["# c\n", ""]) + " ".join(map(str, s)) +
                        rng.choice(["\n", "\r\n", "  # tail\n"]) for s in simplices)
         assert parse_complex_text(text) == K
+
+
+def test_every_bad_complex_line_refuses_as_simplex_does():
+    """A complex line is read without Simplex's per-vertex checks when it
+    passes them; any other line is refused with Simplex's own words."""
+    good = "0 1 2\n"
+    for bad in ("-1", "0 -1", "-1 2", "-3 -2", "2 1", "1 1", "0 2 2", "0 x", "1.0 2",
+                "0 1 2 1", "3 2 1"):
+        try:
+            Simplex(map(int, bad.split()))
+        except ValueError as exc:
+            want = str(exc)
+        else:
+            raise AssertionError(f"{bad!r} is a valid simplex")
+        for text, lineno in ((bad + "\n", 1), (good + bad + "\r\n" + good, 2)):
+            with pytest.raises(ValueError) as caught:
+                parse_complex_text(text)
+            assert str(caught.value) == f"line {lineno}: {want}", bad
+    for fine in ("0", "-0 1", "+1 2", "0 1 2 3 4", "7  9\t12"):
+        assert parse_complex_text(fine).basis(len(fine.split()) - 1) == (
+            Simplex(map(int, fine.split())),)
 
 
 def test_loading_the_delta21_two_skeleton_is_bounded():
