@@ -6,12 +6,19 @@ check), 2 on file, grammar or usage errors.  Diagnostics go to stderr,
 one line each: ``error: ...`` for the failure behind the exit code, and
 ``warning: ...`` for each warning raised (a missing or duplicate weight
 entry, say), which leaves stdout and the exit code as they are.
+
+The object is printed as ``json.dumps(payload, indent=2)`` prints it,
+byte for byte, by ``jsonout.dump``: the answer is computed in full
+first, so every exit code and error path is decided before the first
+byte, and then streamed to stdout one row or vector at a time.  Floats
+are printed at 12 significant digits.  The matrix subcommands print
+their entries straight from the pair's sparse columns and Laplacian
+parts; no dense matrix is built to be printed.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import re
@@ -19,7 +26,7 @@ import sys
 import warnings
 from fractions import Fraction
 
-from .chains import boundary_matrix, coboundary_matrix
+from .chains import boundary_columns
 from .complexes import read_complex_file
 from .ffl import FFLSpec, classify_ffl, ffl_signature, make_ffl, signature_of_matrix
 from .gaussian import GaussianRational
@@ -29,9 +36,11 @@ from .homology import (
     smith_normal_form,
     weighted_homology,
 )
+from .jsonout import SparseRows, dump, sig12
 from .matrices import ExactMatrix
 from .spectral import (
-    _laplacian_views,
+    _parts,
+    _sum,
     cohomology_dim,
     harmonic_basis,
     laplacian_spectrum,
@@ -45,25 +54,10 @@ class _InputError(Exception):
     """File, grammar or usage problem: exit code 2."""
 
 
-def _sig12(x: float) -> float:
-    return float(f"{x:.12g}")
-
-
-def _vector_json(col) -> list:
-    """A float column (a numpy array) as a JSON list, [re, im] per complex
-    entry; the column is read out once, not entry by entry."""
-    if col.dtype.kind == "c":
-        return [[_sig12(x), _sig12(y)]
-                for x, y in zip(col.real.tolist(), col.imag.tolist())]
-    return [_sig12(x) for x in col.tolist()]
-
-
-def _matrix_json(m: ExactMatrix) -> dict:
-    return {
-        "row_labels": [list(s) for s in (m.row_labels or [])],
-        "col_labels": [list(s) for s in (m.col_labels or [])],
-        "entries": [[str(x) for x in row] for row in m.data],
-    }
+def _matrix(row_labels, col_labels, rows) -> dict:
+    """The payload of an exact matrix given as sparse rows {column: value}."""
+    return {"row_labels": row_labels, "col_labels": col_labels,
+            "entries": SparseRows(rows, len(col_labels))}
 
 
 def _load_pair(args, validate=True):
@@ -118,12 +112,20 @@ def _cmd_validate(args):
 
 def _cmd_boundary(args):
     complex, phi = _load_pair(args)
-    return _matrix_json(boundary_matrix(complex, phi, args.dim)), 0
+    n = args.dim
+    rows = [{} for _ in complex.basis(n - 1)]
+    for j, column in enumerate(boundary_columns(complex, phi, n)):
+        for i, x in column.items():
+            rows[i][j] = x
+    return _matrix(complex.basis(n - 1), complex.basis(n), rows), 0
 
 
 def _cmd_coboundary(args):
     complex, phi = _load_pair(args)
-    return _matrix_json(coboundary_matrix(complex, phi, args.dim)), 0
+    n = args.dim
+    # the coboundary's rows are the columns of d_{n+1}
+    rows = boundary_columns(complex, phi, n + 1)
+    return _matrix(complex.basis(n + 1), complex.basis(n), rows), 0
 
 
 def _cmd_homology(args):
@@ -154,31 +156,26 @@ def _cmd_snf(args):
 
 def _cmd_laplacian(args):
     complex, phi = _load_pair(args)
-    up, down, total = _laplacian_views(complex, phi, args.dim, _load_inner(args, complex))
-    return {"dimension": args.dim, "up": _matrix_json(up),
-            "down": _matrix_json(down), "laplacian": _matrix_json(total)}, 0
+    up, down = _parts(complex, phi, args.dim, _load_inner(args, complex))
+    labels = complex.basis(args.dim)
+    return {"dimension": args.dim, "up": _matrix(labels, labels, up),
+            "down": _matrix(labels, labels, down),
+            "laplacian": _matrix(labels, labels, _sum(up, down))}, 0
 
 
 def _cmd_spectrum(args):
     complex, phi = _load_pair(args)
     spec = laplacian_spectrum(complex, phi, args.dim, _load_inner(args, complex))
-    return {
-        "dimension": args.dim,
-        "eigenvalues": [_sig12(w) for w in spec.eigenvalues.tolist()],
-        "eigenvectors": [_vector_json(spec.eigenvectors[:, k])
-                         for k in range(spec.size)],
-    }, 0
+    # the eigenvectors are the columns, printed one list each
+    return {"dimension": args.dim, "eigenvalues": spec.eigenvalues,
+            "eigenvectors": spec.eigenvectors.T}, 0
 
 
 def _cmd_harmonic(args):
     complex, phi = _load_pair(args)
     basis = harmonic_basis(complex, phi, args.dim)
-    return {
-        "dimension": args.dim,
-        "count": basis.count,
-        "labels": [list(s) for s in basis.labels],
-        "vectors": [_vector_json(basis.vectors[:, k]) for k in range(basis.count)],
-    }, 0
+    return {"dimension": args.dim, "count": basis.count, "labels": basis.labels,
+            "vectors": basis.vectors.T}, 0
 
 
 def _cmd_multiplicities(args):
@@ -248,7 +245,7 @@ def _cmd_ffl(args):
             raise _InputError(exc) from None
         payload = {}
         sig = signature_of_matrix(matrix)
-    payload["eigenvalues"] = [_sig12(w) for w in sig.eigenvalues]
+    payload["eigenvalues"] = sig12(sig.eigenvalues)
     payload["classified"] = classify_ffl(sig, tol=args.tol).label
     return payload, 0
 
@@ -353,7 +350,7 @@ def main(argv=None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return code
     try:
-        print(json.dumps(payload, indent=2))
+        dump(payload, sys.stdout.write)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader has gone: send the interpreter's final flush of the

@@ -193,10 +193,25 @@ def _lapack():
     return None
 
 
+def _on_one_thread(call, *args):
+    """call(*args) on one thread of numpy's bundled OpenBLAS, set with the
+    thread-local setter (other threads keep their count) and restored
+    after it; a plain call where numpy bundles no such library."""
+    routines = _lapack()
+    if routines is None:
+        return call(*args)
+    set_threads = routines[2]
+    before = set_threads(1)
+    try:
+        return call(*args)
+    finally:
+        set_threads(before)
+
+
 def _gejsv(routines, m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """(w, v) for m with rows >= columns >= 1 by LAPACK's xGEJSV on one
     OpenBLAS thread, w unsorted; None when it reports no convergence."""
-    dgejsv, zgejsv, set_threads = routines
+    dgejsv, zgejsv, _ = routines
     rows, n = m.shape
     real = not np.iscomplexobj(m)
     a = np.array(m, dtype=np.float64 if real else np.complex128, order="F")
@@ -212,14 +227,11 @@ def _gejsv(routines, m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         scale = np.empty(2 * rows + n + 7)
         workspace = (work.ctypes, _int(work.size), scale.ctypes, _int(scale.size))
     info = ctypes.c_int64()
-    before = set_threads(1)
-    try:
-        (dgejsv if real else zgejsv)(
-            b"F", b"N", b"V", b"N", b"N", b"N", _int(rows), _int(n), a.ctypes,
-            _int(rows), sva.ctypes, unused_u.ctypes, _int(1), v.ctypes, _int(n),
-            *workspace, iwork.ctypes, ctypes.byref(info), 1, 1, 1, 1, 1, 1)
-    finally:
-        set_threads(before)
+    _on_one_thread(
+        dgejsv if real else zgejsv,
+        b"F", b"N", b"V", b"N", b"N", b"N", _int(rows), _int(n), a.ctypes,
+        _int(rows), sva.ctypes, unused_u.ctypes, _int(1), v.ctypes, _int(n),
+        *workspace, iwork.ctypes, ctypes.byref(info), 1, 1, 1, 1, 1, 1)
     if info.value < 0:
         raise RuntimeError(f"xGEJSV: argument {-info.value} had an illegal value")
     if info.value:

@@ -197,16 +197,6 @@ def laplacian_matrix(complex: SimplicialComplex, phi: WeightFunction, n: int) ->
     return _dense(_sum(*_parts(complex, phi, n)), complex.basis(n))
 
 
-def _laplacian_views(complex: SimplicialComplex, phi: WeightFunction, n: int,
-                     w: InnerProductWeights | None = None):
-    """Dense (up, down, up + down) of the degree-n Laplacian, as
-    ``up_down_matrices`` and ``laplacian_matrix`` give them, from one read
-    of the sparse parts."""
-    labels = complex.basis(n)
-    up, down = _parts(complex, phi, n, w)
-    return _dense(up, labels), _dense(down, labels), _dense(_sum(up, down), labels)
-
-
 class InnerProductWeights:
     """Positive rational weight per simplex, defining diagonal inner
     products on the cochain spaces."""
@@ -247,16 +237,17 @@ class InnerProductWeights:
 
 def spectrum(matrix: ExactMatrix) -> Spectrum:
     """Spectrum of an exactly Hermitian matrix (checked before any floats)
-    by LAPACK ``eigh`` on its float copy.  The eigenvalues are only
+    by LAPACK ``eigh`` on its float copy, on one OpenBLAS thread as the
+    SVD runs (``eigen._on_one_thread``).  The eigenvalues are only
     normwise accurate, to about eps ||A||_F each; for an ill-conditioned
     Laplacian use ``laplacian_spectrum``, which forms none."""
     import numpy as np
-    from .eigen import Spectrum
+    from .eigen import Spectrum, _on_one_thread
 
     if not matrix.is_hermitian():
         raise ValueError("matrix is not Hermitian; for weighted inner products "
                          "use laplacian_spectrum(..., w)")
-    return Spectrum(*np.linalg.eigh(matrix.to_ndarray()))
+    return Spectrum(*_on_one_thread(np.linalg.eigh, matrix.to_ndarray()))
 
 
 def _factor(complex: SimplicialComplex, n: int, d_n, d_next,

@@ -104,6 +104,7 @@ class WeightFunction:
         self.complex = complex
         self._table = table
         self._validated = False
+        self._integral: bool | None = None  # is_integral's answer, once asked
         # (part, degree) -> sparse exact operator, filled by chains._cached
         self._operators: dict[tuple[str, int], object] = {}
 
@@ -136,7 +137,11 @@ class WeightFunction:
         return self._table.items()
 
     def is_integral(self) -> bool:
-        return all(v.is_integer() for v in self._table.values())
+        """Whether every value is an integer; the table never changes, so
+        it is walked on the first ask only."""
+        if self._integral is None:
+            self._integral = all(v.is_integer() for v in self._table.values())
+        return self._integral
 
     def is_real(self) -> bool:
         return all(v.is_real() for v in self._table.values())

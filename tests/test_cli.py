@@ -480,6 +480,26 @@ def test_closed_stdout_is_quiet():
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
+def test_closed_stdout_mid_stream_is_quiet(capsys, tmp_path):
+    """The same when the reader is gone before a payload larger than a
+    pipe's 64 KiB buffer: the write that finds the pipe closed comes in the
+    middle of the stream, and the exit code and empty stderr stand."""
+    complex = build_complex(itertools.combinations(range(9), 3))
+    phi = random_quotient_weight(random.Random(8), complex, complex_scalars=True,
+                                 allow_zero_scale=False)
+    argv = ["laplacian", *write_pair(tmp_path, "delta8", complex, phi), "-n", "2"]
+    assert main(argv) == 0
+    assert len(capsys.readouterr().out) > 4 * 65536
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "wsimplex", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=child_env())
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def test_tall_complex_spectrum_is_quiet_on_stderr(tmp_path):
     """The degree-1 factor of the Delta^6 2-skeleton under complex weights
     is tall (42 x 21); its spectrum writes nothing to fd 2, where LAPACK's

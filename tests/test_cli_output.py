@@ -1,0 +1,152 @@
+"""The command line prints ``json.dumps(payload, indent=2)`` byte for byte.
+
+The writer (``wsimplex.jsonout``) streams the payload and prints matrices
+from sparse rows and vectors from numpy arrays, so these tests pin its
+bytes two ways: every stdout of every fixture pair, subcommand and degree
+is its own ``json.dumps(json.loads(out), indent=2)``, and the matrices and
+spectra it prints equal the dense views and the 12-digit rounding the
+command line printed before, taken from the library.
+"""
+
+import json
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from wsimplex import read_complex_file, read_weight_file
+from wsimplex.chains import boundary_matrix, coboundary_matrix
+from wsimplex.cli import main
+from wsimplex.spectral import (
+    harmonic_basis,
+    laplacian_matrix,
+    laplacian_spectrum,
+    read_inner_weights_file,
+    up_down_matrices,
+)
+
+FIXTURES = Path(__file__).parent / "fixtures"
+FILE_PAIRS = [
+    ("cycle40_even.cplx", "cycle40_even.wts"),
+    ("edge.cplx", "edge.wts"),
+    ("edge.cplx", "edge_complex.wts"),
+    ("hollow.cplx", "doubled.wts"),
+    ("pentagon.cplx", "pentagon.wts"),
+    ("pentagon.cplx", "pentagon_imaginary.wts"),
+    ("pentagon.cplx", "pentagon_ones.wts"),
+    ("pentagon.cplx", "pentagon_zeros.wts"),
+    ("simplex5_dawson.cplx", "simplex5_dawson.wts"),
+    ("triangle.cplx", "triangle.wts"),
+    ("triangle.cplx", "triangle_bad.wts"),
+]
+DEGREE_COMMANDS = ["boundary", "coboundary", "homology", "cohomology-dim", "snf",
+                   "laplacian", "spectrum", "harmonic", "multiplicities"]
+
+
+def fx(name: str) -> str:
+    return str(FIXTURES / name)
+
+
+def argvs():
+    """Every subcommand on every fixture pair in degrees -1..max_dim+1, with
+    inner weights and transforms, then ngon and ffl."""
+    for cplx, wts in FILE_PAIRS:
+        top = read_complex_file(FIXTURES / cplx).max_dim
+        pair = ["-k", fx(cplx), "-w", fx(wts)]
+        yield ["validate", *pair]
+        for n in map(str, range(-1, top + 2)):
+            for command in DEGREE_COMMANDS:
+                yield [command, *pair, "-n", n]
+            yield ["snf", *pair, "-n", n, "--transforms"]
+            yield ["laplacian", *pair, "-n", n, "--inner-weights", fx("inner.wts")]
+            yield ["spectrum", *pair, "-n", n, "--inner-weights", fx("inner.wts")]
+    for alphas in ("1,2,2,2,2", "0,3,0,5,7", "-3,6,1", "12,18,30,0"):
+        yield ["ngon", f"--alphas={alphas}"]
+    for kind in ("coherent", "incoherent"):
+        for k in "1234":
+            yield ["ffl", "--type", kind + k]
+    yield ["ffl", "--classify", fx("ffl_matrix.txt")]
+
+
+def test_stdout_is_json_dumps_indent_2(capsys):
+    printed = Counter()
+    pairs_printed = False
+    for argv in argvs():
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert (code == 0) == (out != "") or argv[0] == "validate", argv
+        if out:
+            assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+            printed[argv[0]] += 1
+            pairs_printed |= argv[0] == "spectrum" and "[\n      [\n" in out
+    assert set(printed) == {"validate", *DEGREE_COMMANDS, "ngon", "ffl"}, printed
+    assert pairs_printed  # complex eigenvectors, as [re, im] pairs
+
+
+def _dense(m) -> dict:
+    """A dense matrix as the command line printed it before."""
+    return {"row_labels": [list(s) for s in m.row_labels],
+            "col_labels": [list(s) for s in m.col_labels],
+            "entries": [[str(x) for x in row] for row in m.data]}
+
+
+def _sig12(x: float) -> float:
+    return float(f"{x:.12g}")
+
+
+def _vector(col) -> list:
+    """A float column as the command line printed it before."""
+    if col.dtype.kind == "c":
+        return [[_sig12(x), _sig12(y)] for x, y in zip(col.real.tolist(), col.imag.tolist())]
+    return [_sig12(x) for x in col.tolist()]
+
+
+def run(capsys, *argv) -> dict:
+    assert main(list(argv)) == 0, argv
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.filterwarnings("ignore:.*weight entries missing")
+@pytest.mark.parametrize("cplx, wts", [p for p in FILE_PAIRS if "bad" not in p[1]],
+                         ids=lambda name: name.split(".")[0])
+def test_matrices_and_vectors_print_as_the_dense_views(capsys, cplx, wts):
+    """Entries printed from sparse rows equal the library's dense views, and
+    spectra and harmonic vectors equal the library's arrays rounded to 12
+    digits, in every degree, with and without inner weights."""
+    complex = read_complex_file(FIXTURES / cplx)
+    phi = read_weight_file(FIXTURES / wts, complex)
+    assert not phi.validate()
+    inner = read_inner_weights_file(FIXTURES / "inner.wts")
+    for n in range(-1, complex.max_dim + 2):
+        pair = ["-k", fx(cplx), "-w", fx(wts), "-n", str(n)]
+        assert run(capsys, "boundary", *pair) == _dense(boundary_matrix(complex, phi, n))
+        assert run(capsys, "coboundary", *pair) == _dense(coboundary_matrix(complex, phi, n))
+        payload = run(capsys, "laplacian", *pair)
+        up, down = up_down_matrices(complex, phi, n)
+        assert [payload[k] for k in ("up", "down", "laplacian")] == [
+            _dense(up), _dense(down), _dense(laplacian_matrix(complex, phi, n))]
+        spec = laplacian_spectrum(complex, phi, n)
+        assert run(capsys, "spectrum", *pair) == {
+            "dimension": n, "eigenvalues": [_sig12(x) for x in spec.eigenvalues.tolist()],
+            "eigenvectors": [_vector(spec.eigenvectors[:, k]) for k in range(spec.size)]}
+        basis = harmonic_basis(complex, phi, n)
+        assert run(capsys, "harmonic", *pair) == {
+            "dimension": n, "count": basis.count, "labels": [list(s) for s in basis.labels],
+            "vectors": [_vector(basis.vectors[:, k]) for k in range(basis.count)]}
+        if all(s in complex for s in inner.simplices()):
+            payload = run(capsys, "laplacian", *pair, "--inner-weights", fx("inner.wts"))
+            up, down = up_down_matrices(complex, phi, n, inner)
+            assert [payload["up"], payload["down"]] == [_dense(up), _dense(down)]
+            assert payload["laplacian"]["entries"] == [
+                [str(x + y) for x, y in zip(a, b)] for a, b in zip(up.data, down.data)]
+
+
+def test_float_text_is_the_rounded_repr(capsys):
+    """Eigenvalues print as the repr of their 12-digit rounding: an
+    integer-valued one as 13.0, never 13 or 12.999999999999998."""
+    out = (main(["spectrum", "-k", fx("edge.cplx"), "-w", fx("edge.wts"), "-n", "0"]),
+           capsys.readouterr().out)
+    assert out[0] == 0
+    assert '"eigenvalues": [\n    0.0,\n    13.0\n  ],' in out[1]
+    assert np.allclose(json.loads(out[1])["eigenvalues"], [0.0, 13.0])

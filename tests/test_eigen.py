@@ -145,6 +145,44 @@ def test_spectrum_wrapper():
     assert spec.size == 3
 
 
+def test_eigh_and_gejsv_run_on_one_thread(monkeypatch):
+    """spectrum's eigh and jacobi_svd's xGEJSV run with the OpenBLAS thread
+    count set to 1 by the thread-local setter, and restored after, even
+    when the call raises; where there is no setter eigh runs as it is."""
+    threads, seen = [2], []
+
+    def set_threads(k):
+        before, threads[0] = threads[0], k
+        return before
+
+    def gejsv(*args):
+        seen.append(("gejsv", threads[0]))
+        # INFO, by reference seventh from the end, > 0: no convergence, so the
+        # one-sided Jacobi loop answers
+        args[-7]._obj.value = 1
+
+    eigh = np.linalg.eigh
+
+    def counted_eigh(a):
+        seen.append(("eigh", threads[0]))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(eigen, "_lapack", lambda: (gejsv, gejsv, set_threads))
+    spectrum(ExactMatrix([[2, 1], [1, 2]]))
+    jacobi_svd(np.eye(2))
+    assert (seen, threads) == ([("eigh", 1), ("gejsv", 1)], [2])
+
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        spectrum(ExactMatrix([[1]]))
+    assert threads == [2]
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(eigen, "_lapack", lambda: None)
+    assert spectrum(ExactMatrix([[1]])).size == 1 and seen[-1] == ("eigh", 2)
+
+
 def test_round_robin_schedule():
     for n in range(13):
         steps = _schedule(n)

@@ -12,6 +12,7 @@ pairs share nothing.
 import gc
 import weakref
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -330,3 +331,32 @@ def test_spectral_reads_each_rank_once(monkeypatch):
             weighted_homology(complex, phi, n)
     # r_n for n = -1 .. max_dim + 2, each ranked once
     assert len(ranked) == complex.max_dim + 4
+
+
+def test_homology_walks_the_weight_table_once(monkeypatch):
+    """``weighted_homology`` asks ``is_integral`` on every call; the table
+    is walked on the first ask only, and a non-integer table is refused
+    before the pair check, validated or not."""
+    walked = Counter()
+    is_integer = GaussianRational.is_integer
+
+    def counted(self):
+        walked["entries"] += 1
+        return is_integer(self)
+
+    monkeypatch.setattr(GaussianRational, "is_integer", counted)
+    complex, phi = load_file_pair("simplex5_dawson.cplx", "simplex5_dawson.wts")
+    degrees = range(-1, complex.max_dim + 2)
+    answers = [weighted_homology(complex, phi, n) for n in degrees]
+    # the first round also reads each boundary entry once, as an integer
+    first = walked["entries"]
+    assert first >= len(list(phi.entries()))
+    assert [weighted_homology(complex, phi, n) for n in degrees] == answers
+    assert walked["entries"] == first
+
+    halves = build_complex([(0, 1)])
+    raw = WeightFunction(halves, {((0, 1), 0): Fraction(1, 2), ((0, 1), 1): 1})
+    for _ in range(2):
+        with pytest.raises(ValueError, match="integer homology needs integer weight"):
+            weighted_homology(halves, raw, 0)
+    assert raw._operators == {} and not raw.validated
