@@ -25,9 +25,7 @@ the cached parts, so a caller that changes it changes nothing held.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .complexes import Simplex, SimplicialComplex
+from .complexes import Record, Simplex, SimplicialComplex
 from .gaussian import ZERO, GaussianRational
 from .matrices import ExactMatrix, column_rank
 from .weights import WeightFunction
@@ -108,22 +106,23 @@ def adjoint_matrix(matrix: ExactMatrix) -> ExactMatrix:
     return matrix.conj_transpose()
 
 
-@dataclass
-class Chain:
-    """Formal combination of equal-dimension simplices."""
+class Chain(Record):
+    """Formal combination of equal-dimension simplices.  Each key is read as
+    a simplex of the chain's dimension, and the chain keeps its non-zero
+    coefficients in a dict of its own."""
 
-    dimension: int
-    coefficients: dict = field(default_factory=dict)
+    __slots__ = ("dimension", "coefficients")
 
-    def __post_init__(self):
+    def __init__(self, dimension: int, coefficients: dict = {}):  # only read
         clean = {}
-        for s, c in self.coefficients.items():
+        for s, c in coefficients.items():
             s = Simplex(s)
-            if s.dim != self.dimension:
-                raise ValueError(f"{s} has dimension {s.dim}, chain has {self.dimension}")
+            if s.dim != dimension:
+                raise ValueError(f"{s} has dimension {s.dim}, chain has {dimension}")
             c = GaussianRational.coerce(c)
             if c:
                 clean[s] = c
+        self.dimension = dimension
         self.coefficients = clean
 
     def coefficient(self, simplex) -> GaussianRational:

@@ -9,14 +9,20 @@ in this package are written in.
 The closure is built top down: each distinct simplex yields its faces once,
 as ``itertools.combinations`` of its vertices, which skip the ascending
 re-check a subset of an ascending tuple cannot fail.
+
+``Record`` and ``FrozenRecord`` are the base of the package's small
+result classes (``Chain``, ``SNFResult``, ``HomologyGroup``,
+``HarmonicBasis``, ``Spectrum``, ``FFLSpec``, ``FFLSignature``).  They
+give what a dataclass would, read off ``__slots__``, without importing
+``dataclasses`` and the modules it loads at every start-up.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from functools import partial
 from itertools import combinations
 from operator import lt
-from typing import Iterable, Iterator
 
 
 class Simplex(tuple):
@@ -151,3 +157,51 @@ def parse_complex_text(text: str) -> SimplicialComplex:
 def read_complex_file(path) -> SimplicialComplex:
     with open(path, encoding="utf-8-sig") as fh:
         return parse_complex_text(fh.read())
+
+
+# -- record classes ------------------------------------------------------------
+
+
+class Record:
+    """Fields named by the subclass's ``__slots__``, set by its own
+    ``__init__``.  ``==``, ``repr`` and ``__match_args__`` follow the
+    fields in order, as for a dataclass: instances of one class compare
+    by their field tuples, anything else is ``NotImplemented``, and records
+    are unhashable."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A record whose ``__init__`` sets each field once through
+    ``object.__setattr__``: it hashes by its fields, refuses assignment and
+    deletion, and pickles by calling the class on them."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields()

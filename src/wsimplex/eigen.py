@@ -74,20 +74,23 @@ import ctypes
 import functools
 import glob
 import os
-from dataclasses import dataclass
 
 import numpy as np
+
+from .complexes import Record
 
 MAX_SWEEPS = 80
 EPS = float(np.finfo(np.float64).eps)
 
 
-@dataclass
-class Spectrum:
+class Spectrum(Record):
     """Eigenvalues in ascending order with matching eigenvector columns."""
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    __slots__ = ("eigenvalues", "eigenvectors")
+
+    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray):
+        self.eigenvalues = eigenvalues
+        self.eigenvectors = eigenvectors
 
     @property
     def size(self) -> int:

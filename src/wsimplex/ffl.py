@@ -16,15 +16,18 @@ types, even where bare eigenvalue pairs collide.  Whether a matrix is a
 motif Laplacian, and whether its two eigenvalues coincide, is decided exactly
 on its characteristic polynomial; the matching tolerance decides only how
 near a signature is to a reference, and when two eigenvalues count as one.
+
+``FFLSpec`` and ``FFLSignature`` are frozen records
+(``complexes.FrozenRecord``): hashable by their fields, so a motif type
+keys a dict, and closed to assignment.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
-from .complexes import Simplex, SimplicialComplex, build_complex
+from .complexes import FrozenRecord, Simplex, SimplicialComplex, build_complex
 from .gaussian import GaussianRational
 from .matrices import ExactMatrix, to_floats
 from .spectral import laplacian_matrix
@@ -55,14 +58,16 @@ class ClassificationError(ValueError):
     """A signature matched no motif type, or more than one."""
 
 
-@dataclass(frozen=True)
-class FFLSpec:
-    coherence: str
-    variant: int
+class FFLSpec(FrozenRecord):
+    """One of the eight motif types: coherence and variant 1..4."""
 
-    def __post_init__(self):
-        if (self.coherence, self.variant) not in _SIGNS:
-            raise ValueError(f"no such motif type: {self.coherence} {self.variant}")
+    __slots__ = ("coherence", "variant")
+
+    def __init__(self, coherence: str, variant: int):
+        if (coherence, variant) not in _SIGNS:
+            raise ValueError(f"no such motif type: {coherence} {variant}")
+        object.__setattr__(self, "coherence", coherence)
+        object.__setattr__(self, "variant", variant)
 
     @property
     def signs(self) -> tuple[str, str, str]:
@@ -113,12 +118,15 @@ def make_ffl(spec: FFLSpec, encoding=None) -> tuple[SimplicialComplex, WeightFun
     return ffl_weights(*(enc[kind] for kind in spec.signs))
 
 
-@dataclass(frozen=True)
-class FFLSignature:
+class FFLSignature(FrozenRecord):
     """Nonzero Laplacian eigenvalues plus their eigenspace projectors."""
 
-    eigenvalues: tuple[float, float]
-    clusters: tuple  # ((value, 3x3 projector ndarray), ...) ascending
+    __slots__ = ("eigenvalues", "clusters")
+
+    def __init__(self, eigenvalues: tuple[float, float], clusters: tuple):
+        # clusters: ((value, 3x3 projector ndarray), ...) ascending
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+        object.__setattr__(self, "clusters", clusters)
 
 
 def signature_of_matrix(matrix: ExactMatrix) -> FFLSignature:

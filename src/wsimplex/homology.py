@@ -25,19 +25,24 @@ p, the k-th smallest valuation v_p among the non-zero vertex weights, so
 it is read off a coprime base of the weights refined by gcds, with no
 factoring: the work is polynomial in the number of vertices and in the
 weights' bit length.
+
+``SNFResult`` and ``HomologyGroup`` are records (``complexes.Record``):
+``==`` and ``repr`` by their fields, unhashable.  A ``HomologyGroup`` takes
+integers alone (ints, or anything with ``__index__``) for its torsion and
+free rank, and refuses anything else with a ``ValueError``.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from itertools import compress, repeat
 from math import gcd
+from operator import index
 
 # boundary_matrix is not called here; perfbench/selftest.py reaches the
 # dense view through this module's name for it.
 from .chains import _boundary, _cached, _check_pair, _rank, boundary_matrix  # noqa: F401
-from .complexes import SimplicialComplex
+from .complexes import Record, SimplicialComplex
 from .matrices import ExactMatrix
 from .weights import WeightFunction
 
@@ -86,12 +91,18 @@ def _sparse_rows(matrix, cols: int | None = None) -> tuple[list[dict], int]:
     return rows, width
 
 
-@dataclass
-class SNFResult:
-    diagonal: list[int]
-    rank: int
-    U: list[list[int]] | None = None
-    V: list[list[int]] | None = None
+class SNFResult(Record):
+    """Smith normal form: its diagonal and rank, with the transforms U and V
+    when they were asked for."""
+
+    __slots__ = ("diagonal", "rank", "U", "V")
+
+    def __init__(self, diagonal: list[int], rank: int,
+                 U: list[list[int]] | None = None, V: list[list[int]] | None = None):
+        self.diagonal = diagonal
+        self.rank = rank
+        self.U = U
+        self.V = V
 
 
 def _sub(y: dict, q: int, x: dict) -> None:
@@ -252,17 +263,25 @@ def boundary_int_rows(complex: SimplicialComplex, phi: WeightFunction, n: int) -
     return rows
 
 
-@dataclass
-class HomologyGroup:
-    """Finitely generated abelian group: torsion summands plus a free part."""
+def _integer(x, what: str) -> int:
+    """x as an int, for an int or anything with ``__index__``."""
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError(f"{what} {x!r} is not an integer") from None
 
-    torsion: list[int]
-    free_rank: int
 
-    def __post_init__(self):
-        self.torsion = [int(d) for d in self.torsion]
+class HomologyGroup(Record):
+    """Finitely generated abelian group: torsion summands plus a free part,
+    given as integers (ints, or anything with ``__index__``)."""
+
+    __slots__ = ("torsion", "free_rank")
+
+    def __init__(self, torsion: list[int], free_rank: int):
+        self.torsion = [_integer(d, "torsion coefficient") for d in torsion]
         if any(d < 2 for d in self.torsion):
             raise ValueError("torsion coefficients must be >= 2")
+        self.free_rank = _integer(free_rank, "free rank")
         if self.free_rank < 0:
             raise ValueError("free rank must be >= 0")
 

@@ -11,10 +11,10 @@ result here.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from .gaussian import ZERO, GaussianRational
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 

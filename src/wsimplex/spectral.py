@@ -67,16 +67,16 @@ unloaded.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping
 
 from .chains import _boundary, _cached, _check_pair, _rank
-from .complexes import Simplex, SimplicialComplex
+from .complexes import Record, Simplex, SimplicialComplex
 from .gaussian import ZERO, GaussianRational
 from .matrices import ExactMatrix, to_floats
 from .weights import WeightFunction
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
     from .eigen import Spectrum
@@ -324,13 +324,15 @@ def zero_multiplicity_formulas(
     return dim_c - r_n, dim_c - r_next, dim_c - r_n - r_next
 
 
-@dataclass
-class HarmonicBasis:
+class HarmonicBasis(Record):
     """Orthonormal basis of the degree-n harmonic cochains."""
 
-    dimension: int
-    labels: tuple
-    vectors: np.ndarray
+    __slots__ = ("dimension", "labels", "vectors")
+
+    def __init__(self, dimension: int, labels: tuple, vectors: np.ndarray):
+        self.dimension = dimension
+        self.labels = labels
+        self.vectors = vectors
 
     @property
     def count(self) -> int:

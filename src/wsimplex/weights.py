@@ -9,7 +9,8 @@ simplex s with dim s >= 2 and every face-index pair j < i,
 
 (both sides weight the same codimension-two face, since deleting vertex i
 then vertex j equals deleting vertex j then vertex i-1).  ``validate_weight``
-checks exactly this condition and reports every violating triple.
+checks exactly this condition and reports every violating triple as a
+``Violation`` named tuple (simplex, i, j, left, right).
 
 Constructors: ``identity_weight`` and ``zero_weight`` are the constant ones;
 ``semi_trivial_weight`` zeroes every pair touching two covering families;
@@ -36,9 +37,10 @@ afterwards.
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .complexes import Simplex, SimplicialComplex
 from .gaussian import GaussianRational, products_equal
@@ -52,12 +54,8 @@ class UnvalidatedWeightError(RuntimeError):
     """An operation that needs a validated weight function got a raw one."""
 
 
-class Violation(NamedTuple):
-    simplex: Simplex
-    i: int
-    j: int
-    left: GaussianRational
-    right: GaussianRational
+# one failing condition: simplex s, face indices i > j, and its two sides
+Violation = namedtuple("Violation", ["simplex", "i", "j", "left", "right"])
 
 
 def required_pairs(complex: SimplicialComplex):

@@ -1,8 +1,13 @@
 """Import footprint: numpy loads with the float layer, not before, and
 ctypes and the OpenBLAS handle the SVD opens not before its first call.
+Neither the import nor an exact subcommand loads ``dataclasses``,
+``typing`` or what ``dataclasses`` brings (``inspect``, ``ast``, ``dis``,
+``tokenize``, ``copy``).
 
 Each check runs in a fresh interpreter, since the suite itself has numpy
-loaded long before any of these tests start.
+loaded long before any of these tests start.  The child notes the modules
+loaded before it imports the package (``site`` may preload some, such as
+``typing``) and counts only those loaded since.
 """
 
 import json
@@ -18,10 +23,11 @@ from wsimplex.cli import main
 FIXTURES = Path(__file__).parent / "fixtures"
 
 # run the given cli.main argv lists in order; print, per run, its exit code,
-# its stdout, whether numpy was loaded after it, and which of ctypes and the
-# OpenBLAS handle were
+# its stdout, whether numpy was loaded after it, which of ctypes and the
+# OpenBLAS handle were, and every module loaded since just before the import
 CHILD = """
 import contextlib, io, json, sys
+before = set(sys.modules)
 import wsimplex, wsimplex.cli
 
 def loaded():
@@ -30,12 +36,15 @@ def loaded():
         ("ctypes", "ctypes" in sys.modules),
         ("openblas", eigen is not None and eigen._lapack.cache_info().currsize > 0)] if on]
 
-report = [["import", None, "", "numpy" in sys.modules, loaded()]]
+def since():
+    return sorted(set(sys.modules) - before)
+
+report = [["import", None, "", "numpy" in sys.modules, loaded(), since()]]
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = wsimplex.cli.main(argv)
-    report.append([argv[0], code, out.getvalue(), "numpy" in sys.modules, loaded()])
+    report.append([argv[0], code, out.getvalue(), "numpy" in sys.modules, loaded(), since()])
 print(json.dumps(report))
 """
 
@@ -44,15 +53,15 @@ def fx(name: str) -> str:
     return str(FIXTURES / name)
 
 
-def run_child(script: str, *args: str) -> str:
-    proc = subprocess.run([sys.executable, "-c", script, *args],
+def run_child(script: str, *args: str, flags=()) -> str:
+    proc = subprocess.run([sys.executable, *flags, "-c", script, *args],
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
 
-def run_in_child(argvs: list[list[str]]) -> list:
-    return json.loads(run_child(CHILD, json.dumps(argvs)))
+def run_in_child(argvs: list[list[str]], flags=()) -> list:
+    return json.loads(run_child(CHILD, json.dumps(argvs), flags=flags))
 
 
 TRIANGLE = ["-k", fx("triangle.cplx"), "-w", fx("triangle.wts")]
@@ -73,7 +82,7 @@ EXACT = [
 def test_exact_subcommands_leave_numpy_unloaded():
     report = run_in_child(EXACT)
     assert [r[0] for r in report] == ["import"] + [argv[0] for argv in EXACT]
-    for name, code, out, numpy_loaded, _ in report:
+    for name, code, out, numpy_loaded, _, _ in report:
         assert not numpy_loaded, f"numpy loaded by {name}"
         assert code in (None, 0), name
         assert name == "import" or json.loads(out), name
@@ -87,22 +96,47 @@ def test_ctypes_and_openblas_wait_for_the_first_svd():
 
     spectrum = ["spectrum", "-k", fx("edge.cplx"), "-w", fx("edge.wts"), "-n", "0"]
     report = run_in_child([*EXACT, spectrum])
-    for name, _, _, _, loaded in report[:-1]:
+    for name, _, _, _, loaded, _ in report[:-1]:
         assert loaded == [], f"{loaded} loaded by {name}"
     bundled = ["openblas"] if eigen._lapack() is not None else []
     assert report[-1][0] == "spectrum" and report[-1][4] == ["ctypes", *bundled]
 
 
-@pytest.mark.parametrize("argv", [
+FLOAT = [
     ["spectrum", "-k", fx("edge.cplx"), "-w", fx("edge.wts"), "-n", "0"],
     ["harmonic", *TRIANGLE, "-n", "0"],
     ["ffl", "--classify", fx("ffl_matrix.txt")],
-], ids=lambda argv: argv[0])
+]
+
+
+@pytest.mark.parametrize("argv", FLOAT, ids=lambda argv: argv[0])
 def test_float_subcommands_load_numpy_and_answer_as_before(argv, capsys):
-    (_, _, _, at_import, _), (name, code, out, numpy_loaded, _) = run_in_child([argv])
+    (_, _, _, at_import, _, _), (name, code, out, numpy_loaded, _, _) = run_in_child([argv])
     assert not at_import and numpy_loaded
     assert main(argv) == code == 0
     assert out == capsys.readouterr().out
+
+
+# dataclasses and what it imports, and typing: none is needed at start-up
+STARTUP_FREE = ["dataclasses", "inspect", "ast", "dis", "tokenize", "copy", "typing"]
+
+
+@pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no-site"])
+def test_import_and_exact_subcommands_load_no_dataclasses_or_typing(flags):
+    """Also under ``-S``: ``site`` preloads ``typing`` on some installs
+    (through a ``.pth`` file), and the snapshot would not count it."""
+    report = run_in_child(EXACT, flags)
+    for name, _, _, _, _, since in report:
+        found = [m for m in STARTUP_FREE if m in since]
+        assert not found, f"{found} loaded by {name}; modules loaded since the import: {since}"
+
+
+def test_float_subcommands_load_no_dataclasses_or_copy():
+    """numpy brings inspect and its helpers itself, but not these two."""
+    report = run_in_child(FLOAT)
+    for name, code, _, _, _, since in report:
+        found = [m for m in ("dataclasses", "copy") if m in since]
+        assert code in (None, 0) and not found, f"{found} loaded by {name}: {since}"
 
 
 def test_star_import_and_dir_cover_all():
