@@ -1,4 +1,4 @@
-"""The weighted boundary operator: sparse columns and their dense views.
+"""The weighted boundary operator: its sparse columns and matrices.
 
 The weighted boundary of an n-simplex s is
 
@@ -6,12 +6,13 @@ The weighted boundary of an n-simplex s is
 
 and ``_signed_faces`` writes it once.  ``boundary_columns`` (the non-zero
 entries of each column, in the lexicographic bases) is the form ranks and
-Laplacians read; ``boundary_matrix`` is its dense view.  The coboundary in
-degree n is the transpose of the boundary in degree n+1 (both bases are
-self-dual here), and the adjoint against the standard inner product is
-the conjugate transpose.  All of them demand a validated weight function:
-for an unvalidated table the composite of two boundaries need not vanish
-and none of the homological formulas downstream apply.
+Laplacians read; ``boundary_matrix`` holds the same entries as a sparse
+``ExactMatrix``.  The coboundary in degree n is the transpose of the
+boundary in degree n+1 (both bases are self-dual here), and the adjoint
+against the standard inner product is the conjugate transpose.  All of
+them demand a validated weight function: for an unvalidated table the
+composite of two boundaries need not vanish and none of the homological
+formulas downstream apply.
 
 A weight function stands for its (complex, weight) pair, and each exact
 operator of the pair is built once: ``_cached`` fills the weight
@@ -82,23 +83,18 @@ def boundary_columns(complex: SimplicialComplex, phi: WeightFunction, n: int) ->
 
 
 def boundary_matrix(complex: SimplicialComplex, phi: WeightFunction, n: int) -> ExactMatrix:
-    """Dense view of ``boundary_columns``; zero-sized outside the range
+    """The matrix of ``boundary_columns``; zero-sized outside the range
     1..max_dim."""
-    _check_pair(complex, phi)
-    rows, cols = complex.basis(n - 1), complex.basis(n)
-    columns = _boundary(phi, n)
-    data = [[c.get(i, ZERO) for c in columns] for i in range(len(rows))]
-    return ExactMatrix(data, rows, cols, cols=len(cols))
+    return coboundary_matrix(complex, phi, n - 1).transpose()
 
 
 def coboundary_matrix(complex: SimplicialComplex, phi: WeightFunction, n: int) -> ExactMatrix:
     """Matrix of the weighted coboundary C^n -> C^{n+1}: the transpose of
     the degree-(n+1) boundary matrix, one row per column of it."""
     _check_pair(complex, phi)
-    rows, cols = complex.basis(n + 1), complex.basis(n)
-    width = range(len(cols))
-    data = [[c.get(i, ZERO) for i in width] for c in _boundary(phi, n + 1)]
-    return ExactMatrix(data, rows, cols, cols=len(cols))
+    rows = [dict(column) for column in _boundary(phi, n + 1)]
+    return ExactMatrix._from_rows(rows, len(complex.basis(n)), complex.basis(n + 1),
+                                  complex.basis(n))
 
 
 def adjoint_matrix(matrix: ExactMatrix) -> ExactMatrix:

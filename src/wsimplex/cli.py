@@ -11,9 +11,9 @@ The object is printed as ``json.dumps(payload, indent=2)`` prints it,
 byte for byte, by ``jsonout.dump``: the answer is computed in full
 first, so every exit code and error path is decided before the first
 byte, and then streamed to stdout one row or vector at a time.  Floats
-are printed at 12 significant digits.  The matrix subcommands print
-their entries straight from the pair's sparse columns and Laplacian
-parts; no dense matrix is built to be printed.
+are printed at 12 significant digits.  The matrix subcommands print the
+library's sparse ``ExactMatrix`` results row by row; no dense matrix is
+built to be printed.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import sys
 import warnings
 from fractions import Fraction
 
-from .chains import boundary_columns
+from .chains import boundary_matrix, coboundary_matrix
 from .complexes import read_complex_file
 from .ffl import FFLSpec, classify_ffl, ffl_signature, make_ffl, signature_of_matrix
 from .gaussian import GaussianRational
@@ -36,15 +36,14 @@ from .homology import (
     smith_normal_form,
     weighted_homology,
 )
-from .jsonout import SparseRows, dump, sig12
+from .jsonout import dump, sig12
 from .matrices import ExactMatrix
 from .spectral import (
-    _parts,
-    _sum,
     cohomology_dim,
     harmonic_basis,
     laplacian_spectrum,
     read_inner_weights_file,
+    up_down_matrices,
     zero_multiplicity_formulas,
 )
 from .weights import read_weight_file
@@ -54,10 +53,9 @@ class _InputError(Exception):
     """File, grammar or usage problem: exit code 2."""
 
 
-def _matrix(row_labels, col_labels, rows) -> dict:
-    """The payload of an exact matrix given as sparse rows {column: value}."""
-    return {"row_labels": row_labels, "col_labels": col_labels,
-            "entries": SparseRows(rows, len(col_labels))}
+def _matrix(m: ExactMatrix) -> dict:
+    """The payload of an exact matrix: its labels and its entries."""
+    return {"row_labels": m.row_labels, "col_labels": m.col_labels, "entries": m}
 
 
 def _load_pair(args, validate=True):
@@ -112,20 +110,12 @@ def _cmd_validate(args):
 
 def _cmd_boundary(args):
     complex, phi = _load_pair(args)
-    n = args.dim
-    rows = [{} for _ in complex.basis(n - 1)]
-    for j, column in enumerate(boundary_columns(complex, phi, n)):
-        for i, x in column.items():
-            rows[i][j] = x
-    return _matrix(complex.basis(n - 1), complex.basis(n), rows), 0
+    return _matrix(boundary_matrix(complex, phi, args.dim)), 0
 
 
 def _cmd_coboundary(args):
     complex, phi = _load_pair(args)
-    n = args.dim
-    # the coboundary's rows are the columns of d_{n+1}
-    rows = boundary_columns(complex, phi, n + 1)
-    return _matrix(complex.basis(n + 1), complex.basis(n), rows), 0
+    return _matrix(coboundary_matrix(complex, phi, args.dim)), 0
 
 
 def _cmd_homology(args):
@@ -156,11 +146,9 @@ def _cmd_snf(args):
 
 def _cmd_laplacian(args):
     complex, phi = _load_pair(args)
-    up, down = _parts(complex, phi, args.dim, _load_inner(args, complex))
-    labels = complex.basis(args.dim)
-    return {"dimension": args.dim, "up": _matrix(labels, labels, up),
-            "down": _matrix(labels, labels, down),
-            "laplacian": _matrix(labels, labels, _sum(up, down))}, 0
+    up, down = up_down_matrices(complex, phi, args.dim, _load_inner(args, complex))
+    return {"dimension": args.dim, "up": _matrix(up), "down": _matrix(down),
+            "laplacian": _matrix(up + down)}, 0
 
 
 def _cmd_spectrum(args):

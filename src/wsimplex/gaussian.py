@@ -57,6 +57,10 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild from the triple, not through __setattr__
+        return _reduced, self._t
+
     @classmethod
     def coerce(cls, x) -> "GaussianRational":
         if isinstance(x, GaussianRational):

@@ -40,7 +40,7 @@ from math import gcd
 from operator import index
 
 # boundary_matrix is not called here; perfbench/selftest.py reaches the
-# dense view through this module's name for it.
+# boundary matrix through this module's name for it.
 from .chains import _boundary, _cached, _check_pair, _rank, boundary_matrix  # noqa: F401
 from .complexes import Record, SimplicialComplex
 from .matrices import ExactMatrix
@@ -66,7 +66,7 @@ def _sparse_rows(matrix, cols: int | None = None) -> tuple[list[dict], int]:
     rows, a column outside ``range(cols)`` and an entry that is not an
     integer (not truncated) are refused; int entries pass through."""
     if isinstance(matrix, ExactMatrix):
-        rows = [{j: _int_entry(x) for j, x in enumerate(row) if x} for row in matrix.data]
+        rows = [{j: _int_entry(x) for j, x in row.items()} for row in matrix._entries]
         width = matrix.cols
     elif (matrix := list(matrix)) and isinstance(matrix[0], dict):
         if cols is None:

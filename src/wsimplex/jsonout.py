@@ -16,14 +16,16 @@ a Python list of their entries:
 - a numpy float or complex array, printed at 12 significant digits
   (``sig12``): a vector as a list of floats, a complex entry as an [re, im]
   pair, and a 2-d array as the list of its rows;
-- ``SparseRows``, an exact matrix given as sparse rows, printed as rows of
-  strings with ``"0"`` at every absent entry.
+- an ``ExactMatrix``, printed from its sparse rows as rows of strings,
+  ``str(value)`` at each non-zero and ``"0"`` everywhere else.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
+
+from .matrices import ExactMatrix
 
 _SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _LEAVES = frozenset((str, int, float, bool, type(None)))
@@ -32,17 +34,6 @@ _LEAVES = frozenset((str, int, float, bool, type(None)))
 def sig12(xs) -> list[float]:
     """The floats xs rounded to 12 significant digits."""
     return list(map(float, map(float.__format__, xs, repeat(".12g"))))
-
-
-class SparseRows:
-    """An exact matrix of ``width`` columns as its rows {column: value};
-    printed as lists of ``str(value)``, with "0" where a row has no entry."""
-
-    __slots__ = ("rows", "width")
-
-    def __init__(self, rows, width: int):
-        self.rows = rows
-        self.width = width
 
 
 def dump(value, write) -> None:
@@ -138,8 +129,8 @@ def _write(v, nl: str, write) -> None:
             _write(x, inner, write)
             lead = ","
         write(nl + "]")
-    elif isinstance(v, SparseRows):
-        _sparse_rows(v, nl, write)
+    elif isinstance(v, ExactMatrix):
+        _matrix(v, nl, write)
     elif getattr(v, "dtype", None) is not None and v.dtype.kind in "fc":
         if v.ndim == 1:
             write(_vector(v, nl))
@@ -155,7 +146,7 @@ def _write(v, nl: str, write) -> None:
         write(_leaf(v))
 
 
-def _sparse_rows(m: SparseRows, nl: str, write) -> None:
+def _matrix(m: ExactMatrix, nl: str, write) -> None:
     if not m.rows:
         write("[]")
         return
@@ -164,9 +155,9 @@ def _sparse_rows(m: SparseRows, nl: str, write) -> None:
     sep = "," + cell
     zero = _quote("0")
     lead = "["
-    for row in m.rows:
-        if m.width:
-            out = [zero] * m.width
+    for row in m._entries:
+        if m.cols:
+            out = [zero] * m.cols
             for j, x in row.items():
                 out[j] = _quote(str(x))
             write(lead + inner + "[" + cell + sep.join(out) + inner + "]")

@@ -29,9 +29,9 @@ diagonal inner weights w (all 1 for the standard inner products):
 
 A column of d_{n+1} holds n+2 non-zeros at most, so the work is the sum of
 the squared non-zero counts per column (or row), not a cube of the basis
-size.  The pair caches the two standard parts as these rows;
-``laplacian_matrix`` adds them sparse and makes one dense view, and no
-dense matrix is cached.  Parts for inner weights are built per call.
+size.  The pair caches the two standard parts as these rows, and
+``up_down_matrices`` and ``laplacian_matrix`` return sparse copies of
+them (``ExactMatrix``).  Parts for inner weights are built per call.
 
 ``up_down_matrices(..., w)`` swaps the standard inner products for
 diagonal ones given by positive simplex weights w; the resulting matrices
@@ -72,7 +72,7 @@ from fractions import Fraction
 
 from .chains import _boundary, _cached, _check_pair, _rank
 from .complexes import Record, Simplex, SimplicialComplex
-from .gaussian import ZERO, GaussianRational
+from .gaussian import GaussianRational
 from .matrices import ExactMatrix, to_floats
 from .weights import WeightFunction
 
@@ -144,36 +144,6 @@ def _assemble(size: int, d_n, d_next, w=None) -> tuple[list[dict], list[dict]]:
     return up, down
 
 
-def _parts(complex: SimplicialComplex, phi: WeightFunction, n: int,
-           w: InnerProductWeights | None = None) -> tuple[list[dict], list[dict]]:
-    """Sparse rows of the (up, down) parts of the degree-n Laplacian, read
-    only: cached per pair for the standard inner products, built afresh
-    for inner weights w."""
-    d_n, d_next = _columns(complex, phi, n)
-    size = len(complex.basis(n))
-    if w is None:
-        return _cached(phi, "parts", n, lambda: _assemble(size, d_n, d_next))
-    return _assemble(size, d_n, d_next,
-                     tuple(w.diagonal(complex, k) for k in (n - 1, n, n + 1)))
-
-
-def _sum(up: list[dict], down: list[dict]) -> list[dict]:
-    """Sparse rows of up + down, new dicts."""
-    out = [dict(row) for row in up]
-    for row, other in zip(out, down):
-        for j, x in other.items():
-            y = row.get(j)
-            row[j] = x if y is None else y + x
-    return out
-
-
-def _dense(rows: list[dict], labels) -> ExactMatrix:
-    """The dense view of sparse square rows over the basis labels."""
-    width = range(len(labels))
-    return ExactMatrix([[row.get(j, ZERO) for j in width] for row in rows],
-                       labels, labels, cols=len(labels))
-
-
 def up_down_matrices(
     complex: SimplicialComplex,
     phi: WeightFunction,
@@ -186,15 +156,27 @@ def up_down_matrices(
         up   = W_n^{-1} A_n^* W_{n+1} A_n
         down = A_{n-1} W_{n-1}^{-1} A_{n-1}^* W_n,
 
-    which need not be Hermitian.  Every weight 1 gives the standard parts."""
+    which need not be Hermitian.  Every weight 1 gives the standard parts,
+    whose sparse rows the pair caches; parts for inner weights are built
+    per call."""
+    d_n, d_next = _columns(complex, phi, n)
     labels = complex.basis(n)
-    up, down = _parts(complex, phi, n, w)
-    return _dense(up, labels), _dense(down, labels)
+    if w is None:
+        parts = _cached(phi, "parts", n, lambda: _assemble(len(labels), d_n, d_next))
+    else:
+        parts = _assemble(len(labels), d_n, d_next,
+                          tuple(w.diagonal(complex, k) for k in (n - 1, n, n + 1)))
+    # no part stores a zero: two n-simplices share at most one face and
+    # one coface, so an entry off the diagonal is one product of non-zeros,
+    # and one on it a positive (weighted) sum of squared moduli
+    return tuple(ExactMatrix._from_rows([dict(row) for row in part], len(labels),
+                                        labels, labels) for part in parts)
 
 
 def laplacian_matrix(complex: SimplicialComplex, phi: WeightFunction, n: int) -> ExactMatrix:
-    """L_n = up + down, added on the sparse parts before the one dense view."""
-    return _dense(_sum(*_parts(complex, phi, n)), complex.basis(n))
+    """L_n = up + down."""
+    up, down = up_down_matrices(complex, phi, n)
+    return up + down
 
 
 class InnerProductWeights:

@@ -20,8 +20,11 @@ out both sides of every compatibility condition as Gaussian rationals.
 The dense algebra references are the exact products the sparse Laplacian
 assembly replaced: ``matmul`` multiplies ``ExactMatrix`` factors out entry
 by entry, ``scale`` multiplies every entry by one scalar and ``diagonal``
-builds a diagonal matrix.  ``MOTIF_REFERENCE_TABLE`` holds the feedforward
-loop eigendata the motif tests reproduce.
+builds a diagonal matrix.  The dense matrix references (``dense_add``,
+``dense_transpose``, ``dense_rank`` and the rest) work on lists of rows,
+the form ``ExactMatrix`` stored before it held its non-zeros only.
+``MOTIF_REFERENCE_TABLE`` holds the feedforward loop eigendata the motif
+tests reproduce.
 """
 
 from __future__ import annotations
@@ -287,7 +290,8 @@ def reference_violations(phi: WeightFunction) -> list[Violation]:
 def _product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    out = [[sum((a.data[i][k] * b.data[k][j] for k in range(a.cols)), GaussianRational(0))
+    x, y = a.data, b.data  # each read builds fresh dense rows
+    out = [[sum((x[i][k] * y[k][j] for k in range(a.cols)), GaussianRational(0))
             for j in range(b.cols)]
            for i in range(a.rows)]
     return ExactMatrix(out, a.row_labels, b.col_labels, cols=b.cols)
@@ -310,6 +314,59 @@ def diagonal(values, row_labels=None, col_labels=None) -> ExactMatrix:
     n = len(vals)
     data = [[vals[i] if i == j else 0 for j in range(n)] for i in range(n)]
     return ExactMatrix(data, row_labels, col_labels, cols=n)
+
+
+# -- dense matrix references -------------------------------------------------------
+# Each takes a matrix as its dense rows of GaussianRational and its column
+# count (the width of a matrix with no rows).
+
+
+def dense_add(a: list, b: list) -> list:
+    return [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]
+
+
+def dense_transpose(a: list, cols: int, conjugate: bool = False) -> list:
+    return [[row[j].conjugate() if conjugate else row[j] for row in a] for j in range(cols)]
+
+
+def dense_is_hermitian(a: list, cols: int) -> bool:
+    return len(a) == cols and all(a[i][j] == a[j][i].conjugate()
+                                  for i in range(cols) for j in range(i + 1))
+
+
+def dense_rank(a: list, cols: int) -> int:
+    """Exact rank by Gaussian elimination over the dense rows."""
+    m = [row[:] for row in a]
+    rank = 0
+    for col in range(cols):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        head = m[rank][col]
+        for i in range(rank + 1, len(m)):
+            if m[i][col]:
+                factor = m[i][col] / head
+                m[i] = [x - factor * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def dense_ndarray(a: list, cols: int):
+    """The float64 array of the entries when all are real, else complex128."""
+    import numpy as np
+
+    real = all(x.is_real() for row in a for x in row)
+    convert = float if real else complex
+    return np.array([[convert(x) for x in row] for row in a],
+                    dtype=np.float64 if real else np.complex128).reshape(len(a), cols)
+
+
+def dense_repr(a: list, cols: int) -> str:
+    if len(a) * cols > 64:
+        return f"ExactMatrix({len(a)}x{cols})"
+    body = "; ".join(" ".join(str(x) for x in row) for row in a)
+    return f"ExactMatrix({len(a)}x{cols}: {body})"
 
 
 # -- motif reference data ---------------------------------------------------------

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -160,3 +162,17 @@ def test_chain_algebra():
     assert a.scale(2).coefficient((1, 2)) == 1
     with pytest.raises(ValueError):
         Chain(1, {(0, 1, 2): 1})
+
+
+def test_chain_and_matrix_pickle_and_copy_round_trip():
+    chain = Chain(1, {(0, 1): 2, (1, 2): GaussianRational(Fraction(1, 2), -1)})
+    k, phi = sample_triangle()
+    matrix = boundary_matrix(k, phi, 2)
+    for value in (chain, matrix):
+        for again in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                      copy.deepcopy(value)):
+            assert type(again) is type(value) and again == value
+            assert repr(again) == repr(value)
+    again = copy.deepcopy(matrix)
+    assert (again.row_labels, again.col_labels) == (matrix.row_labels, matrix.col_labels)
+    assert not {id(row) for row in again._entries} & {id(row) for row in matrix._entries}

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -94,3 +96,13 @@ def test_immutable():
     v = GaussianRational(1, 2)
     with pytest.raises(AttributeError):
         v.re = Fraction(5)
+
+
+@pytest.mark.parametrize("value", [GaussianRational(2), GaussianRational(0),
+                                   GaussianRational(Fraction(-3, 4), Fraction(5, 6))])
+def test_pickle_and_copy_round_trip(value):
+    for again in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(again) is GaussianRational
+        assert again == value and str(again) == str(value) and hash(again) == hash(value)
+    with pytest.raises(AttributeError):
+        copy.deepcopy(value).re = Fraction(5)

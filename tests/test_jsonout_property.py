@@ -1,8 +1,9 @@
 """Property tests of the command line's JSON writer (``wsimplex.jsonout``)
 against ``json.dumps(value, indent=2)``: nested dicts and lists of str,
 int, bool, None and float, with -0.0, 1e16, 1e22, 5e-324, nan and +-inf
-and strings holding non-ASCII and control characters; and numpy vectors
-against the 12-digit rounding the command line printed before.  Under
+and strings holding non-ASCII and control characters; numpy vectors against
+the 12-digit rounding the command line printed before; and exact
+matrices against their dense rows of strings.  Under
 hypothesis's default profile each test runs 100 derandomized examples;
 ``HYPOTHESIS_PROFILE=deep`` searches further (see conftest.py).
 """
@@ -16,7 +17,8 @@ pytest.importorskip("hypothesis")
 import numpy as np  # noqa: E402
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from wsimplex.jsonout import SparseRows, dump  # noqa: E402
+from wsimplex import ExactMatrix, GaussianRational  # noqa: E402
+from wsimplex.jsonout import dump  # noqa: E402
 
 # a profile named by HYPOTHESIS_PROFILE sets the depth; else 100 fixed examples
 SETTINGS = (settings() if os.environ.get("HYPOTHESIS_PROFILE")
@@ -91,9 +93,9 @@ def test_arrays_match_the_rounded_lists_property(a, depth):
 @SETTINGS
 @given(st.integers(0, 4), st.integers(0, 4), st.data())
 def test_sparse_rows_match_the_dense_lists_property(rows, width, data):
-    dense = [[data.draw(st.sampled_from([0, 0, 1, -3, "2/3", "1-2i"])) for _ in range(width)]
-             for _ in range(rows)]
-    sparse = [{j: x for j, x in enumerate(row) if x != 0} for row in dense]
-    text = [[str(x) for x in row] for row in dense]
-    assert dumped({"entries": SparseRows(sparse, width)}) == json.dumps(
-        {"entries": text}, indent=2) + "\n"
+    """An ExactMatrix, held as sparse rows, prints as its dense rows of str."""
+    text = [[data.draw(st.sampled_from(["0", "0", "1", "-3", "2/3", "1-2i"]))
+             for _ in range(width)] for _ in range(rows)]
+    matrix = ExactMatrix([list(map(GaussianRational.from_string, row)) for row in text],
+                         cols=width)
+    assert dumped({"entries": matrix}) == json.dumps({"entries": text}, indent=2) + "\n"

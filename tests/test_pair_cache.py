@@ -135,6 +135,17 @@ def test_repeated_calls_equal_a_fresh_pair():
         assert phi._operators, name
 
 
+def scribble(m: ExactMatrix) -> None:
+    """Write 7 over every entry of m a caller can reach: its dense copy
+    and its own sparse rows, each row and the list of them."""
+    seven = GaussianRational(7)
+    for row in m.data:
+        row[:] = [seven] * len(row)
+    for row in m._entries:
+        row.update(dict.fromkeys(range(m.cols), seven))
+    m._entries.append({0: seven})
+
+
 def test_mutating_a_result_changes_no_later_answer():
     for name, complex, phi, load in pairs():
         fresh_complex, fresh = load()
@@ -147,13 +158,10 @@ def test_mutating_a_result_changes_no_later_answer():
                         column[0] = 99
                     got.append({0: 1})
                 elif isinstance(got, ExactMatrix):
-                    got.data.append([GaussianRational(7)] * got.cols)
-                    for row in got.data:
-                        row[:] = [GaussianRational(7)] * len(row)
+                    scribble(got)
                 elif op == "up_down_matrices":
                     for m in got:
-                        for row in m.data:
-                            row[:] = [GaussianRational(7)] * len(row)
+                        scribble(m)
                 elif op == "weighted_homology":
                     got.torsion.append(7)
                     got.free_rank += 1

@@ -56,7 +56,7 @@ from conftest import (
     spectral_fixtures,
     write_pair,
 )
-from oracles import diagonal, matmul
+from oracles import dense_rank, diagonal, matmul
 
 FIXTURES = spectral_fixtures(count=16)
 
@@ -557,24 +557,6 @@ def test_boundary_columns_check_the_weight():
         boundary_columns(other, sample_triangle()[1], 1)
 
 
-def dense_rank(matrix: ExactMatrix) -> int:
-    """Reference: exact rank by Gaussian elimination over the dense rows."""
-    m = [row[:] for row in matrix.data]
-    rank = 0
-    for col in range(matrix.cols):
-        pivot = next((i for i in range(rank, matrix.rows) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        head = m[rank][col]
-        for i in range(rank + 1, matrix.rows):
-            if m[i][col]:
-                factor = m[i][col] / head
-                m[i] = [a - factor * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
-
-
 def random_deficient_matrix(rng: random.Random, complex_scalars: bool) -> ExactMatrix:
     """Sparse random columns plus scaled, summed and duplicated copies of
     them, shuffled, so the rank can fall below min(rows, cols)."""
@@ -598,7 +580,7 @@ def random_deficient_matrix(rng: random.Random, complex_scalars: bool) -> ExactM
 
 
 def assert_rank(matrix: ExactMatrix, where) -> int:
-    rank = dense_rank(matrix)
+    rank = dense_rank(matrix.data, matrix.cols)
     assert matrix.rank() == rank, where
     assert column_rank(columns_of(matrix)) == rank, where
     assert matrix.transpose().rank() == rank, where
