@@ -69,9 +69,10 @@ from __future__ import annotations
 import warnings
 from collections.abc import Mapping
 from fractions import Fraction
+from operator import lt
 
 from .chains import _boundary, _cached, _check_pair, _rank
-from .complexes import Record, Simplex, SimplicialComplex
+from .complexes import Record, Simplex, SimplicialComplex, _trusted
 from .gaussian import GaussianRational
 from .matrices import ExactMatrix, to_floats
 from .weights import WeightFunction
@@ -189,6 +190,15 @@ class InnerProductWeights:
             for key, value in table.items():
                 self._table[Simplex(key)] = self._positive(key, value)
         self._default = None if default is None else self._positive("default", default)
+
+    @classmethod
+    def _trusted(cls, table: dict, default: Fraction) -> "InnerProductWeights":
+        """Weights on a table already keyed by Simplex and valued by
+        positive Fractions, without the constructor's second walk."""
+        w = cls.__new__(cls)
+        w._table = table
+        w._default = default
+        return w
 
     @staticmethod
     def _positive(key, value) -> Fraction:
@@ -343,7 +353,9 @@ def harmonic_basis(complex: SimplicialComplex, phi: WeightFunction, n: int) -> H
 def parse_inner_weights_text(text: str) -> InnerProductWeights:
     """Lines 'simplex | value' with positive rational values; a second line
     for a simplex with another value warns, and the last one is kept."""
-    table = {}
+    table: dict[Simplex, Fraction] = {}
+    # value text -> Fraction, for this call only: a repeat skips the regex
+    values: dict[str, Fraction] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -351,15 +363,27 @@ def parse_inner_weights_text(text: str) -> InnerProductWeights:
         parts = line.split("|")
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'simplex | value'")
+        sf, vf = parts
         try:
-            s = Simplex(int(tok) for tok in parts[0].split())
-            value = Fraction(parts[1].strip())
+            vs = tuple(map(int, sf.split()))
+            # int() makes no bool, so a non-empty, non-negative strictly
+            # ascending line is a valid simplex; Simplex() words the refusal
+            # of any other
+            valid = vs and vs[0] >= 0 and all(map(lt, vs, vs[1:]))
+            s = _trusted(vs) if valid else Simplex(vs)
+            value = values.get(vf)
+            if value is None:
+                value = values[vf] = Fraction(vf.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
         if s in table and table[s] != value:
             warnings.warn(f"line {lineno}: duplicate entry for {s}; keeping the last")
         table[s] = value
-    return InnerProductWeights(table, default=1)
+    # a value a later line overwrote is not refused
+    for s, value in table.items():
+        if value <= 0:
+            raise ValueError(f"inner product weight for {s} must be positive, got {value}")
+    return InnerProductWeights._trusted(table, Fraction(1))
 
 
 def read_inner_weights_file(path) -> InnerProductWeights:

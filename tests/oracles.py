@@ -25,10 +25,17 @@ builds a diagonal matrix.  The dense matrix references (``dense_add``,
 the form ``ExactMatrix`` stored before it held its non-zeros only.
 ``MOTIF_REFERENCE_TABLE`` holds the feedforward loop eigendata the motif
 tests reproduce.
+
+``float_text`` is the per-float spelling the command line's writer used
+for a numpy array before it formatted whole blocks of rows: the repr of
+the float rounded to 12 significant digits, with json's ``NaN`` and
+``Infinity``.  ``rounded_lists`` is the nested list of those rounded
+floats that the writer prints for an array.
 """
 
 from __future__ import annotations
 
+import json
 import warnings
 from fractions import Fraction
 from functools import reduce
@@ -367,6 +374,30 @@ def dense_repr(a: list, cols: int) -> str:
         return f"ExactMatrix({len(a)}x{cols})"
     body = "; ".join(" ".join(str(x) for x in row) for row in a)
     return f"ExactMatrix({len(a)}x{cols}: {body})"
+
+
+# -- float text ----------------------------------------------------------------
+
+
+def sig12(x: float) -> float:
+    """x rounded to 12 significant digits."""
+    return float(f"{x:.12g}")
+
+
+def float_text(x: float) -> str:
+    """The JSON text the command line prints for one float of an array."""
+    return json.dumps(sig12(x))
+
+
+def rounded_lists(a) -> list:
+    """The nested list the command line prints for a numpy float or complex
+    array: 12 significant digits, [re, im] per complex entry, and a 2-d
+    array as the list of its rows."""
+    if a.ndim == 2:
+        return [rounded_lists(row) for row in a]
+    if a.dtype.kind == "c":
+        return [[sig12(x), sig12(y)] for x, y in zip(a.real.tolist(), a.imag.tolist())]
+    return [sig12(x) for x in a.tolist()]
 
 
 # -- motif reference data ---------------------------------------------------------

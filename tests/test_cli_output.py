@@ -5,17 +5,23 @@ from sparse rows and vectors from numpy arrays, so these tests pin its
 bytes two ways: every stdout of every fixture pair, subcommand and degree
 is its own ``json.dumps(json.loads(out), indent=2)``, and the matrices and
 spectra it prints equal the dense views and the 12-digit rounding the
-command line printed before, taken from the library.
+command line printed before, taken from the library
+(``oracles.rounded_lists``).  Complex spectra and harmonic vectors of a
+larger 2-skeleton are compared as text, end to end.
 """
 
 import json
+import random
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wsimplex import read_complex_file, read_weight_file
+from conftest import random_quotient_weight, write_pair
+from oracles import rounded_lists
+from wsimplex import build_complex, read_complex_file, read_weight_file
 from wsimplex.chains import boundary_matrix, coboundary_matrix
 from wsimplex.cli import main
 from wsimplex.spectral import (
@@ -91,17 +97,6 @@ def _dense(m) -> dict:
             "entries": [[str(x) for x in row] for row in m.data]}
 
 
-def _sig12(x: float) -> float:
-    return float(f"{x:.12g}")
-
-
-def _vector(col) -> list:
-    """A float column as the command line printed it before."""
-    if col.dtype.kind == "c":
-        return [[_sig12(x), _sig12(y)] for x, y in zip(col.real.tolist(), col.imag.tolist())]
-    return [_sig12(x) for x in col.tolist()]
-
-
 def run(capsys, *argv) -> dict:
     assert main(list(argv)) == 0, argv
     return json.loads(capsys.readouterr().out)
@@ -128,12 +123,12 @@ def test_matrices_and_vectors_print_as_the_dense_views(capsys, cplx, wts):
             _dense(up), _dense(down), _dense(laplacian_matrix(complex, phi, n))]
         spec = laplacian_spectrum(complex, phi, n)
         assert run(capsys, "spectrum", *pair) == {
-            "dimension": n, "eigenvalues": [_sig12(x) for x in spec.eigenvalues.tolist()],
-            "eigenvectors": [_vector(spec.eigenvectors[:, k]) for k in range(spec.size)]}
+            "dimension": n, "eigenvalues": rounded_lists(spec.eigenvalues),
+            "eigenvectors": [rounded_lists(spec.eigenvectors[:, k]) for k in range(spec.size)]}
         basis = harmonic_basis(complex, phi, n)
         assert run(capsys, "harmonic", *pair) == {
             "dimension": n, "count": basis.count, "labels": [list(s) for s in basis.labels],
-            "vectors": [_vector(basis.vectors[:, k]) for k in range(basis.count)]}
+            "vectors": [rounded_lists(basis.vectors[:, k]) for k in range(basis.count)]}
         if all(s in complex for s in inner.simplices()):
             payload = run(capsys, "laplacian", *pair, "--inner-weights", fx("inner.wts"))
             up, down = up_down_matrices(complex, phi, n, inner)
@@ -150,3 +145,28 @@ def test_float_text_is_the_rounded_repr(capsys):
     assert out[0] == 0
     assert '"eigenvalues": [\n    0.0,\n    13.0\n  ],' in out[1]
     assert np.allclose(json.loads(out[1])["eigenvalues"], [0.0, 13.0])
+
+
+def test_complex_spectrum_and_harmonic_print_as_the_rounded_lists(capsys, tmp_path):
+    """The command line's 2-d complex arrays, end to end: ``spectrum -n 2``
+    and ``harmonic -n 2`` on the 2-skeleton of the 5-simplex under complex
+    quotient weights print exactly json.dumps(indent=2) of the library's
+    arrays as per-float 12-digit roundings."""
+    complex = build_complex(combinations(range(6), 3))
+    phi = random_quotient_weight(random.Random(7), complex, complex_scalars=True,
+                                 allow_zero_scale=False)
+    pair = write_pair(tmp_path, "d5", complex, phi)
+    spec = laplacian_spectrum(complex, phi, 2)
+    basis = harmonic_basis(complex, phi, 2)
+    assert spec.eigenvectors.dtype.kind == basis.vectors.dtype.kind == "c"
+    assert basis.count == 10
+    expected = {
+        "spectrum": {"dimension": 2, "eigenvalues": rounded_lists(spec.eigenvalues),
+                     "eigenvectors": rounded_lists(spec.eigenvectors.T)},
+        "harmonic": {"dimension": 2, "count": basis.count,
+                     "labels": [list(s) for s in basis.labels],
+                     "vectors": rounded_lists(basis.vectors.T)},
+    }
+    for command, payload in expected.items():
+        assert main([command, *pair, "-n", "2"]) == 0
+        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"

@@ -413,8 +413,26 @@ def test_parse_inner_weights():
         parse_inner_weights_text("0 1 | 1 | 2")
     with pytest.raises(ValueError, match="line 2"):
         parse_inner_weights_text("0 | 1\n0 1 | x\n")
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match=r"^inner product weight for \[0\] must be positive, got -3$"):
         parse_inner_weights_text("0 | -3\n")
+    with pytest.raises(ValueError, match=r"^inner product weight for \[1\] must be positive, got 0$"):
+        parse_inner_weights_text("0 | 2\n1 | 0\n")
+    with pytest.raises(ValueError, match=r"^line 1: a simplex needs at least one vertex$"):
+        parse_inner_weights_text(" | 2\n")
+    with pytest.raises(ValueError, match=r"^line 2: vertices \(1, 0\) not strictly ascending$"):
+        parse_inner_weights_text("0 | 1\n1 0 | 2\n")
+
+
+def test_parse_inner_weights_checks_the_final_table():
+    """Positivity is checked on the table the lines leave: a non-positive
+    value a later line overwrites is accepted, and one that overwrites a
+    positive value is refused."""
+    with pytest.warns(UserWarning, match="line 2: duplicate entry for"):
+        w = parse_inner_weights_text("0 | -3\n0 | 2\n")
+    assert w.value((0,)) == 2
+    with pytest.warns(UserWarning, match="line 2: duplicate entry for"):
+        with pytest.raises(ValueError, match=r"^inner product weight for \[0\] must be positive"):
+            parse_inner_weights_text("0 | 2\n0 | -3\n")
 
 
 def test_parse_inner_weights_duplicates(recwarn):
