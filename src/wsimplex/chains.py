@@ -26,7 +26,7 @@ the cached parts, so a caller that changes it changes nothing held.
 
 from __future__ import annotations
 
-from .complexes import Record, Simplex, SimplicialComplex
+from .complexes import Record, Simplex, SimplicialComplex, _trusted
 from .gaussian import ZERO, GaussianRational
 from .matrices import ExactMatrix, column_rank
 from .weights import WeightFunction
@@ -53,8 +53,11 @@ def _cached(phi: WeightFunction, part: str, n: int, build):
 
 def _signed_faces(phi: WeightFunction, s: Simplex):
     """The terms (d_i s, (-1)^i phi(s, d_i s)) of the weighted boundary of
-    s; a vertex has none."""
-    return [(s.face(i), -phi.value(s, i) if i % 2 else phi.value(s, i))
+    s; a vertex has none.  The caller has checked the pair and that s is a
+    simplex of the complex, so every (s, i) is a key of phi's table and
+    each face is a valid ascending tuple."""
+    table = phi._table
+    return [(_trusted(s[:i] + s[i + 1:]), -table[s, i] if i % 2 else table[s, i])
             for i in range(len(s) if s.dim else 0)]
 
 

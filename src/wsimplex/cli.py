@@ -14,17 +14,27 @@ byte, and then streamed to stdout one row or vector at a time.  Floats
 are printed at 12 significant digits.  The matrix subcommands print the
 library's sparse ``ExactMatrix`` results row by row; no dense matrix is
 built to be printed.
+
+Each subcommand's options are declared once, in one table (``_COMMANDS``),
+as their option strings and argparse's ``add_argument`` keywords.  A plain
+argv (the command, then each option once by one of its declared strings,
+each value not starting with "-" and accepted by its type and choices,
+every required option present) is read straight from the table by
+``_plain_args``, which neither builds nor imports argparse.  Any other
+argv (help, abbreviations, ``--opt=value``, repeats, ``--``, every usage
+error) goes to argparse, built from the same table by ``_parser``, which
+prints the help and the usage messages.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import re
 import sys
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .chains import boundary_matrix, coboundary_matrix
 from .complexes import read_complex_file
@@ -173,10 +183,13 @@ def _cmd_multiplicities(args):
 
 
 def tolerance(text: str) -> float:
-    """argparse type of ``ffl --tol``; argparse names it in the message for
-    a non-number ("invalid tolerance value")."""
+    """Type of ``ffl --tol``, called by both argv readers; argparse names it
+    in the message for a non-number ("invalid tolerance value"), and is
+    imported here only to refuse a value."""
     tol = float(text)
     if not 0 <= tol < math.inf:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
     return tol
 
@@ -238,65 +251,59 @@ def _cmd_ffl(args):
     return payload, 0
 
 
-def _add_common(sp, need_dim=True):
-    sp.add_argument("--complex", "-k", required=True, metavar="FILE",
-                    help="complex file: one simplex per line")
-    sp.add_argument("--weights", "-w", required=True, metavar="FILE",
-                    help="weight file: lines 'simplex | face | value'")
-    if need_dim:
-        sp.add_argument("-n", "--dim", type=int, required=True,
-                        help="degree to work in")
-    sp.add_argument("--strict", action="store_true",
-                    help="missing weight entries are an error, not a default")
-    sp.add_argument("--default", choices=["one", "zero"], default="one",
-                    help="fill value for missing weight entries")
-    sp.add_argument("--field", choices=["real", "complex"], default="complex",
-                    help="reject complex weight values with 'real'")
+# Each subcommand's options, each declared once as its option strings and
+# the keywords of argparse's add_argument: ``_parser`` builds argparse from
+# them, and ``_plain_args`` reads a plain argv from them without argparse.
+_PAIR = [
+    (("--complex", "-k"), dict(dest="complex", required=True, metavar="FILE",
+                               help="complex file: one simplex per line")),
+    (("--weights", "-w"), dict(dest="weights", required=True, metavar="FILE",
+                               help="weight file: lines 'simplex | face | value'")),
+]
+_FILL = [
+    (("--strict",), dict(dest="strict", action="store_true", default=False,
+                         help="missing weight entries are an error, not a default")),
+    (("--default",), dict(dest="default", choices=["one", "zero"], default="one",
+                          help="fill value for missing weight entries")),
+    (("--field",), dict(dest="field", choices=["real", "complex"], default="complex",
+                        help="reject complex weight values with 'real'")),
+]
+_COMMON = [*_PAIR, (("-n", "--dim"), dict(dest="dim", type=int, required=True,
+                                          help="degree to work in")), *_FILL]
 
 
-def _add_inner(sp, help=None):
-    _add_common(sp)
-    sp.add_argument("--inner-weights", metavar="FILE", help=help)
+def _inner(help=None) -> list:
+    return [*_COMMON, (("--inner-weights",), dict(dest="inner_weights", metavar="FILE",
+                                                 help=help))]
 
 
-def _add_snf(sp):
-    _add_common(sp)
-    sp.add_argument("--transforms", action="store_true",
-                    help="also emit the unimodular transforms")
-
-
-def _add_ngon(sp):
-    sp.add_argument("--alphas", required=True,
-                    help="comma separated vertex weights, e.g. 1,2,2,2,2; "
-                         "write --alphas=-3,6,1 when the first is negative")
-
-
-def _add_ffl(sp):
-    sp.add_argument("--type", help="motif label like coherent1")
-    sp.add_argument("--classify", metavar="FILE",
-                    help="classify a 3x3 Laplacian matrix file")
-    sp.add_argument("--tol", type=tolerance, default=1e-6,
-                    help="matching tolerance, finite and >= 0")
-
-
-# name -> (handler, help, function adding the subcommand's options)
+# name -> (handler, help, options)
 _COMMANDS = {
-    "validate": (_cmd_validate, "check the weight condition",
-                 lambda sp: _add_common(sp, need_dim=False)),
-    "boundary": (_cmd_boundary, "weighted boundary matrix", _add_common),
-    "coboundary": (_cmd_coboundary, "weighted coboundary matrix", _add_common),
-    "homology": (_cmd_homology, "integer homology with torsion", _add_common),
-    "cohomology-dim": (_cmd_cohomology_dim, "cohomology dimension", _add_common),
-    "snf": (_cmd_snf, "Smith normal form of a boundary matrix", _add_snf),
+    "validate": (_cmd_validate, "check the weight condition", [*_PAIR, *_FILL]),
+    "boundary": (_cmd_boundary, "weighted boundary matrix", _COMMON),
+    "coboundary": (_cmd_coboundary, "weighted coboundary matrix", _COMMON),
+    "homology": (_cmd_homology, "integer homology with torsion", _COMMON),
+    "cohomology-dim": (_cmd_cohomology_dim, "cohomology dimension", _COMMON),
+    "snf": (_cmd_snf, "Smith normal form of a boundary matrix", [
+        *_COMMON, (("--transforms",), dict(dest="transforms", action="store_true",
+                                           default=False,
+                                           help="also emit the unimodular transforms"))]),
     "laplacian": (_cmd_laplacian, "up, down and full Laplacian matrices",
-                  lambda sp: _add_inner(sp, "per-simplex inner product weights "
-                                            "'simplex | value'")),
-    "spectrum": (_cmd_spectrum, "Laplacian eigenvalues and eigenvectors", _add_inner),
-    "harmonic": (_cmd_harmonic, "orthonormal harmonic cochain basis", _add_common),
+                  _inner("per-simplex inner product weights 'simplex | value'")),
+    "spectrum": (_cmd_spectrum, "Laplacian eigenvalues and eigenvectors", _inner()),
+    "harmonic": (_cmd_harmonic, "orthonormal harmonic cochain basis", _COMMON),
     "multiplicities": (_cmd_multiplicities, "zero-eigenvalue multiplicities by formula",
-                       _add_common),
-    "ngon": (_cmd_ngon, "degree-0 homology of a weighted polygon", _add_ngon),
-    "ffl": (_cmd_ffl, "feedforward-loop motif signatures", _add_ffl),
+                       _COMMON),
+    "ngon": (_cmd_ngon, "degree-0 homology of a weighted polygon", [
+        (("--alphas",), dict(dest="alphas", required=True,
+                             help="comma separated vertex weights, e.g. 1,2,2,2,2; "
+                                  "write --alphas=-3,6,1 when the first is negative"))]),
+    "ffl": (_cmd_ffl, "feedforward-loop motif signatures", [
+        (("--type",), dict(dest="type", help="motif label like coherent1")),
+        (("--classify",), dict(dest="classify", metavar="FILE",
+                               help="classify a 3x3 Laplacian matrix file")),
+        (("--tol",), dict(dest="tol", type=tolerance, default=1e-6,
+                          help="matching tolerance, finite and >= 0"))]),
 }
 
 
@@ -306,6 +313,8 @@ def _parser(command=None) -> argparse.ArgumentParser:
     queries compute; the usage line still lists every command.  Otherwise
     all twelve are built under argparse's default metavar, which its
     "required: command" and "invalid choice" messages name."""
+    import argparse
+
     p = argparse.ArgumentParser(
         prog="wsimplex",
         description="homology, cohomology and Laplacian spectra of weighted "
@@ -314,17 +323,55 @@ def _parser(command=None) -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True,
                            metavar="{" + ",".join(_COMMANDS) + "}" if one else None)
     for name in [command] if one else _COMMANDS:
-        _, text, add_options = _COMMANDS[name]
-        add_options(sub.add_parser(name, help=text))
+        _, text, options = _COMMANDS[name]
+        sp = sub.add_parser(name, help=text)
+        for strings, keywords in options:
+            sp.add_argument(*strings, **keywords)
     return p
+
+
+def _plain_args(argv):
+    """The arguments of a plain argv (see the module docstring), read from
+    the option table as argparse reads them; None for any other argv."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    options = _COMMANDS[argv[0]][2]
+    declared = {string: keywords for strings, keywords in options for string in strings}
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        keywords = declared.get(token)
+        if keywords is None or keywords["dest"] in values:
+            return None
+        if keywords.get("action") == "store_true":
+            values[keywords["dest"]] = True
+            continue
+        text = next(tokens, "-")
+        if text.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(text)
+        except Exception:  # argparse reports it
+            return None
+        if value not in keywords.get("choices", [value]):
+            return None
+        values[keywords["dest"]] = value
+    for _, keywords in options:
+        if keywords["dest"] not in values:
+            if keywords.get("required"):
+                return None
+            values[keywords["dest"]] = keywords.get("default")
+    return SimpleNamespace(command=argv[0], **values)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    try:
-        args = _parser(argv[0] if argv else None).parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = _parser(argv[0] if argv else None).parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
 
     error = None
     with warnings.catch_warnings(record=True) as caught:

@@ -29,16 +29,20 @@ the rounding except in four cases: integer values, ``13`` for ``13.0``
 (and ``-0`` for ``-0.0``); |x| >= 1e12, where ``.12g`` switches to an
 exponent four decades before repr does; subnormals, where fewer than 12
 digits can round-trip (``4.94065645841e-324`` for ``5e-324``); and nan
-and the infinities.  One numpy mask per block picks
+and the infinities.  One numpy comparison per block picks
 
-    ~(|x| < 1e12) | (|x| < 2.2250738585072014e-308) | (|x - rint(x)| <= 1e-11 |x|),
+    ~(|x - rint(x)| > 1e-11 |x| + 2.2250738585072014e-308),
 
 and only the picked entries are spelled one float at a time (``sig12``,
-then ``float.__repr__``).  The mask is a superset: a 12-digit rounding to an
-integer N moves x by at most half a unit in the 12th digit, so |x - N| <=
-5e-12 |x|; a normal x whose rounding falls below the least normal double
-lands in the top binade of the subnormals, which still round-trips 15
-digits; and nan fails every comparison but the first.  Each block's text
+then ``float.__repr__``).  The mask is a superset of the four cases.  A
+12-digit rounding to an integer N moves x by at most half a unit in the
+12th digit, so |x - N| <= 5e-12 |x|.  Every finite |x| >= 5e10 is picked
+too: its distance to the nearest integer is at most 0.5 <= 1e-11 |x|.
+Every |x| below the least normal double is picked by the added constant,
+since |x - rint(x)| <= |x| there (a normal x whose rounding falls below
+the least normal double lands in the top binade of the subnormals, which
+still round-trips 15 digits).  nan and the infinities make the left side
+nan, which fails the ``>``.  Each block's text
 is then laid into a %-template of its rows, with the separators and
 indentation json.dumps would write.  numpy is imported by these functions
 alone, so an exact subcommand leaves it unloaded.
@@ -125,8 +129,7 @@ def _texts(block) -> list[str]:
         x = x.view(float)
     texts = list(map(float.__format__, x.tolist(), repeat(".12g")))
     with np.errstate(invalid="ignore"):  # inf - rint(inf) is nan
-        size = np.abs(x)
-        odd = ~(size < 1e12) | (size < _LEAST_NORMAL) | (np.abs(x - np.rint(x)) <= 1e-11 * size)
+        odd = ~(np.abs(x - np.rint(x)) > 1e-11 * np.abs(x) + _LEAST_NORMAL)
     for i, text in zip(odd.nonzero()[0].tolist(), _floats(sig12(x[odd].tolist()))):
         texts[i] = text
     return texts

@@ -2,7 +2,8 @@
 ctypes and the OpenBLAS handle the SVD opens not before its first call.
 Neither the import nor an exact subcommand loads ``dataclasses``,
 ``typing`` or what ``dataclasses`` brings (``inspect``, ``ast``, ``dis``,
-``tokenize``, ``copy``).
+``tokenize``, ``copy``).  argparse, and the ``gettext`` it brings, load
+for help and usage errors only: a plain argv is read without them.
 
 Each check runs in a fresh interpreter, since the suite itself has numpy
 loaded long before any of these tests start.  The child notes the modules
@@ -137,6 +138,47 @@ def test_float_subcommands_load_no_dataclasses_or_copy():
     for name, code, _, _, _, since in report:
         found = [m for m in ("dataclasses", "copy") if m in since]
         assert code in (None, 0) and not found, f"{found} loaded by {name}: {since}"
+
+
+# run the given cli.main argv lists in order, stdout and stderr captured;
+# print, per run, its exit code, stdout, stderr, and which of argparse and
+# gettext were loaded since just before the import
+PARSER_CHILD = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+import wsimplex, wsimplex.cli
+
+def parser_modules():
+    return [name for name in ("argparse", "gettext") if name in set(sys.modules) - before]
+
+report = [[None, "", "", parser_modules()]]
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = wsimplex.cli.main(argv)
+    report.append([code, out.getvalue(), err.getvalue(), parser_modules()])
+print(json.dumps(report))
+"""
+
+
+def test_import_and_plain_argvs_load_no_argparse():
+    argvs = [*EXACT, *FLOAT]
+    report = json.loads(run_child(PARSER_CHILD, json.dumps(argvs)))
+    for argv, (code, out, err, loaded) in zip([["import"], *argvs], report):
+        assert code in (None, 0) and err == "", (argv, err)
+        assert loaded == [], f"{loaded} loaded by {argv[0]}"
+
+
+@pytest.mark.parametrize("argv, code, text", [
+    (["homology", "--help"], 0, "usage: wsimplex homology [-h] --complex FILE"),
+    (["homology", *TRIANGLE, "-n", "x"], 2,
+     "wsimplex homology: error: argument -n/--dim: invalid int value: 'x'"),
+], ids=["help", "malformed"])
+def test_help_and_usage_errors_load_argparse(argv, code, text):
+    (_, _, _, at_import), (got, out, err, loaded) = json.loads(
+        run_child(PARSER_CHILD, json.dumps([argv])))
+    assert at_import == [] and loaded == ["argparse", "gettext"]
+    assert got == code and text in out + err
 
 
 def test_star_import_and_dir_cover_all():
