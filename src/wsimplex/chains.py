@@ -19,9 +19,14 @@ operator of the pair is built once: ``_cached`` fills the weight
 function's private table of sparse exact parts on the first ask, after
 the pair has passed ``_check_pair``, and every later call reads it.  The
 columns of d_n (``_boundary``) and their rank (``_rank``) live there, and
-the Laplacian parts and normal forms that ``spectral`` and ``homology``
-derive from them.  What a public function returns is built fresh from
-the cached parts, so a caller that changes it changes nothing held.
+the Laplacian parts, float factors and normal forms that ``spectral``
+and ``homology`` derive from them.  Every part is sparse: dicts of
+non-zeros, or flat read-only arrays of them, and never a dense matrix, an
+``ExactMatrix`` or a decomposition.  What a public function returns is
+built fresh from the cached parts, so a caller that changes it changes
+nothing held.  A boundary or coboundary matrix carries the pair's rank
+of its d_n when the pair holds it, so its ``rank()`` reads the pair's
+rank vector and eliminates nothing.
 """
 
 from __future__ import annotations
@@ -96,8 +101,11 @@ def coboundary_matrix(complex: SimplicialComplex, phi: WeightFunction, n: int) -
     the degree-(n+1) boundary matrix, one row per column of it."""
     _check_pair(complex, phi)
     rows = [dict(column) for column in _boundary(phi, n + 1)]
-    return ExactMatrix._from_rows(rows, len(complex.basis(n)), complex.basis(n + 1),
-                                  complex.basis(n))
+    m = ExactMatrix._from_rows(rows, len(complex.basis(n)), complex.basis(n + 1),
+                               complex.basis(n))
+    # r_{n+1}, if the pair has ranked d_{n+1}; a transpose keeps it
+    m._rank = phi._operators.get(("rank", n + 1))
+    return m
 
 
 def adjoint_matrix(matrix: ExactMatrix) -> ExactMatrix:

@@ -307,23 +307,18 @@ _COMMANDS = {
 }
 
 
-def _parser(command=None) -> argparse.ArgumentParser:
-    """The argument parser.  When ``command`` names a subcommand only its
-    subparser is built, since all twelve cost 2-3 ms a call, more than most
-    queries compute; the usage line still lists every command.  Otherwise
-    all twelve are built under argparse's default metavar, which its
-    "required: command" and "invalid choice" messages name."""
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, with all twelve subparsers.  Only an argv that
+    is not plain reaches it (help, a usage error, an abbreviation, an
+    ``--opt=value`` form), so its build costs no plain query."""
     import argparse
 
     p = argparse.ArgumentParser(
         prog="wsimplex",
         description="homology, cohomology and Laplacian spectra of weighted "
                     "simplicial complexes")
-    one = command in _COMMANDS
-    sub = p.add_subparsers(dest="command", required=True,
-                           metavar="{" + ",".join(_COMMANDS) + "}" if one else None)
-    for name in [command] if one else _COMMANDS:
-        _, text, options = _COMMANDS[name]
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (_, text, options) in _COMMANDS.items():
         sp = sub.add_parser(name, help=text)
         for strings, keywords in options:
             sp.add_argument(*strings, **keywords)
@@ -369,7 +364,7 @@ def main(argv=None) -> int:
     args = _plain_args(argv)
     if args is None:
         try:
-            args = _parser(argv[0] if argv else None).parse_args(argv)
+            args = _parser().parse_args(argv)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
 

@@ -43,17 +43,24 @@ from operator import index
 # boundary matrix through this module's name for it.
 from .chains import _boundary, _cached, _check_pair, _rank, boundary_matrix  # noqa: F401
 from .complexes import Record, SimplicialComplex
+from .gaussian import GaussianRational
 from .matrices import ExactMatrix
 from .weights import WeightFunction
 
 
 def _int_entry(x) -> int:
-    try:
-        n = int(x)
-        if n == x:
-            return n
-    except (TypeError, ValueError, OverflowError):
-        pass
+    if type(x) is GaussianRational:
+        # the normalised triple (a, b, d) of (a + bi)/d: an integer is (a, 0, 1)
+        a, b, d = x._t
+        if b == 0 and d == 1:
+            return a
+    else:
+        try:
+            n = int(x)
+            if n == x:
+                return n
+        except (TypeError, ValueError, OverflowError):
+            pass
     raise ValueError("matrix has non-integer entries")
 
 

@@ -8,6 +8,12 @@ prints as JSON, what Smith normal form reads and what ``to_ndarray``
 hands to the eigensolver.  Every operation visits the non-zeros only.
 No zero is ever stored, so ``==`` compares the row dicts.  ``.data`` is
 a fresh dense copy of the entries; writing to it changes no matrix.
+
+A matrix remembers its rank once it is known: ``rank()`` keeps its
+answer, a transpose inherits it, and a boundary or coboundary matrix
+starts with the rank its (complex, weight) pair already holds (see
+``chains``).  The rank is a plain int, so matrices pickle and copy as
+before.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ if TYPE_CHECKING:
 
 
 class ExactMatrix:
-    __slots__ = ("rows", "cols", "_entries", "row_labels", "col_labels")
+    __slots__ = ("rows", "cols", "_entries", "row_labels", "col_labels", "_rank")
 
     def __init__(self, data, row_labels=None, col_labels=None, cols=None):
         """A matrix of the dense rows ``data``; ``cols`` gives the width of
@@ -48,6 +54,7 @@ class ExactMatrix:
 
     def _set(self, entries, cols, row_labels, col_labels) -> None:
         self._entries = entries
+        self._rank = None  # the rank, once known
         self.rows = len(entries)
         self.cols = cols
         self.row_labels = tuple(row_labels) if row_labels is not None else None
@@ -96,7 +103,9 @@ class ExactMatrix:
         for i, row in enumerate(self._entries):
             for j, x in row.items():
                 out[j][i] = x
-        return ExactMatrix._from_rows(out, self.rows, self.col_labels, self.row_labels)
+        t = ExactMatrix._from_rows(out, self.rows, self.col_labels, self.row_labels)
+        t._rank = self._rank
+        return t
 
     def conj_transpose(self) -> "ExactMatrix":
         t = self.transpose()
@@ -116,9 +125,16 @@ class ExactMatrix:
     def is_hermitian(self) -> bool:
         if self.rows != self.cols:
             return False
+        # equal values have equal triples, and conj((a + bi)/d) = (a - bi)/d;
+        # no zero is stored, so a missing mirror entry is a mismatch
         rows = self._entries
-        return all(rows[j].get(i, ZERO) == x.conjugate()
-                   for i, row in enumerate(rows) for j, x in row.items())
+        for i, row in enumerate(rows):
+            for j, x in row.items():
+                y = rows[j].get(i)
+                a, b, d = x._t
+                if y is None or y._t != (a, -b, d):
+                    return False
+        return True
 
     # -- numerics ---------------------------------------------------------------
 
@@ -135,8 +151,10 @@ class ExactMatrix:
 
     def rank(self) -> int:
         """Exact rank over Q(i): ``column_rank`` of the rows, as the
-        transpose has the same rank."""
-        return column_rank(self._entries)
+        transpose has the same rank, on the first ask only."""
+        if self._rank is None:
+            self._rank = column_rank(self._entries)
+        return self._rank
 
     def __repr__(self) -> str:
         if self.rows * self.cols > 64:

@@ -29,9 +29,10 @@ diagonal inner weights w (all 1 for the standard inner products):
 
 A column of d_{n+1} holds n+2 non-zeros at most, so the work is the sum of
 the squared non-zero counts per column (or row), not a cube of the basis
-size.  The pair caches the two standard parts as these rows, and
-``up_down_matrices`` and ``laplacian_matrix`` return sparse copies of
-them (``ExactMatrix``).  Parts for inner weights are built per call.
+size.  The pair caches the two standard parts as these rows, and their
+sum L_n, added once; ``up_down_matrices`` and ``laplacian_matrix`` return
+sparse copies of them (``ExactMatrix``).  Parts for inner weights are
+built per call.
 
 ``up_down_matrices(..., w)`` swaps the standard inner products for
 diagonal ones given by positive simplex weights w; the resulting matrices
@@ -59,6 +60,16 @@ the count coming from the exact ranks, and the harmonic basis is the
 singular vectors of that many smallest singular values: no float tolerance
 decides either.
 
+The pair caches M's non-zeros, as flat read-only arrays of their rows,
+columns and float values, and each call fills a fresh dense M from them
+(then scales it for inner weights): the exact-to-float conversion runs
+once per pair, and ``laplacian_spectrum`` with or without w and
+``harmonic_basis`` share it.  M itself is not kept: it has at most n + 2
+non-zeros per (n+1)-simplex and n + 1 per n-simplex, while its dense form
+grows with the product of two basis sizes (for the Delta^45 2-skeleton in
+degree 1, 15,226 x 1,035 complex entries, about 252 MB), and an
+inner-weighted call scales a copy of its own anyway.
+
 numpy is imported by the float functions alone (``spectrum``,
 ``laplacian_spectrum``, ``harmonic_basis``), so the exact ones leave it
 unloaded.
@@ -81,13 +92,6 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
     from .eigen import Spectrum
-
-
-def _columns(complex: SimplicialComplex, phi: WeightFunction, n: int):
-    """The cached non-zero columns of the boundaries (d_n, d_{n+1}) around
-    degree n, read only."""
-    _check_pair(complex, phi)
-    return _boundary(phi, n), _boundary(phi, n + 1)
 
 
 def _kernel_dim(complex: SimplicialComplex, phi: WeightFunction, n: int) -> int:
@@ -145,6 +149,18 @@ def _assemble(size: int, d_n, d_next, w=None) -> tuple[list[dict], list[dict]]:
     return up, down
 
 
+def _parts(complex: SimplicialComplex, phi: WeightFunction, n: int):
+    """The cached sparse rows of the standard (up, down) parts in degree n
+    of a checked pair, read only."""
+    return _cached(phi, "parts", n, lambda: _assemble(
+        len(complex.basis(n)), _boundary(phi, n), _boundary(phi, n + 1)))
+
+
+def _fresh(rows: list[dict], labels) -> ExactMatrix:
+    """A square matrix of copies of the sparse rows, labelled by labels."""
+    return ExactMatrix._from_rows([dict(row) for row in rows], len(labels), labels, labels)
+
+
 def up_down_matrices(
     complex: SimplicialComplex,
     phi: WeightFunction,
@@ -160,24 +176,32 @@ def up_down_matrices(
     which need not be Hermitian.  Every weight 1 gives the standard parts,
     whose sparse rows the pair caches; parts for inner weights are built
     per call."""
-    d_n, d_next = _columns(complex, phi, n)
+    _check_pair(complex, phi)
     labels = complex.basis(n)
     if w is None:
-        parts = _cached(phi, "parts", n, lambda: _assemble(len(labels), d_n, d_next))
+        parts = _parts(complex, phi, n)
     else:
-        parts = _assemble(len(labels), d_n, d_next,
+        parts = _assemble(len(labels), _boundary(phi, n), _boundary(phi, n + 1),
                           tuple(w.diagonal(complex, k) for k in (n - 1, n, n + 1)))
     # no part stores a zero: two n-simplices share at most one face and
     # one coface, so an entry off the diagonal is one product of non-zeros,
     # and one on it a positive (weighted) sum of squared moduli
-    return tuple(ExactMatrix._from_rows([dict(row) for row in part], len(labels),
-                                        labels, labels) for part in parts)
+    return tuple(_fresh(part, labels) for part in parts)
 
 
 def laplacian_matrix(complex: SimplicialComplex, phi: WeightFunction, n: int) -> ExactMatrix:
-    """L_n = up + down."""
-    up, down = up_down_matrices(complex, phi, n)
-    return up + down
+    """L_n = up + down, whose sparse rows the pair sums once."""
+    _check_pair(complex, phi)
+    labels = complex.basis(n)
+
+    def build():
+        # __add__ copies the rows of the left part and reads the right one,
+        # so the cached parts stay as they are; a sum that cancels is dropped
+        up, down = (ExactMatrix._from_rows(part, len(labels)) for part in
+                    _parts(complex, phi, n))
+        return (up + down)._entries
+
+    return _fresh(_cached(phi, "laplacian", n, build), labels)
 
 
 class InnerProductWeights:
@@ -242,34 +266,55 @@ def spectrum(matrix: ExactMatrix) -> Spectrum:
     return Spectrum(*_on_one_thread(np.linalg.eigh, matrix.to_ndarray()))
 
 
-def _factor(complex: SimplicialComplex, n: int, d_n, d_next,
+def _factor_part(complex: SimplicialComplex, phi: WeightFunction, n: int) -> tuple:
+    """The cached non-zeros of the float factor M = [d_{n+1}^T ; conj(d_n)]
+    of a checked pair in degree n: read-only 1-D arrays of their rows,
+    columns and float values, then the height of the upper block and of
+    M.  A value outside float range caches nothing (``to_floats``)."""
+
+    def build():
+        import numpy as np
+
+        d_n, d_next = _boundary(phi, n), _boundary(phi, n + 1)
+        top = len(d_next)
+        rows, cols, values = [], [], []
+        for r, column in enumerate(d_next):
+            for s, x in column.items():
+                rows.append(r)
+                cols.append(s)
+                values.append(x)
+        for s, column in enumerate(d_n):
+            for f, x in column.items():
+                rows.append(top + f)
+                cols.append(s)
+                values.append(x.conjugate())
+        real = all(x.is_real() for x in values)
+        floats = to_floats(values, real)
+        arrays = (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+                  np.array(floats, dtype=np.float64 if real else np.complex128))
+        for a in arrays:
+            a.flags.writeable = False
+        return (*arrays, top, top + len(complex.basis(n - 1)))
+
+    return _cached(phi, "factor", n, build)
+
+
+def _factor(complex: SimplicialComplex, phi: WeightFunction, n: int,
             w: InnerProductWeights | None = None) -> np.ndarray:
     """The float factor M = [d_{n+1}^T ; conj(d_n)] of the degree-n
-    Laplacian, L_n = M^* M, filled from the non-zero columns d_n, d_next of
-    the boundaries.  With inner weights w, row r of the upper block is scaled
-    by sqrt(w_r) and row f of the lower block by 1/sqrt(w_f), column s by
-    1/sqrt(w_s) above and sqrt(w_s) below: then M^* M = W^1/2 L W^-1/2.
+    Laplacian of a checked pair, L_n = M^* M, as a fresh dense array filled
+    from the pair's cached non-zeros of M.  With inner weights w, row r of
+    the upper block is scaled by sqrt(w_r) and row f of the lower block by
+    1/sqrt(w_f), column s by 1/sqrt(w_s) above and sqrt(w_s) below: then
+    M^* M = W^1/2 L W^-1/2.
 
     The eigenvalues are squares of the singular values, so a factor whose
     squared entries leave float range is refused."""
     import numpy as np
 
-    top, size = len(d_next), len(complex.basis(n))
-    rows, cols, values = [], [], []
-    for r, column in enumerate(d_next):
-        for s, x in column.items():
-            rows.append(r)
-            cols.append(s)
-            values.append(x)
-    for s, column in enumerate(d_n):
-        for f, x in column.items():
-            rows.append(top + f)
-            cols.append(s)
-            values.append(x.conjugate())
-    real = all(x.is_real() for x in values)
-    m = np.zeros((top + len(complex.basis(n - 1)), size),
-                 dtype=np.float64 if real else np.complex128)
-    m[rows, cols] = to_floats(values, real)
+    rows, cols, values, top, height = _factor_part(complex, phi, n)
+    m = np.zeros((height, len(complex.basis(n))), dtype=values.dtype)
+    m[rows, cols] = values
     if w is not None:
         w_dn, w_n, w_up = (np.sqrt(to_floats([GaussianRational(x) for x in
                                               w.diagonal(complex, k)], True))
@@ -278,7 +323,7 @@ def _factor(complex: SimplicialComplex, n: int, d_n, d_next,
         m[top:] *= w_n[None, :] / w_dn[:, None]
     with np.errstate(over="ignore", under="ignore"):
         norm2 = float(np.sum(np.square(np.abs(m))))
-    if values and not (np.isfinite(norm2) and norm2 >= np.finfo(np.float64).tiny):
+    if values.size and not (np.isfinite(norm2) and norm2 >= np.finfo(np.float64).tiny):
         raise ValueError(
             f"degree {n}: the Laplacian factor's largest entry has magnitude "
             f"{np.max(np.abs(m)):.1e}; the eigenvalues, sums of squares of such "
@@ -298,8 +343,8 @@ def laplacian_spectrum(
     formed.  Exactly dim H^n eigenvalues are zero: the smallest ones."""
     from .eigen import Spectrum, jacobi_svd
 
-    d_n, d_next = _columns(complex, phi, n)
-    values, vectors = jacobi_svd(_factor(complex, n, d_n, d_next, w))
+    _check_pair(complex, phi)
+    values, vectors = jacobi_svd(_factor(complex, phi, n, w))
     values[:_kernel_dim(complex, phi, n)] = 0.0
     return Spectrum(values, vectors)
 
@@ -338,12 +383,12 @@ def harmonic_basis(complex: SimplicialComplex, phi: WeightFunction, n: int) -> H
     import numpy as np
     from .eigen import jacobi_svd
 
-    d_n, d_next = _columns(complex, phi, n)
+    _check_pair(complex, phi)
     count = _kernel_dim(complex, phi, n)
     labels = complex.basis(n)
     if not count:
         return HarmonicBasis(n, labels, np.zeros((len(labels), 0)))
-    _, vectors = jacobi_svd(_factor(complex, n, d_n, d_next))
+    _, vectors = jacobi_svd(_factor(complex, phi, n))
     return HarmonicBasis(n, labels, vectors[:, :count])
 
 

@@ -522,8 +522,8 @@ PENTAGON = ["-k", fx("pentagon.cplx"), "-w", fx("pentagon.wts")]
 
 
 def test_unknown_command_exit_2(capsys):
-    """Every top-level usage error lists all commands, also when only the
-    named subcommand's parser was built (the stray trailing argument)."""
+    """Every top-level usage error lists all commands, the stray trailing
+    argument of a subcommand's argv included."""
     usage = "{" + ",".join(COMMANDS) + "}"
     for argv, message in (([], "required: command"),
                           (["frobnicate"], "argument command: invalid choice"),
@@ -534,14 +534,23 @@ def test_unknown_command_exit_2(capsys):
         assert out == "" and usage in err and message in err, err
 
 
-def _subcommands(parser: argparse.ArgumentParser) -> list[str]:
+def test_parser_builds_every_subcommand_from_the_table():
+    parser = cli._parser()
     [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return list(sub.choices)
+    assert list(sub.choices) == COMMANDS == list(cli._COMMANDS)
+    for name, (_, _, options) in cli._COMMANDS.items():
+        # every subparser's first option is its -h/--help
+        built = [a.option_strings for a in sub.choices[name]._actions[1:]]
+        assert built == [list(strings) for strings, _ in options], name
 
 
-def test_parser_builds_only_the_named_subcommand():
-    assert _subcommands(cli._parser("homology")) == ["homology"]
-    assert _subcommands(cli._parser(None)) == COMMANDS == list(cli._COMMANDS)
+# Exit code, stdout and stderr of main for the argvs below, captured with
+# COLUMNS=80 under Python 3.11 from the code whose ``_parser(command)``
+# built the named command's subparser alone; each argv is stored with its
+# fixture paths relative to this directory.
+PARSER_OUTCOMES = {
+    tuple(record["argv"]): record for record in
+    json.loads((FIXTURES / "expected" / "parser_argvs_py311.json").read_text("utf-8"))}
 
 
 @pytest.mark.parametrize("argv", [
@@ -557,18 +566,19 @@ def test_parser_builds_only_the_named_subcommand():
     ["snf", *PENTAGON, "-n", "1", "--transforms"],  # parses
 ])
 def test_one_subparser_parses_as_all_twelve(capsys, monkeypatch, argv):
-    """The parser built for the named subcommand alone gives the same exit
-    code, output, messages and arguments as the parser with all twelve."""
+    """Help, usage errors and a parsed argv give the exit code, output and
+    messages the one-subparser parser gave (``PARSER_OUTCOMES``).  Other
+    Python versions word argparse's help and errors otherwise; there the
+    exit code alone is pinned."""
     monkeypatch.setenv("COLUMNS", "80")
-    outcomes = []
-    for command in (argv[0] if argv else None, None):
-        try:
-            parsed, code = vars(cli._parser(command).parse_args(argv)), 0
-        except SystemExit as exc:
-            parsed, code = None, exc.code
-        outcomes.append((code, parsed, *capsys.readouterr()))
-    assert outcomes[0] == outcomes[1]
-    assert outcomes[0][0] == (0 if argv[:1] == ["snf"] or "--help" in argv else 2)
+    key = tuple(os.path.relpath(token, FIXTURES.parent) if token.startswith(str(FIXTURES))
+                else token for token in argv)
+    record = PARSER_OUTCOMES[key]
+    outcome = main(argv), *capsys.readouterr()
+    if sys.version_info[:2] == (3, 11):
+        assert outcome == (record["exit"], record["stdout"], record["stderr"])
+    assert outcome[0] == record["exit"] == (
+        0 if argv[:1] == ["snf"] or "--help" in argv else 2)
 
 
 @pytest.mark.parametrize("text, warning", [

@@ -102,7 +102,7 @@ def argparse_reads(argv):
     where it exits."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return vars(cli._parser(None).parse_args(argv))
+            return vars(cli._parser().parse_args(argv))
         except SystemExit:
             return None
 

@@ -2,12 +2,17 @@
 dict of non-zeros per row, against the dense list-of-rows references in
 ``oracles.py``: every operation on hypothesis matrices over Q(i) of up to
 9 x 9, zero rows and 0 x n and n x 0 shapes included, and the rule that
-no zero is stored, on which ``==`` of the sparse rows rests.  Under
+no zero is stored, on which ``==`` of the sparse rows rests.  A matrix
+keeps its rank once known, so every rank is checked on a freshly built
+matrix against the dense reference, and a rank carried over by a
+transpose, a pickle or a copy against the same reference.  Under
 hypothesis's default profile each test runs 200 derandomized examples;
 ``HYPOTHESIS_PROFILE=deep`` searches further (see conftest.py).
 """
 
+import copy
 import os
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -16,8 +21,11 @@ pytest.importorskip("hypothesis")
 import numpy as np  # noqa: E402
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from wsimplex import ExactMatrix, GaussianRational  # noqa: E402
+from wsimplex import ExactMatrix, GaussianRational, boundary_matrix  # noqa: E402
+from wsimplex import coboundary_matrix, cohomology_dim  # noqa: E402
+from wsimplex.matrices import column_rank  # noqa: E402
 
+from conftest import sample_triangle  # noqa: E402
 from oracles import (  # noqa: E402
     dense_add,
     dense_is_hermitian,
@@ -94,11 +102,14 @@ def test_operations_match_the_dense_reference_property(case):
     assert total == ExactMatrix(dense_add(a, b), cols=cols)
     assert_no_zero_stored(total)
     for conjugate in (False, True):
-        t = m.conj_transpose() if conjugate else m.transpose()
-        assert t.shape == (cols, len(a))
-        assert t.data == dense_transpose(a, cols, conjugate)
-        assert t == ExactMatrix(dense_transpose(a, cols, conjugate), cols=len(a))
-        assert t.rank() == m.rank()
+        # a fresh matrix, whose rank is not yet known, and m, whose rank is
+        for source in (ExactMatrix(a, cols=cols), m):
+            t = source.conj_transpose() if conjugate else source.transpose()
+            assert t.shape == (cols, len(a))
+            assert t.data == dense_transpose(a, cols, conjugate)
+            assert t == ExactMatrix(dense_transpose(a, cols, conjugate), cols=len(a))
+            assert t._rank == source._rank
+            assert t.rank() == dense_rank(dense_transpose(a, cols, conjugate), len(a))
 
 
 @SETTINGS
@@ -136,3 +147,43 @@ def test_data_is_a_fresh_copy():
     assert m == ExactMatrix([[1, 0], [0, GaussianRational(0, 1)]]) and m.shape == (2, 2)
     with pytest.raises(AttributeError):
         m.data = [[5, 5], [5, 5]]
+
+
+@pytest.mark.parametrize("rows, hermitian", [
+    ([[1, GaussianRational(2, 3)], [GaussianRational(2, -3), 0]], True),
+    # a missing mirror entry: (0, 1) is stored, (1, 0) is not
+    ([[1, GaussianRational(2, 3)], [0, 5]], False),
+    # the mirror holds the value, not its conjugate
+    ([[1, GaussianRational(2, 3)], [GaussianRational(2, 3), 0]], False),
+    # a real entry with a mirror of the other sign
+    ([[0, 2], [-2, 0]], False),
+    # a non-real diagonal entry is its own mirror
+    ([[GaussianRational(1, 1)]], False),
+    ([[1, 0, 0], [0, 1, 0]], False),
+    ([[1, 0], [0, 1], [0, 0]], False),
+    ([], True),
+])
+def test_is_hermitian_cases(rows, hermitian):
+    m = ExactMatrix(rows)
+    assert m.is_hermitian() is hermitian
+    assert dense_is_hermitian(m.data, m.cols) == hermitian
+
+
+def test_pair_built_matrices_keep_their_rank_through_pickle_and_copy():
+    """A boundary or coboundary matrix starts with the rank its pair holds,
+    and a pickle, a copy and a transpose keep it; a matrix built before the
+    pair ranked its boundary computes the same rank itself."""
+    complex, phi = sample_triangle()
+    before = boundary_matrix(complex, phi, 1)
+    assert before._rank is None
+    for n in range(complex.max_dim + 1):
+        cohomology_dim(complex, phi, n)
+    for m in (boundary_matrix(complex, phi, 1), boundary_matrix(complex, phi, 2),
+              coboundary_matrix(complex, phi, 0), before):
+        expected = column_rank(m._entries)
+        for again in (m, pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m),
+                      m.transpose(), m.conj_transpose()):
+            assert again._rank in (None, expected) and again.rank() == expected
+        if m is not before:
+            assert m._rank == expected
+            assert pickle.loads(pickle.dumps(m))._rank == copy.deepcopy(m)._rank == expected

@@ -1,12 +1,16 @@
-"""Each exact operator is built once per (complex, weight) pair.
+"""Each operator is built once per (complex, weight) pair.
 
-A weight function caches, per degree, the sparse exact parts every
-library function reads: the boundary columns, their ranks, the normal
-form behind ``weighted_homology`` and the standard Laplacian parts.  These
-tests pin what the cache must not change: every answer equals the one a
-freshly loaded pair gives, no caller can reach a held object, each
-boundary is written once, an unvalidated pair caches nothing, and two
-pairs share nothing.
+A weight function caches, per degree, the sparse parts every library
+function reads: the boundary columns, their ranks, the normal form behind
+``weighted_homology``, the standard Laplacian parts and their sum, and
+the non-zeros of the float factor behind ``laplacian_spectrum`` and
+``harmonic_basis`` as flat read-only arrays.  These tests pin what the
+cache must not change: every answer equals the one a freshly loaded pair
+gives, no caller can reach a held object, each boundary, Laplacian sum
+and factor is built once, an unvalidated pair or a factor outside float
+range caches nothing, two pairs share nothing, and nothing held is dense.
+A boundary or coboundary matrix reads its rank from the pair's rank
+vector, which is checked against a rank computed afresh.
 """
 
 import gc
@@ -27,11 +31,12 @@ from wsimplex import (
     read_complex_file,
     read_weight_file,
 )
-from wsimplex import chains, cli, homology
+from wsimplex import chains, cli, homology, spectral
 from wsimplex.chains import boundary_columns, boundary_matrix, coboundary_matrix
 from wsimplex.homology import boundary_int_rows, smith_normal_form, weighted_homology
 from wsimplex.matrices import ExactMatrix
 from wsimplex.spectral import (
+    InnerProductWeights,
     cohomology_dim,
     harmonic_basis,
     laplacian_matrix,
@@ -87,9 +92,15 @@ def snf_of_boundary(complex, phi, n):
     return smith_normal_form(boundary_int_rows(complex, phi, n), cols=len(complex.basis(n)))
 
 
+def inner_weights(complex) -> InnerProductWeights:
+    """Fixed positive inner weights, 1/2 to 3/2 by the vertex sum."""
+    return InnerProductWeights({s: Fraction(1 + sum(s) % 3, 2) for s in complex.simplices()})
+
+
 def calls(phi):
     """Name -> call(complex, phi, n) of every library function that reads
     the cache, and the result of the benchmark's rank and SNF queries."""
+    w = inner_weights(phi.complex)
     out = {
         "boundary_columns": boundary_columns,
         "boundary_matrix": boundary_matrix,
@@ -99,8 +110,10 @@ def calls(phi):
         "up_down_matrices": up_down_matrices,
         "laplacian_matrix": laplacian_matrix,
         "laplacian_spectrum": laplacian_spectrum,
+        "laplacian_spectrum_w": lambda k, p, n: laplacian_spectrum(k, p, n, w),
         "harmonic_basis": harmonic_basis,
         "rank": lambda k, p, n: boundary_matrix(k, p, n).rank(),
+        "coboundary_rank": lambda k, p, n: coboundary_matrix(k, p, n).rank(),
     }
     if phi.is_integral():
         out["boundary_int_rows"] = boundary_int_rows
@@ -168,7 +181,7 @@ def test_mutating_a_result_changes_no_later_answer():
                 elif op == "snf":
                     got.diagonal.append(7)
                     got.diagonal[0:1] = [5]
-                elif op == "laplacian_spectrum":
+                elif op.startswith("laplacian_spectrum"):
                     got.eigenvalues[:] = 7.0
                     got.eigenvectors[:] = 7.0
                 elif op == "harmonic_basis":
@@ -199,6 +212,106 @@ def test_session_writes_each_boundary_once(monkeypatch):
             == len(complex), name
 
 
+class Writes(dict):
+    """A pair's cache that counts the writes of each key in ``counter``."""
+
+    def __init__(self, counter: Counter):
+        super().__init__()
+        self.counter = counter
+
+    def __setitem__(self, key, value):
+        self.counter[key] += 1
+        super().__setitem__(key, value)
+
+
+def test_session_builds_each_laplacian_and_factor_once(monkeypatch):
+    """Each part is written once per pair, and a degree's Laplacian sum and
+    float factor are built once: one matrix sum and one exact-to-float
+    conversion each, however often the pair is asked."""
+    built = Counter()
+    add, to_floats = ExactMatrix.__add__, spectral.to_floats
+
+    def counted_add(self, other):
+        built["laplacian"] += 1
+        return add(self, other)
+
+    def counted_floats(values, real):
+        built["factor"] += 1
+        return to_floats(values, real)
+
+    monkeypatch.setattr(ExactMatrix, "__add__", counted_add)
+    monkeypatch.setattr(spectral, "to_floats", counted_floats)
+    for name, _, _, load in pairs():
+        complex, phi = load()
+        writes = Counter()
+        phi._operators = Writes(writes)
+        built.clear()
+        degrees = range(-1, complex.max_dim + 2)
+        for _ in range(3):
+            for n in degrees:
+                laplacian_matrix(complex, phi, n)
+                laplacian_spectrum(complex, phi, n)
+                harmonic_basis(complex, phi, n)
+        assert built == {"laplacian": len(degrees), "factor": len(degrees)}, name
+        for _ in range(2):
+            for n in degrees:
+                for call in calls(phi).values():
+                    call(complex, phi, n)
+        for n in degrees:
+            assert writes["laplacian", n] == writes["factor", n] == 1, (name, n)
+        assert set(writes.values()) == {1}, name
+
+
+def test_inner_weight_spectrum_reads_the_standard_factor():
+    """``laplacian_spectrum(..., w)`` scales a copy of the factor the pair
+    holds for the standard inner products: it caches nothing more, and
+    asked first it caches that same factor."""
+    for name, complex, phi, load in pairs():
+        w = inner_weights(complex)
+        degrees = range(-1, complex.max_dim + 2)
+        for n in degrees:
+            laplacian_spectrum(complex, phi, n)
+        held = dict(phi._operators)
+        for n in degrees:
+            laplacian_spectrum(complex, phi, n, w)
+        assert phi._operators.keys() == held.keys(), name
+        assert all(phi._operators[key] is value for key, value in held.items()), name
+
+        fresh_complex, fresh = load()
+        for n in degrees:
+            laplacian_spectrum(fresh_complex, fresh, n, w)
+        assert fresh._operators.keys() == held.keys(), name
+        for n in degrees:
+            for a, b in zip(fresh._operators["factor", n], held["factor", n]):
+                assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, name
+
+
+def test_a_factor_outside_float_range_caches_nothing():
+    """A boundary value beyond float range is refused with the same error
+    on every ask, and no factor is held; one whose squares leave float
+    range converts, so its factor is held, and every ask refuses it."""
+    edge = build_complex([(0, 1)])
+    huge = WeightFunction(edge, {((0, 1), 0): 10**400, ((0, 1), 1): 1})
+    assert not huge.validate()
+    errors = []
+    for call in (laplacian_spectrum, harmonic_basis, laplacian_spectrum):
+        with pytest.raises(ValueError, match="outside float range") as info:
+            call(edge, huge, 0)
+        errors.append(str(info.value))
+        assert ("factor", 0) not in huge._operators
+    assert errors == [errors[0]] * 3 and "1e+400" in errors[0]
+
+    big = WeightFunction(edge, {((0, 1), 0): 10**200, ((0, 1), 1): 1})
+    assert not big.validate()
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ValueError, match="leave float range") as info:
+            laplacian_spectrum(edge, big, 0)
+        errors.append(str(info.value))
+        assert ("factor", 0) in big._operators
+    assert errors[0] == errors[1]
+
+
 def test_unvalidated_weight_raises_and_caches_nothing():
     complex = build_complex([(0, 1, 2)])
     raw = WeightFunction(complex, sample_triangle_table())
@@ -223,12 +336,15 @@ def test_a_foreign_complex_caches_nothing():
 
 
 def held_objects(phi) -> list:
-    """Every mutable container the cache of phi holds, nested ones
-    included (an immutable one, like the shared empty tuple, is not)."""
+    """Every mutable container the cache of phi holds, nested ones and
+    arrays included (an immutable one, like the shared empty tuple, is
+    not)."""
     out, stack = [], list(phi._operators.values())
     while stack:
         x = stack.pop()
-        if isinstance(x, (list, tuple, dict)):
+        if isinstance(x, np.ndarray):
+            out.append(x)
+        elif isinstance(x, (list, tuple, dict)):
             if not isinstance(x, tuple):
                 out.append(x)
             stack.extend(x.values() if isinstance(x, dict) else x)
@@ -259,17 +375,29 @@ def test_pairs_on_equal_complexes_share_nothing():
 def test_cache_holds_sparse_parts_only():
     for name, complex, phi, _ in pairs():
         for n in range(-1, complex.max_dim + 2):
-            laplacian_matrix(complex, phi, n)
+            lap = laplacian_matrix(complex, phi, n)
             up, down = up_down_matrices(complex, phi, n)
-            parts = phi._operators["parts", n]
-            for rows, dense in zip(parts, (up, down)):
+            laplacian_spectrum(complex, phi, n)
+            held = (*phi._operators["parts", n], phi._operators["laplacian", n])
+            for rows, dense in zip(held, (up, down, lap)):
                 # no stored zero slots: one entry per non-zero of the part
                 nnz = sum(1 for row in dense.data for x in row if x)
                 assert sum(map(len, rows)) == nnz, (name, n)
-        # no dense matrix: no ExactMatrix and no list of rows
+            # the factor: one float per non-zero of d_n and d_{n+1}
+            rows, cols, values, top, height = phi._operators["factor", n]
+            nnz = sum(map(len, boundary_columns(complex, phi, n)))
+            nnz += sum(map(len, boundary_columns(complex, phi, n + 1)))
+            assert len(rows) == len(cols) == len(values) == nnz, (name, n)
+            assert np.all(values != 0), (name, n)
+            assert (top, height) == (len(complex.basis(n + 1)),
+                                     top + len(complex.basis(n - 1))), (name, n)
+        # no dense matrix: no ExactMatrix, no list of rows and no 2-D array
+        # (so no SVD either); every array is flat and read-only
         for x in held_objects(phi):
             assert not isinstance(x, ExactMatrix), name
             assert not (isinstance(x, list) and x and isinstance(x[0], list)), name
+            if isinstance(x, np.ndarray):
+                assert x.ndim == 1 and not x.flags.writeable, name
 
 
 def test_pairs_are_freed_without_the_collector(monkeypatch, capsys):
