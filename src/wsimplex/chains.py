@@ -18,22 +18,36 @@ A weight function stands for its (complex, weight) pair, and each exact
 operator of the pair is built once: ``_cached`` fills the weight
 function's private table of sparse exact parts on the first ask, after
 the pair has passed ``_check_pair``, and every later call reads it.  The
-columns of d_n (``_boundary``) and their rank (``_rank``) live there, and
-the Laplacian parts, float factors and normal forms that ``spectral``
-and ``homology`` derive from them.  Every part is sparse: dicts of
-non-zeros, or flat read-only arrays of them, and never a dense matrix, an
+columns of d_n (``_boundary``) live there, and the Laplacian parts, float
+factors and normal forms that ``spectral`` and ``homology`` derive from
+them.  Every part is sparse: dicts of non-zeros, flat read-only arrays of
+them, or frozensets of indices, and never a dense matrix, an
 ``ExactMatrix`` or a decomposition.  What a public function returns is
 built fresh from the cached parts, so a caller that changes it changes
-nothing held.  A boundary or coboundary matrix carries the pair's rank
-of its d_n when the pair holds it, so its ``rank()`` reads the pair's
-rank vector and eliminates nothing.
+nothing held.
+
+The rank vector comes from one upward sweep over the coboundaries.  The
+part ``("lows", n)`` holds lows_n, the indices in basis(n) of the pivot
+rows of the coboundary C^{n-1} -> C^n, whose columns are the rows of the
+cached d_n, reduced by ``pivot_lows``; r_n = |lows_n|.  Degrees outside
+1..max_dim have no lows and build no columns.  The sweep clears: each
+column whose index is in lows_{n-1} is left empty.  The reduced column
+with low j one degree down is a coboundary with its last non-zero at j,
+and the next coboundary sends it to zero; so column j of that one is a
+combination of the columns before it, and would reduce to zero.  So the
+lows are those of the full reduction, and only
+dim H^{n-1} = f_{n-1} - r_{n-1} - r_n columns reduce to zero.
+The lemma needs the composite of two coboundaries to vanish, which holds
+for a validated weight only: callers pass ``_check_pair`` first.  A
+boundary or coboundary matrix carries the pair's rank of its d_n when the
+pair holds it, so its ``rank()`` eliminates nothing.
 """
 
 from __future__ import annotations
 
 from .complexes import Record, Simplex, SimplicialComplex, _trusted
 from .gaussian import ZERO, GaussianRational
-from .matrices import ExactMatrix, column_rank
+from .matrices import ExactMatrix, pivot_lows
 from .weights import WeightFunction
 
 
@@ -78,9 +92,29 @@ def _boundary(phi: WeightFunction, n: int) -> list[dict]:
     return _cached(phi, "columns", n, lambda: _build_columns(phi, n))
 
 
+def _lows(phi: WeightFunction, n: int) -> frozenset:
+    """The cached lows_n: the indices in basis(n) of the pivot rows of the
+    reduced coboundary C^{n-1} -> C^n."""
+    return _cached(phi, "lows", n, lambda: _reduce_coboundary(phi, n))
+
+
+def _reduce_coboundary(phi: WeightFunction, n: int) -> frozenset:
+    if not 1 <= n <= phi.complex.max_dim:
+        return frozenset()  # a zero map: nothing to build
+    # the columns of the coboundary are fresh rows of d_n, one per
+    # (n-1)-simplex; those in lows_{n-1} are cleared, so left empty
+    cleared = _lows(phi, n - 1)
+    columns = [{} for _ in phi.complex.basis(n - 1)]
+    for i, column in enumerate(_boundary(phi, n)):
+        for j, x in column.items():
+            if j not in cleared:
+                columns[j][i] = x
+    return pivot_lows(columns)
+
+
 def _rank(phi: WeightFunction, n: int) -> int:
-    """The cached exact rank r_n of d_n."""
-    return _cached(phi, "rank", n, lambda: column_rank(_boundary(phi, n)))
+    """The exact rank r_n of d_n: the number of lows_n."""
+    return len(_lows(phi, n))
 
 
 def boundary_columns(complex: SimplicialComplex, phi: WeightFunction, n: int) -> list[dict]:
@@ -103,8 +137,9 @@ def coboundary_matrix(complex: SimplicialComplex, phi: WeightFunction, n: int) -
     rows = [dict(column) for column in _boundary(phi, n + 1)]
     m = ExactMatrix._from_rows(rows, len(complex.basis(n)), complex.basis(n + 1),
                                complex.basis(n))
-    # r_{n+1}, if the pair has ranked d_{n+1}; a transpose keeps it
-    m._rank = phi._operators.get(("rank", n + 1))
+    # r_{n+1}, if the pair has reduced this coboundary; a transpose keeps it
+    lows = phi._operators.get(("lows", n + 1))
+    m._rank = None if lows is None else len(lows)
     return m
 
 

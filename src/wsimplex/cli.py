@@ -379,6 +379,10 @@ def main(argv=None) -> int:
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return code
+    # every input is parsed under the interpreter's int -> str digit limit;
+    # an answer's products of them may pass it, and are printed in full
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         dump(payload, sys.stdout.write)
         sys.stdout.flush()
@@ -387,6 +391,11 @@ def main(argv=None) -> int:
         # unwritten rest to devnull, as the Python docs (signal module) do
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+    except (ValueError, OSError) as exc:  # stdout keeps what was written
+        print(f"error: cannot write the answer: {exc}", file=sys.stderr)
+        return 1
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
     return code
 
 

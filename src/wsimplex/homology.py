@@ -13,9 +13,9 @@ sparse columns.
 Homology of a validated integer-weighted complex in degree n needs one
 normal form, that of d_{n+1}: the torsion coefficients are its diagonal
 entries that exceed 1, and the free rank is dim C_n - rank(d_n) -
-rank(d_{n+1}), with rank(d_n) the exact rank ``column_rank`` gives every
-other dimension count.  The pair caches that torsion and rank, as it
-caches the boundary columns and ranks (see ``chains``), so a repeated
+rank(d_{n+1}), with rank(d_n) read from the pair's rank vector, as every
+other dimension count is.  The pair caches that torsion and rank, as it
+caches the boundary columns and rank vector (see ``chains``), so a repeated
 query runs no normal form.  ``boundary_int_rows`` writes SNF's sparse
 integer rows straight from the non-zeros of ``boundary_columns``.
 

@@ -9,11 +9,13 @@ hands to the eigensolver.  Every operation visits the non-zeros only.
 No zero is ever stored, so ``==`` compares the row dicts.  ``.data`` is
 a fresh dense copy of the entries; writing to it changes no matrix.
 
-A matrix remembers its rank once it is known: ``rank()`` keeps its
-answer, a transpose inherits it, and a boundary or coboundary matrix
-starts with the rank its (complex, weight) pair already holds (see
-``chains``).  The rank is a plain int, so matrices pickle and copy as
-before.
+Every exact rank comes from one elimination, ``pivot_lows``: the set of
+pivot rows of a column reduction, whose size is the rank.  ``column_rank``
+and ``rank()`` count it, and ``chains`` keeps it per degree as the pair's
+rank vector.  A matrix remembers its rank once it is known: ``rank()``
+keeps its answer, a transpose inherits it, and a boundary or coboundary
+matrix starts with the rank its (complex, weight) pair already holds.
+The rank is a plain int, so matrices pickle and copy as before.
 """
 
 from __future__ import annotations
@@ -176,15 +178,14 @@ def to_floats(values: list, real: bool) -> list:
                          f"is outside float range") from None
 
 
-def column_rank(columns) -> int:
-    """Exact rank over Q(i) of the matrix with the given columns, each a
-    {row index: non-zero value} dict (left unmodified).  Each column is
-    reduced by the pivot column stored under its largest row index until it
-    vanishes or that index is free, and then stored there; the rank is the
-    number of pivots."""
+def pivot_lows(columns) -> frozenset:
+    """The pivot rows ("lows") of the matrix with the given columns, each a
+    {row index: non-zero value} dict that is reduced in place, over Q(i).
+    Columns are reduced in order: each by the pivot column stored under
+    its largest row index, until it vanishes or that index is free, and is
+    then stored there."""
     pivots: dict[int, dict] = {}
-    for column in columns:
-        col = dict(column)
+    for col in columns:
         while col:
             low = max(col)
             pivot = pivots.get(low)
@@ -198,4 +199,11 @@ def column_rank(columns) -> int:
                     col[i] = y
                 else:
                     del col[i]
-    return len(pivots)
+    return frozenset(pivots)
+
+
+def column_rank(columns) -> int:
+    """Exact rank over Q(i) of the matrix with the given columns, each a
+    {row index: non-zero value} dict (left unmodified): the number of
+    ``pivot_lows`` of copies of them."""
+    return len(pivot_lows(map(dict, columns)))

@@ -18,7 +18,7 @@ annihilated by both the coboundary and the adjoint coboundary.
 No boundary is formed dense and no Laplacian by matrix products: ranks
 and Laplacians read the non-zero columns of d_n and d_{n+1}
 (``chains.boundary_columns``), which the pair builds once, as it does
-their ranks (see ``chains``).  Each Laplacian part is summed over them
+its rank vector (see ``chains``).  Each Laplacian part is summed over them
 into sparse rows {t: value}, exactly over Q(i), for n-simplices s, t and
 diagonal inner weights w (all 1 for the standard inner products):
 

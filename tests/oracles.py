@@ -26,6 +26,10 @@ the form ``ExactMatrix`` stored before it held its non-zeros only.
 ``MOTIF_REFERENCE_TABLE`` holds the feedforward loop eigendata the motif
 tests reproduce.
 
+``sympy_rank`` is sympy's ``DomainMatrix`` rank over QQ_I of a matrix
+given by its sparse columns, the independent route to every exact rank
+(it skips the calling test without sympy).
+
 ``float_text`` is the per-float spelling the command line's writer used
 for a numpy array before it formatted whole blocks of rows: the repr of
 the float rounded to 12 significant digits, with json's ``NaN`` and
@@ -41,6 +45,8 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from math import gcd
+
+import pytest
 
 from wsimplex.complexes import Simplex, SimplicialComplex
 from wsimplex.gaussian import GaussianRational
@@ -374,6 +380,24 @@ def dense_repr(a: list, cols: int) -> str:
         return f"ExactMatrix({len(a)}x{cols})"
     body = "; ".join(" ".join(str(x) for x in row) for row in a)
     return f"ExactMatrix({len(a)}x{cols}: {body})"
+
+
+def sympy_rank(columns, rows: int) -> int:
+    """sympy's rank over QQ_I of the rows x len(columns) matrix whose
+    columns are {row index: GaussianRational} dicts."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    QQ, QQ_I = sympy.QQ, sympy.QQ_I
+    if not rows or not columns:
+        return 0
+    dense = [[QQ_I.zero] * len(columns) for _ in range(rows)]
+    for j, column in enumerate(columns):
+        for i, x in column.items():
+            re_, im = x.re, x.im
+            dense[i][j] = QQ_I(QQ(re_.numerator, re_.denominator),
+                               QQ(im.numerator, im.denominator))
+    return DomainMatrix(dense, (rows, len(columns)), QQ_I).rank()
 
 
 # -- float text ----------------------------------------------------------------

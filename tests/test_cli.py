@@ -667,3 +667,58 @@ def test_harmonic_has_no_tolerance(capsys):
     assert main(["harmonic", "-k", fx("edge.cplx"), "-w", fx("edge.wts"),
                  "-n", "0", "--tol", "1e-9"]) == 2
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+LONG = "7" * 3001  # its square is past the 4,300-digit int -> str limit
+LONG_VALUES = {"integer": LONG, "gaussian": f"{LONG}+1i", "denominator": f"1/{LONG}"}
+LONG_CASES = [(argv, kind) for argv in (["laplacian", "-n", "0"], ["boundary", "-n", "1"],
+                                        ["coboundary", "-n", "0"])
+              for kind in LONG_VALUES] + [(["snf", "-n", "1", "--transforms"], "integer")]
+
+
+@pytest.mark.parametrize("argv, kind", LONG_CASES,
+                         ids=[f"{argv[0]}-{kind}" for argv, kind in LONG_CASES])
+def test_integers_past_the_digit_limit_are_printed(capsys, tmp_path, argv, kind):
+    """A 3,001-digit weight squares to 6,001 digits in the Laplacian; every
+    exact command prints it in full, as it prints with the limit lifted."""
+    k, w = tmp_path / "edge.cplx", tmp_path / "long.wts"
+    k.write_text("0 1\n")
+    w.write_text(f"0 1 | 1 | {LONG_VALUES[kind]}\n0 1 | 0 | 1\n")
+    argv = [*argv, "-k", str(k), "-w", str(w)]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
+        json.loads(out)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    if argv[0] == "laplacian":
+        assert max(map(len, out.split())) > 6000
+
+
+def test_an_error_while_writing_is_one_error_line(capsys, monkeypatch):
+    def failing(value, write):
+        write("{")
+        raise ValueError("no spelling")
+
+    monkeypatch.setattr(cli, "dump", failing)
+    limit = sys.get_int_max_str_digits()
+    assert main(["homology", "-k", fx("edge.cplx"), "-w", fx("edge.wts"), "-n", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("{", "error: cannot write the answer: no spelling\n")
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_a_writer_bug_keeps_its_traceback(monkeypatch):
+    def failing(value, write):
+        raise TypeError("no writer for this type")
+
+    monkeypatch.setattr(cli, "dump", failing)
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(TypeError, match="no writer"):
+        main(["homology", "-k", fx("edge.cplx"), "-w", fx("edge.wts"), "-n", "0"])
+    assert sys.get_int_max_str_digits() == limit

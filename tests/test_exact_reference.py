@@ -36,6 +36,7 @@ from conftest import (
     random_quotient_weight,
     spectral_fixtures,
 )
+from oracles import sympy_rank
 from reference_gaussian import GaussianRational as Reference
 
 FIXTURES = spectral_fixtures(count=16)
@@ -73,27 +74,11 @@ def _extra_pairs():
 PAIRS = FIXTURES + _extra_pairs()
 
 
-def _sympy_rank(columns, rows: int) -> int:
-    sympy = pytest.importorskip("sympy")
-    from sympy.polys.matrices import DomainMatrix
-
-    QQ, QQ_I = sympy.QQ, sympy.QQ_I
-    if not rows or not columns:
-        return 0
-    dense = [[QQ_I.zero] * len(columns) for _ in range(rows)]
-    for j, column in enumerate(columns):
-        for i, x in column.items():
-            re_, im = x.re, x.im
-            dense[i][j] = QQ_I(QQ(re_.numerator, re_.denominator),
-                               QQ(im.numerator, im.denominator))
-    return DomainMatrix(dense, (rows, len(columns)), QQ_I).rank()
-
-
 @pytest.mark.parametrize("name,complex,phi", PAIRS, ids=[p[0] for p in PAIRS])
 def test_column_rank_matches_sympy_over_qq_i(name, complex, phi):
     for n in range(complex.max_dim + 2):
         columns = boundary_columns(complex, phi, n)
-        expected = _sympy_rank(columns, len(complex.basis(n - 1)))
+        expected = sympy_rank(columns, len(complex.basis(n - 1)))
         assert column_rank(columns) == expected, (name, n)
         assert boundary_matrix(complex, phi, n).rank() == expected, (name, n)
 

@@ -1,7 +1,8 @@
 """Each operator is built once per (complex, weight) pair.
 
 A weight function caches, per degree, the sparse parts every library
-function reads: the boundary columns, their ranks, the normal form behind
+function reads: the boundary columns, the lows of each reduced
+coboundary (the rank vector), the normal form behind
 ``weighted_homology``, the standard Laplacian parts and their sum, and
 the non-zeros of the float factor behind ``laplacian_spectrum`` and
 ``harmonic_basis`` as flat read-only arrays.  These tests pin what the
@@ -10,7 +11,8 @@ gives, no caller can reach a held object, each boundary, Laplacian sum
 and factor is built once, an unvalidated pair or a factor outside float
 range caches nothing, two pairs share nothing, and nothing held is dense.
 A boundary or coboundary matrix reads its rank from the pair's rank
-vector, which is checked against a rank computed afresh.
+vector, which is checked against a rank computed afresh; r_n reduces the
+coboundaries into degrees 1..n once each and nothing else.
 """
 
 import gc
@@ -34,7 +36,7 @@ from wsimplex import (
 from wsimplex import chains, cli, homology, spectral
 from wsimplex.chains import boundary_columns, boundary_matrix, coboundary_matrix
 from wsimplex.homology import boundary_int_rows, smith_normal_form, weighted_homology
-from wsimplex.matrices import ExactMatrix
+from wsimplex.matrices import ExactMatrix, column_rank
 from wsimplex.spectral import (
     InnerProductWeights,
     cohomology_dim,
@@ -449,14 +451,14 @@ def test_homology_reads_one_normal_form_per_degree(monkeypatch):
 
 
 def test_spectral_reads_each_rank_once(monkeypatch):
-    ranked = []
-    column_rank = chains.column_rank
+    eliminated = []
+    pivot_lows = chains.pivot_lows
 
     def counted(columns):
-        ranked.append(1)
-        return column_rank(columns)
+        eliminated.append(1)
+        return pivot_lows(columns)
 
-    monkeypatch.setattr(chains, "column_rank", counted)
+    monkeypatch.setattr(chains, "pivot_lows", counted)
     complex, phi = load_file_pair("simplex5_dawson.cplx", "simplex5_dawson.wts")
     for _ in range(3):
         for n in range(-1, complex.max_dim + 2):
@@ -465,8 +467,33 @@ def test_spectral_reads_each_rank_once(monkeypatch):
             harmonic_basis(complex, phi, n)
             laplacian_spectrum(complex, phi, n)
             weighted_homology(complex, phi, n)
-    # r_n for n = -1 .. max_dim + 2, each ranked once
-    assert len(ranked) == complex.max_dim + 4
+    # one coboundary reduction per degree 1..max_dim; r_n is zero elsewhere
+    assert len(eliminated) == complex.max_dim
+
+
+def test_a_rank_reduces_only_the_degrees_below_it():
+    """r_n builds the boundaries of degrees 1..n and reduces their
+    coboundaries, and caches their lows as frozensets of indices into the
+    basis, with the empty lows_0 below them; a degree outside 1..max_dim
+    holds no lows and builds nothing."""
+    complex, _ = load_file_pair("simplex5_dawson.cplx", "simplex5_dawson.wts")
+    for n in (-1, 0, complex.max_dim + 1, complex.max_dim + 5):
+        _, fresh = load_file_pair("simplex5_dawson.cplx", "simplex5_dawson.wts")
+        assert chains._rank(fresh, n) == 0
+        assert fresh._operators == {("lows", n): frozenset()}, n
+    for n in range(1, complex.max_dim + 1):
+        fresh_complex, fresh = load_file_pair("simplex5_dawson.cplx", "simplex5_dawson.wts")
+        rank = chains._rank(fresh, n)
+        degrees = list(range(1, n + 1))
+        assert sorted(fresh._operators) == ([("columns", k) for k in degrees]
+                                            + [("lows", k) for k in [0, *degrees]])
+        assert fresh._operators["lows", 0] == frozenset()
+        assert rank == len(fresh._operators["lows", n])
+        assert rank == column_rank(boundary_columns(fresh_complex, fresh, n))
+        for k in degrees:
+            lows = fresh._operators["lows", k]
+            assert type(lows) is frozenset
+            assert lows <= set(range(len(complex.basis(k))))
 
 
 def test_homology_walks_the_weight_table_once(monkeypatch):
