@@ -199,6 +199,13 @@ def _parse_alphas(text: str) -> list[int]:
     try:
         return [int(t) for t in toks]
     except ValueError:
+        # name an entry refused for its length alone, not the whole argument
+        for k, t in enumerate(toks, start=1):
+            if not re.fullmatch(r"[+-]?\d+(_\d+)*", t):
+                break
+            if (digits := len(re.sub("[+_-]", "", t))) > sys.get_int_max_str_digits():
+                raise _InputError(f"alphas: entry {k} has {digits} digits, past the "
+                                  f"limit of {sys.get_int_max_str_digits()}") from None
         raise _InputError(f"alphas must be integers, got {text!r}") from None
 
 

@@ -1,14 +1,14 @@
 """Integer homology of weighted complexes via Smith normal form.
 
-``smith_normal_form`` diagonalises an integer matrix (dense rows, an
-``ExactMatrix`` or sparse ``{column: value}`` rows) by unimodular row and
-column operations on one dict of non-zeros per row, always pivoting on a
-smallest-magnitude nonzero entry (ties broken by lowest row, then column
-position) and repairing the divisibility chain d1 | d2 | ... by folding
-any offending row into the pivot row.  Indexes keep each pivot step's
-cost near the non-zeros it changes.  The transforms satisfy U @ M @ V ==
-diag(d) with |det U| = |det V| = 1; U is kept as sparse rows and V as
-sparse columns.
+``smith_normal_form`` reads an integer matrix (dense rows, an
+``ExactMatrix`` or sparse ``{column: value}`` rows) into one dict of
+non-zeros per row.  For the diagonal alone, which is unique, it
+eliminates in any pivot order (Schur, 2x2 Bezout and division steps on a
+sparse pivot) and reads the invariant factors off the pivots through a
+coprime base.  With the transforms it keeps d1 | d2 | ... as it goes, by
+the dense reference's pivot rule, so U @ M @ V == diag(d) with |det U| =
+|det V| = 1, U and V that reference's own.  Indexes keep each step near
+the non-zeros it changes.
 
 Homology of a validated integer-weighted complex in degree n needs one
 normal form, that of d_{n+1}: the torsion coefficients are its diagonal
@@ -23,8 +23,9 @@ integer rows straight from the non-zeros of ``boundary_columns``.
 polygon without a matrix.  The k-th invariant factor has, at every prime
 p, the k-th smallest valuation v_p among the non-zero vertex weights, so
 it is read off a coprime base of the weights refined by gcds, with no
-factoring: the work is polynomial in the number of vertices and in the
-weights' bit length.
+factoring (``_invariant_factors``, shared with the diagonal path): the
+work is polynomial in the number of vertices and in the weights' bit
+length.
 
 ``SNFResult`` and ``HomologyGroup`` are records (``complexes.Record``):
 ``==`` and ``repr`` by their fields, unhashable.  A ``HomologyGroup`` takes
@@ -150,46 +151,119 @@ def _sub_row(y: dict, i: int, q: int, x: dict, holders: list, low):
 _EMPTY = float("inf")  # the least |entry| of a row with none
 
 
-def smith_normal_form(matrix, transforms: bool = False, cols: int | None = None) -> SNFResult:
-    """Smith normal form of an integer matrix, on sparse rows.
-
-    ``matrix`` is dense integer rows, an ``ExactMatrix`` or ``{column:
-    value}`` rows; ``cols`` is the column count of sparse rows and of a
-    list of no rows, and must agree with any other form.  Each row is read
-    once into a dict of its non-zeros.  Rows and columns move through slot
-    <-> id permutations, so a swap touches no dict.
-
-    Three indexes make a pivot step cost about the non-zeros it changes.
-    ``least[s]`` bounds the least |entry| of the row in slot s from below:
-    row operations lower it to what they write, a swap swaps it, and the
-    pivot row is the first slot holding ``min(least[t:])`` once its true
-    least |entry| confirms the bound (a stale bound is raised to the truth
-    and the search repeated).  ``holders[c]`` is the set of ids of the rows
-    with a non-zero in column c.  ``g`` divides every trailing entry, as
-    integer row and column operations keep a common divisor: it starts at
-    1 and becomes the pivot once a divisibility check passes, so a pivot
-    equal to ``g`` skips the check.
-
-    The pivot is a smallest |v|, ties to the lowest row slot and then the
-    lowest column position, and a fold takes the first slot under the
-    pivot with an entry it does not divide: the rules of the dense loop in
-    tests/oracles.py, so the diagonal, U and V are its own entry for
-    entry.  With ``transforms``, U (rows x rows, one sparse row per row
-    id) and V (cols x cols, one sparse column per column id), unimodular
-    with U @ M @ V diagonal, follow every row and column operation and are
-    returned as nested lists.
-    """
-    rows, nc = _sparse_rows(matrix, cols)
-    nr = len(rows)
-    least = [min(map(abs, row.values())) if row else _EMPTY for row in rows]
+def _holders(rows: list[dict], nc: int) -> list[set]:
+    """The ids of the rows with a non-zero in each column."""
     holders = [set() for _ in range(nc)]
     for i, row in enumerate(rows):
         for c in row:
             holders[c].add(i)
+    return holders
+
+
+def _diagonal(rows: list[dict], nc: int) -> list[int]:
+    """|pivot| of each step that drops a row and a column of the sparse
+    integer rows (consumed): diag(pivots) has the matrix's Smith diagonal.
+
+    A heap of per-row lower bounds ``least[i]`` (pushed again when a row
+    operation lowers one; a key that is not the row's bound is stale, one
+    under the true least |entry| is raised) finds a row with a smallest
+    |entry|; the pivot is its least entry in a column with fewest holders.
+    Schur step, when the pivot divides its row and column (a unit always
+    does): row operations clear the column, and the row and column are
+    dropped, the column operations touching no other row.  Bezout step,
+    when the column's one other entry is no multiple: a unimodular 2x2 row
+    step leaves their gcd as the pivot.  Otherwise ``_chain``'s division
+    passes leave remainders.  The last two lower the least |entry|, so the
+    loop ends.
+    """
+    # imported on first use: at module level it adds about 0.8 ms to importing the package
+    from heapq import heapify, heappop, heappush, heapreplace
+
+    holders = _holders(rows, nc)
+    least = [min(map(abs, row.values())) if row else _EMPTY for row in rows]
+    heap = [(v, i) for i, v in enumerate(least)]
+    heapify(heap)
+
+    def lower(i, low):
+        if low < least[i]:
+            least[i] = low
+            heappush(heap, (low, i))
+
+    pivots = []
+    while heap and heap[0][0] != _EMPTY:  # else every row left is empty
+        v, r = heap[0]
+        if v != least[r]:  # stale, or a dropped row
+            heappop(heap)
+            continue
+        row = rows[r]
+        true = min(map(abs, row.values())) if row else _EMPTY
+        if true != v:  # a stale bound: raise it and search again
+            least[r] = true
+            heapreplace(heap, (true, r))
+            continue
+        c = min((k for k, x in row.items() if abs(x) == v), key=lambda k: len(holders[k]))
+        p = row[c]
+        others = holders[c] - {r}
+        if v == 1 or not (any(x % p for x in row.values())
+                          or any(rows[i][c] % p for i in others)):
+            heappop(heap)
+            for i in others:
+                lower(i, _sub_row(rows[i], i, rows[i][c] // p, row, holders, least[i]))
+            for k in row:
+                holders[k].discard(r)
+            least[r] = -1
+            pivots.append(v)
+        elif len(others) == 1:
+            s = others.pop()
+            old, b = rows[s], rows[s][c]
+            g = gcd(p, b)
+            x = pow(p // g, -1, b // g)  # so x * p + y * b == g for the y below
+            for i, y, z in ((r, x, (g - x * p) // b), (s, -b // g, p // g)):
+                new = {k: w for k in row.keys() | old.keys()
+                       if (w := y * row.get(k, 0) + z * old.get(k, 0))}
+                for k in rows[i].keys() - new.keys():
+                    holders[k].discard(i)
+                for k in new.keys() - rows[i].keys():
+                    holders[k].add(i)
+                rows[i] = new
+                least[i] = min(map(abs, new.values())) if new else _EMPTY
+                heappush(heap, (least[i], i))
+        else:
+            below = []  # rows left with a non-zero in the pivot's column
+            for i in others:
+                lower(i, _sub_row(rows[i], i, rows[i][c] // p, row, holders, least[i]))
+                if c in rows[i]:
+                    below.append(i)
+            quotients = {k: x // p for k, x in row.items() if k != c}
+            for i in [r] + below:  # every column op at once on one row
+                lower(i, _sub_row(rows[i], i, rows[i][c], quotients, holders, least[i]))
+    return pivots
+
+
+def _chain(rows: list[dict], nc: int) -> SNFResult:
+    """The normal form with its transforms.  Rows and columns move through
+    slot <-> id permutations, so a swap touches no dict.  ``least[s]``
+    bounds the least |entry| of the row in slot s from below: row
+    operations lower it to what they write, a swap swaps it, and the pivot
+    row is the first slot holding ``min(least[t:])`` once its true least
+    |entry| confirms the bound.  ``g`` divides every trailing entry: it
+    starts at 1 and becomes the pivot once a divisibility check passes, so
+    a pivot equal to ``g`` skips the check.
+
+    The pivot is a smallest |v|, ties to the lowest row slot and then the
+    lowest column position, and a fold takes the first slot under the
+    pivot with an entry it does not divide: the rules of the dense loop in
+    tests/oracles.py, so the diagonal, U and V are its own.  U (one sparse
+    row per row id) and V (one sparse column per column id) follow every
+    row and column operation.
+    """
+    nr = len(rows)
+    least = [min(map(abs, row.values())) if row else _EMPTY for row in rows]
+    holders = _holders(rows, nc)
     row_at, col_at = list(range(nr)), list(range(nc))
     slot_of, pos_of = row_at[:], col_at[:]
-    U = [{i: 1} for i in range(nr)] if transforms else None
-    V = [{j: 1} for j in range(nc)] if transforms else None
+    U = [{i: 1} for i in range(nr)]
+    V = [{j: 1} for j in range(nc)]
     t, bound, g = 0, min(nr, nc), 1
     while t < bound:
         v = min(least[t:])
@@ -210,8 +284,7 @@ def smith_normal_form(matrix, transforms: bool = False, cols: int | None = None)
         col_at[t], col_at[pj], pos_of[ct], pos_of[cs] = ct, cs, t, pj
         if row[ct] < 0:
             row = rows[rt] = {c: -x for c, x in row.items()}
-            if transforms:
-                U[rt] = {k: -x for k, x in U[rt].items()}
+            U[rt] = {k: -x for k, x in U[rt].items()}
         pivot = row[ct]
         below = []  # rows under the pivot left with a non-zero in its column
         for i in holders[ct] - {rt}:
@@ -219,8 +292,7 @@ def smith_normal_form(matrix, transforms: bool = False, cols: int | None = None)
             q = r[ct] // pivot
             s = slot_of[i]
             least[s] = _sub_row(r, i, q, row, holders, least[s])
-            if transforms:
-                _sub(U[i], q, U[rt])
+            _sub(U[i], q, U[rt])
             if ct in r:
                 below.append(i)
         if len(row) > 1:
@@ -228,9 +300,8 @@ def smith_normal_form(matrix, transforms: bool = False, cols: int | None = None)
             for i in [rt] + below:  # every column op at once on one row
                 s = slot_of[i]
                 least[s] = _sub_row(rows[i], i, rows[i][ct], quotients, holders, least[s])
-            if transforms:
-                for c, q in quotients.items():
-                    _sub(V[c], q, V[ct])
+            for c, q in quotients.items():
+                _sub(V[c], q, V[ct])
         if below or len(row) > 1:
             continue
         if pivot != g:
@@ -243,18 +314,40 @@ def smith_normal_form(matrix, transforms: bool = False, cols: int | None = None)
             if offender is not None:
                 # fold the offending row in; the next division pass shrinks the pivot
                 least[t] = _sub_row(row, rt, -1, rows[offender], holders, least[t])
-                if transforms:
-                    _sub(U[rt], -1, U[offender])
+                _sub(U[rt], -1, U[offender])
                 continue
             g = pivot
         t += 1
 
     diagonal = [rows[row_at[i]].get(col_at[i], 0) for i in range(bound)]
-    rank = sum(1 for d in diagonal if d)
-    if not transforms:
-        return SNFResult(diagonal, rank)
-    return SNFResult(diagonal, rank, [[U[i].get(k, 0) for k in range(nr)] for i in row_at],
+    return SNFResult(diagonal, sum(1 for d in diagonal if d),
+                     [[U[i].get(k, 0) for k in range(nr)] for i in row_at],
                      [[V[c].get(r, 0) for c in col_at] for r in range(nc)])
+
+
+def smith_normal_form(matrix, transforms: bool = False, cols: int | None = None) -> SNFResult:
+    """Smith normal form of an integer matrix, on sparse rows.
+
+    ``matrix`` is dense integer rows, an ``ExactMatrix`` or ``{column:
+    value}`` rows; ``cols`` is the column count of sparse rows and of a
+    list of no rows, and must agree with any other form.  Each row is read
+    once into a dict of its non-zeros.
+
+    Without ``transforms`` only the diagonal is asked for, and it is
+    unique: ``_diagonal`` eliminates in its own pivot order, and the
+    invariant factors of its pivots (``_invariant_factors``), padded with
+    zeros to min(rows, cols), are the diagonal; their count is the rank.
+    With ``transforms``, ``_chain`` keeps d1 | d2 | ... as it goes and
+    returns U (rows x rows) and V (cols x cols), unimodular with U @ M @ V
+    diagonal, as nested lists: the diagonal, U and V are entry for entry
+    those of the dense loop in tests/oracles.py.
+    """
+    rows, nc = _sparse_rows(matrix, cols)
+    if transforms:
+        return _chain(rows, nc)
+    pivots = _diagonal(rows, nc)
+    rank = len(pivots)
+    return SNFResult(_invariant_factors(pivots, rank) + [0] * (min(len(rows), nc) - rank), rank)
 
 
 def boundary_int_rows(complex: SimplicialComplex, phi: WeightFunction, n: int) -> list[dict]:
@@ -358,6 +451,20 @@ def _valuation(x: int, b: int) -> int:
     return v
 
 
+def _invariant_factors(values: list[int], count: int) -> list[int]:
+    """The first ``count`` invariant factors of diag(values), for positive
+    integers values and count <= len(values): at every prime p the k-th
+    factor has the k-th smallest v_p over the values, so it is the product
+    of b^(k-th smallest v_b) over a coprime base b of the values."""
+    ds = [1] * count
+    for b in _coprime_base(sorted(set(values))):
+        vs = sorted(_valuation(x, b) for x in values if x % b == 0)
+        zeros = len(values) - len(vs)
+        for k in range(zeros, count):
+            ds[k] *= b ** vs[k - zeros]
+    return ds
+
+
 def ngon_homology_closed_form(alphas) -> HomologyGroup:
     """Degree-0 homology of the weighted n-cycle, directly from the vertex
     weights.
@@ -379,10 +486,4 @@ def ngon_homology_closed_form(alphas) -> HomologyGroup:
     n = len(a)
     nonzero = [abs(x) for x in a if x]
     top = min(len(nonzero), n - 1)
-    ds = [1] * top
-    for b in _coprime_base(sorted(set(nonzero))):
-        vs = sorted(_valuation(x, b) for x in nonzero if x % b == 0)
-        zeros = len(nonzero) - len(vs)
-        for k in range(zeros, top):
-            ds[k] *= b ** vs[k - zeros]
-    return HomologyGroup([d for d in ds if d > 1], n - top)
+    return HomologyGroup([d for d in _invariant_factors(nonzero, top) if d > 1], n - top)

@@ -400,6 +400,18 @@ def sympy_rank(columns, rows: int) -> int:
     return DomainMatrix(dense, (rows, len(columns)), QQ_I).rank()
 
 
+def sympy_invariant_factors(rows: list[list[int]], cols: int) -> list[int]:
+    """sympy's invariant factors over ZZ, made non-negative and padded with
+    zeros to min(rows, cols)."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    if not rows or not cols:
+        return []
+    factors = [abs(int(d)) for d in invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)]
+    return factors + [0] * (min(len(rows), cols) - len(factors))
+
+
 # -- float text ----------------------------------------------------------------
 
 

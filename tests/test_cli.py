@@ -431,6 +431,21 @@ def test_ngon_usage_errors(capsys):
     assert code == 2
 
 
+def test_ngon_names_an_alpha_past_the_digit_limit(capsys):
+    """An alpha past the interpreter's int -> str digit limit is refused
+    with its entry and the limit in one short line, exit 2; the argument,
+    thousands of characters long, is not echoed.  One at the limit is read."""
+    limit = sys.get_int_max_str_digits()
+    for argv, entry, digits in ((["--alphas", "7" * 4400 + ",2,3"], 1, 4400),
+                                ([f"--alphas=1,-{'1' * (limit + 1)},3"], 2, limit + 1)):
+        assert main(["ngon", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: alphas: entry {entry} has {digits} digits, "
+                                  f"past the limit of {limit}\n")
+    code, payload = run_cli(capsys, "ngon", "--alphas", "7" * limit + ",2,3")
+    assert code == 0 and payload["alphas"][0] == int("7" * limit)
+
+
 def test_ngon_leading_negative_alpha(capsys):
     # "--alphas -3,6,1" reads as an option to argparse; the "=" form does not
     code, negative = run_cli(capsys, "ngon", "--alphas=-3,6,1")

@@ -36,7 +36,7 @@ from conftest import (
     random_quotient_weight,
     spectral_fixtures,
 )
-from oracles import sympy_rank
+from oracles import sympy_invariant_factors, sympy_rank
 from reference_gaussian import GaussianRational as Reference
 
 FIXTURES = spectral_fixtures(count=16)
@@ -83,18 +83,6 @@ def test_column_rank_matches_sympy_over_qq_i(name, complex, phi):
         assert boundary_matrix(complex, phi, n).rank() == expected, (name, n)
 
 
-def _sympy_invariant_factors(rows: list[list[int]], cols: int) -> list[int]:
-    """sympy's invariant factors over ZZ, made non-negative and padded with
-    zeros to min(rows, cols)."""
-    sympy = pytest.importorskip("sympy")
-    from sympy.matrices.normalforms import invariant_factors
-
-    if not rows or not cols:
-        return []
-    factors = [abs(int(d)) for d in invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)]
-    return factors + [0] * (min(len(rows), cols) - len(factors))
-
-
 def test_snf_diagonal_matches_sympy_invariant_factors():
     rng = random.Random(6113)
     for trial in range(1200):
@@ -103,13 +91,13 @@ def test_snf_diagonal_matches_sympy_invariant_factors():
         hi = rng.choice([2, 9, 10**6])
         m = [[rng.randint(-hi, hi) if rng.random() < density else 0 for _ in range(c)]
              for _ in range(r)]
-        assert smith_normal_form(m).diagonal == _sympy_invariant_factors(m, c), m
+        assert smith_normal_form(m).diagonal == sympy_invariant_factors(m, c), m
 
 
 def _sympy_rank_and_torsion(complex, phi, n) -> tuple[int, list[int]]:
     """Rank and torsion of the degree-n boundary, from the dense view."""
     d = boundary_matrix(complex, phi, n)
-    factors = _sympy_invariant_factors([[int(x) for x in row] for row in d.data], d.cols)
+    factors = sympy_invariant_factors([[int(x) for x in row] for row in d.data], d.cols)
     return sum(1 for f in factors if f), [f for f in factors if f > 1]
 
 

@@ -9,11 +9,14 @@ The bounded-work checks run the sparse loop at sizes the dense one takes
 seconds to reach.
 """
 
+import importlib.util
 import json
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -28,7 +31,7 @@ from wsimplex import (
 from wsimplex.cli import main
 from wsimplex.homology import boundary_int_rows
 
-from conftest import random_cfw_weight, random_dawson_weight, write_pair
+from conftest import DEEP, random_cfw_weight, random_dawson_weight, write_pair
 from oracles import assert_matches_dense, dense_smith_normal_form
 
 
@@ -66,8 +69,9 @@ def test_matches_dense_loop_on_cycles_and_skeleta():
 
 
 def test_sparse_snf_bounded_work(capsys, tmp_path):
-    """A 600-cycle's degree-0 homology (the dense loop takes over 10 s) and
-    the Δ¹⁷ 2-skeleton's degree-2 SNF (153 x 816; dense: about 0.6 s)."""
+    """Degree-0 homology of 600-, 2,000- and 8,000-cycles and of an 80-cycle
+    with wide weights (the dense loop takes over 10 s at 600), and the Δ¹⁷
+    2-skeleton's degree-2 SNF (153 x 816; dense: about 0.6 s)."""
     rng = random.Random(600)
     alphas = [2 * rng.choice([1, 2, 3, 5, 6]) for _ in range(600)]
     argv = write_pair(tmp_path, "cycle", *make_ngon(alphas))
@@ -90,6 +94,23 @@ def test_sparse_snf_bounded_work(capsys, tmp_path):
     group = ngon_homology_closed_form(alphas)
     assert (payload["torsion"], payload["free_rank"]) == (group.torsion, group.free_rank)
 
+    # an 8,000-cycle with shared weights (the chain loop took about 4.4 s)
+    # and an 80-cycle with random odd 60-bit weights (12-16 s): the
+    # diagonal-only elimination pivots on a sparse column and reaches a gcd
+    # by one 2x2 step where the chain loop folds rows
+    for n, alphas in ((8000, [2 * rng.choice([1, 2, 3, 5, 6]) for _ in range(8000)]),
+                      (80, [rng.getrandbits(60) | 1 for _ in range(80)])):
+        argv = write_pair(tmp_path, f"cycle{n}", *make_ngon(alphas))
+        start = time.perf_counter()
+        assert main(["homology", *argv, "-n", "0"]) == 0
+        assert time.perf_counter() - start < (2.0 if n == 8000 else 1.0)
+        payload = json.loads(capsys.readouterr().out)
+        group = ngon_homology_closed_form(alphas)
+        assert (payload["torsion"], payload["free_rank"]) == (group.torsion, group.free_rank)
+        assert main(["ngon", "--alphas", ",".join(map(str, alphas))]) == 0
+        closed = json.loads(capsys.readouterr().out)
+        assert (closed["torsion"], closed["free_rank"]) == (group.torsion, group.free_rank)
+
     complex = build_complex(list(combinations(range(18), 3)))
     phi = random_dawson_weight(rng, complex)
     argv = write_pair(tmp_path, "simplex", complex, phi)
@@ -100,6 +121,33 @@ def test_sparse_snf_bounded_work(capsys, tmp_path):
     dense = dense_smith_normal_form(boundary_int_rows(complex, phi, 2),
                                     cols=len(complex.basis(2)))
     assert payload["diagonal"] == dense.diagonal
+
+
+@pytest.mark.skipif(not DEEP, reason="about 3 s; runs under HYPOTHESIS_PROFILE=deep")
+def test_flag60_cfw_homology_bounded_work(capsys, tmp_path):
+    """``flag60`` with CFW weights, the benchmark generator's random flag
+    complex (60 vertices, 800 edges, 3,138 triangles, 4,024 tetrahedra):
+    no entry of its d_3 is a unit, so the chain loop's fill reached 1.17 M
+    non-zeros of 113 bits and took about 95 s.  The generator is loaded by
+    path and only read."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", Path(__file__).resolve().parent.parent / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    rng = random.Random(7)
+    maximal = gen.flag_complex(rng, 60, 800, 3)
+    basis = gen.closure(maximal)
+    gen.dawson_weight(rng, basis)  # drawn first, as the ladder draws it
+    (tmp_path / "flag60.cplx").write_text(gen.complex_text(maximal))
+    (tmp_path / "flag60.wts").write_text(gen.weight_text(gen.cfw_weight(rng, basis)))
+    start = time.perf_counter()
+    assert main(["homology", "-k", str(tmp_path / "flag60.cplx"),
+                 "-w", str(tmp_path / "flag60.wts"), "-n", "2"]) == 0
+    assert time.perf_counter() - start < 10.0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["free_rank"] == 18
+    assert sorted(Counter(payload["torsion"]).items()) == [(2, 397), (6, 947), (18, 109),
+                                                           (36, 68)]
 
 
 def test_cols_must_agree_with_the_rows():
