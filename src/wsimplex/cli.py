@@ -40,12 +40,7 @@ from .chains import boundary_matrix, coboundary_matrix
 from .complexes import read_complex_file
 from .ffl import FFLSpec, classify_ffl, ffl_signature, make_ffl, signature_of_matrix
 from .gaussian import GaussianRational
-from .homology import (
-    boundary_int_rows,
-    ngon_homology_closed_form,
-    smith_normal_form,
-    weighted_homology,
-)
+from .homology import ngon_homology_closed_form, smith_normal_form, weighted_homology
 from .jsonout import dump, sig12
 from .matrices import ExactMatrix
 from .spectral import (
@@ -68,6 +63,18 @@ def _matrix(m: ExactMatrix) -> dict:
     return {"row_labels": m.row_labels, "col_labels": m.col_labels, "entries": m}
 
 
+def _unlimited(spell):
+    """``spell()`` with the interpreter's int -> str digit limit lifted.
+    Every input is parsed under the limit, but an answer's or a message's
+    products of inputs may pass it, and are spelled in full."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return spell()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _load_pair(args, validate=True):
     """The complex and weights the arguments name, validated if ``validate``."""
     try:
@@ -82,9 +89,9 @@ def _load_pair(args, validate=True):
     bad = phi.validate() if validate else []
     if bad:
         v = bad[0]
-        raise ValueError(
+        raise ValueError(_unlimited(lambda: (
             f"weight function fails validation: {len(bad)} violations, first at "
-            f"(simplex {v.simplex}, faces {v.i},{v.j}): {v.left} != {v.right}")
+            f"(simplex {v.simplex}, faces {v.i},{v.j}): {v.left} != {v.right}")))
     return complex, phi
 
 
@@ -109,11 +116,11 @@ def _cmd_validate(args):
     bad = phi.validate()
     payload = {
         "valid": not bad,
-        "violations": [
+        "violations": _unlimited(lambda: [
             {"simplex": list(v.simplex), "i": v.i, "j": v.j,
              "left": str(v.left), "right": str(v.right)}
             for v in bad
-        ],
+        ]),
     }
     return payload, (0 if not bad else 1)
 
@@ -143,9 +150,7 @@ def _cmd_cohomology_dim(args):
 
 def _cmd_snf(args):
     complex, phi = _load_pair(args)
-    result = smith_normal_form(boundary_int_rows(complex, phi, args.dim),
-                               transforms=args.transforms,
-                               cols=len(complex.basis(args.dim)))
+    result = smith_normal_form(boundary_matrix(complex, phi, args.dim), args.transforms)
     payload = {"dimension": args.dim, "diagonal": result.diagonal,
                "rank": result.rank}
     if args.transforms:
@@ -386,12 +391,8 @@ def main(argv=None) -> int:
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return code
-    # every input is parsed under the interpreter's int -> str digit limit;
-    # an answer's products of them may pass it, and are printed in full
-    digit_limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
     try:
-        dump(payload, sys.stdout.write)
+        _unlimited(lambda: dump(payload, sys.stdout.write))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader has gone: send the interpreter's final flush of the
@@ -401,8 +402,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # stdout keeps what was written
         print(f"error: cannot write the answer: {exc}", file=sys.stderr)
         return 1
-    finally:
-        sys.set_int_max_str_digits(digit_limit)
     return code
 
 

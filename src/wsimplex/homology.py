@@ -1,14 +1,13 @@
 """Integer homology of weighted complexes via Smith normal form.
 
-``smith_normal_form`` reads an integer matrix (dense rows, an
-``ExactMatrix`` or sparse ``{column: value}`` rows) into one dict of
-non-zeros per row.  For the diagonal alone, which is unique, it
-eliminates in any pivot order (Schur, 2x2 Bezout and division steps on a
-sparse pivot) and reads the invariant factors off the pivots through a
-coprime base.  With the transforms it keeps d1 | d2 | ... as it goes, by
-the dense reference's pivot rule, so U @ M @ V == diag(d) with |det U| =
-|det V| = 1, U and V that reference's own.  Indexes keep each step near
-the non-zeros it changes.
+``smith_normal_form`` reads an integer matrix, an ``ExactMatrix`` or dense
+rows, into one dict of non-zeros per row.  For the diagonal alone, which
+is unique, it eliminates in any pivot order (Schur, 2x2 Bezout and
+division steps on a sparse pivot) and reads the invariant factors off the
+pivots through a coprime base.  With the transforms it keeps d1 | d2 | ...
+as it goes, by the dense reference's pivot rule, so U @ M @ V == diag(d)
+with |det U| = |det V| = 1, U and V that reference's own.  Indexes keep
+each step near the non-zeros it changes.
 
 Homology of a validated integer-weighted complex in degree n needs one
 normal form, that of d_{n+1}: the torsion coefficients are its diagonal
@@ -16,8 +15,8 @@ entries that exceed 1, and the free rank is dim C_n - rank(d_n) -
 rank(d_{n+1}), with rank(d_n) read from the pair's rank vector, as every
 other dimension count is.  The pair caches that torsion and rank, as it
 caches the boundary columns and rank vector (see ``chains``), so a repeated
-query runs no normal form.  ``boundary_int_rows`` writes SNF's sparse
-integer rows straight from the non-zeros of ``boundary_columns``.
+query runs no normal form.  The normal form reads the pair's sparse
+``boundary_matrix``, built from those cached columns.
 
 ``ngon_homology_closed_form`` gives the degree-0 homology of a weighted
 polygon without a matrix.  The k-th invariant factor has, at every prime
@@ -40,9 +39,7 @@ from itertools import compress, repeat
 from math import gcd
 from operator import index
 
-# boundary_matrix is not called here; perfbench/selftest.py reaches the
-# boundary matrix through this module's name for it.
-from .chains import _boundary, _cached, _check_pair, _rank, boundary_matrix  # noqa: F401
+from .chains import _cached, _check_pair, _rank, boundary_matrix
 from .complexes import Record, SimplicialComplex
 from .gaussian import GaussianRational
 from .matrices import ExactMatrix
@@ -65,38 +62,23 @@ def _int_entry(x) -> int:
     raise ValueError("matrix has non-integer entries")
 
 
-def _sparse_rows(matrix, cols: int | None = None) -> tuple[list[dict], int]:
+def _sparse_rows(matrix) -> tuple[list[dict], int]:
     """The matrix as one ``{column: int}`` dict of non-zeros per row, and
-    its column count.  Three forms are read: an ``ExactMatrix``, of which
-    only the non-zeros are converted; dense rows of one length, a list of
-    no rows taking its width from ``cols``; and ``{column: value}`` dicts,
-    which need ``cols``.  A ragged row, a ``cols`` that disagrees with the
-    rows, a column outside ``range(cols)`` and an entry that is not an
-    integer (not truncated) are refused; int entries pass through."""
+    its column count.  Two forms are read: an ``ExactMatrix``, of which only
+    the non-zeros are converted, and dense rows of one length (a list of no
+    rows has no columns).  A ``dict`` row, a ragged row and an entry that is
+    not an integer (not truncated) are refused; int entries pass through."""
     if isinstance(matrix, ExactMatrix):
-        rows = [{j: _int_entry(x) for j, x in row.items()} for row in matrix._entries]
-        width = matrix.cols
-    elif (matrix := list(matrix)) and isinstance(matrix[0], dict):
-        if cols is None:
-            raise ValueError("sparse rows need cols")
-        if not all(isinstance(row, dict) for row in matrix):
-            raise ValueError("sparse and dense rows mixed")
-        rows = [{j: y for j, x in row.items() if (y := x if type(x) is int else _int_entry(x))}
-                for row in matrix]
-        width = cols
-        for row in rows:
-            if row and not (0 <= min(row) and max(row) < cols):
-                raise ValueError(f"column outside range({cols}) in a sparse row")
-    else:
-        width = len(matrix[0]) if matrix else cols or 0
-        if any(isinstance(row, dict) or len(row) != width for row in matrix):
-            mixed = any(isinstance(row, dict) for row in matrix)
-            raise ValueError("sparse and dense rows mixed" if mixed else "ragged rows")
-        rows = [{j: y for j, x in enumerate(row) if (y := x if type(x) is int else _int_entry(x))}
-                for row in matrix]
-    if cols is not None and cols != width:
-        raise ValueError(f"cols={cols} disagrees with the matrix's {width} columns")
-    return rows, width
+        return [{j: _int_entry(x) for j, x in row.items()} for row in matrix._entries], matrix.cols
+    matrix = list(matrix)
+    if any(isinstance(row, dict) for row in matrix):
+        # a dict iterates as its keys: read as a dense row, it would be wrong
+        raise ValueError("a {column: value} row is not a matrix row; pass an ExactMatrix")
+    width = len(matrix[0]) if matrix else 0
+    if any(len(row) != width for row in matrix):
+        raise ValueError("ragged rows")
+    return [{j: y for j, x in enumerate(row) if (y := x if type(x) is int else _int_entry(x))}
+            for row in matrix], width
 
 
 class SNFResult(Record):
@@ -325,13 +307,11 @@ def _chain(rows: list[dict], nc: int) -> SNFResult:
                      [[V[c].get(r, 0) for c in col_at] for r in range(nc)])
 
 
-def smith_normal_form(matrix, transforms: bool = False, cols: int | None = None) -> SNFResult:
+def smith_normal_form(matrix, transforms: bool = False) -> SNFResult:
     """Smith normal form of an integer matrix, on sparse rows.
 
-    ``matrix`` is dense integer rows, an ``ExactMatrix`` or ``{column:
-    value}`` rows; ``cols`` is the column count of sparse rows and of a
-    list of no rows, and must agree with any other form.  Each row is read
-    once into a dict of its non-zeros.
+    ``matrix`` is an ``ExactMatrix`` (a 0 x k one keeps its k columns) or
+    dense integer rows.  Each row is read once into a dict of its non-zeros.
 
     Without ``transforms`` only the diagonal is asked for, and it is
     unique: ``_diagonal`` eliminates in its own pivot order, and the
@@ -342,25 +322,12 @@ def smith_normal_form(matrix, transforms: bool = False, cols: int | None = None)
     diagonal, as nested lists: the diagonal, U and V are entry for entry
     those of the dense loop in tests/oracles.py.
     """
-    rows, nc = _sparse_rows(matrix, cols)
+    rows, nc = _sparse_rows(matrix)
     if transforms:
         return _chain(rows, nc)
     pivots = _diagonal(rows, nc)
     rank = len(pivots)
     return SNFResult(_invariant_factors(pivots, rank) + [0] * (min(len(rows), nc) - rank), rank)
-
-
-def boundary_int_rows(complex: SimplicialComplex, phi: WeightFunction, n: int) -> list[dict]:
-    """Sparse integer rows ``{column: int}`` of the degree-n weighted
-    boundary, from the non-zeros of ``boundary_columns``; a non-integer
-    entry is refused.  ``smith_normal_form`` reads them with ``cols`` =
-    the number of n-simplices."""
-    _check_pair(complex, phi)
-    rows = [{} for _ in complex.basis(n - 1)]
-    for j, column in enumerate(_boundary(phi, n)):
-        for i, x in column.items():
-            rows[i][j] = _int_entry(x)
-    return rows
 
 
 def _integer(x, what: str) -> int:
@@ -405,8 +372,7 @@ def weighted_homology(complex: SimplicialComplex, phi: WeightFunction, n: int) -
     _check_pair(complex, phi)
 
     def upper():
-        snf = smith_normal_form(boundary_int_rows(complex, phi, n + 1),
-                                cols=len(complex.basis(n + 1)))
+        snf = smith_normal_form(boundary_matrix(complex, phi, n + 1))
         return tuple(d for d in snf.diagonal if d > 1), snf.rank
 
     torsion, rank = _cached(phi, "snf", n + 1, upper)

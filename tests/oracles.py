@@ -124,8 +124,9 @@ def _snf_rows(matrix, cols) -> tuple[list[list[int]], int]:
 
 def dense_smith_normal_form(matrix, transforms: bool = False, cols: int | None = None) -> SNFResult:
     """``smith_normal_form`` as a dense loop: the same pivot order, so the
-    same diagonal, rank, U and V.  It takes the three input forms
-    ``smith_normal_form`` takes, on valid input only."""
+    same diagonal, rank, U and V.  It takes the two input forms
+    ``smith_normal_form`` takes, and bare ``{column: value}`` rows with
+    ``cols``, on valid input only."""
     m, nc = _snf_rows(matrix, cols)
     nr = len(m)
     if transforms:
@@ -192,12 +193,19 @@ def dense_smith_normal_form(matrix, transforms: bool = False, cols: int | None =
     return SNFResult(diagonal, rank, [row[nc:] for row in m[:nr]], m[nr:])
 
 
-def assert_matches_dense(matrix, cols=None):
+def snf_input(rows, cols):
+    """Dense integer rows as ``smith_normal_form`` reads them: as they are,
+    or, with no rows, as a 0 x cols ExactMatrix, which keeps its width."""
+    return rows if rows else ExactMatrix([], cols=cols)
+
+
+def assert_matches_dense(matrix):
     """Both modes of the sparse loop against the dense loop with
-    transforms, whose diagonal and rank do not depend on the mode."""
-    dense = dense_smith_normal_form(matrix, transforms=True, cols=cols)
-    assert smith_normal_form(matrix, transforms=True, cols=cols) == dense
-    plain = smith_normal_form(matrix, cols=cols)
+    transforms, whose diagonal and rank do not depend on the mode, on an
+    ExactMatrix or dense rows."""
+    dense = dense_smith_normal_form(matrix, transforms=True)
+    assert smith_normal_form(matrix, transforms=True) == dense
+    plain = smith_normal_form(matrix)
     assert (plain.diagonal, plain.rank) == (dense.diagonal, dense.rank)
     assert plain.U is plain.V is None
 

@@ -94,6 +94,20 @@ def test_snf_transforms_print_pinned_bytes(capsys, pair, degrees):
     assert "".join(out) == pinned.read_text(encoding="utf-8")
 
 
+def test_plain_homology_and_snf_print_pinned_bytes(capsys):
+    """Exit code, stdout and stderr of plain ``homology`` and ``snf`` on
+    every fixture pair in degrees -1..max_dim+1, as the code that gave
+    ``smith_normal_form`` bare rows and a column count printed them;
+    each argv is stored with its fixture paths relative to this directory."""
+    records = json.loads((FIXTURES / "expected" / "homology_snf_argvs.json").read_text("utf-8"))
+    assert len(records) == 94
+    for record in records:
+        argv = [str(FIXTURES.parent / token) if token.startswith("fixtures/") else token
+                for token in record["argv"]]
+        assert main(argv) == record["exit"], record["argv"]
+        assert capsys.readouterr() == (record["stdout"], record["stderr"]), record["argv"]
+
+
 def _boundary_entries(capsys):
     code, payload = run_cli(capsys, "boundary", "-k", fx("pentagon.cplx"),
                             "-w", fx("pentagon.wts"), "-n", "1")
@@ -713,6 +727,30 @@ def test_integers_past_the_digit_limit_are_printed(capsys, tmp_path, argv, kind)
         sys.set_int_max_str_digits(limit)
     if argv[0] == "laplacian":
         assert max(map(len, out.split())) > 6000
+
+
+def test_violations_past_the_digit_limit_are_spelled(capsys, tmp_path):
+    """triangle_bad.wts with every value times 10^2999, so 3,000 digits at
+    most: the violating products have 5,999 and 6,000 digits.  ``validate``
+    prints them in full in one JSON object, ``homology`` names them in its
+    error line, both exit 1, and the digit limit is left as it was."""
+    entries = [line.rsplit("|", 1) for line in
+               (FIXTURES / "triangle_bad.wts").read_text().splitlines() if line[0] != "#"]
+    w = tmp_path / "long_bad.wts"
+    w.write_text("".join(f"{head}| {int(value) * 10 ** 2999}\n" for head, value in entries))
+    pair = ["-k", fx("triangle.cplx"), "-w", str(w)]
+    left, right = "6" + "0" * 5998, "15" + "0" * 5998
+    limit = sys.get_int_max_str_digits()
+    assert main(["validate", *pair]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out) == {"valid": False, "violations": [
+        {"simplex": [0, 1, 2], "i": 2, "j": 1, "left": left, "right": right}]}
+    assert main(["homology", *pair, "-n", "0"]) == 1
+    message = (f"error: weight function fails validation: 1 violations, first at "
+               f"(simplex [0,1,2], faces 2,1): {left} != {right}\n")
+    assert capsys.readouterr() == ("", message)
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_an_error_while_writing_is_one_error_line(capsys, monkeypatch):

@@ -12,10 +12,18 @@ whose squares pass the limit, rationals with large denominators and
 Gaussian values built from them, on an edge (any weights are valid), a
 triangle with Dawson weights (integers, so ``homology`` and ``snf`` reduce
 them) and a triangle with quotient weights g(s)/g(t).  ``ngon`` and ``ffl
---classify`` get the same values as alphas and matrix entries.  Under
-hypothesis's default profile it runs a few fixed examples (under 2 s in
-all); ``HYPOTHESIS_PROFILE=deep`` searches further (see conftest.py), with
-1,000 pairs and 2,000 alphas lists and matrices.
+--classify`` get the same values as alphas and matrix entries.
+
+Weights that fail the condition are the one answer with exit 1:
+``validate`` prints one JSON object naming the violations, and every other
+pair subcommand one ``error:`` line naming the first; both spell the
+violating products in full, however long.  They are drawn as Dawson
+triangles with one entry changed.
+
+Under hypothesis's default profile it runs a few fixed examples (under 2 s
+in all); ``HYPOTHESIS_PROFILE=deep`` searches further (see conftest.py),
+with 1,000 pairs, 500 failing triangles and 2,000 alphas lists and
+matrices.
 """
 
 import contextlib
@@ -27,7 +35,7 @@ import sys
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from wsimplex.cli import main  # noqa: E402
 
@@ -156,6 +164,57 @@ def test_pair_commands_answer_or_refuse(directory, pair):
         argvs += [[command, *files, "-n", str(n)] for n in range(-1, 3)]
     for argv in argvs:
         assert_contract(argv, *run(argv))
+
+
+def failing_lines(p, x):
+    """Weight lines of a triangle with the Dawson weights of the vertex
+    values p, but for phi([0,1,2], [1,2]) = x: unless x == p[0], they fail
+    the condition at the top simplex."""
+    table = {(s, i): p[s[i]] for s in closure(TRIANGLE) if len(s) > 1 for i in range(len(s))}
+    table[(0, 1, 2), 0] = x
+    return [f"{' '.join(map(str, s))} | {' '.join(map(str, faces(s)[i]))} | {value}\n"
+            for (s, i), value in table.items()]
+
+
+@st.composite
+def failing_pairs(draw):
+    p = [draw(signed()) for _ in range(3)]
+    return TRIANGLE, failing_lines(p, draw(signed().filter(lambda x: x != p[0])))
+
+
+@fixed(4, deep=500)
+@given(failing_pairs())
+@example((TRIANGLE, failing_lines(["7" * (LIMIT - 1), "-3", "5" * LIMIT], "2" * (LIMIT - 1))))
+@example((TRIANGLE, failing_lines(["2", "3", "4"], "9" * (LIMIT + 1))))  # the reader refuses it
+def test_failing_pairs_are_refused_in_full(directory, pair):
+    """On weights that fail the condition, ``validate`` exits 1 with one
+    JSON object naming the violations, their products (up to 8,602 digits)
+    in full, and every other pair subcommand exits 1 with one error line
+    naming the first of them, in full too; a value of 4,301 digits is
+    refused by the reader everywhere, exit 2."""
+    maximal, lines = pair
+    k, w = directory / "failing.cplx", directory / "failing.wts"
+    k.write_text("".join(" ".join(map(str, s)) + "\n" for s in maximal))
+    w.write_text("".join(lines))
+    files = ["-k", str(k), "-w", str(w), "--strict"]
+    argvs = [[command, *files, "-n", str(n)] for command in PAIR_COMMANDS[1:]
+             for n in range(-1, 3)]
+    if any(len(line.rsplit("| ", 1)[1].strip("-\n")) > LIMIT for line in lines):
+        for argv in [["validate", *files], *argvs]:
+            result = run(argv)
+            assert result[0] == 2, argv
+            assert_contract(argv, *result)
+        return
+    code, out, err = run(["validate", *files])
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert payload["valid"] is False and payload["violations"]
+    v = payload["violations"][0]
+    message = (f"error: weight function fails validation: {len(payload['violations'])} "
+               f"violations, first at (simplex [{','.join(map(str, v['simplex']))}], faces "
+               f"{v['i']},{v['j']}): {v['left']} != {v['right']}\n")
+    for argv in argvs:
+        assert run(argv) == (1, "", message), argv
 
 
 @fixed(20, deep=2000)

@@ -35,7 +35,7 @@ from wsimplex import (
 )
 from wsimplex import chains, cli, homology, spectral
 from wsimplex.chains import boundary_columns, boundary_matrix, coboundary_matrix
-from wsimplex.homology import boundary_int_rows, smith_normal_form, weighted_homology
+from wsimplex.homology import smith_normal_form, weighted_homology
 from wsimplex.matrices import ExactMatrix, column_rank
 from wsimplex.spectral import (
     InnerProductWeights,
@@ -91,7 +91,7 @@ def pairs():
 
 
 def snf_of_boundary(complex, phi, n):
-    return smith_normal_form(boundary_int_rows(complex, phi, n), cols=len(complex.basis(n)))
+    return smith_normal_form(boundary_matrix(complex, phi, n))
 
 
 def inner_weights(complex) -> InnerProductWeights:
@@ -118,7 +118,6 @@ def calls(phi):
         "coboundary_rank": lambda k, p, n: coboundary_matrix(k, p, n).rank(),
     }
     if phi.is_integral():
-        out["boundary_int_rows"] = boundary_int_rows
         out["weighted_homology"] = weighted_homology
         out["snf"] = snf_of_boundary
     return out
@@ -168,7 +167,7 @@ def test_mutating_a_result_changes_no_later_answer():
             for op, call in calls(phi).items():
                 expected = call(fresh_complex, fresh, n)
                 got = call(complex, phi, n)
-                if op == "boundary_columns" or op == "boundary_int_rows":
+                if op == "boundary_columns":
                     for column in got:
                         column[0] = 99
                     got.append({0: 1})

@@ -27,10 +27,15 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from wsimplex import make_ngon, ngon_homology_closed_form, smith_normal_form  # noqa: E402
-from wsimplex.homology import boundary_int_rows, weighted_homology  # noqa: E402
+from wsimplex import (  # noqa: E402
+    boundary_matrix,
+    make_ngon,
+    ngon_homology_closed_form,
+    smith_normal_form,
+)
+from wsimplex.homology import weighted_homology  # noqa: E402
 
-from oracles import dense_smith_normal_form, sympy_invariant_factors  # noqa: E402
+from oracles import dense_smith_normal_form, snf_input, sympy_invariant_factors  # noqa: E402
 
 
 def fixed(count):
@@ -73,8 +78,8 @@ def matrices(draw, max_side):
 
 
 def assert_diagonal(matrix, cols):
-    plain = smith_normal_form(matrix, cols=cols)
-    chain = smith_normal_form(matrix, transforms=True, cols=cols)
+    plain = smith_normal_form(snf_input(matrix, cols))
+    chain = smith_normal_form(snf_input(matrix, cols), transforms=True)
     assert (plain.diagonal, plain.rank) == (chain.diagonal, chain.rank)
     assert plain.U is plain.V is None
     assert len(plain.diagonal) == min(len(matrix), cols)
@@ -118,7 +123,7 @@ def test_diagonal_matches_the_chain_loop(case):
 def test_diagonal_matches_the_dense_loop(case):
     matrix, cols = case
     dense = dense_smith_normal_form(matrix, cols=cols)
-    plain = smith_normal_form(matrix, cols=cols)
+    plain = smith_normal_form(snf_input(matrix, cols))
     assert (plain.diagonal, plain.rank) == (dense.diagonal, dense.rank)
 
 
@@ -126,12 +131,13 @@ def test_diagonal_matches_the_dense_loop(case):
 @given(matrices(max_side=7))
 def test_diagonal_matches_sympy(case):
     matrix, cols = case
-    assert smith_normal_form(matrix, cols=cols).diagonal == sympy_invariant_factors(matrix, cols)
+    assert (smith_normal_form(snf_input(matrix, cols)).diagonal
+            == sympy_invariant_factors(matrix, cols))
 
 
-def cycle_rows(alphas):
+def cycle_boundary(alphas):
     complex, phi = make_ngon(alphas)
-    return complex, phi, boundary_int_rows(complex, phi, 1)
+    return complex, phi, boundary_matrix(complex, phi, 1)
 
 
 @fixed(60)
@@ -144,11 +150,11 @@ def test_wide_weight_cycles_match_the_closed_form(case):
     primes appear among the vertex weights."""
     wide, shared = case
     alphas = [a * b for a, b in zip(wide, shared)]
-    complex, phi, rows = cycle_rows(alphas)
+    complex, phi, d1 = cycle_boundary(alphas)
     closed = ngon_homology_closed_form(alphas)
     group = weighted_homology(complex, phi, 0)
     assert (group.torsion, group.free_rank) == (closed.torsion, closed.free_rank)
-    plain = smith_normal_form(rows, cols=len(alphas))
+    plain = smith_normal_form(d1)
     assert [d for d in plain.diagonal if d > 1] == closed.torsion
 
 
@@ -161,10 +167,10 @@ def test_seeded_cycles_and_zero_weights():
         n = rng.randint(3, 40)
         alphas = [rng.choice(primes) ** rng.randint(0, 2) * rng.choice(primes)
                   * rng.choice([0, 1, 1, 1, -1]) for _ in range(n)]
-        complex, phi, rows = cycle_rows(alphas)
+        complex, phi, d1 = cycle_boundary(alphas)
         closed = ngon_homology_closed_form(alphas)
-        plain = smith_normal_form(rows, cols=n)
+        plain = smith_normal_form(d1)
         assert [d for d in plain.diagonal if d > 1] == closed.torsion, alphas
         assert n - plain.rank == closed.free_rank, alphas
         if n <= 12:
-            assert plain.diagonal == smith_normal_form(rows, transforms=True, cols=n).diagonal
+            assert plain.diagonal == smith_normal_form(d1, transforms=True).diagonal

@@ -12,7 +12,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from oracles import assert_matches_dense  # noqa: E402
+from oracles import assert_matches_dense, snf_input  # noqa: E402
 
 # a profile named by HYPOTHESIS_PROFILE sets the depth; else 300 fixed examples
 SETTINGS = (settings() if os.environ.get("HYPOTHESIS_PROFILE")
@@ -35,4 +35,4 @@ def matrices(draw):
 @SETTINGS
 @given(matrices())
 def test_matches_dense_loop_property(case):
-    assert_matches_dense(*case)
+    assert_matches_dense(snf_input(*case))

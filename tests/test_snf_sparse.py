@@ -4,7 +4,7 @@
 submatrix at every pivot; ``smith_normal_form`` keeps sparse rows, row and
 column permutations and indexes with the same pivot rule, so the diagonal,
 the rank, U and V must agree entry for entry, with and without transforms,
-whether the matrix arrives as dense rows, an ExactMatrix or sparse rows.
+whether the matrix arrives as dense rows or as an ExactMatrix.
 The bounded-work checks run the sparse loop at sizes the dense one takes
 seconds to reach.
 """
@@ -23,16 +23,16 @@ import pytest
 from wsimplex import (
     ExactMatrix,
     GaussianRational,
+    boundary_matrix,
     build_complex,
     make_ngon,
     ngon_homology_closed_form,
     smith_normal_form,
 )
 from wsimplex.cli import main
-from wsimplex.homology import boundary_int_rows
 
 from conftest import DEEP, random_cfw_weight, random_dawson_weight, write_pair
-from oracles import assert_matches_dense, dense_smith_normal_form
+from oracles import assert_matches_dense, dense_smith_normal_form, snf_input
 
 
 def random_matrix(rng):
@@ -50,7 +50,7 @@ def test_matches_dense_loop_on_random_matrices():
     shapes = set()
     for _ in range(3000):
         matrix, cols = random_matrix(rng)
-        assert_matches_dense(matrix, cols)
+        assert_matches_dense(snf_input(matrix, cols))
         shapes.add((len(matrix), cols, any(map(any, matrix))))
     # empty shapes on both sides and all-zero matrices were drawn
     assert {(0, 5, False), (5, 0, False), (8, 8, False), (8, 8, True)} <= shapes
@@ -59,13 +59,13 @@ def test_matches_dense_loop_on_random_matrices():
 def test_matches_dense_loop_on_cycles_and_skeleta():
     rng = random.Random(2001)
     for n in (40, 200):
-        complex, phi = make_ngon([2 * rng.choice([1, 2, 3, 5, 6]) for _ in range(n)])
-        assert_matches_dense(boundary_int_rows(complex, phi, 1), n)
+        alphas = [2 * rng.choice([1, 2, 3, 5, 6]) for _ in range(n)]
+        assert_matches_dense(boundary_matrix(*make_ngon(alphas), 1))
     for k in (5, 7):
         complex = build_complex(list(combinations(range(k + 1), 3)))
         for phi in (random_dawson_weight(rng, complex), random_cfw_weight(rng, complex)):
             for n in (1, 2, 3):
-                assert_matches_dense(boundary_int_rows(complex, phi, n), len(complex.basis(n)))
+                assert_matches_dense(boundary_matrix(complex, phi, n))
 
 
 def test_sparse_snf_bounded_work(capsys, tmp_path):
@@ -118,8 +118,7 @@ def test_sparse_snf_bounded_work(capsys, tmp_path):
     assert main(["snf", *argv, "-n", "2"]) == 0
     assert time.perf_counter() - start < 3.0
     payload = json.loads(capsys.readouterr().out)
-    dense = dense_smith_normal_form(boundary_int_rows(complex, phi, 2),
-                                    cols=len(complex.basis(2)))
+    dense = dense_smith_normal_form(boundary_matrix(complex, phi, 2))
     assert payload["diagonal"] == dense.diagonal
 
 
@@ -150,19 +149,9 @@ def test_flag60_cfw_homology_bounded_work(capsys, tmp_path):
                                                            (36, 68)]
 
 
-def test_cols_must_agree_with_the_rows():
-    for matrix, cols, width in (([[2, 4], [6, 8]], 7, 2), ([[1, 2, 3]], 0, 3), ([[], []], 1, 0),
-                                (ExactMatrix([[1, 2]]), 3, 2), (ExactMatrix([], cols=4), 2, 4)):
-        message = f"cols={cols} disagrees with the matrix's {width} columns"
-        with pytest.raises(ValueError, match=message):
-            smith_normal_form(matrix, cols=cols)
-    assert smith_normal_form([[2, 4], [6, 8]], cols=2).diagonal == [2, 4]
-    assert smith_normal_form([], transforms=True, cols=3).V == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-
-
 def test_exact_matrix_cols_must_agree_with_the_rows():
-    """An ExactMatrix refuses a ``cols`` its rows contradict, as
-    smith_normal_form does; with no rows, ``cols`` is the width."""
+    """An ExactMatrix refuses a ``cols`` its rows contradict; with no rows,
+    ``cols`` is the width."""
     with pytest.raises(ValueError, match="cols=3 disagrees with the matrix's 2 columns"):
         ExactMatrix([[1, 2]], cols=3)
     with pytest.raises(ValueError, match="cols=1 disagrees with the matrix's 0 columns"):
@@ -171,22 +160,22 @@ def test_exact_matrix_cols_must_agree_with_the_rows():
     assert ExactMatrix([], cols=3).shape == (0, 3)
 
 
-# -- the three input forms -----------------------------------------------------
+# -- the two input forms -------------------------------------------------------
 
 def input_forms(dense, cols):
-    """One integer matrix as dense rows, as an ExactMatrix and as sparse rows."""
-    sparse = [{j: x for j, x in enumerate(row) if x} for row in dense]
-    return dense, ExactMatrix(dense, cols=cols), sparse
+    """One integer matrix as dense rows, when it has rows, and as an
+    ExactMatrix, which keeps the width of a matrix with no rows."""
+    return ([dense] if dense else []) + [ExactMatrix(dense, cols=cols)]
 
 
 def assert_forms_match_dense(dense, cols):
     """Every input form against one run of the dense loop: U and V entry
-    for entry with transforms, the diagonal and rank without, so the three
+    for entry with transforms, the diagonal and rank without, so the two
     forms' results are equal too."""
     reference = dense_smith_normal_form(dense, transforms=True, cols=cols)
     for matrix in input_forms(dense, cols):
-        assert smith_normal_form(matrix, transforms=True, cols=cols) == reference
-        plain = smith_normal_form(matrix, cols=cols)
+        assert smith_normal_form(matrix, transforms=True) == reference
+        plain = smith_normal_form(matrix)
         assert (plain.diagonal, plain.rank, plain.U, plain.V) == (
             reference.diagonal, reference.rank, None, None)
     return reference
@@ -207,8 +196,7 @@ def test_input_forms_on_shared_weight_cycles_and_paths():
     rng = random.Random(2018)
     for n in (40, 200):
         alphas = [2 * rng.choice([1, 2, 3, 5, 6]) for _ in range(n)]
-        complex, phi = make_ngon(alphas)
-        cycle = [[row.get(j, 0) for j in range(n)] for row in boundary_int_rows(complex, phi, 1)]
+        cycle = [[int(x) for x in row] for row in boundary_matrix(*make_ngon(alphas), 1).data]
         result = assert_forms_match_dense(cycle, n)
         group = ngon_homology_closed_form(alphas)
         assert [d for d in result.diagonal if d > 1] == group.torsion
@@ -229,19 +217,28 @@ def test_input_forms_on_folds_cancellations_and_empty_shapes():
     for rows, cols in ((0, 0), (0, 3), (3, 0), (2, 3)):
         result = assert_forms_match_dense([[0] * cols for _ in range(rows)], cols)
         assert (result.diagonal, result.rank) == ([0] * min(rows, cols), 0)
+        # V spans every column, of a matrix with no rows too
+        assert result.V == [[int(i == j) for j in range(cols)] for i in range(cols)]
 
 
-def test_sparse_rows_are_checked():
-    assert smith_normal_form([{0: Fraction(4)}, {1: 6.0}], cols=2).diagonal == [2, 12]
-    assert smith_normal_form([{0: 3, 1: 0}, {}], cols=2).diagonal == [3, 0]
-    for rows in ([{0: Fraction(1, 2)}], [{1: 1.5}], [{0: GaussianRational(1, 1)}], [{0: "3"}]):
+def test_matrix_rows_are_checked():
+    assert smith_normal_form([[Fraction(4), 0], [0, 6.0]]).diagonal == [2, 12]
+    assert smith_normal_form([[3, 0], [0, 0]]).diagonal == [3, 0]
+    for rows in ([[Fraction(1, 2), 0]], [[0, 1.5]], [[GaussianRational(1, 1), 0]], [["3", 0]]):
         with pytest.raises(ValueError, match="matrix has non-integer entries"):
-            smith_normal_form(rows, cols=2)
-    for rows in ([{2: 1}], [{0: 1}, {5: 2}], [{-1: 1}]):
-        with pytest.raises(ValueError, match=r"column outside range\(2\)"):
-            smith_normal_form(rows, cols=2)
-    with pytest.raises(ValueError, match="sparse rows need cols"):
-        smith_normal_form([{0: 1}])
-    for rows in ([{0: 1}, [1, 0]], [[1, 0], {0: 1}]):
-        with pytest.raises(ValueError, match="sparse and dense rows mixed"):
-            smith_normal_form(rows, cols=2)
+            smith_normal_form(rows)
+    for rows in ([[1, 0], [1]], [[], [1]]):
+        with pytest.raises(ValueError, match="ragged rows"):
+            smith_normal_form(rows)
+
+
+def test_dict_rows_are_refused():
+    """A dict iterates as its keys, so a ``{column: value}`` row read as a
+    dense row would be a row of column ids: it is refused, and an
+    ExactMatrix of the same entries is read."""
+    for rows in ([{0: 3}], [{0: 3, 1: 4}, {1: 5}], [[1, 0], {0: 1}], [{}]):
+        with pytest.raises(ValueError, match="pass an ExactMatrix"):
+            smith_normal_form(rows)
+        with pytest.raises(ValueError, match="pass an ExactMatrix"):
+            smith_normal_form(rows, transforms=True)
+    assert smith_normal_form(ExactMatrix([[3, 4], [0, 5]])).diagonal == [1, 15]

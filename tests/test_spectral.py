@@ -1,13 +1,11 @@
 import json
 import random
-import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import wsimplex
 from wsimplex import (
     ExactMatrix,
     FFLSpec,
@@ -624,20 +622,21 @@ def test_column_rank_matches_references():
     assert deficient >= 20
 
 
-def refuse_dense_boundary(monkeypatch):
-    """Make ``chains.boundary_matrix`` and every alias of it raise."""
-    def refuse(*args):
-        raise AssertionError("dense boundary on a sparse path")
+def refuse_dense_matrices(monkeypatch):
+    """Make every way of building a dense exact matrix raise: the
+    dense-rows constructor ``ExactMatrix.__init__``, the dense copy
+    ``ExactMatrix.data`` and ``ExactMatrix.to_ndarray``.  A sparse
+    ``boundary_matrix`` is allowed."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense matrix on a sparse path")
 
-    original = wsimplex.chains.boundary_matrix
-    for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "wsimplex"]:
-        for key, value in list(vars(module).items()):
-            if value is original:
-                monkeypatch.setattr(module, key, refuse)
+    monkeypatch.setattr(ExactMatrix, "__init__", refuse)
+    monkeypatch.setattr(ExactMatrix, "data", property(refuse))
+    monkeypatch.setattr(ExactMatrix, "to_ndarray", refuse)
 
 
 def test_spectral_paths_build_no_dense_boundary(monkeypatch, capsys):
-    refuse_dense_boundary(monkeypatch)
+    refuse_dense_matrices(monkeypatch)
     complex, phi = sample_triangle()
     w = InnerProductWeights({(1,): 2}, default=1)
     for n in range(-1, complex.max_dim + 2):
@@ -729,9 +728,10 @@ def test_factor_spectrum_matches_formed_laplacian():
 
 
 def test_homology_paths_build_no_dense_boundary(monkeypatch, capsys, tmp_path):
-    """weighted_homology and the CLI homology/snf read integer rows from the
-    sparse columns, and answer as the dense view's Smith normal forms do."""
-    def dense_snf(complex, phi, n):
+    """weighted_homology and the CLI homology/snf read the pair's sparse
+    boundary matrices, build no dense matrix, and answer as the library's
+    Smith normal forms of those matrices do."""
+    def normal_form(complex, phi, n):
         return smith_normal_form(boundary_matrix(complex, phi, n), transforms=True)
 
     cases = []
@@ -740,14 +740,14 @@ def test_homology_paths_build_no_dense_boundary(monkeypatch, capsys, tmp_path):
             continue
         argv = write_pair(tmp_path, name, complex, phi)
         for n in range(-1, complex.max_dim + 2):
-            lower, upper = dense_snf(complex, phi, n), dense_snf(complex, phi, n + 1)
+            lower, upper = normal_form(complex, phi, n), normal_form(complex, phi, n + 1)
             group = HomologyGroup([d for d in upper.diagonal if d > 1],
                                   len(complex.basis(n)) - lower.rank - upper.rank
                                   ) if n >= 0 else HomologyGroup([], 0)
             cases.append((complex, phi, argv, n, lower, group))
     assert len(cases) > 30
 
-    refuse_dense_boundary(monkeypatch)
+    refuse_dense_matrices(monkeypatch)
     for complex, phi, argv, n, snf, group in cases:
         assert weighted_homology(complex, phi, n) == group, (argv, n)
         if n < 0:
