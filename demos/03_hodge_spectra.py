@@ -20,7 +20,6 @@ from wsimplex import (
     identity_weight,
     laplacian_matrix,
     laplacian_spectrum,
-    spectrum,
     up_down_matrices,
     zero_multiplicity_formulas,
 )
@@ -41,7 +40,7 @@ def main():
     up, down = up_down_matrices(complex, phi, 0)
     print("degree-0 up part:")
     print(up)
-    spec = spectrum(up + down)
+    spec = laplacian_spectrum(complex, phi, 0)
     print("eigenvalues:", np.round(spec.eigenvalues, 9))
     print("note the corner 4 against the off-diagonal -6: no rescaled")
     print("classical vertex Laplacian produces this matrix")

@@ -30,6 +30,7 @@ from .weights import (
     cfw_weight,
     dawson_weight,
     identity_weight,
+    make_ngon,
     parse_weight_text,
     read_weight_file,
     semi_trivial_weight,
@@ -64,7 +65,6 @@ from .spectral import (
     up_down_matrices,
     zero_multiplicity_formulas,
 )
-from .polygons import make_ngon
 from .ffl import (
     ClassificationError,
     FFLSignature,

@@ -27,11 +27,11 @@ from __future__ import annotations
 import math
 import re
 
-from .complexes import FrozenRecord, Simplex, SimplicialComplex, build_complex
+from .complexes import FrozenRecord, SimplicialComplex, build_complex
 from .gaussian import GaussianRational
 from .matrices import ExactMatrix, to_floats
 from .spectral import laplacian_matrix
-from .weights import WeightFunction, _validated
+from .weights import WeightFunction, _tabulated
 
 ACTIVATION = "activation"
 REPRESSION = "repression"
@@ -100,12 +100,7 @@ def ffl_weights(a, b, c) -> tuple[SimplicialComplex, WeightFunction]:
         if not value:
             raise ValueError(f"edge {edge} has weight 0; motif weights must be nonzero")
     complex = build_complex(per_edge.keys())
-    table = {}
-    for edge, value in per_edge.items():
-        e = Simplex(edge)
-        table[(e, 0)] = value
-        table[(e, 1)] = value
-    return complex, _validated(WeightFunction(complex, table))
+    return complex, _tabulated(complex, lambda e, i: per_edge[e])
 
 
 def make_ffl(spec: FFLSpec, encoding=None) -> tuple[SimplicialComplex, WeightFunction]:

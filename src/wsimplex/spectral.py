@@ -379,17 +379,16 @@ class HarmonicBasis(Record):
 def harmonic_basis(complex: SimplicialComplex, phi: WeightFunction, n: int) -> HarmonicBasis:
     """Orthonormal basis of the degree-n harmonic cochains: the right
     singular vectors of the Laplacian factor for its dim H^n smallest
-    singular values, that count being exact."""
+    singular values (``laplacian_spectrum``'s first eigenvectors), that
+    count being exact."""
     import numpy as np
-    from .eigen import jacobi_svd
 
     _check_pair(complex, phi)
     count = _kernel_dim(complex, phi, n)
     labels = complex.basis(n)
     if not count:
         return HarmonicBasis(n, labels, np.zeros((len(labels), 0)))
-    _, vectors = jacobi_svd(_factor(complex, phi, n))
-    return HarmonicBasis(n, labels, vectors[:, :count])
+    return HarmonicBasis(n, labels, laplacian_spectrum(complex, phi, n).eigenvectors[:, :count])
 
 
 # -- inner product weight text format ----------------------------------------

@@ -15,7 +15,10 @@ checks exactly this condition and reports every violating triple as a
 Constructors: ``identity_weight`` and ``zero_weight`` are the constant ones;
 ``semi_trivial_weight`` zeroes every pair touching two covering families;
 ``dawson_weight`` takes quotients w(s)/w(d_i s) of a divisibility-compatible
-simplex weighting; ``cfw_weight`` generalises it to C * f(w(s)) / f(w(d_i s)).
+simplex weighting; ``cfw_weight`` generalises it to C * f(w(s)) / f(w(d_i s));
+``make_ngon`` weights the n-cycle by one scalar per vertex.  Each is one
+formula for phi(s, d_i s), tabulated over the required pairs and validated
+by the same builder, which refuses a table that fails the condition.
 
 Loading does each piece of work once, since the command line loads a pair
 per call and loading used to cost more than the homology after it.
@@ -42,7 +45,7 @@ from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 from math import lcm
 
-from .complexes import Simplex, SimplicialComplex
+from .complexes import Simplex, SimplicialComplex, build_complex
 from .gaussian import GaussianRational, products_equal
 
 
@@ -190,7 +193,11 @@ def validate_weight(phi: WeightFunction) -> list[Violation]:
     return violations
 
 
-def _validated(phi: WeightFunction) -> WeightFunction:
+def _tabulated(complex: SimplicialComplex, rule: Callable) -> WeightFunction:
+    """The weight function phi(s, d_i s) = rule(s, i) over every required
+    pair of the complex, which must pass validation."""
+    table = {(s, i): GaussianRational.coerce(rule(s, i)) for s, i in required_pairs(complex)}
+    phi = WeightFunction._trusted(complex, table)  # complete by construction
     bad = validate_weight(phi)
     if bad:
         raise ValueError(f"constructed weight fails validation: {bad[0]}")
@@ -199,19 +206,15 @@ def _validated(phi: WeightFunction) -> WeightFunction:
 
 def identity_weight(complex: SimplicialComplex) -> WeightFunction:
     """Every entry 1: the classical unweighted boundary operator."""
-    table = {pair: 1 for pair in required_pairs(complex)}
-    return _validated(WeightFunction(complex, table))
+    return _tabulated(complex, lambda s, i: 1)
 
 
 def zero_weight(complex: SimplicialComplex) -> WeightFunction:
     """Every entry 0: all boundary maps vanish."""
-    table = {pair: 0 for pair in required_pairs(complex)}
-    return _validated(WeightFunction(complex, table))
+    return _tabulated(complex, lambda s, i: 0)
 
 
 def _entry_source(a) -> Callable:
-    if a is None:
-        raise ValueError("the non-trivial entries need a value source")
     if callable(a):
         return a
     if isinstance(a, Mapping):
@@ -235,14 +238,12 @@ def semi_trivial_weight(
         if s not in A and s not in B:
             raise ValueError(f"{s} is covered by neither zero family")
     source = _entry_source(a if a is not None else 0)
-    table = {}
-    for s, i in required_pairs(complex):
+
+    def rule(s, i):
         t = s.face(i)
-        if s in A or t in B:
-            table[(s, i)] = 0
-        else:
-            table[(s, i)] = GaussianRational.coerce(source(s, t))
-    return _validated(WeightFunction(complex, table))
+        return 0 if s in A or t in B else source(s, t)
+
+    return _tabulated(complex, rule)
 
 
 def _simplex_weighting(complex: SimplicialComplex, w) -> dict[Simplex, int]:
@@ -266,13 +267,14 @@ def dawson_weight(complex: SimplicialComplex, w) -> WeightFunction:
     for s, val in wmap.items():
         if val == 0:
             raise ValueError(f"w({s}) = 0; simplex weights must be nonzero")
-    table = {}
-    for s, i in required_pairs(complex):
+
+    def rule(s, i):
         t = s.face(i)
         if wmap[s] % wmap[t] != 0:
             raise ValueError(f"w({t}) = {wmap[t]} does not divide w({s}) = {wmap[s]}")
-        table[(s, i)] = wmap[s] // wmap[t]
-    return _validated(WeightFunction(complex, table))
+        return wmap[s] // wmap[t]
+
+    return _tabulated(complex, rule)
 
 
 def cfw_weight(complex: SimplicialComplex, w, f, C="auto") -> WeightFunction:
@@ -298,10 +300,19 @@ def cfw_weight(complex: SimplicialComplex, w, f, C="auto") -> WeightFunction:
         C = lcm(*(abs(v) for v in fval.values())) if fval else 1
     elif not isinstance(C, int) or isinstance(C, bool):
         raise ValueError(f"C must be an integer or 'auto', got {C!r}")
-    table = {}
-    for s, i in required_pairs(complex):
-        table[(s, i)] = Fraction(C * fval[s], fval[s.face(i)])
-    return _validated(WeightFunction(complex, table))
+    return _tabulated(complex, lambda s, i: Fraction(C * fval[s], fval[s.face(i)]))
+
+
+def make_ngon(alphas) -> tuple[SimplicialComplex, WeightFunction]:
+    """Cycle on len(alphas) vertices with phi(edge, [v]) = alphas[v]:
+    both edges meeting vertex v weight their face [v] by alpha_v."""
+    vals = [GaussianRational.coerce(a) for a in alphas]
+    n = len(vals)
+    if n < 3:
+        raise ValueError("a polygon needs at least 3 vertices")
+    complex = build_complex([(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
+    # face 0 of the edge (u, v) is [v], face 1 is [u]
+    return complex, _tabulated(complex, lambda e, i: vals[e[1 - i]])
 
 
 # -- text format ------------------------------------------------------------

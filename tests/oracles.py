@@ -17,6 +17,11 @@ so the loader can be checked against them output for output:
 finds each face index by scanning, and ``reference_violations`` multiplies
 out both sides of every compatibility condition as Gaussian rationals.
 
+The weight constructor references (``reference_identity_weight`` through
+``reference_ffl_weights``) are the seven constructors as they were before
+they shared one validated builder: each fills its own table entry by entry,
+hands it to the checking ``WeightFunction`` constructor and validates it.
+
 The dense algebra references are the exact products the sparse Laplacian
 assembly replaced: ``matmul`` multiplies ``ExactMatrix`` factors out entry
 by entry, ``scale`` multiplies every entry by one scalar and ``diagonal``
@@ -42,13 +47,14 @@ from __future__ import annotations
 import json
 import warnings
 from fractions import Fraction
+from collections.abc import Mapping
 from functools import reduce
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
-from wsimplex.complexes import Simplex, SimplicialComplex
+from wsimplex.complexes import Simplex, SimplicialComplex, build_complex
 from wsimplex.gaussian import GaussianRational
 from wsimplex.homology import SNFResult, smith_normal_form
 from wsimplex.matrices import ExactMatrix
@@ -57,6 +63,7 @@ from wsimplex.weights import (
     WeightCompletenessError,
     WeightFunction,
     required_pairs,
+    validate_weight,
 )
 
 
@@ -303,6 +310,134 @@ def reference_violations(phi: WeightFunction) -> list[Violation]:
                     if left != right:
                         violations.append(Violation(s, i, j, left, right))
     return violations
+
+
+# -- weight constructor references ----------------------------------------------
+
+
+def _reference_validated(phi: WeightFunction) -> WeightFunction:
+    bad = validate_weight(phi)
+    if bad:
+        raise ValueError(f"constructed weight fails validation: {bad[0]}")
+    return phi
+
+
+def reference_identity_weight(complex: SimplicialComplex) -> WeightFunction:
+    table = {pair: 1 for pair in required_pairs(complex)}
+    return _reference_validated(WeightFunction(complex, table))
+
+
+def reference_zero_weight(complex: SimplicialComplex) -> WeightFunction:
+    table = {pair: 0 for pair in required_pairs(complex)}
+    return _reference_validated(WeightFunction(complex, table))
+
+
+def _reference_entry_source(a):
+    if a is None:
+        raise ValueError("the non-trivial entries need a value source")
+    if callable(a):
+        return a
+    if isinstance(a, Mapping):
+        return lambda s, t: a[(s, t)]
+    const = GaussianRational.coerce(a)
+    return lambda s, t: const
+
+
+def reference_semi_trivial_weight(complex, zero_simplices, zero_faces, a=None) -> WeightFunction:
+    A = {Simplex(s) for s in zero_simplices}
+    B = {Simplex(s) for s in zero_faces}
+    for s in complex.simplices():
+        if s not in A and s not in B:
+            raise ValueError(f"{s} is covered by neither zero family")
+    source = _reference_entry_source(a if a is not None else 0)
+    table = {}
+    for s, i in required_pairs(complex):
+        t = s.face(i)
+        if s in A or t in B:
+            table[(s, i)] = 0
+        else:
+            table[(s, i)] = GaussianRational.coerce(source(s, t))
+    return _reference_validated(WeightFunction(complex, table))
+
+
+def _reference_simplex_weighting(complex: SimplicialComplex, w) -> dict[Simplex, int]:
+    getter = w if callable(w) else (lambda s: w[s])
+    out = {}
+    for s in complex.simplices():
+        try:
+            val = getter(s)
+        except KeyError:
+            raise ValueError(f"simplex weighting misses {s}") from None
+        if not isinstance(val, int) or isinstance(val, bool):
+            raise ValueError(f"simplex weight w({s}) = {val!r} is not an integer")
+        out[s] = val
+    return out
+
+
+def reference_dawson_weight(complex: SimplicialComplex, w) -> WeightFunction:
+    wmap = _reference_simplex_weighting(complex, w)
+    for s, val in wmap.items():
+        if val == 0:
+            raise ValueError(f"w({s}) = 0; simplex weights must be nonzero")
+    table = {}
+    for s, i in required_pairs(complex):
+        t = s.face(i)
+        if wmap[s] % wmap[t] != 0:
+            raise ValueError(f"w({t}) = {wmap[t]} does not divide w({s}) = {wmap[s]}")
+        table[(s, i)] = wmap[s] // wmap[t]
+    return _reference_validated(WeightFunction(complex, table))
+
+
+def reference_cfw_weight(complex: SimplicialComplex, w, f, C="auto") -> WeightFunction:
+    wmap = _reference_simplex_weighting(complex, w)
+    fget = f if callable(f) else (lambda x: f[x])
+    fval = {}
+    for s, wv in wmap.items():
+        y = fget(wv)
+        if not isinstance(y, int) or isinstance(y, bool):
+            raise ValueError(f"f({wv}) = {y!r} is not an integer")
+        if y == 0:
+            raise ValueError(f"f({wv}) = 0 but w attains {wv}")
+        fval[s] = y
+    if C == "auto":
+        C = lcm(*(abs(v) for v in fval.values())) if fval else 1
+    elif not isinstance(C, int) or isinstance(C, bool):
+        raise ValueError(f"C must be an integer or 'auto', got {C!r}")
+    table = {}
+    for s, i in required_pairs(complex):
+        table[(s, i)] = Fraction(C * fval[s], fval[s.face(i)])
+    return _reference_validated(WeightFunction(complex, table))
+
+
+def reference_make_ngon(alphas) -> tuple[SimplicialComplex, WeightFunction]:
+    vals = [GaussianRational.coerce(a) for a in alphas]
+    n = len(vals)
+    if n < 3:
+        raise ValueError("a polygon needs at least 3 vertices")
+    edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+    complex = build_complex(edges)
+    table = {}
+    for u, v in edges:
+        e = Simplex((u, v))
+        table[(e, 0)] = vals[v]  # face [v]
+        table[(e, 1)] = vals[u]  # face [u]
+    return complex, _reference_validated(WeightFunction(complex, table))
+
+
+def reference_ffl_weights(a, b, c) -> tuple[SimplicialComplex, WeightFunction]:
+    per_edge = {(0, 1): GaussianRational.coerce(a),
+                (1, 2): GaussianRational.coerce(b),
+                (0, 2): GaussianRational.coerce(c)}
+    for edge, value in per_edge.items():
+        if not value:
+            raise ValueError(f"edge {edge} has weight 0; motif weights must be nonzero")
+    complex = build_complex(per_edge.keys())
+    table = {}
+    for edge, value in per_edge.items():
+        e = Simplex(edge)
+        table[(e, 0)] = value
+        table[(e, 1)] = value
+    return complex, _reference_validated(WeightFunction(complex, table))
 
 
 # -- dense algebra references ---------------------------------------------------

@@ -177,6 +177,20 @@ def test_ffl_classify_refuses_non_motif_matrices(capsys, tmp_path, text, err):
     assert capsys.readouterr() == ("", err)
 
 
+def test_ffl_classify_refuses_a_file_of_comments_only(capsys, tmp_path):
+    m = tmp_path / "m.txt"
+    m.write_text("# only\n\n# comments\n")
+    assert main(["ffl", "--classify", str(m)]) == 2
+    assert capsys.readouterr() == ("", "error: no matrix rows found\n")
+
+
+def test_ffl_classify_refuses_an_ambiguous_signature(capsys):
+    assert main(["ffl", "--classify", fx("ffl_matrix.txt"), "--tol", "1000"]) == 1
+    assert capsys.readouterr() == ("", "error: signature is ambiguous between coherent1, "
+                                       "coherent2, coherent3, coherent4, incoherent1, "
+                                       "incoherent2, incoherent3, incoherent4\n")
+
+
 @pytest.mark.parametrize("c2, tol, found", [
     ("1000000001/1000000000", [], "coherent1"),  # eigenvalues 3, 3.000000002
     ("1000000001/1000000000", ["--tol", "1e-10"], None),
@@ -366,6 +380,14 @@ def test_inner_weights_unknown_simplex_exit_2(capsys, tmp_path):
                      "-n", "0", "--inner-weights", str(inner)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == "error: inner weights: [7,8] is not in the complex\n"
+
+
+def test_spectrum_inner_weights_missing_file_exit_2(capsys, tmp_path):
+    missing = tmp_path / "nope.wts"
+    assert main(["spectrum", "-k", fx("triangle.cplx"), "-w", fx("triangle.wts"),
+                 "-n", "0", "--inner-weights", str(missing)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: [Errno 2] No such file or directory: {str(missing)!r}\n")
 
 
 def test_strict_missing_exit_2(capsys):

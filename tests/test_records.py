@@ -243,3 +243,9 @@ def test_homology_group_range_checks_stay():
         HomologyGroup([1], 0)
     with pytest.raises(ValueError, match="free rank must be >= 0"):
         HomologyGroup([], -1)
+
+
+def test_homology_group_is_trivial():
+    assert HomologyGroup([], 0).is_trivial()
+    assert not HomologyGroup([2], 0).is_trivial()
+    assert not HomologyGroup([], 1).is_trivial()

@@ -286,6 +286,12 @@ def test_ngon_closed_form_examples():
         ngon_homology_closed_form([1, 2])
 
 
+def test_ngon_closed_form_refuses_a_fractional_alpha():
+    with pytest.raises(ValueError) as err:
+        ngon_homology_closed_form([1, Fraction(1, 2), 3])
+    assert str(err.value) == "closed form needs integer weights"
+
+
 def test_ngon_closed_form_matches_pipeline():
     rng = random.Random(31337)
     elapsed = time.perf_counter()

@@ -260,3 +260,60 @@ def test_parse_weight_errors(bad, msg):
     k = build_complex([(0, 1, 2)])
     with pytest.raises(ValueError, match=msg):
         parse_weight_text(bad, k, strict=True)
+
+
+# -- refusals and entry sources pinned word for word ----------------------------
+
+
+def test_simplex_weighting_refuses_a_non_integer():
+    k = full_triangle()
+    w = {s: 1.5 if s == Simplex((0,)) else 3 for s in k.simplices()}
+    with pytest.raises(ValueError) as err:
+        dawson_weight(k, w)
+    assert str(err.value) == "simplex weight w([0]) = 1.5 is not an integer"
+
+
+def test_cfw_refuses_a_non_integer_f_and_a_non_integer_scale():
+    k = full_triangle()
+    w = {s: 1 for s in k.simplices()}
+    with pytest.raises(ValueError) as err:
+        cfw_weight(k, w, lambda x: 0.5)
+    assert str(err.value) == "f(1) = 0.5 is not an integer"
+    with pytest.raises(ValueError) as err:
+        cfw_weight(k, w, lambda x: 1, C="big")
+    assert str(err.value) == "C must be an integer or 'auto', got 'big'"
+
+
+def _edge_cover():
+    """A = the vertices and the triangle, B = the edges of one triangle: the
+    six (edge, vertex) entries are the only ones taken from ``a``."""
+    k = full_triangle()
+    return k, list(k.basis(0)) + list(k.basis(2)), list(k.basis(1))
+
+
+def test_semi_trivial_takes_its_entries_from_a_mapping():
+    k, zero_simplices, zero_faces = _edge_cover()
+    a = {(e, e.face(i)): 10 * e[0] + e[1] + i for e in k.basis(1) for i in range(2)}
+    phi = semi_trivial_weight(k, zero_simplices, zero_faces, a=a)
+    assert phi.validated
+    for e in k.basis(1):
+        for i in range(2):
+            assert phi.value(e, i) == 10 * e[0] + e[1] + i
+    assert all(phi.value((0, 1, 2), i) == 0 for i in range(3))
+
+
+def test_semi_trivial_takes_its_entries_from_a_callable():
+    k, zero_simplices, zero_faces = _edge_cover()
+    seen = []
+
+    def a(s, t):
+        seen.append((s, t))
+        return Fraction(s[1], t[0] + 2)
+
+    phi = semi_trivial_weight(k, zero_simplices, zero_faces, a=a)
+    assert phi.validated
+    assert sorted(seen) == sorted((e, e.face(i)) for e in k.basis(1) for i in range(2))
+    for e in k.basis(1):
+        for i in range(2):
+            assert phi.value(e, i) == Fraction(e[1], e.face(i)[0] + 2)
+    assert all(phi.value((0, 1, 2), i) == 0 for i in range(3))
