@@ -37,7 +37,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from .chains import boundary_matrix, coboundary_matrix
-from .complexes import read_complex_file
+from .complexes import _data_lines, _read_text, read_complex_file
 from .ffl import FFLSpec, classify_ffl, ffl_signature, make_ffl, signature_of_matrix
 from .gaussian import GaussianRational
 from .homology import ngon_homology_closed_form, smith_normal_form, weighted_homology
@@ -226,10 +226,7 @@ def _cmd_ngon(args):
 
 def _parse_matrix_text(text: str) -> ExactMatrix:
     rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _data_lines(text):
         try:
             rows.append([GaussianRational.from_string(t) for t in line.split()])
         except ValueError as exc:
@@ -252,8 +249,7 @@ def _cmd_ffl(args):
         sig = ffl_signature(*make_ffl(spec))
     else:
         try:
-            with open(args.classify, encoding="utf-8-sig") as fh:
-                matrix = _parse_matrix_text(fh.read())
+            matrix = _parse_matrix_text(_read_text(args.classify))
         except (OSError, ValueError) as exc:
             raise _InputError(exc) from None
         payload = {}

@@ -10,6 +10,10 @@ The closure is built top down: each distinct simplex yields its faces once,
 as ``itertools.combinations`` of its vertices, which skip the ascending
 re-check a subset of an ascending tuple cannot fail.
 
+All four text formats are read by ``_read_text`` (UTF-8, a leading
+byte-order mark skipped) and ``_data_lines`` (the numbered lines that hold
+data, '#' comments and blank lines gone); each parser reads its own fields.
+
 ``Record`` and ``FrozenRecord`` are the base of the package's small
 result classes (``Chain``, ``SNFResult``, ``HomologyGroup``,
 ``HarmonicBasis``, ``Spectrum``, ``FFLSpec``, ``FFLSignature``).  They
@@ -133,14 +137,25 @@ def build_complex(maximal_simplices: Iterable) -> SimplicialComplex:
     return SimplicialComplex(maximal_simplices)
 
 
+def _data_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, stripped line) of each line left non-blank by cutting '#' comments."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.partition("#")[0] for raw in lines]
+    return [(n, line) for n, line in enumerate(map(str.strip, lines), 1) if line]
+
+
+def _read_text(path) -> str:
+    """The file as UTF-8 text, a leading byte-order mark skipped."""
+    with open(path, encoding="utf-8-sig") as fh:
+        return fh.read()
+
+
 def parse_complex_text(text: str) -> SimplicialComplex:
     """One simplex per non-empty line: whitespace-separated ascending vertex
     indices.  '#' starts a comment.  Faces are added automatically."""
     simplices = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _data_lines(text):
         try:
             vs = tuple(map(int, line.split()))
             # int() makes no bool, so a non-negative strictly ascending line
@@ -155,8 +170,7 @@ def parse_complex_text(text: str) -> SimplicialComplex:
 
 
 def read_complex_file(path) -> SimplicialComplex:
-    with open(path, encoding="utf-8-sig") as fh:
-        return parse_complex_text(fh.read())
+    return parse_complex_text(_read_text(path))
 
 
 # -- record classes ------------------------------------------------------------

@@ -3,12 +3,12 @@ indent=2)`` and a newline, handed to ``write`` one piece at a time.
 
 A dict, and a list holding containers, write one entry at a time, so a
 large payload goes out row by row and is never one string.  A list whose
-items are all ints, all floats or all strs is one ``str.join`` over a
-C-level ``map`` (``int.__repr__``, ``float.__repr__`` and the json
-module's own string encoder); a float's repr is then mapped through one
-dict to json's spelling of nan and the infinities (``NaN``,
-``Infinity``).  Any other list of leaves is spelled item by item, ``bool``
-before ``int``.  Dict keys must be strs.
+items are all ints is one ``str.join`` over a C-level ``map`` of
+``int.__repr__``.  Any other list of leaves is one ``str.join`` over the
+spelling of each leaf, ``bool`` before ``int``: a str by the json module's
+own string encoder, a float by its repr, mapped through one dict to json's
+spelling of nan and the infinities (``NaN``, ``Infinity``).  Dict keys
+must be strs.
 
 Two shapes are the command line's own, and the writer prints them without
 a Python list of their entries:
@@ -105,14 +105,7 @@ def _flat(xs, nl: str) -> str | None:
         return None
     inner = nl + "  "
     sep = "," + inner
-    if kinds == {int}:
-        text = sep.join(map(int.__repr__, xs))
-    elif kinds == {str}:
-        text = sep.join(map(_quote, xs))
-    elif kinds == {float}:
-        text = sep.join(_floats(xs))
-    else:
-        text = sep.join(map(_leaf, xs))
+    text = sep.join(map(int.__repr__ if kinds == {int} else _leaf, xs))
     return "[" + inner + text + nl + "]"
 
 

@@ -83,7 +83,7 @@ from fractions import Fraction
 from operator import lt
 
 from .chains import _boundary, _cached, _check_pair, _rank
-from .complexes import Record, Simplex, SimplicialComplex, _trusted
+from .complexes import Record, Simplex, SimplicialComplex, _data_lines, _read_text, _trusted
 from .gaussian import GaussianRational
 from .matrices import ExactMatrix, to_floats
 from .weights import WeightFunction
@@ -101,8 +101,6 @@ def _kernel_dim(complex: SimplicialComplex, phi: WeightFunction, n: int) -> int:
 
 def cohomology_dim(complex: SimplicialComplex, phi: WeightFunction, n: int) -> int:
     """dim H^n = dim C^n - r_n - r_{n+1}.  Degrees below 0 have dimension 0."""
-    if n < 0:
-        return 0
     _check_pair(complex, phi)
     return _kernel_dim(complex, phi, n)
 
@@ -212,17 +210,12 @@ class InnerProductWeights:
         self._table: dict[Simplex, Fraction] = {}
         if table:
             for key, value in table.items():
-                self._table[Simplex(key)] = self._positive(key, value)
+                # a table as parse_inner_weights_text builds it needs no call
+                if key.__class__ is Simplex and value.__class__ is Fraction and value > 0:
+                    self._table[key] = value
+                else:
+                    self._table[Simplex(key)] = self._positive(key, value)
         self._default = None if default is None else self._positive("default", default)
-
-    @classmethod
-    def _trusted(cls, table: dict, default: Fraction) -> "InnerProductWeights":
-        """Weights on a table already keyed by Simplex and valued by
-        positive Fractions, without the constructor's second walk."""
-        w = cls.__new__(cls)
-        w._table = table
-        w._default = default
-        return w
 
     @staticmethod
     def _positive(key, value) -> Fraction:
@@ -400,10 +393,7 @@ def parse_inner_weights_text(text: str) -> InnerProductWeights:
     table: dict[Simplex, Fraction] = {}
     # value text -> Fraction, for this call only: a repeat skips the regex
     values: dict[str, Fraction] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _data_lines(text):
         parts = line.split("|")
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'simplex | value'")
@@ -423,13 +413,9 @@ def parse_inner_weights_text(text: str) -> InnerProductWeights:
         if s in table and table[s] != value:
             warnings.warn(f"line {lineno}: duplicate entry for {s}; keeping the last")
         table[s] = value
-    # a value a later line overwrote is not refused
-    for s, value in table.items():
-        if value <= 0:
-            raise ValueError(f"inner product weight for {s} must be positive, got {value}")
-    return InnerProductWeights._trusted(table, Fraction(1))
+    # the constructor refuses a non-positive value, unless a later line overwrote it
+    return InnerProductWeights(table, Fraction(1))
 
 
 def read_inner_weights_file(path) -> InnerProductWeights:
-    with open(path, encoding="utf-8-sig") as fh:
-        return parse_inner_weights_text(fh.read())
+    return parse_inner_weights_text(_read_text(path))

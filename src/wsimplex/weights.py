@@ -45,7 +45,7 @@ from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 from math import lcm
 
-from .complexes import Simplex, SimplicialComplex, build_complex
+from .complexes import Simplex, SimplicialComplex, _data_lines, _read_text, build_complex
 from .gaussian import GaussianRational, products_equal
 
 
@@ -345,10 +345,7 @@ def parse_weight_text(
         return s
 
     table: dict[tuple[Simplex, int], GaussianRational] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _data_lines(text):
         parts = line.split("|")
         if len(parts) != 3:
             raise ValueError(f"line {lineno}: expected 'simplex | face | value'")
@@ -392,5 +389,4 @@ def parse_weight_text(
 
 
 def read_weight_file(path, complex, default=Fraction(1), strict=False) -> WeightFunction:
-    with open(path, encoding="utf-8-sig") as fh:
-        return parse_weight_text(fh.read(), complex, default=default, strict=strict)
+    return parse_weight_text(_read_text(path), complex, default=default, strict=strict)

@@ -16,6 +16,9 @@ so the loader can be checked against them output for output:
 ``reference_parse_weight_text`` parses every field of every line afresh and
 finds each face index by scanning, and ``reference_violations`` multiplies
 out both sides of every compatibility condition as Gaussian rationals.
+``reference_parse_inner_weights_text`` and ``reference_parse_matrix_text``
+are the inner product weight and ``ffl --classify`` matrix readers with the
+line loop each spelled out on its own, before the readers shared one.
 
 The weight constructor references (``reference_identity_weight`` through
 ``reference_ffl_weights``) are the seven constructors as they were before
@@ -51,13 +54,15 @@ from collections.abc import Mapping
 from functools import reduce
 from itertools import combinations
 from math import gcd, lcm
+from operator import lt
 
 import pytest
 
-from wsimplex.complexes import Simplex, SimplicialComplex, build_complex
+from wsimplex.complexes import Simplex, SimplicialComplex, _trusted, build_complex
 from wsimplex.gaussian import GaussianRational
 from wsimplex.homology import SNFResult, smith_normal_form
 from wsimplex.matrices import ExactMatrix
+from wsimplex.spectral import InnerProductWeights
 from wsimplex.weights import (
     Violation,
     WeightCompletenessError,
@@ -292,6 +297,58 @@ def reference_parse_weight_text(
         for pair in missing:
             table[pair] = GaussianRational.coerce(default)
     return WeightFunction(complex, table)
+
+
+def reference_parse_inner_weights_text(text: str) -> InnerProductWeights:
+    """``parse_inner_weights_text`` with its own line loop and its own
+    positivity check: the same table, warnings and errors."""
+    table: dict[Simplex, Fraction] = {}
+    # value text -> Fraction, for this call only: a repeat skips the regex
+    values: dict[str, Fraction] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split("|")
+        if len(parts) != 2:
+            raise ValueError(f"line {lineno}: expected 'simplex | value'")
+        sf, vf = parts
+        try:
+            vs = tuple(map(int, sf.split()))
+            # int() makes no bool, so a non-empty, non-negative strictly
+            # ascending line is a valid simplex; Simplex() words the refusal
+            # of any other
+            valid = vs and vs[0] >= 0 and all(map(lt, vs, vs[1:]))
+            s = _trusted(vs) if valid else Simplex(vs)
+            value = values.get(vf)
+            if value is None:
+                value = values[vf] = Fraction(vf.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        if s in table and table[s] != value:
+            warnings.warn(f"line {lineno}: duplicate entry for {s}; keeping the last")
+        table[s] = value
+    # a value a later line overwrote is not refused
+    for s, value in table.items():
+        if value <= 0:
+            raise ValueError(f"inner product weight for {s} must be positive, got {value}")
+    return InnerProductWeights(table, Fraction(1))
+
+
+def reference_parse_matrix_text(text: str) -> ExactMatrix:
+    """The ``ffl --classify`` matrix reader with its own line loop."""
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            rows.append([GaussianRational.from_string(t) for t in line.split()])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    if not rows:
+        raise ValueError("no matrix rows found")
+    return ExactMatrix(rows)
 
 
 def reference_violations(phi: WeightFunction) -> list[Violation]:

@@ -6,6 +6,12 @@ message, and every violation with its two products must agree.  The files
 are spelled the way people and other tools write them: shuffled lines,
 comments, blank lines, CRLF ends, tabs and extra spaces, unreduced
 fractions, repeated entries and missing ones.
+
+The inner product weight and ``ffl --classify`` matrix readers go through
+the same trial against their references: the same table (keys, values,
+order, default) or matrix, warnings and refusals, on texts with and
+without a ``#``, since the shared line loop branches on it.  ``DEEP``
+runs ten times as many files.
 """
 
 from __future__ import annotations
@@ -18,17 +24,25 @@ from itertools import combinations
 
 import pytest
 
-from conftest import random_complex, random_valid_weight
-from oracles import reference_parse_weight_text, reference_violations, stack_closure
+from conftest import DEEP, random_complex, random_valid_weight
+from oracles import (
+    reference_parse_inner_weights_text,
+    reference_parse_matrix_text,
+    reference_parse_weight_text,
+    reference_violations,
+    stack_closure,
+)
 from wsimplex import (
     GaussianRational,
     Simplex,
     SimplicialComplex,
     WeightFunction,
     parse_complex_text,
+    parse_inner_weights_text,
     parse_weight_text,
     validate_weight,
 )
+from wsimplex.cli import _parse_matrix_text
 from wsimplex.weights import required_pairs
 
 
@@ -223,3 +237,156 @@ def test_loading_the_delta21_two_skeleton_is_bounded():
     assert len(K) == 1793
     assert {d: K.basis(d) for d in range(3)} == stack_closure(triangles)
     assert violations == reference_violations(phi) != []
+
+
+# -- inner product weight and matrix files -------------------------------------
+
+COUNT = 3000 if DEEP else 300
+ENDS = ["\n", "\n", "\r\n", "\r", "\x0b"]  # every end splitlines() splits on
+INNER_BAD_LINES = [
+    "0 1", "0 1 | 2 | 3", "0 1 | x", "0 1 | 1/0", "0 1 | 1 / 2", "0 1 | ", " | 2",
+    "1 0 | 2", "0 0 | 2", "0 -1 | 1", "-1 | 1", "a | 1", "1.0 | 2", "0 1 | 1+2i",
+]
+MATRIX_BAD_LINES = ["x", "1/0", "1.5", "1 / 2", "1+i", "1 2i 3/0", "2 3 4"]
+
+
+def _lines_text(rng: random.Random, lines: list[str], comments: bool) -> str:
+    """lines with blank ones, and comments when asked, between them, each
+    ended by one line end, or by a mix of them."""
+    lines = list(lines)
+    for _ in range(rng.randint(0, 3)):
+        lines.insert(rng.randint(0, len(lines)), rng.choice(["", "   ", "\t"]))
+    if comments:
+        for _ in range(rng.randint(1, 3)):
+            lines.insert(rng.randint(0, len(lines)), rng.choice(["# note", "#|||", "  # 1 | 2"]))
+        if lines and rng.random() < 0.5:
+            lines[rng.randrange(len(lines))] += rng.choice(["  # tail | 3", "#"])
+    ends = rng.choice(["\n", "\r\n", "mixed"])
+    return "".join(line + (rng.choice(ENDS) if ends == "mixed" else ends) for line in lines)
+
+
+def _inner_value(rng: random.Random, positive: bool) -> str:
+    """A Fraction() spelling: ints, unreduced fractions, decimals and
+    exponents, with spaces around it but not inside."""
+    if positive:
+        text = rng.choice([str(rng.randint(1, 5)), f"{rng.randint(1, 6)}/{rng.randint(1, 4)}",
+                           "2/4", "1.5", "0.25", "1e3", "+3", "7/1"])
+    else:
+        text = rng.choice(["0", "-1", "-2/3", "0/5", "-0.5"])
+    return rng.choice(["", " ", "\t"]) + text + rng.choice(["", "  "])
+
+
+def _inner_text(rng: random.Random, bad: bool) -> str:
+    simplices = list(random_complex(rng, max_vertices=6).simplices())
+    lines = [f"{_vertices(rng, s)}|{_inner_value(rng, True)}"
+             for s in rng.sample(simplices, rng.randint(1, len(simplices)))]
+    for _ in range(rng.choice([0, 1, 2])):  # repeats, often with another value
+        k = rng.randrange(len(lines))
+        lines.insert(rng.randint(k + 1, len(lines)),
+                     lines[k] if rng.random() < 0.4 else
+                     lines[k].split("|")[0] + "|" + _inner_value(rng, True))
+    if rng.random() < 0.4:  # a non-positive value, overwritten by a later line or not
+        s = rng.choice(simplices)
+        k = rng.randint(0, len(lines))
+        lines.insert(k, f"{_vertices(rng, s)}|{_inner_value(rng, False)}")
+        if rng.random() < 0.5:
+            lines.insert(rng.randint(k + 1, len(lines)), f"{_vertices(rng, s)}| 2")
+    if bad:
+        lines.insert(rng.randint(0, len(lines)), rng.choice(INNER_BAD_LINES))
+    return _lines_text(rng, lines, comments=rng.random() < 0.5)
+
+
+def _inner_outcome(parse, text):
+    """(table entries in order and the default, or the error; warning
+    texts in order)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            w = parse(text)
+            entries = [(s, w.value(s), type(w.value(s))) for s in w.simplices()]
+            result = ("ok", entries, [type(s) for s in w.simplices()], w.value((10**6,)))
+        except ValueError as exc:
+            result = ("error", type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _scalar_text(rng: random.Random) -> str:
+    return rng.choice(["0", "1", "-2", "3/4", "-1/2", "1+2i", "2-1/3i", "0+1i", "10/4"])
+
+
+def _matrix_text(rng: random.Random, bad: bool) -> str:
+    size = rng.randint(1, 4)
+    width = size if rng.random() < 0.9 else size + 1
+    lines = [rng.choice([" ", "", "\t"]) +
+             rng.choice([" ", "  ", "\t"]).join(_scalar_text(rng) for _ in range(width))
+             for _ in range(size)]
+    if rng.random() < 0.1:  # a ragged row
+        lines[rng.randrange(size)] += " 1"
+    if bad:
+        lines.insert(rng.randint(0, len(lines)), rng.choice(MATRIX_BAD_LINES))
+    if rng.random() < 0.05:  # no rows at all
+        lines = []
+    return _lines_text(rng, lines, comments=rng.random() < 0.5)
+
+
+def _matrix_outcome(parse, text):
+    try:
+        m = parse(text)
+    except ValueError as exc:
+        return "error", type(exc), str(exc)
+    return "ok", m.shape, m.data, [type(x) for row in m.data for x in row]
+
+
+def test_inner_weight_files_parse_as_the_reference():
+    rng = random.Random(1414)
+    seen = {"ok": 0, "error": 0, "warned": 0, "no #": 0, "not positive": 0}
+    for trial in range(COUNT):
+        text = _inner_text(rng, bad=trial % 5 == 4)
+        got = _inner_outcome(parse_inner_weights_text, text)
+        assert got == _inner_outcome(reference_parse_inner_weights_text, text), repr(text)
+        seen[got[0][0]] += 1
+        seen["warned"] += bool(got[1])
+        seen["no #"] += "#" not in text
+        seen["not positive"] += got[0][0] == "error" and "must be positive" in got[0][2]
+    assert min(seen.values()) > COUNT // 30, seen
+
+
+def test_every_bad_inner_line_refuses_as_the_reference():
+    good = "0 1 | 2\n1 | 1/2\n"
+    for bad in INNER_BAD_LINES:
+        for text in (bad + "\n", good + bad + "\r\n" + good, good + bad + "  # c\n"):
+            got = _inner_outcome(parse_inner_weights_text, text)
+            assert got == _inner_outcome(reference_parse_inner_weights_text, text)
+            assert got[0][0] == "error", bad
+
+
+def test_non_positive_inner_values_refuse_unless_overwritten():
+    for text in ("0 1 | -1\n0 1 | 2\n", "0 1 | 0\n1 | 3\n0 1 | 1/2\n"):
+        assert _inner_outcome(parse_inner_weights_text, text)[0][0] == "ok"
+    for text, value in (("0 1 | -1\n1 | 2\n", "-1"), ("1 | 2\n1 | 0\n", "0")):
+        got = _inner_outcome(parse_inner_weights_text, text)
+        assert got == _inner_outcome(reference_parse_inner_weights_text, text)
+        assert got[0][2].endswith(f"must be positive, got {value}")
+
+
+def test_matrix_files_parse_as_the_reference():
+    rng = random.Random(1415)
+    seen = {"ok": 0, "error": 0, "no #": 0}
+    for trial in range(COUNT):
+        text = _matrix_text(rng, bad=trial % 5 == 4)
+        got = _matrix_outcome(_parse_matrix_text, text)
+        assert got == _matrix_outcome(reference_parse_matrix_text, text), repr(text)
+        seen[got[0]] += 1
+        seen["no #"] += "#" not in text
+    assert min(seen.values()) > COUNT // 10, seen
+
+
+def test_every_bad_matrix_line_refuses_as_the_reference():
+    """Each bad line, the last one a ragged row, and texts with no row."""
+    good = "1 2\n2 1\n"
+    texts = [good + bad + "\r\n" + good for bad in MATRIX_BAD_LINES]
+    texts += [bad + "\n" for bad in MATRIX_BAD_LINES[:-1]]
+    for text in texts + ["", "\n \r\n", "# only a comment\n"]:
+        got = _matrix_outcome(_parse_matrix_text, text)
+        assert got == _matrix_outcome(reference_parse_matrix_text, text)
+        assert got[0] == "error", text

@@ -82,6 +82,13 @@ def test_cohomology_dim_bounds():
     assert cohomology_dim(complex, phi, 4) == 0
 
 
+def test_cohomology_dim_checks_the_pair_below_degree_zero():
+    complex = build_complex([(0, 1)])
+    phi = WeightFunction(complex, {((0, 1), 0): 3, ((0, 1), 1): 2})
+    with pytest.raises(UnvalidatedWeightError):
+        cohomology_dim(complex, phi, -1)
+
+
 def test_cohomology_dim_zero_weight():
     complex = hollow_triangle()
     phi = zero_weight(complex)
