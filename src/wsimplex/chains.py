@@ -124,10 +124,24 @@ def boundary_columns(complex: SimplicialComplex, phi: WeightFunction, n: int) ->
     return [dict(column) for column in _boundary(phi, n)]
 
 
+def _known_rank(phi: WeightFunction, n: int) -> int | None:
+    """r_n, if the pair has reduced the coboundary into degree n."""
+    lows = phi._operators.get(("lows", n))
+    return None if lows is None else len(lows)
+
+
 def boundary_matrix(complex: SimplicialComplex, phi: WeightFunction, n: int) -> ExactMatrix:
-    """The matrix of ``boundary_columns``; zero-sized outside the range
-    1..max_dim."""
-    return coboundary_matrix(complex, phi, n - 1).transpose()
+    """The matrix of ``boundary_columns``, its rows filled by one pass over
+    the cached columns; zero-sized outside the range 1..max_dim."""
+    _check_pair(complex, phi)
+    rows = [{} for _ in complex.basis(n - 1)]
+    for j, column in enumerate(_boundary(phi, n)):
+        for i, x in column.items():
+            rows[i][j] = x
+    m = ExactMatrix._from_rows(rows, len(complex.basis(n)), complex.basis(n - 1),
+                               complex.basis(n))
+    m._rank = _known_rank(phi, n)
+    return m
 
 
 def coboundary_matrix(complex: SimplicialComplex, phi: WeightFunction, n: int) -> ExactMatrix:
@@ -137,9 +151,7 @@ def coboundary_matrix(complex: SimplicialComplex, phi: WeightFunction, n: int) -
     rows = [dict(column) for column in _boundary(phi, n + 1)]
     m = ExactMatrix._from_rows(rows, len(complex.basis(n)), complex.basis(n + 1),
                                complex.basis(n))
-    # r_{n+1}, if the pair has reduced this coboundary; a transpose keeps it
-    lows = phi._operators.get(("lows", n + 1))
-    m._rank = None if lows is None else len(lows)
+    m._rank = _known_rank(phi, n + 1)
     return m
 
 

@@ -279,10 +279,9 @@ _FILL = [
 _COMMON = [*_PAIR, (("-n", "--dim"), dict(dest="dim", type=int, required=True,
                                           help="degree to work in")), *_FILL]
 
-
-def _inner(help=None) -> list:
-    return [*_COMMON, (("--inner-weights",), dict(dest="inner_weights", metavar="FILE",
-                                                 help=help))]
+_INNER = [*_COMMON, (("--inner-weights",), dict(
+    dest="inner_weights", metavar="FILE",
+    help="per-simplex inner product weights 'simplex | value'"))]
 
 
 # name -> (handler, help, options)
@@ -296,9 +295,8 @@ _COMMANDS = {
         *_COMMON, (("--transforms",), dict(dest="transforms", action="store_true",
                                            default=False,
                                            help="also emit the unimodular transforms"))]),
-    "laplacian": (_cmd_laplacian, "up, down and full Laplacian matrices",
-                  _inner("per-simplex inner product weights 'simplex | value'")),
-    "spectrum": (_cmd_spectrum, "Laplacian eigenvalues and eigenvectors", _inner()),
+    "laplacian": (_cmd_laplacian, "up, down and full Laplacian matrices", _INNER),
+    "spectrum": (_cmd_spectrum, "Laplacian eigenvalues and eigenvectors", _INNER),
     "harmonic": (_cmd_harmonic, "orthonormal harmonic cochain basis", _COMMON),
     "multiplicities": (_cmd_multiplicities, "zero-eigenvalue multiplicities by formula",
                        _COMMON),

@@ -1,13 +1,14 @@
 """Integer homology of weighted complexes via Smith normal form.
 
 ``smith_normal_form`` reads an integer matrix, an ``ExactMatrix`` or dense
-rows, into one dict of non-zeros per row.  For the diagonal alone, which
-is unique, it eliminates in any pivot order (Schur, 2x2 Bezout and
-division steps on a sparse pivot) and reads the invariant factors off the
-pivots through a coprime base.  With the transforms it keeps d1 | d2 | ...
-as it goes, by the dense reference's pivot rule, so U @ M @ V == diag(d)
-with |det U| = |det V| = 1, U and V that reference's own.  Indexes keep
-each step near the non-zeros it changes.
+rows, into one dict of non-zeros per row.  One elimination serves both
+modes: the diagonal is unique, so it pivots in any order (Schur, 2x2
+Bezout and division steps on a sparse pivot).  For the diagonal alone the
+invariant factors are read off the pivots through a coprime base.  With
+the transforms the same steps are applied to U and V, and 2x2 gcd steps
+on the ordered pivots reach d1 | d2 | ..., so U @ M @ V == diag(d) with
+|det U| = |det V| = 1.  Indexes keep each step near the non-zeros it
+changes.
 
 Homology of a validated integer-weighted complex in degree n needs one
 normal form, that of d_{n+1}: the torsion coefficients are its diagonal
@@ -35,7 +36,7 @@ free rank, and refuses anything else with a ``ValueError``.
 from __future__ import annotations
 
 from bisect import insort
-from itertools import compress, repeat
+from itertools import combinations
 from math import gcd
 from operator import index
 
@@ -142,9 +143,17 @@ def _holders(rows: list[dict], nc: int) -> list[set]:
     return holders
 
 
-def _diagonal(rows: list[dict], nc: int) -> list[int]:
-    """|pivot| of each step that drops a row and a column of the sparse
-    integer rows (consumed): diag(pivots) has the matrix's Smith diagonal.
+def _combine(x: dict, y: dict, a: int, b: int) -> dict:
+    """a * x + b * y on sparse vectors, without its zeros."""
+    return {k: w for k in x.keys() | y.keys() if (w := a * x.get(k, 0) + b * y.get(k, 0))}
+
+
+def _diagonal(rows: list[dict], nc: int, U: list[dict] | None = None,
+              V: list[dict] | None = None) -> list[tuple[int, int, int]]:
+    """(pivot, row id, column id) of each step that drops a row and a
+    column of the sparse integer rows (consumed): the matrix, under the
+    steps' row and column operations, has each pivot at its (row, column)
+    and zeros elsewhere, so the |pivots| have its Smith diagonal.
 
     A heap of per-row lower bounds ``least[i]`` (pushed again when a row
     operation lowers one; a key that is not the row's bound is stale, one
@@ -154,9 +163,13 @@ def _diagonal(rows: list[dict], nc: int) -> list[int]:
     does): row operations clear the column, and the row and column are
     dropped, the column operations touching no other row.  Bezout step,
     when the column's one other entry is no multiple: a unimodular 2x2 row
-    step leaves their gcd as the pivot.  Otherwise ``_chain``'s division
-    passes leave remainders.  The last two lower the least |entry|, so the
-    loop ends.
+    step leaves their gcd as the pivot.  Otherwise division passes clear
+    the pivot's row and column down to remainders.  The last two lower the
+    least |entry|, so the loop ends.
+
+    Given U (one sparse row per row id) and V (one sparse column per column
+    id), every step applies its row operations to U and its column
+    operations to V, the Schur step's skipped ones included.
     """
     # imported on first use: at module level it adds about 0.8 ms to importing the package
     from heapq import heapify, heappop, heappush, heapreplace
@@ -171,7 +184,7 @@ def _diagonal(rows: list[dict], nc: int) -> list[int]:
             least[i] = low
             heappush(heap, (low, i))
 
-    pivots = []
+    steps = []
     while heap and heap[0][0] != _EMPTY:  # else every row left is empty
         v, r = heap[0]
         if v != least[r]:  # stale, or a dropped row
@@ -190,19 +203,24 @@ def _diagonal(rows: list[dict], nc: int) -> list[int]:
                           or any(rows[i][c] % p for i in others)):
             heappop(heap)
             for i in others:
-                lower(i, _sub_row(rows[i], i, rows[i][c] // p, row, holders, least[i]))
+                q = rows[i][c] // p
+                lower(i, _sub_row(rows[i], i, q, row, holders, least[i]))
+                if U is not None:
+                    _sub(U[i], q, U[r])
             for k in row:
                 holders[k].discard(r)
+                if V is not None and k != c:
+                    _sub(V[k], row[k] // p, V[c])
             least[r] = -1
-            pivots.append(v)
+            steps.append((p, r, c))
         elif len(others) == 1:
             s = others.pop()
             old, b = rows[s], rows[s][c]
             g = gcd(p, b)
             x = pow(p // g, -1, b // g)  # so x * p + y * b == g for the y below
-            for i, y, z in ((r, x, (g - x * p) // b), (s, -b // g, p // g)):
-                new = {k: w for k in row.keys() | old.keys()
-                       if (w := y * row.get(k, 0) + z * old.get(k, 0))}
+            mix = ((x, (g - x * p) // b), (-b // g, p // g))
+            for i, (y, z) in zip((r, s), mix):
+                new = _combine(row, old, y, z)
                 for k in rows[i].keys() - new.keys():
                     holders[k].discard(i)
                 for k in new.keys() - rows[i].keys():
@@ -210,101 +228,57 @@ def _diagonal(rows: list[dict], nc: int) -> list[int]:
                 rows[i] = new
                 least[i] = min(map(abs, new.values())) if new else _EMPTY
                 heappush(heap, (least[i], i))
+            if U is not None:
+                U[r], U[s] = (_combine(U[r], U[s], y, z) for y, z in mix)
         else:
             below = []  # rows left with a non-zero in the pivot's column
             for i in others:
-                lower(i, _sub_row(rows[i], i, rows[i][c] // p, row, holders, least[i]))
+                q = rows[i][c] // p
+                lower(i, _sub_row(rows[i], i, q, row, holders, least[i]))
+                if U is not None:
+                    _sub(U[i], q, U[r])
                 if c in rows[i]:
                     below.append(i)
             quotients = {k: x // p for k, x in row.items() if k != c}
             for i in [r] + below:  # every column op at once on one row
                 lower(i, _sub_row(rows[i], i, rows[i][c], quotients, holders, least[i]))
-    return pivots
+            if V is not None:
+                for k, q in quotients.items():
+                    _sub(V[k], q, V[c])
+    return steps
 
 
-def _chain(rows: list[dict], nc: int) -> SNFResult:
-    """The normal form with its transforms.  Rows and columns move through
-    slot <-> id permutations, so a swap touches no dict.  ``least[s]``
-    bounds the least |entry| of the row in slot s from below: row
-    operations lower it to what they write, a swap swaps it, and the pivot
-    row is the first slot holding ``min(least[t:])`` once its true least
-    |entry| confirms the bound.  ``g`` divides every trailing entry: it
-    starts at 1 and becomes the pivot once a divisibility check passes, so
-    a pivot equal to ``g`` skips the check.
-
-    The pivot is a smallest |v|, ties to the lowest row slot and then the
-    lowest column position, and a fold takes the first slot under the
-    pivot with an entry it does not divide: the rules of the dense loop in
-    tests/oracles.py, so the diagonal, U and V are its own.  U (one sparse
-    row per row id) and V (one sparse column per column id) follow every
-    row and column operation.
-    """
+def _transforms(rows: list[dict], nc: int) -> SNFResult:
+    """The normal form with U and V: ``_diagonal``'s steps applied to
+    identities, the pivots put on the diagonal in ascending |pivot| order
+    (each sign folded into its U row), then one pairwise pass that turns
+    diag(d) into d1 | d2 | ...: for each pair di, dj (i < j) with di not
+    dividing dj, and s*di + t*dj == g their gcd, rows i, j of U take
+    [[s, t], [-dj/g, di/g]] on the left and columns i, j of V take
+    [[1, -t*dj/g], [1, s*di/g]] on the right, so di, dj become their gcd
+    and lcm, and both 2x2 steps have determinant 1."""
     nr = len(rows)
-    least = [min(map(abs, row.values())) if row else _EMPTY for row in rows]
-    holders = _holders(rows, nc)
-    row_at, col_at = list(range(nr)), list(range(nc))
-    slot_of, pos_of = row_at[:], col_at[:]
     U = [{i: 1} for i in range(nr)]
     V = [{j: 1} for j in range(nc)]
-    t, bound, g = 0, min(nr, nc), 1
-    while t < bound:
-        v = min(least[t:])
-        if v == _EMPTY:
-            break
-        pi = least.index(v, t)
-        rt = row_at[pi]
-        row = rows[rt]
-        true = min(map(abs, row.values())) if row else _EMPTY
-        if true != v:  # a stale bound: raise it and search again
-            least[pi] = true
-            continue
-        pj = min(pos_of[c] for c, x in row.items() if abs(x) == v)
-        rs = row_at[t]
-        row_at[t], row_at[pi], slot_of[rt], slot_of[rs] = rt, rs, t, pi
-        least[t], least[pi] = v, least[t]
-        ct, cs = col_at[pj], col_at[t]
-        col_at[t], col_at[pj], pos_of[ct], pos_of[cs] = ct, cs, t, pj
-        if row[ct] < 0:
-            row = rows[rt] = {c: -x for c, x in row.items()}
-            U[rt] = {k: -x for k, x in U[rt].items()}
-        pivot = row[ct]
-        below = []  # rows under the pivot left with a non-zero in its column
-        for i in holders[ct] - {rt}:
-            r = rows[i]
-            q = r[ct] // pivot
-            s = slot_of[i]
-            least[s] = _sub_row(r, i, q, row, holders, least[s])
-            _sub(U[i], q, U[rt])
-            if ct in r:
-                below.append(i)
-        if len(row) > 1:
-            quotients = {c: x // pivot for c, x in row.items() if c != ct}
-            for i in [rt] + below:  # every column op at once on one row
-                s = slot_of[i]
-                least[s] = _sub_row(rows[i], i, rows[i][ct], quotients, holders, least[s])
-            for c, q in quotients.items():
-                _sub(V[c], q, V[ct])
-        if below or len(row) > 1:
-            continue
-        if pivot != g:
-            # the first row under the pivot with an entry it does not divide,
-            # found by one C-level pass: per row, any(x % pivot for x in it)
-            lower = row_at[t + 1:]
-            remainders = map(map, repeat(pivot.__rmod__),
-                             map(dict.values, map(rows.__getitem__, lower)))
-            offender = next(compress(lower, map(any, remainders)), None)
-            if offender is not None:
-                # fold the offending row in; the next division pass shrinks the pivot
-                least[t] = _sub_row(row, rt, -1, rows[offender], holders, least[t])
-                _sub(U[rt], -1, U[offender])
-                continue
-            g = pivot
-        t += 1
-
-    diagonal = [rows[row_at[i]].get(col_at[i], 0) for i in range(bound)]
-    return SNFResult(diagonal, sum(1 for d in diagonal if d),
-                     [[U[i].get(k, 0) for k in range(nr)] for i in row_at],
-                     [[V[c].get(r, 0) for c in col_at] for r in range(nc)])
+    steps = sorted(_diagonal(rows, nc, U, V), key=lambda step: abs(step[0]))
+    left = set(range(nr)).difference(r for _, r, _ in steps)
+    right = set(range(nc)).difference(c for _, _, c in steps)
+    U = [U[r] if p > 0 else {k: -x for k, x in U[r].items()} for p, r, _ in steps] + \
+        [U[i] for i in sorted(left)]
+    V = [V[c] for _, _, c in steps] + [V[j] for j in sorted(right)]
+    d = [abs(p) for p, _, _ in steps]
+    for i, j in combinations(range(len(d)), 2):
+        a, b = d[i], d[j]
+        if b % a:
+            g = gcd(a, b)
+            s = pow(a // g, -1, b // g)
+            t = (g - s * a) // b
+            U[i], U[j] = _combine(U[i], U[j], s, t), _combine(U[i], U[j], -b // g, a // g)
+            V[i], V[j] = _combine(V[i], V[j], 1, 1), _combine(V[i], V[j], -t * b // g, s * a // g)
+            d[i], d[j] = g, a // g * b
+    return SNFResult(d + [0] * (min(nr, nc) - len(d)), len(d),
+                     [[u.get(k, 0) for k in range(nr)] for u in U],
+                     [[v.get(r, 0) for v in V] for r in range(nc)])
 
 
 def smith_normal_form(matrix, transforms: bool = False) -> SNFResult:
@@ -313,19 +287,19 @@ def smith_normal_form(matrix, transforms: bool = False) -> SNFResult:
     ``matrix`` is an ``ExactMatrix`` (a 0 x k one keeps its k columns) or
     dense integer rows.  Each row is read once into a dict of its non-zeros.
 
-    Without ``transforms`` only the diagonal is asked for, and it is
-    unique: ``_diagonal`` eliminates in its own pivot order, and the
+    One elimination, ``_diagonal``, serves both modes; the diagonal is
+    unique, so it pivots in its own order.  Without ``transforms`` the
     invariant factors of its pivots (``_invariant_factors``), padded with
     zeros to min(rows, cols), are the diagonal; their count is the rank.
-    With ``transforms``, ``_chain`` keeps d1 | d2 | ... as it goes and
-    returns U (rows x rows) and V (cols x cols), unimodular with U @ M @ V
-    diagonal, as nested lists: the diagonal, U and V are entry for entry
-    those of the dense loop in tests/oracles.py.
+    With ``transforms`` the elimination applies its steps to U and V as
+    well, and ``_transforms`` orders the pivots and reaches d1 | d2 | ...
+    by 2x2 gcd steps.  It returns U (rows x rows) and V (cols x cols),
+    unimodular with U @ M @ V == diag(d), as nested lists.
     """
     rows, nc = _sparse_rows(matrix)
     if transforms:
-        return _chain(rows, nc)
-    pivots = _diagonal(rows, nc)
+        return _transforms(rows, nc)
+    pivots = [abs(p) for p, _, _ in _diagonal(rows, nc)]
     rank = len(pivots)
     return SNFResult(_invariant_factors(pivots, rank) + [0] * (min(len(rows), nc) - rank), rank)
 

@@ -1,9 +1,11 @@
 """Test-only oracles: the references the library is checked against.
 
 ``dense_smith_normal_form`` is the dense loop the sparse-row
-``smith_normal_form`` replaced, kept as the reference it must match entry
-for entry: it rescans the whole trailing submatrix for each pivot, with U
-riding as extra columns of each row and V as extra rows below.
+``smith_normal_form`` replaced, kept as the reference for the diagonal and
+rank: it rescans the whole trailing submatrix for each pivot and keeps
+d1 | d2 | ... as it goes.  U and V are not unique, so
+``assert_smith_transforms`` checks them by their contract instead:
+|det U| = |det V| = 1 exactly, and U @ M @ V == diag(d).
 
 ``gcd_minors_oracle`` is an independent route to the invariant factors:
 the product d1*...*dk equals the gcd of all k x k minor determinants, so it
@@ -134,16 +136,12 @@ def _snf_rows(matrix, cols) -> tuple[list[list[int]], int]:
     return [[int(x) for x in row] for row in rows], len(rows[0]) if rows else cols or 0
 
 
-def dense_smith_normal_form(matrix, transforms: bool = False, cols: int | None = None) -> SNFResult:
-    """``smith_normal_form`` as a dense loop: the same pivot order, so the
-    same diagonal, rank, U and V.  It takes the two input forms
-    ``smith_normal_form`` takes, and bare ``{column: value}`` rows with
-    ``cols``, on valid input only."""
+def dense_smith_normal_form(matrix, cols: int | None = None) -> SNFResult:
+    """The diagonal and rank of ``smith_normal_form`` by a dense loop.  It
+    takes the two input forms ``smith_normal_form`` takes, and bare
+    ``{column: value}`` rows with ``cols``, on valid input only."""
     m, nc = _snf_rows(matrix, cols)
     nr = len(m)
-    if transforms:
-        m = [row + [int(i == k) for k in range(nr)] for i, row in enumerate(m)]
-        m += [[int(i == j) for j in range(nc)] for i in range(nc)]
     t = 0
     bound = min(nr, nc)
     while t < bound:
@@ -199,10 +197,7 @@ def dense_smith_normal_form(matrix, transforms: bool = False, cols: int | None =
         t += 1
 
     diagonal = [m[i][i] for i in range(bound)]
-    rank = sum(1 for d in diagonal if d)
-    if not transforms:
-        return SNFResult(diagonal, rank)
-    return SNFResult(diagonal, rank, [row[nc:] for row in m[:nr]], m[nr:])
+    return SNFResult(diagonal, sum(1 for d in diagonal if d))
 
 
 def snf_input(rows, cols):
@@ -211,15 +206,42 @@ def snf_input(rows, cols):
     return rows if rows else ExactMatrix([], cols=cols)
 
 
+def _int_product(a, b, width: int) -> list[list[int]]:
+    """a @ b for integer rows, b of ``width`` columns, skipping zeros."""
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, other in zip(row, b):
+            if x:
+                for j, y in enumerate(other):
+                    if y:
+                        acc[j] += x * y
+        out.append(acc)
+    return out
+
+
+def assert_smith_transforms(rows, cols: int, result) -> None:
+    """U and V of ``result`` by their contract, for the dense integer
+    ``rows`` of ``cols`` columns: U is rows x rows and V cols x cols, both
+    with determinant 1 or -1 exactly, and U @ M @ V == diag(diagonal)."""
+    nr = len(rows)
+    assert [len(u) for u in result.U] == [nr] * nr
+    assert [len(v) for v in result.V] == [cols] * cols
+    assert abs(integer_det(result.U)) == 1
+    assert abs(integer_det(result.V)) == 1
+    assert _int_product(_int_product(result.U, rows, cols), result.V, cols) == [
+        [result.diagonal[i] if i == j else 0 for j in range(cols)] for i in range(nr)]
+
+
 def assert_matches_dense(matrix):
-    """Both modes of the sparse loop against the dense loop with
-    transforms, whose diagonal and rank do not depend on the mode, on an
-    ExactMatrix or dense rows."""
-    dense = dense_smith_normal_form(matrix, transforms=True)
-    assert smith_normal_form(matrix, transforms=True) == dense
-    plain = smith_normal_form(matrix)
-    assert (plain.diagonal, plain.rank) == (dense.diagonal, dense.rank)
-    assert plain.U is plain.V is None
+    """Both modes of the sparse loop on an ExactMatrix or dense rows: the
+    diagonal and rank of the dense loop, and with transforms, U and V by
+    their contract."""
+    dense = dense_smith_normal_form(matrix)
+    result = smith_normal_form(matrix, transforms=True)
+    assert (result.diagonal, result.rank) == (dense.diagonal, dense.rank)
+    assert_smith_transforms(*_snf_rows(matrix, None), result)
+    assert smith_normal_form(matrix) == dense  # U and V None
 
 
 # -- loading references --------------------------------------------------------

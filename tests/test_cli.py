@@ -83,8 +83,10 @@ def test_snf_transforms(capsys):
     ("simplex5_dawson", [1, 2]),  # 2-skeleton of the 5-simplex
 ])
 def test_snf_transforms_print_pinned_bytes(capsys, pair, degrees):
-    """Diagonal, rank, U and V of ``snf --transforms``, byte for byte as
-    the dense Smith normal form loop printed them."""
+    """Diagonal, rank, U and V of ``snf --transforms``, byte for byte.  The
+    diagonal and rank are those the dense Smith normal form loop printed;
+    U and V are those of the one sparse elimination, checked by their
+    contract in ``test_snf_transforms`` and ``tests/test_snf_sparse.py``."""
     out = []
     for n in degrees:
         assert main(["snf", "-k", fx(f"{pair}.cplx"), "-w", fx(f"{pair}.wts"),

@@ -26,7 +26,7 @@ from wsimplex import homology
 from wsimplex.cli import main
 
 from conftest import spectral_fixtures, write_pair
-from oracles import gcd_minors_oracle, integer_det
+from oracles import assert_smith_transforms, gcd_minors_oracle, integer_det
 
 
 def random_int_matrix(rng, max_side=5, lo=-9, hi=9):
@@ -47,16 +47,7 @@ def check_snf_contract(m, res):
             assert b % a == 0
     assert res.rank == sum(1 for d in res.diagonal if d)
     # transforms reproduce the diagonal and are unimodular
-    assert abs(integer_det(res.U)) == 1
-    assert abs(integer_det(res.V)) == 1
-    prod_rows = [[sum(res.U[i][k] * m[k][j] for k in range(rows))
-                  for j in range(cols)] for i in range(rows)]
-    smith = [[sum(prod_rows[i][k] * res.V[k][j] for k in range(cols))
-              for j in range(cols)] for i in range(rows)]
-    for i in range(rows):
-        for j in range(cols):
-            expected = res.diagonal[i] if i == j else 0
-            assert smith[i][j] == expected
+    assert_smith_transforms(m, cols, res)
 
 
 def test_snf_examples():

@@ -5,8 +5,8 @@ order (Schur, Bezout and division steps on a sparse pivot) and reads the
 invariant factors off the recorded pivots through a coprime base.  The
 diagonal is unique, so it must equal:
 
-* the diagonal of ``smith_normal_form(m, transforms=True)``, the loop that
-  keeps the divisibility chain as it goes;
+* the diagonal of ``smith_normal_form(m, transforms=True)``, which reaches
+  the divisibility chain from the same pivots by 2x2 gcd steps;
 * the dense loop ``oracles.dense_smith_normal_form``;
 * sympy's invariant factors over ZZ (skipped without sympy).
 
@@ -160,7 +160,7 @@ def test_wide_weight_cycles_match_the_closed_form(case):
 
 def test_seeded_cycles_and_zero_weights():
     """Seeded cycles whose weights share a few wide primes, and cycles with
-    zero weights, against the closed form and the chain loop."""
+    zero weights, against the closed form and the transforms path."""
     rng = random.Random(2027)
     primes = [2**61 - 1, 2**89 - 1, 3, 5]
     for trial in range(40):

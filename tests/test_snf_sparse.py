@@ -1,21 +1,24 @@
 """The sparse-row Smith normal form against the dense loop it replaced.
 
 ``dense_smith_normal_form`` (``oracles.py``) rescans the whole trailing
-submatrix at every pivot; ``smith_normal_form`` keeps sparse rows, row and
-column permutations and indexes with the same pivot rule, so the diagonal,
-the rank, U and V must agree entry for entry, with and without transforms,
-whether the matrix arrives as dense rows or as an ExactMatrix.
-The bounded-work checks run the sparse loop at sizes the dense one takes
-seconds to reach.
+submatrix at every pivot; ``smith_normal_form`` keeps sparse rows and
+indexes and pivots in its own order.  The diagonal and rank are unique, so
+they must agree with the dense loop's, with and without transforms; U and
+V are not, so they are checked by their contract (``assert_smith_transforms``:
+unimodular, U @ M @ V == diag(d)), and both input forms, dense rows and an
+ExactMatrix, must give equal results.  The bounded-work checks run the
+sparse loop at sizes the dense one takes seconds to reach.
 """
 
 import importlib.util
 import json
 import random
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -23,6 +26,7 @@ import pytest
 from wsimplex import (
     ExactMatrix,
     GaussianRational,
+    SNFResult,
     boundary_matrix,
     build_complex,
     make_ngon,
@@ -32,7 +36,13 @@ from wsimplex import (
 from wsimplex.cli import main
 
 from conftest import DEEP, random_cfw_weight, random_dawson_weight, write_pair
-from oracles import assert_matches_dense, dense_smith_normal_form, snf_input
+from oracles import (
+    assert_matches_dense,
+    assert_smith_transforms,
+    dense_smith_normal_form,
+    integer_det,
+    snf_input,
+)
 
 
 def random_matrix(rng):
@@ -122,6 +132,40 @@ def test_sparse_snf_bounded_work(capsys, tmp_path):
     assert payload["diagonal"] == dense.diagonal
 
 
+def test_snf_transforms_bounded_work(capsys, tmp_path):
+    """``snf --transforms -n 1`` on a hollow triangle with seeded 4,000-digit
+    edge weights, whose d_1 is [[-a1, -b1, 0], [a0, 0, -c1], [0, b0, c0]]:
+    a loop that kept d1 | d2 | ... as it went took 1,134 s on such an
+    input, its U and V entries grown to hundreds of times the input's bit
+    length.  The answer comes in under 1 s, U and V keep their contract,
+    and their entries stay within 16 times the input's bit length."""
+    rng = random.Random(4000)
+    a0, a1, b0, b1, c0, c1 = (rng.randrange(10**3999, 10**4000) for _ in range(6))
+    k, w = tmp_path / "hollow.cplx", tmp_path / "wide.wts"
+    k.write_text("0 1\n0 2\n1 2\n")
+    w.write_text(f"0 1 | 1 | {a0}\n0 1 | 0 | {a1}\n0 2 | 2 | {b0}\n0 2 | 0 | {b1}\n"
+                 f"1 2 | 2 | {c0}\n1 2 | 1 | {c1}\n")
+    start = time.perf_counter()
+    assert main(["snf", "-k", str(k), "-w", str(w), "-n", "1", "--strict", "--transforms"]) == 0
+    assert time.perf_counter() - start < 1.0
+    out = capsys.readouterr().out
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        payload = json.loads(out)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    d1 = [[-a1, -b1, 0], [a0, 0, -c1], [0, b0, c0]]
+    result = SNFResult(payload["diagonal"], payload["rank"], payload["U"], payload["V"])
+    # the plain path's diagonal, and its product |det d_1|, which is not 0
+    assert result.diagonal == smith_normal_form(d1).diagonal
+    assert prod(result.diagonal) == abs(integer_det(d1)) and result.rank == 3
+    assert_smith_transforms(d1, 3, result)
+    bits = max(abs(x).bit_length() for row in d1 for x in row)
+    assert max(abs(x).bit_length() for m in (result.U, result.V) for row in m for x in row) \
+        <= 16 * bits
+
+
 @pytest.mark.skipif(not DEEP, reason="about 3 s; runs under HYPOTHESIS_PROFILE=deep")
 def test_flag60_cfw_homology_bounded_work(capsys, tmp_path):
     """``flag60`` with CFW weights, the benchmark generator's random flag
@@ -169,16 +213,18 @@ def input_forms(dense, cols):
 
 
 def assert_forms_match_dense(dense, cols):
-    """Every input form against one run of the dense loop: U and V entry
-    for entry with transforms, the diagonal and rank without, so the two
-    forms' results are equal too."""
-    reference = dense_smith_normal_form(dense, transforms=True, cols=cols)
-    for matrix in input_forms(dense, cols):
-        assert smith_normal_form(matrix, transforms=True) == reference
-        plain = smith_normal_form(matrix)
-        assert (plain.diagonal, plain.rank, plain.U, plain.V) == (
-            reference.diagonal, reference.rank, None, None)
-    return reference
+    """Every input form against one run of the dense loop: the diagonal and
+    rank in both modes, U and V by their contract; the forms' results with
+    transforms are equal too."""
+    reference = dense_smith_normal_form(dense, cols=cols)
+    forms = input_forms(dense, cols)
+    result = smith_normal_form(forms[0], transforms=True)
+    assert (result.diagonal, result.rank) == (reference.diagonal, reference.rank)
+    assert_smith_transforms(dense, cols, result)
+    for matrix in forms:
+        assert smith_normal_form(matrix, transforms=True) == result
+        assert smith_normal_form(matrix) == reference  # U and V None
+    return result
 
 
 def path_rows(alphas):
