@@ -40,7 +40,6 @@ from .weights import (
 from .matrices import ExactMatrix
 from .chains import (
     Chain,
-    adjoint_matrix,
     apply_boundary,
     boundary_matrix,
     coboundary_matrix,
@@ -88,8 +87,7 @@ __all__ = [
     "identity_weight", "zero_weight", "semi_trivial_weight",
     "dawson_weight", "cfw_weight", "parse_weight_text", "read_weight_file",
     "ExactMatrix",
-    "Chain", "boundary_matrix", "coboundary_matrix", "adjoint_matrix",
-    "apply_boundary",
+    "Chain", "boundary_matrix", "coboundary_matrix", "apply_boundary",
     "SNFResult", "smith_normal_form",
     "HomologyGroup", "weighted_homology", "ngon_homology_closed_form",
     "Spectrum", "jacobi_svd",

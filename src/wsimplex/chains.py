@@ -9,10 +9,10 @@ entries of each column, in the lexicographic bases) is the form ranks and
 Laplacians read; ``boundary_matrix`` holds the same entries as a sparse
 ``ExactMatrix``.  The coboundary in degree n is the transpose of the
 boundary in degree n+1 (both bases are self-dual here), and the adjoint
-against the standard inner product is the conjugate transpose.  All of
-them demand a validated weight function: for an unvalidated table the
-composite of two boundaries need not vanish and none of the homological
-formulas downstream apply.
+against the standard inner product is the conjugate transpose
+(``ExactMatrix.conj_transpose``).  All of them demand a validated weight
+function: for an unvalidated table the composite of two boundaries need
+not vanish and none of the homological formulas downstream apply.
 
 A weight function stands for its (complex, weight) pair, and each exact
 operator of the pair is built once: ``_cached`` fills the weight
@@ -153,11 +153,6 @@ def coboundary_matrix(complex: SimplicialComplex, phi: WeightFunction, n: int) -
                                complex.basis(n))
     m._rank = _known_rank(phi, n + 1)
     return m
-
-
-def adjoint_matrix(matrix: ExactMatrix) -> ExactMatrix:
-    """Adjoint against the standard inner product: conjugate transpose."""
-    return matrix.conj_transpose()
 
 
 class Chain(Record):

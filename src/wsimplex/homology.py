@@ -1,14 +1,16 @@
 """Integer homology of weighted complexes via Smith normal form.
 
-``smith_normal_form`` reads an integer matrix, an ``ExactMatrix`` or dense
-rows, into one dict of non-zeros per row.  One elimination serves both
-modes: the diagonal is unique, so it pivots in any order (Schur, 2x2
-Bezout and division steps on a sparse pivot).  For the diagonal alone the
-invariant factors are read off the pivots through a coprime base.  With
-the transforms the same steps are applied to U and V, and 2x2 gcd steps
-on the ordered pivots reach d1 | d2 | ..., so U @ M @ V == diag(d) with
-|det U| = |det V| = 1.  Indexes keep each step near the non-zeros it
-changes.
+``smith_normal_form`` reads an ``ExactMatrix`` (dense rows are made into
+one first) into one dict of integer non-zeros per row.  One elimination
+serves both modes: the diagonal is unique, so it pivots in any order.  A
+pivot that divides its row and column is dropped with them; one that
+does not takes a 2x2 gcd step or a division pass, which lower the least
+|entry|.  For the diagonal alone the invariant factors are read off the
+pivots through a coprime base.  With the transforms the same steps are
+applied to U and V, and 2x2 gcd steps on the ordered pivots (one
+``_bezout`` serves both kinds of 2x2 step) reach d1 | d2 | ..., so
+U @ M @ V == diag(d) with |det U| = |det V| = 1.  Indexes keep each step
+near the non-zeros it changes.
 
 Homology of a validated integer-weighted complex in degree n needs one
 normal form, that of d_{n+1}: the torsion coefficients are its diagonal
@@ -42,44 +44,16 @@ from operator import index
 
 from .chains import _cached, _check_pair, _rank, boundary_matrix
 from .complexes import Record, SimplicialComplex
-from .gaussian import GaussianRational
 from .matrices import ExactMatrix
 from .weights import WeightFunction
 
 
 def _int_entry(x) -> int:
-    if type(x) is GaussianRational:
-        # the normalised triple (a, b, d) of (a + bi)/d: an integer is (a, 0, 1)
-        a, b, d = x._t
-        if b == 0 and d == 1:
-            return a
-    else:
-        try:
-            n = int(x)
-            if n == x:
-                return n
-        except (TypeError, ValueError, OverflowError):
-            pass
+    # the normalised triple (a, b, d) of (a + bi)/d: an integer is (a, 0, 1)
+    a, b, d = x._t
+    if b == 0 and d == 1:
+        return a
     raise ValueError("matrix has non-integer entries")
-
-
-def _sparse_rows(matrix) -> tuple[list[dict], int]:
-    """The matrix as one ``{column: int}`` dict of non-zeros per row, and
-    its column count.  Two forms are read: an ``ExactMatrix``, of which only
-    the non-zeros are converted, and dense rows of one length (a list of no
-    rows has no columns).  A ``dict`` row, a ragged row and an entry that is
-    not an integer (not truncated) are refused; int entries pass through."""
-    if isinstance(matrix, ExactMatrix):
-        return [{j: _int_entry(x) for j, x in row.items()} for row in matrix._entries], matrix.cols
-    matrix = list(matrix)
-    if any(isinstance(row, dict) for row in matrix):
-        # a dict iterates as its keys: read as a dense row, it would be wrong
-        raise ValueError("a {column: value} row is not a matrix row; pass an ExactMatrix")
-    width = len(matrix[0]) if matrix else 0
-    if any(len(row) != width for row in matrix):
-        raise ValueError("ragged rows")
-    return [{j: y for j, x in enumerate(row) if (y := x if type(x) is int else _int_entry(x))}
-            for row in matrix], width
 
 
 class SNFResult(Record):
@@ -148,6 +122,13 @@ def _combine(x: dict, y: dict, a: int, b: int) -> dict:
     return {k: w for k in x.keys() | y.keys() if (w := a * x.get(k, 0) + b * y.get(k, 0))}
 
 
+def _bezout(a: int, b: int) -> tuple[int, int, int]:
+    """g = gcd(a, b) and s, t with s*a + t*b == g (b non-zero)."""
+    g = gcd(a, b)
+    s = pow(a // g, -1, b // g)
+    return g, s, (g - s * a) // b
+
+
 def _diagonal(rows: list[dict], nc: int, U: list[dict] | None = None,
               V: list[dict] | None = None) -> list[tuple[int, int, int]]:
     """(pivot, row id, column id) of each step that drops a row and a
@@ -159,17 +140,21 @@ def _diagonal(rows: list[dict], nc: int, U: list[dict] | None = None,
     operation lowers one; a key that is not the row's bound is stale, one
     under the true least |entry| is raised) finds a row with a smallest
     |entry|; the pivot is its least entry in a column with fewest holders.
-    Schur step, when the pivot divides its row and column (a unit always
-    does): row operations clear the column, and the row and column are
-    dropped, the column operations touching no other row.  Bezout step,
-    when the column's one other entry is no multiple: a unimodular 2x2 row
-    step leaves their gcd as the pivot.  Otherwise division passes clear
-    the pivot's row and column down to remainders.  The last two lower the
-    least |entry|, so the loop ends.
+    Whether the pivot divides its row and column (a unit always does) is
+    decided once.  If it does not and its column has one other entry, a
+    unimodular 2x2 row step leaves their gcd as the pivot.  Otherwise one
+    row pass takes the column's other entries down to their remainders by
+    the pivot (to zero when it divides), and then:
 
-    Given U (one sparse row per row id) and V (one sparse column per column
-    id), every step applies its row operations to U and its column
-    operations to V, the Schur step's skipped ones included.
+    * a pivot that divides is dropped with its row and column (the column
+      operations touch no other row, so only V takes them);
+    * one that does not runs the column pass, every column operation at
+      once, on the rows still holding its column, its own included.
+
+    The 2x2 step and the division pass lower the least |entry|, so the
+    loop ends.  Given U (one sparse row per row id) and V (one sparse
+    column per column id), every step applies its row operations to U and
+    its column operations to V.
     """
     # imported on first use: at module level it adds about 0.8 ms to importing the package
     from heapq import heapify, heappop, heappush, heapreplace
@@ -199,26 +184,13 @@ def _diagonal(rows: list[dict], nc: int, U: list[dict] | None = None,
         c = min((k for k, x in row.items() if abs(x) == v), key=lambda k: len(holders[k]))
         p = row[c]
         others = holders[c] - {r}
-        if v == 1 or not (any(x % p for x in row.values())
-                          or any(rows[i][c] % p for i in others)):
-            heappop(heap)
-            for i in others:
-                q = rows[i][c] // p
-                lower(i, _sub_row(rows[i], i, q, row, holders, least[i]))
-                if U is not None:
-                    _sub(U[i], q, U[r])
-            for k in row:
-                holders[k].discard(r)
-                if V is not None and k != c:
-                    _sub(V[k], row[k] // p, V[c])
-            least[r] = -1
-            steps.append((p, r, c))
-        elif len(others) == 1:
+        divides = v == 1 or not (any(x % p for x in row.values())
+                                 or any(rows[i][c] % p for i in others))
+        if not divides and len(others) == 1:
             s = others.pop()
             old, b = rows[s], rows[s][c]
-            g = gcd(p, b)
-            x = pow(p // g, -1, b // g)  # so x * p + y * b == g for the y below
-            mix = ((x, (g - x * p) // b), (-b // g, p // g))
+            g, x, y = _bezout(p, b)
+            mix = ((x, y), (-b // g, p // g))
             for i, (y, z) in zip((r, s), mix):
                 new = _combine(row, old, y, z)
                 for k in rows[i].keys() - new.keys():
@@ -230,21 +202,25 @@ def _diagonal(rows: list[dict], nc: int, U: list[dict] | None = None,
                 heappush(heap, (least[i], i))
             if U is not None:
                 U[r], U[s] = (_combine(U[r], U[s], y, z) for y, z in mix)
+            continue
+        for i in others:
+            q = rows[i][c] // p
+            lower(i, _sub_row(rows[i], i, q, row, holders, least[i]))
+            if U is not None:
+                _sub(U[i], q, U[r])
+        if V is not None:
+            for k, x in row.items():
+                if k != c:
+                    _sub(V[k], x // p, V[c])
+        if divides:  # its heap entry, now stale, is popped when it comes up
+            for k in row:
+                holders[k].discard(r)
+            least[r] = -1
+            steps.append((p, r, c))
         else:
-            below = []  # rows left with a non-zero in the pivot's column
-            for i in others:
-                q = rows[i][c] // p
-                lower(i, _sub_row(rows[i], i, q, row, holders, least[i]))
-                if U is not None:
-                    _sub(U[i], q, U[r])
-                if c in rows[i]:
-                    below.append(i)
             quotients = {k: x // p for k, x in row.items() if k != c}
-            for i in [r] + below:  # every column op at once on one row
+            for i in holders[c]:  # every column op at once on the rows holding c
                 lower(i, _sub_row(rows[i], i, rows[i][c], quotients, holders, least[i]))
-            if V is not None:
-                for k, q in quotients.items():
-                    _sub(V[k], q, V[c])
     return steps
 
 
@@ -270,9 +246,7 @@ def _transforms(rows: list[dict], nc: int) -> SNFResult:
     for i, j in combinations(range(len(d)), 2):
         a, b = d[i], d[j]
         if b % a:
-            g = gcd(a, b)
-            s = pow(a // g, -1, b // g)
-            t = (g - s * a) // b
+            g, s, t = _bezout(a, b)
             U[i], U[j] = _combine(U[i], U[j], s, t), _combine(U[i], U[j], -b // g, a // g)
             V[i], V[j] = _combine(V[i], V[j], 1, 1), _combine(V[i], V[j], -t * b // g, s * a // g)
             d[i], d[j] = g, a // g * b
@@ -285,7 +259,11 @@ def smith_normal_form(matrix, transforms: bool = False) -> SNFResult:
     """Smith normal form of an integer matrix, on sparse rows.
 
     ``matrix`` is an ``ExactMatrix`` (a 0 x k one keeps its k columns) or
-    dense integer rows.  Each row is read once into a dict of its non-zeros.
+    dense rows, which are read as ``ExactMatrix(matrix)`` reads them: a
+    ``dict`` row or a ragged row is refused there, and so is an entry that
+    is not an int, Fraction or GaussianRational.  Its non-zeros are
+    converted to ints, one dict per row; a non-integer one is refused with
+    a ``ValueError``.
 
     One elimination, ``_diagonal``, serves both modes; the diagonal is
     unique, so it pivots in its own order.  Without ``transforms`` the
@@ -296,12 +274,14 @@ def smith_normal_form(matrix, transforms: bool = False) -> SNFResult:
     by 2x2 gcd steps.  It returns U (rows x rows) and V (cols x cols),
     unimodular with U @ M @ V == diag(d), as nested lists.
     """
-    rows, nc = _sparse_rows(matrix)
+    if not isinstance(matrix, ExactMatrix):
+        matrix = ExactMatrix(matrix)
+    rows = [{j: _int_entry(x) for j, x in row.items()} for row in matrix._entries]
     if transforms:
-        return _transforms(rows, nc)
-    pivots = [abs(p) for p, _, _ in _diagonal(rows, nc)]
+        return _transforms(rows, matrix.cols)
+    pivots = [abs(p) for p, _, _ in _diagonal(rows, matrix.cols)]
     rank = len(pivots)
-    return SNFResult(_invariant_factors(pivots, rank) + [0] * (min(len(rows), nc) - rank), rank)
+    return SNFResult(_invariant_factors(pivots, rank) + [0] * (min(matrix.shape) - rank), rank)
 
 
 def _integer(x, what: str) -> int:

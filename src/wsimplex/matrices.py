@@ -4,10 +4,11 @@
 ``rows`` and ``cols`` are the counts, and rows and columns carry optional
 simplex labels.  It is the one exact matrix type: the boundary,
 coboundary and Laplacian matrices the library returns, what the CLI
-prints as JSON, what Smith normal form reads and what ``to_ndarray``
-hands to the eigensolver.  Every operation visits the non-zeros only.
-No zero is ever stored, so ``==`` compares the row dicts.  ``.data`` is
-a fresh dense copy of the entries; writing to it changes no matrix.
+prints as JSON and what Smith normal form reads; ``to_ndarray`` hands it
+to ``spectral.spectrum``'s ``eigh`` and to ``ffl``'s 3 x 3.  Every
+operation visits the non-zeros only.  No zero is ever stored, so ``==``
+compares the row dicts.  ``.data`` is a fresh dense copy of the entries;
+writing to it changes no matrix.
 
 Every exact rank comes from one elimination, ``pivot_lows``: the set of
 pivot rows of a column reduction, whose size is the rank.  ``column_rank``
@@ -34,7 +35,13 @@ class ExactMatrix:
 
     def __init__(self, data, row_labels=None, col_labels=None, cols=None):
         """A matrix of the dense rows ``data``; ``cols`` gives the width of
-        a matrix with no rows and must agree with any row."""
+        a matrix with no rows and must agree with any row.  A ``dict`` row
+        and a ragged row are refused with a ``ValueError``, an entry that
+        is not an int, Fraction or GaussianRational with a ``TypeError``."""
+        data = list(data)
+        if any(isinstance(row, dict) for row in data):
+            # a dict iterates as its keys: read as a dense row, it would be wrong
+            raise ValueError("a {column: value} row is not a matrix row; pass an ExactMatrix")
         rows = [[GaussianRational.coerce(x) for x in row] for row in data]
         width = len(rows[0]) if rows else cols or 0
         if any(len(r) != width for r in rows):

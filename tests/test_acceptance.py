@@ -34,7 +34,6 @@ from wsimplex import (
     up_down_matrices,
     weighted_homology,
 )
-from wsimplex.chains import adjoint_matrix
 from wsimplex.spectral import InnerProductWeights, zero_multiplicity_formulas
 
 from conftest import (
@@ -285,8 +284,7 @@ def test_criterion_10_harmonic_cochains():
                 assert np.allclose(v.conj().T @ v, np.eye(basis.count),
                                    atol=1e-9), name
                 out = a_n.to_ndarray()
-                into = adjoint_matrix(
-                    coboundary_matrix(complex, phi, n - 1)).to_ndarray()
+                into = coboundary_matrix(complex, phi, n - 1).conj_transpose().to_ndarray()
                 for k in range(basis.count):
                     if out.shape[0]:
                         assert np.linalg.norm(out @ v[:, k]) <= 1e-8, name

@@ -18,7 +18,6 @@ from wsimplex import (
     ExactMatrix,
     GaussianRational,
     Simplex,
-    adjoint_matrix,
     apply_boundary,
     boundary_matrix,
     build_complex,
@@ -85,12 +84,12 @@ def test_coboundary_is_transpose():
 
 def test_adjoint_conjugates():
     m = ExactMatrix([[GaussianRational(1, 2), 3], [0, GaussianRational(0, -1)]])
-    a = adjoint_matrix(m)
+    a = m.conj_transpose()
     assert a[0, 0] == GaussianRational(1, -2)
     assert a[1, 0] == 3
     assert a[0, 1] == 0
     assert a[1, 1] == GaussianRational(0, 1)
-    assert adjoint_matrix(a) == m
+    assert a.conj_transpose() == m
 
 
 def test_boundary_squares_to_zero_randomized():

@@ -69,17 +69,20 @@ def test_snf_zero_sized():
 
 
 def test_snf_refuses_non_integer_entries():
-    """Non-integer entries are refused, not truncated, from a list of rows
-    and from an ExactMatrix alike; integer-valued ones of any type pass."""
+    """Dense rows are read as an ExactMatrix, so non-integer exact entries
+    are refused, not truncated, from a list of rows and from an ExactMatrix
+    alike, and floats and strings are refused as Gaussian rationals are;
+    integer-valued exact entries pass."""
     exact = [[Fraction(1, 2), 0], [0, 3]], [[GaussianRational(1, 1), 0]]
     for rows in exact:
         for matrix in (rows, ExactMatrix(rows)):
             with pytest.raises(ValueError, match="matrix has non-integer entries"):
                 smith_normal_form(matrix)
-    for rows in ([[1.5, 0], [0, 3]], [[float("nan")]], [[float("inf")]], [["3"]]):
-        with pytest.raises(ValueError, match="matrix has non-integer entries"):
+    for rows in ([[Fraction(4), 0], [0, 6.0]], [[1.5, 0], [0, 3]], [[float("nan")]],
+                 [[float("inf")]], [["3"]]):
+        with pytest.raises(TypeError, match="as a Gaussian rational"):
             smith_normal_form(rows)
-    for matrix in ([[Fraction(4), 0], [0, 6.0]], ExactMatrix([[Fraction(4), 0], [0, 6]])):
+    for matrix in ([[Fraction(4), 0], [0, 6]], ExactMatrix([[Fraction(4), 0], [0, 6]])):
         assert smith_normal_form(matrix).diagonal == [2, 12]
 
 

@@ -1,7 +1,7 @@
 """The diagonal-only Smith normal form against three references.
 
 ``smith_normal_form(m)`` without transforms eliminates in its own pivot
-order (Schur, Bezout and division steps on a sparse pivot) and reads the
+order (drop, 2x2 gcd and division steps on a sparse pivot) and reads the
 invariant factors off the recorded pivots through a coprime base.  The
 diagonal is unique, so it must equal:
 
@@ -93,10 +93,13 @@ def test_empty_shapes_and_zero_matrices():
 
 
 def test_steps_that_need_more_than_a_schur_step():
-    """Each matrix reaches a step other than Schur: a pivot dividing its row
-    but not its column (Bezout), a pivot dividing its column but not its
-    row and a column of three entries (division), and pivots recorded out
-    of valuation order, so the coprime base has to sort them."""
+    """Fixed cases for each step outcome: a pivot that divides its row and
+    column is dropped, non-unit ones included (every case); one that does
+    not, in a column with one other entry, takes the 2x2 gcd step (the
+    first three cases and the last); one that does not, in a column with
+    no other entry or more, runs the division pass (the second and third,
+    after their 2x2 step).  Some pivots are recorded out of valuation
+    order, so the coprime base has to sort them."""
     cases = {
         ((2, 4), (3, 0)): [1, 12],
         ((2, 3), (4, 0)): [1, 12],

@@ -32,6 +32,7 @@ from wsimplex import (
     make_ngon,
     ngon_homology_closed_form,
     smith_normal_form,
+    weighted_homology,
 )
 from wsimplex.cli import main
 
@@ -193,6 +194,22 @@ def test_flag60_cfw_homology_bounded_work(capsys, tmp_path):
                                                            (36, 68)]
 
 
+@pytest.mark.skipif(not DEEP, reason="about 4 s; runs under HYPOTHESIS_PROFILE=deep")
+def test_closed_form_bounded_work_at_4000_vertices():
+    """The polygon closed form on 4,000 odd 60-bit weights: its coprime
+    base refines the weights by gcds, with no factoring and no subset
+    gcds, so it answers in bounded time, and it equals the matrix
+    pipeline's homology of the same polygon."""
+    rng = random.Random(4000)
+    alphas = [rng.getrandbits(60) | 1 for _ in range(4000)]
+    start = time.perf_counter()
+    group = ngon_homology_closed_form(alphas)
+    assert time.perf_counter() - start < 10.0
+    complex, phi = make_ngon(alphas)
+    assert group == weighted_homology(complex, phi, 0)
+    assert group.free_rank == 1
+
+
 def test_exact_matrix_cols_must_agree_with_the_rows():
     """An ExactMatrix refuses a ``cols`` its rows contradict; with no rows,
     ``cols`` is the width."""
@@ -268,11 +285,20 @@ def test_input_forms_on_folds_cancellations_and_empty_shapes():
 
 
 def test_matrix_rows_are_checked():
-    assert smith_normal_form([[Fraction(4), 0], [0, 6.0]]).diagonal == [2, 12]
+    """Dense rows go through ExactMatrix: integer-valued exact entries pass,
+    other exact ones are refused by the normal form, floats and strings by
+    ExactMatrix (6.0 included), and ragged rows by ExactMatrix."""
+    assert smith_normal_form([[Fraction(4), 0], [0, 6]]).diagonal == [2, 12]
     assert smith_normal_form([[3, 0], [0, 0]]).diagonal == [3, 0]
-    for rows in ([[Fraction(1, 2), 0]], [[0, 1.5]], [[GaussianRational(1, 1), 0]], [["3", 0]]):
-        with pytest.raises(ValueError, match="matrix has non-integer entries"):
+    for rows in ([[Fraction(1, 2), 0]], [[GaussianRational(1, 1), 0]]):
+        for matrix in (rows, ExactMatrix(rows)):
+            with pytest.raises(ValueError, match="matrix has non-integer entries"):
+                smith_normal_form(matrix)
+    for rows in ([[0, 6.0]], [[0, 1.5]], [[float("nan")]], [[float("inf")]], [["3", 0]]):
+        with pytest.raises(TypeError, match="as a Gaussian rational"):
             smith_normal_form(rows)
+        with pytest.raises(TypeError, match="as a Gaussian rational"):
+            ExactMatrix(rows)
     for rows in ([[1, 0], [1]], [[], [1]]):
         with pytest.raises(ValueError, match="ragged rows"):
             smith_normal_form(rows)
@@ -280,9 +306,12 @@ def test_matrix_rows_are_checked():
 
 def test_dict_rows_are_refused():
     """A dict iterates as its keys, so a ``{column: value}`` row read as a
-    dense row would be a row of column ids: it is refused, and an
-    ExactMatrix of the same entries is read."""
-    for rows in ([{0: 3}], [{0: 3, 1: 4}, {1: 5}], [[1, 0], {0: 1}], [{}]):
+    dense row would be a row of column ids: ExactMatrix refuses it, and so
+    does the normal form, which reads dense rows through it; an ExactMatrix
+    of the same entries is read."""
+    for rows in ([{0: 3}], [{0: 5, 1: 3}], [{0: 3, 1: 4}, {1: 5}], [[1, 0], {0: 1}], [{}]):
+        with pytest.raises(ValueError, match="pass an ExactMatrix"):
+            ExactMatrix(rows)
         with pytest.raises(ValueError, match="pass an ExactMatrix"):
             smith_normal_form(rows)
         with pytest.raises(ValueError, match="pass an ExactMatrix"):

@@ -14,7 +14,6 @@ from wsimplex import (
     InnerProductWeights,
     UnvalidatedWeightError,
     WeightFunction,
-    adjoint_matrix,
     boundary_matrix,
     build_complex,
     coboundary_matrix,
@@ -236,8 +235,7 @@ def test_harmonic_basis_properties():
             gram = v.conj().T @ v
             assert np.allclose(gram, np.eye(basis.count), atol=1e-9), name
             out = coboundary_matrix(complex, phi, n).to_ndarray()
-            into = adjoint_matrix(
-                coboundary_matrix(complex, phi, n - 1)).to_ndarray()
+            into = coboundary_matrix(complex, phi, n - 1).conj_transpose().to_ndarray()
             for k in range(basis.count):
                 h = v[:, k]
                 if out.shape[0]:
@@ -461,15 +459,15 @@ def dense_parts(complex, phi, n, w=None):
     a_n = coboundary_matrix(complex, phi, n)
     a_prev = coboundary_matrix(complex, phi, n - 1)
     if w is None:
-        return matmul(adjoint_matrix(a_n), a_n), matmul(a_prev, adjoint_matrix(a_prev))
+        return matmul(a_n.conj_transpose(), a_n), matmul(a_prev, a_prev.conj_transpose())
     labels = complex.basis(n)
     w_n = w.diagonal(complex, n)
     inv_n = diagonal([1 / x for x in w_n], labels, labels)
     diag_n = diagonal(w_n, labels, labels)
     diag_up = diagonal(w.diagonal(complex, n + 1))
     inv_dn = diagonal([1 / x for x in w.diagonal(complex, n - 1)])
-    return (matmul(inv_n, adjoint_matrix(a_n), diag_up, a_n),
-            matmul(a_prev, inv_dn, adjoint_matrix(a_prev), diag_n))
+    return (matmul(inv_n, a_n.conj_transpose(), diag_up, a_n),
+            matmul(a_prev, inv_dn, a_prev.conj_transpose(), diag_n))
 
 
 def assert_same(actual: ExactMatrix, expected: ExactMatrix, where) -> None:
