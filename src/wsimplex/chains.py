@@ -16,15 +16,17 @@ not vanish and none of the homological formulas downstream apply.
 
 A weight function stands for its (complex, weight) pair, and each exact
 operator of the pair is built once: ``_cached`` fills the weight
-function's private table of sparse exact parts on the first ask, after
-the pair has passed ``_check_pair``, and every later call reads it.  The
-columns of d_n (``_boundary``) live there, and the Laplacian parts, float
-factors and normal forms that ``spectral`` and ``homology`` derive from
-them.  Every part is sparse: dicts of non-zeros, flat read-only arrays of
-them, or frozensets of indices, and never a dense matrix, an
-``ExactMatrix`` or a decomposition.  What a public function returns is
-built fresh from the cached parts, so a caller that changes it changes
-nothing held.
+function's private table of parts on the first ask, after the pair has
+passed ``_check_pair``, and every later call reads it.  The columns of
+d_n (``_boundary``) live there, and the Laplacian parts, float factors,
+normal forms and harmonic bases that ``spectral`` and ``homology`` derive
+from them.  Every part but the harmonic bases is sparse: dicts of
+non-zeros, flat read-only arrays of them, frozensets of indices, or the
+torsion and rank of a normal form, and never an ``ExactMatrix``.  A
+harmonic basis is held as its answer alone, a read-only f_n x dim H^n
+array, and no other part of a decomposition is.  What a public function
+returns is built fresh from the cached parts, so a caller that changes
+it changes nothing held.
 
 The rank vector comes from one upward sweep over the coboundaries.  The
 part ``("lows", n)`` holds lows_n, the indices in basis(n) of the pivot
@@ -40,7 +42,9 @@ dim H^{n-1} = f_{n-1} - r_{n-1} - r_n columns reduce to zero.
 The lemma needs the composite of two coboundaries to vanish, which holds
 for a validated weight only: callers pass ``_check_pair`` first.  A
 boundary or coboundary matrix carries the pair's rank of its d_n when the
-pair holds it, so its ``rank()`` eliminates nothing.
+pair holds it, so its ``rank()`` eliminates nothing; a boundary matrix
+also carries the held torsion and rank of d_n's normal form, so its
+``smith_normal_form`` eliminates nothing either.
 """
 
 from __future__ import annotations
@@ -132,7 +136,9 @@ def _known_rank(phi: WeightFunction, n: int) -> int | None:
 
 def boundary_matrix(complex: SimplicialComplex, phi: WeightFunction, n: int) -> ExactMatrix:
     """The matrix of ``boundary_columns``, its rows filled by one pass over
-    the cached columns; zero-sized outside the range 1..max_dim."""
+    the cached columns; zero-sized outside the range 1..max_dim.  It
+    carries the rank and the Smith (torsion, rank) of d_n that the pair
+    holds, if any."""
     _check_pair(complex, phi)
     rows = [{} for _ in complex.basis(n - 1)]
     for j, column in enumerate(_boundary(phi, n)):
@@ -141,6 +147,7 @@ def boundary_matrix(complex: SimplicialComplex, phi: WeightFunction, n: int) -> 
     m = ExactMatrix._from_rows(rows, len(complex.basis(n)), complex.basis(n - 1),
                                complex.basis(n))
     m._rank = _known_rank(phi, n)
+    m._snf = phi._operators.get(("snf", n))
     return m
 
 

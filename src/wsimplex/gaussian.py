@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 
 # groups: real numerator, denominator, then those of an optional imaginary part
 _SCALAR_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?(?:([+-]\d+)(?:/(\d+))?i)?\Z")
@@ -230,12 +231,17 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
 
 
 def _parts(x) -> tuple[int, int, int] | None:
-    """The triple of an int or Fraction, None for any other type."""
+    """The triple of an int or Fraction, None for any other type.  An
+    integer type of another library (anything with ``__index__``, such as
+    numpy's) is read as its int; a float, which has none, is not."""
     if isinstance(x, int):
         return int(x), 0, 1
     if isinstance(x, Fraction):
         return x.numerator, 0, x.denominator
-    return None
+    try:
+        return index(x), 0, 1
+    except TypeError:
+        return None
 
 
 def _sum(x: tuple, c: int, e: int, f: int) -> GaussianRational:

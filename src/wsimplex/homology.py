@@ -19,7 +19,9 @@ rank(d_{n+1}), with rank(d_n) read from the pair's rank vector, as every
 other dimension count is.  The pair caches that torsion and rank, as it
 caches the boundary columns and rank vector (see ``chains``), so a repeated
 query runs no normal form.  The normal form reads the pair's sparse
-``boundary_matrix``, built from those cached columns.
+``boundary_matrix``, built from those cached columns, and a later
+``boundary_matrix`` of d_{n+1} carries the held torsion and rank, so its
+``smith_normal_form`` (without transforms) runs none either.
 
 ``ngon_homology_closed_form`` gives the degree-0 homology of a weighted
 polygon without a matrix.  The k-th invariant factor has, at every prime
@@ -261,14 +263,19 @@ def smith_normal_form(matrix, transforms: bool = False) -> SNFResult:
     ``matrix`` is an ``ExactMatrix`` (a 0 x k one keeps its k columns) or
     dense rows, which are read as ``ExactMatrix(matrix)`` reads them: a
     ``dict`` row or a ragged row is refused there, and so is an entry that
-    is not an int, Fraction or GaussianRational.  Its non-zeros are
-    converted to ints, one dict per row; a non-integer one is refused with
-    a ``ValueError``.
+    is not an integer (anything with ``__index__``), a Fraction or a
+    GaussianRational.  Its non-zeros are converted to ints, one dict per
+    row; a non-integer one is refused with a ``ValueError``.
 
-    One elimination, ``_diagonal``, serves both modes; the diagonal is
-    unique, so it pivots in its own order.  Without ``transforms`` the
-    invariant factors of its pivots (``_invariant_factors``), padded with
-    zeros to min(rows, cols), are the diagonal; their count is the rank.
+    A boundary matrix whose pair holds the torsion and rank of its normal
+    form (``weighted_homology`` one degree down caches them) carries them,
+    and without ``transforms`` the diagonal is read off them: rank minus
+    len(torsion) ones, the torsion, then zeros to min(rows, cols).
+    Otherwise one elimination, ``_diagonal``, serves both modes; the
+    diagonal is unique, so it pivots in its own order.  Without
+    ``transforms`` the invariant factors of its pivots
+    (``_invariant_factors``), padded with zeros to min(rows, cols), are
+    the diagonal; their count is the rank.
     With ``transforms`` the elimination applies its steps to U and V as
     well, and ``_transforms`` orders the pivots and reaches d1 | d2 | ...
     by 2x2 gcd steps.  It returns U (rows x rows) and V (cols x cols),
@@ -276,6 +283,10 @@ def smith_normal_form(matrix, transforms: bool = False) -> SNFResult:
     """
     if not isinstance(matrix, ExactMatrix):
         matrix = ExactMatrix(matrix)
+    if matrix._snf is not None and not transforms:
+        torsion, rank = matrix._snf
+        return SNFResult([1] * (rank - len(torsion)) + list(torsion)
+                         + [0] * (min(matrix.shape) - rank), rank)
     rows = [{j: _int_entry(x) for j, x in row.items()} for row in matrix._entries]
     if transforms:
         return _transforms(rows, matrix.cols)

@@ -16,7 +16,12 @@ and ``rank()`` count it, and ``chains`` keeps it per degree as the pair's
 rank vector.  A matrix remembers its rank once it is known: ``rank()``
 keeps its answer, a transpose inherits it, and a boundary or coboundary
 matrix starts with the rank its (complex, weight) pair already holds.
-The rank is a plain int, so matrices pickle and copy as before.
+A boundary matrix also carries its Smith diagonal, as the (torsion, rank)
+of its normal form, when the pair holds them (``weighted_homology`` one
+degree down fills them), so its ``smith_normal_form`` without transforms
+eliminates nothing; every other matrix, a transpose included, starts
+without.  Both are plain ints and tuples of them, so matrices pickle and
+copy as before.
 """
 
 from __future__ import annotations
@@ -31,13 +36,14 @@ if TYPE_CHECKING:
 
 
 class ExactMatrix:
-    __slots__ = ("rows", "cols", "_entries", "row_labels", "col_labels", "_rank")
+    __slots__ = ("rows", "cols", "_entries", "row_labels", "col_labels", "_rank", "_snf")
 
     def __init__(self, data, row_labels=None, col_labels=None, cols=None):
         """A matrix of the dense rows ``data``; ``cols`` gives the width of
         a matrix with no rows and must agree with any row.  A ``dict`` row
         and a ragged row are refused with a ``ValueError``, an entry that
-        is not an int, Fraction or GaussianRational with a ``TypeError``."""
+        is not an integer (anything with ``__index__``), a Fraction or a
+        GaussianRational with a ``TypeError``."""
         data = list(data)
         if any(isinstance(row, dict) for row in data):
             # a dict iterates as its keys: read as a dense row, it would be wrong
@@ -64,6 +70,7 @@ class ExactMatrix:
     def _set(self, entries, cols, row_labels, col_labels) -> None:
         self._entries = entries
         self._rank = None  # the rank, once known
+        self._snf = None  # a boundary's (torsion, rank), if its pair holds them
         self.rows = len(entries)
         self.cols = cols
         self.row_labels = tuple(row_labels) if row_labels is not None else None

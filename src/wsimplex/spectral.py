@@ -70,6 +70,13 @@ grows with the product of two basis sizes (for the Delta^45 2-skeleton in
 degree 1, 15,226 x 1,035 complex entries, about 252 MB), and an
 inner-weighted call scales a copy of its own anyway.
 
+The pair also holds each harmonic basis, the one dense part it keeps:
+a read-only copy of the dim H^n harmonic columns, f_n x dim H^n, the
+size of the answer, so a repeated ``harmonic_basis`` runs no SVD and
+returns a fresh copy of it.  The f_n x f_n eigenvectors of
+``laplacian_spectrum`` are not held, and a call with inner weights holds
+nothing.
+
 numpy is imported by the float functions alone (``spectrum``,
 ``laplacian_spectrum``, ``harmonic_basis``), so the exact ones leave it
 unloaded.
@@ -373,7 +380,8 @@ def harmonic_basis(complex: SimplicialComplex, phi: WeightFunction, n: int) -> H
     """Orthonormal basis of the degree-n harmonic cochains: the right
     singular vectors of the Laplacian factor for its dim H^n smallest
     singular values (``laplacian_spectrum``'s first eigenvectors), that
-    count being exact."""
+    count being exact.  The pair holds a read-only copy of those columns
+    alone, made on the first ask; each ask returns a fresh copy of it."""
     import numpy as np
 
     _check_pair(complex, phi)
@@ -381,7 +389,13 @@ def harmonic_basis(complex: SimplicialComplex, phi: WeightFunction, n: int) -> H
     labels = complex.basis(n)
     if not count:
         return HarmonicBasis(n, labels, np.zeros((len(labels), 0)))
-    return HarmonicBasis(n, labels, laplacian_spectrum(complex, phi, n).eigenvectors[:, :count])
+
+    def build():
+        vectors = laplacian_spectrum(complex, phi, n).eigenvectors[:, :count].copy()
+        vectors.flags.writeable = False
+        return vectors
+
+    return HarmonicBasis(n, labels, _cached(phi, "harmonic", n, build).copy())
 
 
 # -- inner product weight text format ----------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 import random
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -129,6 +130,25 @@ def random_complex(rng: random.Random, max_vertices=6, max_dim=3) -> SimplicialC
         size = rng.randint(1, min(max_dim + 1, nv))
         sims.append(tuple(sorted(rng.sample(verts, size))))
     return build_complex(sims)
+
+
+def random_flag_complex(rng: random.Random, max_vertices=7, max_dim=3) -> SimplicialComplex:
+    """Clique complex, up to dimension max_dim, of a random graph on 3 to
+    max_vertices vertices, each edge drawn with one probability from 1/2
+    to 4/5."""
+    nv = rng.randint(3, max_vertices)
+    p = rng.uniform(0.5, 0.8)
+    above = {v: set() for v in range(nv)}  # the neighbours of v above v
+    for a, b in combinations(range(nv), 2):
+        if rng.random() < p:
+            above[a].add(b)
+    cliques = [(v,) for v in range(nv)]
+    out = list(cliques)
+    for _ in range(max_dim):
+        cliques = [c + (v,) for c in cliques for v in sorted(above[c[-1]])
+                   if all(v in above[u] for u in c)]
+        out += cliques
+    return build_complex(out)
 
 
 def _random_nonzero(rng: random.Random, complex_scalars: bool) -> GaussianRational:

@@ -5,17 +5,24 @@ function reads: the boundary columns, the lows of each reduced
 coboundary (the rank vector), the normal form behind
 ``weighted_homology``, the standard Laplacian parts and their sum, and
 the non-zeros of the float factor behind ``laplacian_spectrum`` and
-``harmonic_basis`` as flat read-only arrays.  These tests pin what the
-cache must not change: every answer equals the one a freshly loaded pair
-gives, no caller can reach a held object, each boundary, Laplacian sum
-and factor is built once, an unvalidated pair or a factor outside float
-range caches nothing, two pairs share nothing, and nothing held is dense.
-A boundary or coboundary matrix reads its rank from the pair's rank
-vector, which is checked against a rank computed afresh; r_n reduces the
-coboundaries into degrees 1..n once each and nothing else.
+``harmonic_basis`` as flat read-only arrays; and the harmonic basis
+itself, the one dense part, a read-only f_n x dim H^n array.  These tests
+pin what the cache must not change: every answer equals the one a
+freshly loaded pair gives, no caller can reach a held object, each
+boundary, Laplacian sum, factor and harmonic basis is built once, an
+unvalidated pair or a factor outside float range caches nothing, two
+pairs share nothing, and nothing held is dense but the harmonic bases,
+each the size of its answer (no f_n x f_n eigenvector matrix).  A
+boundary or coboundary matrix reads its rank from the pair's rank
+vector, which is checked against a rank computed afresh, and a boundary
+matrix its Smith diagonal from the pair's normal form; r_n reduces the
+coboundaries into degrees 1..n once each and nothing else.  A seeded
+differential test repeats both held answers on random flag complexes;
+it reads ``DEEP`` and runs ten times the draws under the deep profile.
 """
 
 import gc
+import random
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -33,7 +40,7 @@ from wsimplex import (
     read_complex_file,
     read_weight_file,
 )
-from wsimplex import chains, cli, homology, spectral
+from wsimplex import chains, cli, eigen, homology, spectral
 from wsimplex.chains import boundary_columns, boundary_matrix, coboundary_matrix
 from wsimplex.homology import smith_normal_form, weighted_homology
 from wsimplex.matrices import ExactMatrix, column_rank
@@ -47,7 +54,15 @@ from wsimplex.spectral import (
     zero_multiplicity_formulas,
 )
 
-from conftest import sample_triangle_table, spectral_fixtures
+from conftest import (
+    DEEP,
+    random_cfw_weight,
+    random_dawson_weight,
+    random_flag_complex,
+    random_semi_trivial_weight,
+    sample_triangle_table,
+    spectral_fixtures,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FILE_PAIRS = [
@@ -340,7 +355,13 @@ def held_objects(phi) -> list:
     """Every mutable container the cache of phi holds, nested ones and
     arrays included (an immutable one, like the shared empty tuple, is
     not)."""
-    out, stack = [], list(phi._operators.values())
+    return [x for value in phi._operators.values() for x in held_in(value)]
+
+
+def held_in(value) -> list:
+    """The mutable containers and arrays in one held value, nested ones
+    included."""
+    out, stack = [], [value]
     while stack:
         x = stack.pop()
         if isinstance(x, np.ndarray):
@@ -374,11 +395,14 @@ def test_pairs_on_equal_complexes_share_nothing():
 
 
 def test_cache_holds_sparse_parts_only():
+    """Every held part is sparse but the harmonic bases, which are the
+    size of their answers."""
     for name, complex, phi, _ in pairs():
         for n in range(-1, complex.max_dim + 2):
             lap = laplacian_matrix(complex, phi, n)
             up, down = up_down_matrices(complex, phi, n)
             laplacian_spectrum(complex, phi, n)
+            harmonic_basis(complex, phi, n)
             held = (*phi._operators["parts", n], phi._operators["laplacian", n])
             for rows, dense in zip(held, (up, down, lap)):
                 # no stored zero slots: one entry per non-zero of the part
@@ -392,13 +416,25 @@ def test_cache_holds_sparse_parts_only():
             assert np.all(values != 0), (name, n)
             assert (top, height) == (len(complex.basis(n + 1)),
                                      top + len(complex.basis(n - 1))), (name, n)
-        # no dense matrix: no ExactMatrix, no list of rows and no 2-D array
-        # (so no SVD either); every array is flat and read-only
-        for x in held_objects(phi):
-            assert not isinstance(x, ExactMatrix), name
-            assert not (isinstance(x, list) and x and isinstance(x[0], list)), name
-            if isinstance(x, np.ndarray):
-                assert x.ndim == 1 and not x.flags.writeable, name
+        # no dense matrix: no ExactMatrix and no list of rows; every array
+        # is read-only, and the only 2-D ones are the harmonic bases, each
+        # f_n x dim H^n and owning its data: the f_n x f_n eigenvectors are
+        # not held, and an f_n x f_n array is only where every cochain is
+        # harmonic, as the basis itself
+        for key, value in phi._operators.items():
+            for x in held_in(value):
+                assert not isinstance(x, ExactMatrix), name
+                assert not (isinstance(x, list) and x and isinstance(x[0], list)), name
+                if not isinstance(x, np.ndarray):
+                    continue
+                assert not x.flags.writeable, (name, key)
+                if key[0] != "harmonic":
+                    assert x.ndim == 1, (name, key)
+                    continue
+                _, n = key
+                f_n, dim = len(complex.basis(n)), cohomology_dim(complex, phi, n)
+                assert x.shape == (f_n, dim) and dim > 0, (name, key)
+                assert x.flags.owndata, (name, key)
 
 
 def test_pairs_are_freed_without_the_collector(monkeypatch, capsys):
@@ -522,3 +558,108 @@ def test_homology_walks_the_weight_table_once(monkeypatch):
         with pytest.raises(ValueError, match="integer homology needs integer weight"):
             weighted_homology(halves, raw, 0)
     assert raw._operators == {} and not raw.validated
+
+
+def test_harmonic_basis_runs_one_svd_per_degree(monkeypatch):
+    """Asked three times in each degree, ``harmonic_basis`` runs the SVD
+    once where dim H^n > 0 and never elsewhere; an inner-weighted spectrum
+    asked afterwards holds nothing new."""
+    svds = []
+    jacobi_svd = eigen.jacobi_svd
+
+    def counted(m):
+        svds.append(m.shape)
+        return jacobi_svd(m)
+
+    monkeypatch.setattr(eigen, "jacobi_svd", counted)
+    for name, complex, phi, _ in pairs():
+        degrees = range(-1, complex.max_dim + 2)
+        for n in degrees:
+            svds.clear()
+            for _ in range(3):
+                harmonic_basis(complex, phi, n)
+            assert len(svds) == (cohomology_dim(complex, phi, n) > 0), (name, n)
+        for n in degrees:
+            laplacian_spectrum(complex, phi, n)
+        held = dict(phi._operators)
+        w = inner_weights(complex)
+        for n in degrees:
+            laplacian_spectrum(complex, phi, n, w)
+        assert phi._operators.keys() == held.keys(), name
+
+
+def test_a_harmonic_basis_is_the_size_of_its_answer():
+    """The returned basis owns its data, f_n x dim H^n, rather than viewing
+    the f_n x f_n eigenvector matrix, on the first ask and on every later
+    one: two hollow triangles sharing a vertex give 6 x 2 in degree 1."""
+    bowtie = build_complex([(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+    ones = identity_weight(bowtie)
+    assert cohomology_dim(bowtie, ones, 1) == 2
+    cases = [("bowtie", bowtie, ones)]
+    cases += [(name, complex, phi) for name, complex, phi, _ in pairs()]
+    for name, complex, phi in cases:
+        for n in range(-1, complex.max_dim + 2):
+            shape = (len(complex.basis(n)), cohomology_dim(complex, phi, n))
+            for _ in range(2):
+                vectors = harmonic_basis(complex, phi, n).vectors
+                assert vectors.shape == shape and vectors.flags.owndata, (name, n)
+                assert vectors.flags.writeable, (name, n)
+
+
+def test_boundary_matrix_carries_the_held_normal_form(monkeypatch):
+    """After ``weighted_homology`` in degree n - 1, the normal form of d_n
+    without transforms runs no elimination and equals a fresh pair's;
+    with transforms, or for the transpose, it eliminates and gives the
+    same diagonal."""
+    eliminations = []
+    diagonal = homology._diagonal
+
+    def counted(*args):
+        eliminations.append(1)
+        return diagonal(*args)
+
+    monkeypatch.setattr(homology, "_diagonal", counted)
+    for name, complex, phi, load in pairs():
+        if not phi.is_integral():
+            continue
+        for n in range(-1, complex.max_dim + 2):
+            fresh_complex, fresh = load()
+            expected = snf_of_boundary(fresh_complex, fresh, n)
+            weighted_homology(complex, phi, n - 1)
+            eliminations.clear()
+            m = boundary_matrix(complex, phi, n)
+            assert m._snf == phi._operators["snf", n], (name, n)
+            assert snf_of_boundary(complex, phi, n) == expected, (name, n)
+            assert smith_normal_form(m) == expected, (name, n)
+            assert not eliminations, (name, n)
+            for got in (smith_normal_form(m, transforms=True),
+                        smith_normal_form(m.transpose())):
+                assert (got.diagonal, got.rank) == (expected.diagonal, expected.rank), (name, n)
+            assert len(eliminations) == 2, (name, n)
+
+
+DRAWS = 2000 if DEEP else 200
+WEIGHTS = (random_dawson_weight, random_cfw_weight, random_semi_trivial_weight)
+
+
+def test_held_answers_on_random_flag_complexes_equal_a_fresh_pair():
+    """Seeded random flag complexes with Dawson, CFW and semi-trivial
+    weights: in every degree, in a random order, the harmonic basis and
+    the normal form of d_n, asked twice with ``weighted_homology`` one
+    degree down in between, equal those of a freshly loaded pair."""
+    rng = random.Random(3301)
+    for i in range(DRAWS):
+        complex = random_flag_complex(rng)
+        phi = WEIGHTS[i % len(WEIGHTS)](rng, complex)
+        assert not phi.validate()
+        degrees = list(range(-1, complex.max_dim + 2))
+        rng.shuffle(degrees)
+        for n in degrees:
+            fresh_complex, fresh = fresh_copy(complex, phi)
+            basis = harmonic_basis(fresh_complex, fresh, n)
+            snf = snf_of_boundary(fresh_complex, fresh, n)
+            for _ in range(2):
+                assert same(harmonic_basis(complex, phi, n), basis), (i, n)
+                assert snf_of_boundary(complex, phi, n) == snf, (i, n)
+                weighted_homology(complex, phi, n - 1)
+            assert ("snf", n) in phi._operators, (i, n)

@@ -21,6 +21,7 @@ from itertools import combinations
 from math import prod
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wsimplex import (
@@ -286,15 +287,21 @@ def test_input_forms_on_folds_cancellations_and_empty_shapes():
 
 def test_matrix_rows_are_checked():
     """Dense rows go through ExactMatrix: integer-valued exact entries pass,
-    other exact ones are refused by the normal form, floats and strings by
-    ExactMatrix (6.0 included), and ragged rows by ExactMatrix."""
+    numpy integers among them, other exact ones are refused by the normal
+    form, floats (numpy's and 6.0 included) and strings by ExactMatrix, and
+    ragged rows by ExactMatrix."""
     assert smith_normal_form([[Fraction(4), 0], [0, 6]]).diagonal == [2, 12]
     assert smith_normal_form([[3, 0], [0, 0]]).diagonal == [3, 0]
+    ints = np.array([[2, 4], [6, 8]], dtype=np.int64)
+    assert ExactMatrix(ints) == ExactMatrix([[2, 4], [6, 8]])
+    assert smith_normal_form(ints).diagonal == [2, 4]
+    assert smith_normal_form(ints, transforms=True).diagonal == [2, 4]
     for rows in ([[Fraction(1, 2), 0]], [[GaussianRational(1, 1), 0]]):
         for matrix in (rows, ExactMatrix(rows)):
             with pytest.raises(ValueError, match="matrix has non-integer entries"):
                 smith_normal_form(matrix)
-    for rows in ([[0, 6.0]], [[0, 1.5]], [[float("nan")]], [[float("inf")]], [["3", 0]]):
+    for rows in ([[0, 6.0]], [[0, 1.5]], [[float("nan")]], [[float("inf")]], [["3", 0]],
+                 [[np.float64(6.0)]], [[0, np.float64(1.5)]]):
         with pytest.raises(TypeError, match="as a Gaussian rational"):
             smith_normal_form(rows)
         with pytest.raises(TypeError, match="as a Gaussian rational"):
