@@ -17,12 +17,14 @@ not vanish and none of the homological formulas downstream apply.
 A weight function stands for its (complex, weight) pair, and each exact
 operator of the pair is built once: ``_cached`` fills the weight
 function's private table of parts on the first ask, after the pair has
-passed ``_check_pair``, and every later call reads it.  The columns of
-d_n (``_boundary``) live there, and the Laplacian parts, float factors,
-normal forms and harmonic bases that ``spectral`` and ``homology`` derive
-from them.  Every part but the harmonic bases is sparse: dicts of
-non-zeros, flat read-only arrays of them, frozensets of indices, or the
-torsion and rank of a normal form, and never an ``ExactMatrix``.  A
+passed ``_check_pair``, and every later call reads it.  A part is held
+only if a later call reads it back, which leaves five kinds per degree:
+the columns of d_n (``_boundary``) and the lows below, here; the torsion
+and rank of d_n's normal form (``homology``); the Laplacian sum and the
+harmonic basis (``spectral``).  The Laplacian parts and the float factor
+are rebuilt from the columns on each call instead.  Every part but the
+harmonic bases is sparse: dicts of non-zeros, frozensets of indices, or
+the torsion and rank of a normal form, and never an ``ExactMatrix``.  A
 harmonic basis is held as its answer alone, a read-only f_n x dim H^n
 array, and no other part of a decomposition is.  What a public function
 returns is built fresh from the cached parts, so a caller that changes

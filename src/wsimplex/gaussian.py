@@ -230,6 +230,14 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
     return _make((a, b, d))
 
 
+def _integer(x, what: str) -> int:
+    """x as an int, for an int or anything with ``__index__``."""
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError(f"{what} {x!r} is not an integer") from None
+
+
 def _parts(x) -> tuple[int, int, int] | None:
     """The triple of an int or Fraction, None for any other type.  An
     integer type of another library (anything with ``__index__``, such as

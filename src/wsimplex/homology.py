@@ -42,10 +42,10 @@ from __future__ import annotations
 from bisect import insort
 from itertools import combinations
 from math import gcd
-from operator import index
 
 from .chains import _cached, _check_pair, _rank, boundary_matrix
 from .complexes import Record, SimplicialComplex
+from .gaussian import _integer
 from .matrices import ExactMatrix
 from .weights import WeightFunction
 
@@ -293,14 +293,6 @@ def smith_normal_form(matrix, transforms: bool = False) -> SNFResult:
     pivots = [abs(p) for p, _, _ in _diagonal(rows, matrix.cols)]
     rank = len(pivots)
     return SNFResult(_invariant_factors(pivots, rank) + [0] * (min(matrix.shape) - rank), rank)
-
-
-def _integer(x, what: str) -> int:
-    """x as an int, for an int or anything with ``__index__``."""
-    try:
-        return index(x)
-    except TypeError:
-        raise ValueError(f"{what} {x!r} is not an integer") from None
 
 
 class HomologyGroup(Record):

@@ -29,10 +29,10 @@ diagonal inner weights w (all 1 for the standard inner products):
 
 A column of d_{n+1} holds n+2 non-zeros at most, so the work is the sum of
 the squared non-zero counts per column (or row), not a cube of the basis
-size.  The pair caches the two standard parts as these rows, and their
-sum L_n, added once; ``up_down_matrices`` and ``laplacian_matrix`` return
-sparse copies of them (``ExactMatrix``).  Parts for inner weights are
-built per call.
+size.  The pair holds the sum L_n of the two standard parts, added once,
+and ``laplacian_matrix`` returns a sparse copy of it (``ExactMatrix``).
+``up_down_matrices`` sums its parts afresh on every call, with inner
+weights or without: the pair holds no part, as no later call reads one.
 
 ``up_down_matrices(..., w)`` swaps the standard inner products for
 diagonal ones given by positive simplex weights w; the resulting matrices
@@ -60,22 +60,23 @@ the count coming from the exact ranks, and the harmonic basis is the
 singular vectors of that many smallest singular values: no float tolerance
 decides either.
 
-The pair caches M's non-zeros, as flat read-only arrays of their rows,
-columns and float values, and each call fills a fresh dense M from them
-(then scales it for inner weights): the exact-to-float conversion runs
-once per pair, and ``laplacian_spectrum`` with or without w and
-``harmonic_basis`` share it.  M itself is not kept: it has at most n + 2
-non-zeros per (n+1)-simplex and n + 1 per n-simplex, while its dense form
-grows with the product of two basis sizes (for the Delta^45 2-skeleton in
-degree 1, 15,226 x 1,035 complex entries, about 252 MB), and an
-inner-weighted call scales a copy of its own anyway.
+Each call fills a fresh dense M straight from the pair's boundary columns
+(then scales it for inner weights); neither M nor its non-zeros are held.
+Their float conversion costs little next to the SVD that reads M, and
+the dense M grows with the product of two basis sizes (for the Delta^45
+2-skeleton in degree 1, 15,226 x 1,035 complex entries, about 252 MB).
+An inner weight outside the normal float range is refused before M is
+scaled by it.
 
 The pair also holds each harmonic basis, the one dense part it keeps:
 a read-only copy of the dim H^n harmonic columns, f_n x dim H^n, the
 size of the answer, so a repeated ``harmonic_basis`` runs no SVD and
 returns a fresh copy of it.  The f_n x f_n eigenvectors of
 ``laplacian_spectrum`` are not held, and a call with inner weights holds
-nothing.
+nothing.  So the pair holds five part kinds per degree, each read back
+by a later call: the boundary columns and the lows of ``chains``, the
+Smith torsion and rank of ``homology``, and the Laplacian sums and
+harmonic bases made here.
 
 numpy is imported by the float functions alone (``spectrum``,
 ``laplacian_spectrum``, ``harmonic_basis``), so the exact ones leave it
@@ -84,10 +85,12 @@ unloaded.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections.abc import Mapping
 from fractions import Fraction
 from operator import lt
+from sys import float_info
 
 from .chains import _boundary, _cached, _check_pair, _rank
 from .complexes import Record, Simplex, SimplicialComplex, _data_lines, _read_text, _trusted
@@ -154,18 +157,6 @@ def _assemble(size: int, d_n, d_next, w=None) -> tuple[list[dict], list[dict]]:
     return up, down
 
 
-def _parts(complex: SimplicialComplex, phi: WeightFunction, n: int):
-    """The cached sparse rows of the standard (up, down) parts in degree n
-    of a checked pair, read only."""
-    return _cached(phi, "parts", n, lambda: _assemble(
-        len(complex.basis(n)), _boundary(phi, n), _boundary(phi, n + 1)))
-
-
-def _fresh(rows: list[dict], labels) -> ExactMatrix:
-    """A square matrix of copies of the sparse rows, labelled by labels."""
-    return ExactMatrix._from_rows([dict(row) for row in rows], len(labels), labels, labels)
-
-
 def up_down_matrices(
     complex: SimplicialComplex,
     phi: WeightFunction,
@@ -178,20 +169,17 @@ def up_down_matrices(
         up   = W_n^{-1} A_n^* W_{n+1} A_n
         down = A_{n-1} W_{n-1}^{-1} A_{n-1}^* W_n,
 
-    which need not be Hermitian.  Every weight 1 gives the standard parts,
-    whose sparse rows the pair caches; parts for inner weights are built
-    per call."""
+    which need not be Hermitian.  Every weight 1 gives the standard parts.
+    Each call sums its parts afresh over the pair's boundary columns: the
+    pair holds no part, as no later call reads one back."""
     _check_pair(complex, phi)
     labels = complex.basis(n)
-    if w is None:
-        parts = _parts(complex, phi, n)
-    else:
-        parts = _assemble(len(labels), _boundary(phi, n), _boundary(phi, n + 1),
-                          tuple(w.diagonal(complex, k) for k in (n - 1, n, n + 1)))
+    weights = None if w is None else tuple(w.diagonal(complex, k) for k in (n - 1, n, n + 1))
     # no part stores a zero: two n-simplices share at most one face and
     # one coface, so an entry off the diagonal is one product of non-zeros,
     # and one on it a positive (weighted) sum of squared moduli
-    return tuple(_fresh(part, labels) for part in parts)
+    return tuple(ExactMatrix._from_rows(part, len(labels), labels, labels) for part in
+                 _assemble(len(labels), _boundary(phi, n), _boundary(phi, n + 1), weights))
 
 
 def laplacian_matrix(complex: SimplicialComplex, phi: WeightFunction, n: int) -> ExactMatrix:
@@ -200,13 +188,14 @@ def laplacian_matrix(complex: SimplicialComplex, phi: WeightFunction, n: int) ->
     labels = complex.basis(n)
 
     def build():
-        # __add__ copies the rows of the left part and reads the right one,
-        # so the cached parts stay as they are; a sum that cancels is dropped
+        # a sum that cancels is dropped
         up, down = (ExactMatrix._from_rows(part, len(labels)) for part in
-                    _parts(complex, phi, n))
+                    _assemble(len(labels), _boundary(phi, n), _boundary(phi, n + 1)))
         return (up + down)._entries
 
-    return _fresh(_cached(phi, "laplacian", n, build), labels)
+    # a copy of each held row: a caller that changes the result changes nothing held
+    rows = [dict(row) for row in _cached(phi, "laplacian", n, build)]
+    return ExactMatrix._from_rows(rows, len(labels), labels, labels)
 
 
 class InnerProductWeights:
@@ -266,45 +255,28 @@ def spectrum(matrix: ExactMatrix) -> Spectrum:
     return Spectrum(*_on_one_thread(np.linalg.eigh, matrix.to_ndarray()))
 
 
-def _factor_part(complex: SimplicialComplex, phi: WeightFunction, n: int) -> tuple:
-    """The cached non-zeros of the float factor M = [d_{n+1}^T ; conj(d_n)]
-    of a checked pair in degree n: read-only 1-D arrays of their rows,
-    columns and float values, then the height of the upper block and of
-    M.  A value outside float range caches nothing (``to_floats``)."""
+def _root_weights(complex: SimplicialComplex, w: InnerProductWeights, k: int) -> np.ndarray:
+    """The square roots of the inner weights of basis(k) as floats.  A
+    weight outside the normal float range (past it, or so small that it
+    reads as 0 or divides to inf) is refused with its magnitude, before
+    any division by it."""
+    import numpy as np
 
-    def build():
-        import numpy as np
-
-        d_n, d_next = _boundary(phi, n), _boundary(phi, n + 1)
-        top = len(d_next)
-        rows, cols, values = [], [], []
-        for r, column in enumerate(d_next):
-            for s, x in column.items():
-                rows.append(r)
-                cols.append(s)
-                values.append(x)
-        for s, column in enumerate(d_n):
-            for f, x in column.items():
-                rows.append(top + f)
-                cols.append(s)
-                values.append(x.conjugate())
-        real = all(x.is_real() for x in values)
-        floats = to_floats(values, real)
-        arrays = (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
-                  np.array(floats, dtype=np.float64 if real else np.complex128))
-        for a in arrays:
-            a.flags.writeable = False
-        return (*arrays, top, top + len(complex.basis(n - 1)))
-
-    return _cached(phi, "factor", n, build)
+    weights = w.diagonal(complex, k)
+    for s, x in zip(complex.basis(k), weights):
+        if not float_info.min <= x <= float_info.max:
+            exponent = round(math.log10(x.numerator) - math.log10(x.denominator))
+            raise ValueError(f"inner weight of {s} has magnitude about 1e{exponent:+d}, "
+                             f"outside the normal float range")
+    return np.sqrt([float(x) for x in weights])
 
 
 def _factor(complex: SimplicialComplex, phi: WeightFunction, n: int,
             w: InnerProductWeights | None = None) -> np.ndarray:
     """The float factor M = [d_{n+1}^T ; conj(d_n)] of the degree-n
     Laplacian of a checked pair, L_n = M^* M, as a fresh dense array filled
-    from the pair's cached non-zeros of M.  With inner weights w, row r of
-    the upper block is scaled by sqrt(w_r) and row f of the lower block by
+    from the pair's boundary columns.  With inner weights w, row r of the
+    upper block is scaled by sqrt(w_r) and row f of the lower block by
     1/sqrt(w_f), column s by 1/sqrt(w_s) above and sqrt(w_s) below: then
     M^* M = W^1/2 L W^-1/2.
 
@@ -312,18 +284,27 @@ def _factor(complex: SimplicialComplex, phi: WeightFunction, n: int,
     squared entries leave float range is refused."""
     import numpy as np
 
-    rows, cols, values, top, height = _factor_part(complex, phi, n)
-    m = np.zeros((height, len(complex.basis(n))), dtype=values.dtype)
-    m[rows, cols] = values
-    if w is not None:
-        w_dn, w_n, w_up = (np.sqrt(to_floats([GaussianRational(x) for x in
-                                              w.diagonal(complex, k)], True))
-                           for k in (n - 1, n, n + 1))
-        m[:top] *= w_up[:, None] / w_n[None, :]
-        m[top:] *= w_n[None, :] / w_dn[:, None]
+    d_n, d_next = _boundary(phi, n), _boundary(phi, n + 1)
+    top = len(d_next)
+    # the non-zeros of M as three flat lists: d_{n+1}^T's, then conj(d_n)'s
+    rows = [r for r, column in enumerate(d_next) for _ in column]
+    rows += [top + f for column in d_n for f in column]
+    cols = [s for column in d_next for s in column]
+    cols += [s for s, column in enumerate(d_n) for _ in column]
+    values = [x for column in d_next for x in column.values()]
+    values += [x.conjugate() for column in d_n for x in column.values()]
+    real = all(x.is_real() for x in values)
+    m = np.zeros((top + len(complex.basis(n - 1)), len(complex.basis(n))),
+                 dtype=np.float64 if real else np.complex128)
+    if values:
+        m[rows, cols] = to_floats(values, real)
     with np.errstate(over="ignore", under="ignore"):
+        if w is not None:
+            w_dn, w_n, w_up = (_root_weights(complex, w, k) for k in (n - 1, n, n + 1))
+            m[:top] *= w_up[:, None] / w_n[None, :]
+            m[top:] *= w_n[None, :] / w_dn[:, None]
         norm2 = float(np.sum(np.square(np.abs(m))))
-    if values.size and not (np.isfinite(norm2) and norm2 >= np.finfo(np.float64).tiny):
+    if values and not (np.isfinite(norm2) and norm2 >= float_info.min):
         raise ValueError(
             f"degree {n}: the Laplacian factor's largest entry has magnitude "
             f"{np.max(np.abs(m)):.1e}; the eigenvalues, sums of squares of such "

@@ -31,10 +31,14 @@ each condition crosswise on integer triples and multiplies out only a
 violation.
 
 A weight function stands for its (complex, weight) pair.  Its table never
-changes, so it also holds, per degree, the sparse exact operators built
-from it (boundary columns, ranks, normal-form torsion, Laplacian parts;
-see ``chains``): each is built on the first ask of a validated pair and read
-afterwards.
+changes, so it also holds, per degree, what later calls read back of the
+operators built from it (boundary columns, ranks, normal-form torsion,
+the Laplacian sum and the harmonic basis; see ``chains``): each is built
+on the first ask of a validated pair and read afterwards.
+
+Face indices, simplex weights and f-values are read with ``__index__``,
+so numpy's integers count as ints; floats, strings and (for the simplex
+weights and f-values) bools are refused.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from fractions import Fraction
 from math import lcm
 
 from .complexes import Simplex, SimplicialComplex, _data_lines, _read_text, build_complex
-from .gaussian import GaussianRational, products_equal
+from .gaussian import GaussianRational, _integer, products_equal
 
 
 class WeightCompletenessError(ValueError):
@@ -75,13 +79,16 @@ class WeightFunction:
 
     def __init__(self, complex: SimplicialComplex, table: Mapping):
         tbl: dict[tuple[Simplex, int], GaussianRational] = {}
-        for (s, i), value in table.items():
-            # keys from required_pairs are Simplex already: convert only what is not
+        for key, value in table.items():
+            s, i = key
+            # keys from required_pairs are Simplex and int: convert only what is not
             if type(s) is not Simplex:
                 s = Simplex(s)
+            if type(i) is not int:  # an integer type, never a float or a string
+                i = _integer(i, f"face index of key {key!r}:")
             if type(value) is not GaussianRational:
                 value = GaussianRational.coerce(value)
-            tbl[s, int(i)] = value
+            tbl[s, i] = value
         count = 0
         for count, (s, i) in enumerate(required_pairs(complex), 1):
             if (s, i) not in tbl:
@@ -246,6 +253,13 @@ def semi_trivial_weight(
     return _tabulated(complex, rule)
 
 
+def _integer_value(x, what: str) -> int:
+    """x as an int (``gaussian._integer``), but a bool is refused."""
+    if isinstance(x, bool):
+        raise ValueError(f"{what} = {x!r} is not an integer")
+    return _integer(x, f"{what} =")
+
+
 def _simplex_weighting(complex: SimplicialComplex, w) -> dict[Simplex, int]:
     getter = w if callable(w) else (lambda s: w[s])
     out = {}
@@ -254,9 +268,7 @@ def _simplex_weighting(complex: SimplicialComplex, w) -> dict[Simplex, int]:
             val = getter(s)
         except KeyError:
             raise ValueError(f"simplex weighting misses {s}") from None
-        if not isinstance(val, int) or isinstance(val, bool):
-            raise ValueError(f"simplex weight w({s}) = {val!r} is not an integer")
-        out[s] = val
+        out[s] = _integer_value(val, f"simplex weight w({s})")
     return out
 
 
@@ -290,9 +302,7 @@ def cfw_weight(complex: SimplicialComplex, w, f, C="auto") -> WeightFunction:
     fget = f if callable(f) else (lambda x: f[x])
     fval = {}
     for s, wv in wmap.items():
-        y = fget(wv)
-        if not isinstance(y, int) or isinstance(y, bool):
-            raise ValueError(f"f({wv}) = {y!r} is not an integer")
+        y = _integer_value(fget(wv), f"f({wv})")
         if y == 0:
             raise ValueError(f"f({wv}) = 0 but w attains {wv}")
         fval[s] = y

@@ -667,7 +667,9 @@ def test_out_of_float_range_refused(capsys, tmp_path):
     """A weight of 10^200 squares past float range in the Laplacian, one of
     10^-200 squares below it, and a 10^400 matrix entry is past it already:
     the float commands refuse all three with one error line naming the
-    magnitude; exact commands still answer.  Weights 10^16 and 10^-16 on a
+    magnitude; exact commands still answer.  So are inner weights of 10^400
+    and 10^-400, with no numpy warning before the error, while the exact
+    Laplacian with them still answers.  Weights 10^16 and 10^-16 on a
     pentagon stay in range and keep their exact zero counts."""
     k, w = tmp_path / "edge.cplx", tmp_path / "huge.wts"
     k.write_text("0 1\n")
@@ -690,6 +692,19 @@ def test_out_of_float_range_refused(capsys, tmp_path):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and "1.0e-200" in err, err
+
+    ones = tmp_path / "ones.wts"
+    ones.write_text("0 1 | 0 | 1\n0 1 | 1 | 1\n")
+    pair = ["-k", str(k), "-w", str(ones), "-n", "0"]
+    for text, magnitude in ((f"0 | 1/{10 ** 400}\n", "1e-400"),
+                            (f"0 1 | {10 ** 400}\n", "1e+400")):
+        inner = tmp_path / "inner.wts"
+        inner.write_text(text)
+        assert main(["spectrum", *pair, "--inner-weights", str(inner)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and magnitude in err, err
+        code, payload = run_cli(capsys, "laplacian", *pair, "--inner-weights", str(inner))
+        assert code == 0 and payload["dimension"] == 0, text
 
     # the pentagon [1, 10^16, 1, 10^-16, 1]: only exit codes and zero counts
     # are pinned, the non-zero eigenvalues are not relatively accurate here

@@ -1,18 +1,18 @@
 """Each operator is built once per (complex, weight) pair.
 
-A weight function caches, per degree, the sparse parts every library
-function reads: the boundary columns, the lows of each reduced
+A weight function caches, per degree, the parts a later call reads
+back, five kinds in all: the boundary columns, the lows of each reduced
 coboundary (the rank vector), the normal form behind
-``weighted_homology``, the standard Laplacian parts and their sum, and
-the non-zeros of the float factor behind ``laplacian_spectrum`` and
-``harmonic_basis`` as flat read-only arrays; and the harmonic basis
-itself, the one dense part, a read-only f_n x dim H^n array.  These tests
-pin what the cache must not change: every answer equals the one a
+``weighted_homology``, the standard Laplacian sum, and the harmonic
+basis, the one dense part, a read-only f_n x dim H^n array.  The
+Laplacian parts and the float factor are rebuilt on each call.  These
+tests pin what the cache must not change: every answer equals the one a
 freshly loaded pair gives, no caller can reach a held object, each
-boundary, Laplacian sum, factor and harmonic basis is built once, an
-unvalidated pair or a factor outside float range caches nothing, two
-pairs share nothing, and nothing held is dense but the harmonic bases,
-each the size of its answer (no f_n x f_n eigenvector matrix).  A
+boundary, Laplacian sum and harmonic basis is built once, the pair holds
+no kind of part but the five, an unvalidated pair, a factor outside
+float range or an inner-weight call caches nothing, two pairs share
+nothing, and nothing held is dense but the harmonic bases, each the size
+of its answer (no f_n x f_n eigenvector matrix).  A
 boundary or coboundary matrix reads its rank from the pair's rank
 vector, which is checked against a rank computed afresh, and a boundary
 matrix its Smith diagonal from the pair's normal form; r_n reduces the
@@ -23,6 +23,7 @@ it reads ``DEEP`` and runs ten times the draws under the deep profile.
 
 import gc
 import random
+import warnings
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -40,7 +41,7 @@ from wsimplex import (
     read_complex_file,
     read_weight_file,
 )
-from wsimplex import chains, cli, eigen, homology, spectral
+from wsimplex import chains, cli, eigen, homology
 from wsimplex.chains import boundary_columns, boundary_matrix, coboundary_matrix
 from wsimplex.homology import smith_normal_form, weighted_homology
 from wsimplex.matrices import ExactMatrix, column_rank
@@ -125,6 +126,7 @@ def calls(phi):
         "cohomology_dim": cohomology_dim,
         "zero_multiplicity_formulas": zero_multiplicity_formulas,
         "up_down_matrices": up_down_matrices,
+        "up_down_matrices_w": lambda k, p, n: up_down_matrices(k, p, n, w),
         "laplacian_matrix": laplacian_matrix,
         "laplacian_spectrum": laplacian_spectrum,
         "laplacian_spectrum_w": lambda k, p, n: laplacian_spectrum(k, p, n, w),
@@ -188,7 +190,7 @@ def test_mutating_a_result_changes_no_later_answer():
                     got.append({0: 1})
                 elif isinstance(got, ExactMatrix):
                     scribble(got)
-                elif op == "up_down_matrices":
+                elif op.startswith("up_down_matrices"):
                     for m in got:
                         scribble(m)
                 elif op == "weighted_homology":
@@ -240,23 +242,17 @@ class Writes(dict):
         super().__setitem__(key, value)
 
 
-def test_session_builds_each_laplacian_and_factor_once(monkeypatch):
-    """Each part is written once per pair, and a degree's Laplacian sum and
-    float factor are built once: one matrix sum and one exact-to-float
-    conversion each, however often the pair is asked."""
+def test_session_builds_each_laplacian_once(monkeypatch):
+    """Each part is written once per pair, and a degree's Laplacian sum is
+    built once, one matrix sum, however often the pair is asked."""
     built = Counter()
-    add, to_floats = ExactMatrix.__add__, spectral.to_floats
+    add = ExactMatrix.__add__
 
     def counted_add(self, other):
         built["laplacian"] += 1
         return add(self, other)
 
-    def counted_floats(values, real):
-        built["factor"] += 1
-        return to_floats(values, real)
-
     monkeypatch.setattr(ExactMatrix, "__add__", counted_add)
-    monkeypatch.setattr(spectral, "to_floats", counted_floats)
     for name, _, _, load in pairs():
         complex, phi = load()
         writes = Counter()
@@ -268,64 +264,99 @@ def test_session_builds_each_laplacian_and_factor_once(monkeypatch):
                 laplacian_matrix(complex, phi, n)
                 laplacian_spectrum(complex, phi, n)
                 harmonic_basis(complex, phi, n)
-        assert built == {"laplacian": len(degrees), "factor": len(degrees)}, name
+        assert built == {"laplacian": len(degrees)}, name
         for _ in range(2):
             for n in degrees:
                 for call in calls(phi).values():
                     call(complex, phi, n)
+        assert built == {"laplacian": len(degrees)}, name
         for n in degrees:
-            assert writes["laplacian", n] == writes["factor", n] == 1, (name, n)
+            assert writes["laplacian", n] == 1, (name, n)
         assert set(writes.values()) == {1}, name
 
 
-def test_inner_weight_spectrum_reads_the_standard_factor():
-    """``laplacian_spectrum(..., w)`` scales a copy of the factor the pair
-    holds for the standard inner products: it caches nothing more, and
-    asked first it caches that same factor."""
+PART_KINDS = {"columns", "lows", "snf", "laplacian", "harmonic"}
+
+
+def part_kinds(phi) -> set:
+    return {part for part, _ in phi._operators}
+
+
+def test_the_pair_holds_five_part_kinds():
+    """After every library call in every degree, inner weights included,
+    the pair holds no part but the five kinds a later call reads back, and
+    the calls together hold each of them."""
+    seen = set()
+    for name, complex, phi, _ in pairs():
+        for n in range(-1, complex.max_dim + 2):
+            for op, call in calls(phi).items():
+                call(complex, phi, n)
+                assert part_kinds(phi) <= PART_KINDS, (name, op, n)
+        seen |= part_kinds(phi)
+    assert seen == PART_KINDS
+
+
+def test_inner_weight_calls_write_nothing():
+    """``laplacian_spectrum(..., w)`` and ``up_down_matrices(..., w)`` hold
+    nothing of their own: asked after the standard calls they write no
+    key, and asked first they write the same keys as the standard calls,
+    the boundary columns and lows that ranks and factors read."""
     for name, complex, phi, load in pairs():
         w = inner_weights(complex)
         degrees = range(-1, complex.max_dim + 2)
         for n in degrees:
             laplacian_spectrum(complex, phi, n)
+            up_down_matrices(complex, phi, n)
         held = dict(phi._operators)
+        assert part_kinds(phi) <= {"columns", "lows"}, name
         for n in degrees:
             laplacian_spectrum(complex, phi, n, w)
+            up_down_matrices(complex, phi, n, w)
         assert phi._operators.keys() == held.keys(), name
         assert all(phi._operators[key] is value for key, value in held.items()), name
 
         fresh_complex, fresh = load()
         for n in degrees:
             laplacian_spectrum(fresh_complex, fresh, n, w)
+            up_down_matrices(fresh_complex, fresh, n, w)
         assert fresh._operators.keys() == held.keys(), name
-        for n in degrees:
-            for a, b in zip(fresh._operators["factor", n], held["factor", n]):
-                assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, name
 
 
 def test_a_factor_outside_float_range_caches_nothing():
-    """A boundary value beyond float range is refused with the same error
-    on every ask, and no factor is held; one whose squares leave float
-    range converts, so its factor is held, and every ask refuses it."""
+    """A boundary value beyond float range, one whose squares leave float
+    range, and an inner weight beyond float range or below it are each
+    refused with the same error on every ask, with no warning; the pair
+    holds the columns and lows behind the factor and nothing more."""
     edge = build_complex([(0, 1)])
     huge = WeightFunction(edge, {((0, 1), 0): 10**400, ((0, 1), 1): 1})
-    assert not huge.validate()
-    errors = []
-    for call in (laplacian_spectrum, harmonic_basis, laplacian_spectrum):
-        with pytest.raises(ValueError, match="outside float range") as info:
-            call(edge, huge, 0)
-        errors.append(str(info.value))
-        assert ("factor", 0) not in huge._operators
-    assert errors == [errors[0]] * 3 and "1e+400" in errors[0]
-
     big = WeightFunction(edge, {((0, 1), 0): 10**200, ((0, 1), 1): 1})
-    assert not big.validate()
-    errors = []
-    for _ in range(2):
-        with pytest.raises(ValueError, match="leave float range") as info:
-            laplacian_spectrum(edge, big, 0)
-        errors.append(str(info.value))
-        assert ("factor", 0) in big._operators
-    assert errors[0] == errors[1]
+    ones = identity_weight(edge)
+    assert not huge.validate() and not big.validate()
+    tiny_w = InnerProductWeights({(0,): Fraction(1, 10**400)}, 1)
+    huge_w = InnerProductWeights({(0, 1): 10**400}, 1)
+    cases = [
+        (huge, None, "entry of magnitude about 1e+400 is outside float range"),
+        (big, None, "largest entry has magnitude 1.0e+200"),
+        (ones, tiny_w, "inner weight of [0] has magnitude about 1e-400, outside"),
+        (ones, huge_w, "inner weight of [0,1] has magnitude about 1e+400, outside"),
+    ]
+    for phi, w, message in cases:
+        asks = [lambda: laplacian_spectrum(edge, phi, 0, w)] * 2
+        if w is None:
+            asks.insert(1, lambda: harmonic_basis(edge, phi, 0))
+        errors = []
+        for ask in asks:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="float range") as info:
+                    ask()
+            errors.append(str(info.value))
+        assert errors == [errors[0]] * len(asks) and message in errors[0], (message, errors)
+        assert part_kinds(phi) <= {"columns", "lows"}, message
+    # the exact parts do not convert the weights: they still answer
+    for w in (tiny_w, huge_w):
+        up, down = up_down_matrices(edge, ones, 0, w)
+        assert up.shape == down.shape == (2, 2)
 
 
 def test_unvalidated_weight_raises_and_caches_nothing():
@@ -403,19 +434,12 @@ def test_cache_holds_sparse_parts_only():
             up, down = up_down_matrices(complex, phi, n)
             laplacian_spectrum(complex, phi, n)
             harmonic_basis(complex, phi, n)
-            held = (*phi._operators["parts", n], phi._operators["laplacian", n])
-            for rows, dense in zip(held, (up, down, lap)):
-                # no stored zero slots: one entry per non-zero of the part
-                nnz = sum(1 for row in dense.data for x in row if x)
-                assert sum(map(len, rows)) == nnz, (name, n)
-            # the factor: one float per non-zero of d_n and d_{n+1}
-            rows, cols, values, top, height = phi._operators["factor", n]
-            nnz = sum(map(len, boundary_columns(complex, phi, n)))
-            nnz += sum(map(len, boundary_columns(complex, phi, n + 1)))
-            assert len(rows) == len(cols) == len(values) == nnz, (name, n)
-            assert np.all(values != 0), (name, n)
-            assert (top, height) == (len(complex.basis(n + 1)),
-                                     top + len(complex.basis(n - 1))), (name, n)
+            # no stored zero slots: one entry per non-zero of the sum, and
+            # none of the parts, which do not store one either
+            nnz = sum(1 for row in lap.data for x in row if x)
+            assert sum(map(len, phi._operators["laplacian", n])) == nnz, (name, n)
+            for part in (up, down):
+                assert all(x for row in part._entries for x in row.values()), (name, n)
         # no dense matrix: no ExactMatrix and no list of rows; every array
         # is read-only, and the only 2-D ones are the harmonic bases, each
         # f_n x dim H^n and owning its data: the f_n x f_n eigenvectors are

@@ -2,6 +2,7 @@ import random
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -53,6 +54,23 @@ def test_foreign_keys_refused_at_construction():
     del table[((0, 5), 0)]
     with pytest.raises(ValueError, match=r"\(\[0,1\], face 7\)"):
         WeightFunction(k, table)
+
+
+def test_face_indices_are_read_as_integers():
+    """A face index is read with ``__index__``: numpy's integers count as
+    ints, and a float or a string is refused by its key, where it was
+    once truncated or parsed into another face."""
+    k = full_triangle()
+    table = {pair: 1 for pair in required_pairs(k)}
+    assert WeightFunction(k, {(s, np.int64(i)): x for (s, i), x in table.items()}) \
+        == WeightFunction(k, table)
+    for i, bad in ((0, 0.9), (1, "1")):
+        wrong = dict(table)
+        del wrong[Simplex((0, 1)), i]
+        wrong[(0, 1), bad] = 1
+        with pytest.raises(ValueError) as err:
+            WeightFunction(k, wrong)
+        assert str(err.value) == f"face index of key ((0, 1), {bad!r}): {bad!r} is not an integer"
 
 
 def test_sample_table_validates():
@@ -168,6 +186,22 @@ def test_cfw_special_cases():
     assert cfw_weight(k, w, lambda x: x, C=0) == zero_weight(k)
     phi = cfw_weight(k, w, lambda x: x, C="auto")
     assert phi.is_integral()
+
+
+def test_numpy_integers_weight_as_ints():
+    """``dawson_weight`` and ``cfw_weight`` read simplex weights and
+    f-values with ``__index__``: numpy's integers give the weight function
+    ints give, and a bool or a float, numpy's included, is still refused."""
+    k = full_triangle()
+    w = {s: (1, 2, 4)[s.dim] for s in k.simplices()}
+    w64 = {s: np.int64(x) for s, x in w.items()}
+    assert dawson_weight(k, w64) == dawson_weight(k, w)
+    assert cfw_weight(k, w64, lambda x: np.int64(x + 1)) == cfw_weight(k, w, lambda x: x + 1)
+    for bad in (True, 2.0, np.float64(2.0)):
+        with pytest.raises(ValueError, match=r"w\(\[0\]\) = .* is not an integer"):
+            dawson_weight(k, {**w, Simplex((0,)): bad})
+        with pytest.raises(ValueError, match=r"f\(1\) = .* is not an integer"):
+            cfw_weight(k, w, lambda x: bad)
 
 
 def test_cfw_rejects_zero_f():
