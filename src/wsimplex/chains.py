@@ -4,9 +4,12 @@ The weighted boundary of an n-simplex s is
 
     sum_i (-1)^i * phi(s, d_i s) * d_i s
 
-and ``_signed_faces`` writes it once.  ``boundary_columns`` (the non-zero
-entries of each column, in the lexicographic bases) is the form ranks and
-Laplacians read; ``boundary_matrix`` holds the same entries as a sparse
+and ``_build_columns`` writes it once, for every n-simplex at a time: each
+column straight from phi's table, its row indices read from the complex's
+{simplex: position} index, with no face made as a ``Simplex``.
+``boundary_columns`` (the non-zero entries of each column, in the
+lexicographic bases) is the form ranks, Laplacians and ``apply_boundary``
+read; ``boundary_matrix`` holds the same entries as a sparse
 ``ExactMatrix``.  The coboundary in degree n is the transpose of the
 boundary in degree n+1 (both bases are self-dual here), and the adjoint
 against the standard inner product is the conjugate transpose
@@ -51,14 +54,14 @@ also carries the held torsion and rank of d_n's normal form, so its
 
 from __future__ import annotations
 
-from .complexes import Record, Simplex, SimplicialComplex, _trusted
+from .complexes import Record, Simplex, SimplicialComplex
 from .gaussian import ZERO, GaussianRational
 from .matrices import ExactMatrix, pivot_lows
 from .weights import WeightFunction
 
 
 def _check_pair(complex: SimplicialComplex, phi: WeightFunction) -> None:
-    # equal complexes compare two frozensets, which has no identity short-cut
+    # equal complexes compare two simplex indexes: a walk of every simplex
     if phi.complex is not complex and phi.complex != complex:
         raise ValueError("weight function belongs to a different complex")
     phi.require_validated()
@@ -76,21 +79,16 @@ def _cached(phi: WeightFunction, part: str, n: int, build):
         return value
 
 
-def _signed_faces(phi: WeightFunction, s: Simplex):
-    """The terms (d_i s, (-1)^i phi(s, d_i s)) of the weighted boundary of
-    s; a vertex has none.  The caller has checked the pair and that s is a
-    simplex of the complex, so every (s, i) is a key of phi's table and
-    each face is a valid ascending tuple."""
-    table = phi._table
-    return [(_trusted(s[:i] + s[i + 1:]), -table[s, i] if i % 2 else table[s, i])
-            for i in range(len(s) if s.dim else 0)]
-
-
 def _build_columns(phi: WeightFunction, n: int) -> list[dict]:
-    complex = phi.complex
-    index = {t: i for i, t in enumerate(complex.basis(n - 1))}
-    return [{index[t]: x for t, x in _signed_faces(phi, s) if x}
-            for s in complex.basis(n)]
+    """Column s of d_n: {position of d_i s: (-1)^i phi(s, d_i s)} over the
+    non-zero weights, in the order of i; a vertex has none.  The caller has
+    checked the pair, so every (s, i) is a key of phi's table and every face
+    a key of the complex's index."""
+    table, index = phi._table, phi.complex._index
+    faces = range(n + 1 if n > 0 else 0)
+    return [{index[s[:i] + s[i + 1:]]: -x if i % 2 else x
+             for i in faces if (x := table[s, i])}
+            for s in phi.complex.basis(n)]
 
 
 def _boundary(phi: WeightFunction, n: int) -> list[dict]:
@@ -219,8 +217,10 @@ def apply_boundary(complex: SimplicialComplex, phi: WeightFunction, chain: Chain
     for s in chain.coefficients:
         if s not in complex:
             raise ValueError(f"{s} is not in the complex")
+    n = chain.dimension
+    columns, faces = _boundary(phi, n), complex.basis(n - 1)
     out: dict[Simplex, GaussianRational] = {}
     for s, c in chain.coefficients.items():
-        for t, x in _signed_faces(phi, s):
-            out[t] = out.get(t, ZERO) + x * c
-    return Chain(chain.dimension - 1, out)
+        for j, x in columns[complex._index[s]].items():
+            out[faces[j]] = out.get(faces[j], ZERO) + x * c
+    return Chain(n - 1, out)

@@ -7,8 +7,14 @@ n-simplices in lexicographic order, which is the basis ordering all matrices
 in this package are written in.
 
 The closure is built top down: each distinct simplex yields its faces once,
-as ``itertools.combinations`` of its vertices, which skip the ascending
-re-check a subset of an ascending tuple cannot fail.
+as plain tuples from ``itertools.combinations`` of its vertices, which skip
+the ascending re-check a subset of an ascending tuple cannot fail; one
+``Simplex`` is made per distinct simplex, when its level is sorted.  The
+complex then holds one index, {simplex: its position in basis(dim)}, which
+answers membership, ``len``, ``==`` and ``hash``.  It is the one place a
+simplex's basis position is worked out: the weight reader looks vertex
+lists up in it (a plain tuple finds the complex's own ``Simplex``) and the
+boundary columns read their row indices from it.
 
 All four text formats are read by ``_read_text`` (UTF-8, a leading
 byte-order mark skipped) and ``_data_lines`` (the numbered lines that hold
@@ -83,16 +89,17 @@ class SimplicialComplex:
 
     def __init__(self, simplices: Iterable):
         given = list(map(Simplex, simplices))
-        levels: list[set[Simplex]] = [set() for _ in range(max(map(len, given), default=0))]
+        levels: list[set[tuple]] = [set() for _ in range(max(map(len, given), default=0))]
         for s in given:
             levels[len(s) - 1].add(s)
         # top down, so each distinct simplex yields its faces once
         for d in range(len(levels) - 1, 0, -1):
             lower = levels[d - 1]
             for s in levels[d]:
-                lower.update(map(_trusted, combinations(s, d)))
-        self._basis = {d: tuple(sorted(level)) for d, level in enumerate(levels)}
-        self._members = frozenset().union(*levels)
+                lower.update(combinations(s, d))
+        self._basis = {d: tuple(map(_trusted, sorted(level))) for d, level in enumerate(levels)}
+        # simplex -> its position in basis(dim); tuples of two lengths never collide
+        self._index = {s: i for basis in self._basis.values() for i, s in enumerate(basis)}
 
     @property
     def max_dim(self) -> int:
@@ -112,20 +119,21 @@ class SimplicialComplex:
 
     def __contains__(self, s) -> bool:
         try:
-            return Simplex(s) in self._members
+            return Simplex(s) in self._index
         except ValueError:
             return False
 
     def __len__(self) -> int:
-        return len(self._members)
+        return len(self._index)
 
     def __eq__(self, other):
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return self._members == other._members
+        # the positions follow from the simplices, so equal indexes mean equal sets
+        return self._index == other._index
 
     def __hash__(self):
-        return hash(self._members)
+        return hash(frozenset(self._index))
 
     def __repr__(self) -> str:
         sizes = ", ".join(f"{len(self.basis(d))}" for d in range(self.max_dim + 1))

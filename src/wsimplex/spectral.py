@@ -255,6 +255,11 @@ def spectrum(matrix: ExactMatrix) -> Spectrum:
     return Spectrum(*_on_one_thread(np.linalg.eigh, matrix.to_ndarray()))
 
 
+# the normal float range as Fractions: a Fraction compared with a float
+# rebuilds the float as a Fraction on every comparison
+_FLOAT_MIN, _FLOAT_MAX = Fraction(float_info.min), Fraction(float_info.max)
+
+
 def _root_weights(complex: SimplicialComplex, w: InnerProductWeights, k: int) -> np.ndarray:
     """The square roots of the inner weights of basis(k) as floats.  A
     weight outside the normal float range (past it, or so small that it
@@ -264,7 +269,7 @@ def _root_weights(complex: SimplicialComplex, w: InnerProductWeights, k: int) ->
 
     weights = w.diagonal(complex, k)
     for s, x in zip(complex.basis(k), weights):
-        if not float_info.min <= x <= float_info.max:
+        if not _FLOAT_MIN <= x <= _FLOAT_MAX:
             exponent = round(math.log10(x.numerator) - math.log10(x.denominator))
             raise ValueError(f"inner weight of {s} has magnitude about 1e{exponent:+d}, "
                              f"outside the normal float range")

@@ -23,12 +23,13 @@ by the same builder, which refuses a table that fails the condition.
 Loading does each piece of work once, since the command line loads a pair
 per call and loading used to cost more than the homology after it.
 ``parse_weight_text`` parses each distinct vertex list and value text once
-per call (files repeat them many times), finds face indices in one
-{face: i} map per simplex, and hands its table, complete by count, to
-``WeightFunction._trusted``, which skips the constructor's second walk
-over the required pairs; ``validate_weight`` compares the two sides of
-each condition crosswise on integer triples and multiplies out only a
-violation.
+per call (files repeat them many times), reads a vertex list the complex
+holds as the complex's own simplex through its {simplex: position} index,
+finds face indices in one {face: i} map per simplex, and hands its table,
+complete by count, to ``WeightFunction._trusted``, which skips the
+constructor's second walk over the required pairs; ``validate_weight``
+compares the two sides of each condition crosswise on integer triples and
+multiplies out only a violation.
 
 A weight function stands for its (complex, weight) pair.  Its table never
 changes, so it also holds, per degree, what later calls read back of the
@@ -36,9 +37,9 @@ operators built from it (boundary columns, ranks, normal-form torsion,
 the Laplacian sum and the harmonic basis; see ``chains``): each is built
 on the first ask of a validated pair and read afterwards.
 
-Face indices, simplex weights and f-values are read with ``__index__``,
-so numpy's integers count as ints; floats, strings and (for the simplex
-weights and f-values) bools are refused.
+Face indices, simplex weights, f-values and the scale C are read with
+``__index__``, so numpy's integers count as ints; floats, strings and (for
+all but the face indices) bools are refused.
 """
 
 from __future__ import annotations
@@ -308,8 +309,11 @@ def cfw_weight(complex: SimplicialComplex, w, f, C="auto") -> WeightFunction:
         fval[s] = y
     if C == "auto":
         C = lcm(*(abs(v) for v in fval.values())) if fval else 1
-    elif not isinstance(C, int) or isinstance(C, bool):
-        raise ValueError(f"C must be an integer or 'auto', got {C!r}")
+    else:
+        try:
+            C = _integer_value(C, "C")
+        except ValueError:
+            raise ValueError(f"C must be an integer or 'auto', got {C!r}") from None
     return _tabulated(complex, lambda s, i: Fraction(C * fval[s], fval[s.face(i)]))
 
 
@@ -341,7 +345,9 @@ def parse_weight_text(
     absent from the file get ``default`` with a warning, or raise when
     ``strict`` is set.
     """
-    known = {s: s for s in complex.simplices()}
+    # the complex's simplex -> position index: a vertex list it holds is a
+    # valid simplex, read as the complex's own Simplex with no re-check
+    index = complex._index
     # field text -> parsed field, for this call only: a repeat skips int(),
     # Simplex and the scalar regex
     simplices: dict[str, Simplex] = {}
@@ -349,9 +355,9 @@ def parse_weight_text(
     face_maps: dict[Simplex, dict[tuple, int]] = {}
 
     def simplex(field: str) -> Simplex:
-        # a vertex list the complex holds is a valid simplex: no re-check
         vs = tuple(map(int, field.split()))
-        s = simplices[field] = known.get(vs) or Simplex(vs)
+        i = index.get(vs)
+        s = simplices[field] = Simplex(vs) if i is None else complex.basis(len(vs) - 1)[i]
         return s
 
     table: dict[tuple[Simplex, int], GaussianRational] = {}
@@ -368,7 +374,7 @@ def parse_weight_text(
                 value = values[vf] = GaussianRational.from_string(vf)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        if s not in known:
+        if s not in index:
             raise ValueError(f"line {lineno}: {s} is not in the complex")
         faces = face_maps.get(s)
         if faces is None:

@@ -1,3 +1,8 @@
+import copy
+import pickle
+import random
+from pathlib import Path
+
 import pytest
 
 from wsimplex import (
@@ -6,7 +11,10 @@ from wsimplex import (
     build_complex,
     face,
     parse_complex_text,
+    read_complex_file,
+    read_weight_file,
 )
+from wsimplex.chains import boundary_columns
 
 from conftest import spectral_fixtures
 
@@ -81,9 +89,11 @@ def test_closure_and_basis():
     assert k.basis(3) == ()
     assert k.basis(-1) == ()
     assert len(k) == 7
-    assert (0, 2) in k
-    assert (0, 3) not in k
-    assert (2, 1) not in k  # not even a simplex
+    assert (0, 2) in k and [1, 2] in k and Simplex((0, 1, 2)) in k
+    assert (0, 3) not in k and (0, 1, 2, 3) not in k and [0, 5] not in k
+    # not even a simplex: a bool vertex is refused though (0, True) == (0, 1)
+    for absent in ((2, 1), (1, 0), (), "a", (0, True)):
+        assert absent not in k, absent
 
 
 def test_basis_is_sorted():
@@ -106,6 +116,40 @@ def test_equality():
     assert a == b
     assert hash(a) == hash(b)
     assert a != build_complex([(0, 1)])
+    # the same simplices in any order, some repeated, make one complex
+    rng = random.Random(31)
+    simplices = [(0, 1, 2), (1, 3), (2, 3, 4), (4,), (0, 2), (5,), (1, 2, 3)]
+    first = build_complex(simplices)
+    for _ in range(20):
+        rng.shuffle(simplices)
+        again = build_complex(simplices + rng.sample(simplices, 2))
+        assert again == first and hash(again) == hash(first)
+        assert [again.basis(d) for d in range(4)] == [first.basis(d) for d in range(4)]
+
+
+def _copies(obj):
+    yield pickle.loads(pickle.dumps(obj))
+    yield copy.copy(obj)
+    yield copy.deepcopy(obj)
+
+
+def test_a_complex_and_a_loaded_pair_survive_pickle_and_copy():
+    """The complex's simplex index pickles and copies with it: a copy is
+    equal, hashes equal, and a copied pair answers as the original."""
+    for _, k, _ in spectral_fixtures(count=8):
+        for other in _copies(k):
+            assert other == k and hash(other) == hash(k) and len(other) == len(k)
+            assert all(s in other for s in k.simplices())
+    fixtures = Path(__file__).parent / "fixtures"
+    k = read_complex_file(fixtures / "simplex5_dawson.cplx")
+    phi = read_weight_file(fixtures / "simplex5_dawson.wts", k, strict=True)
+    assert not phi.validate()
+    want = [boundary_columns(k, phi, n) for n in range(k.max_dim + 2)]
+    for other_k, other_phi in _copies((k, phi)):
+        assert other_k == k and hash(other_k) == hash(k) and other_phi == phi
+        assert other_phi.complex is other_k
+        assert [boundary_columns(other_k, other_phi, n)
+                for n in range(k.max_dim + 2)] == want
 
 
 def test_parse_text():

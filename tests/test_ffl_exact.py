@@ -2,7 +2,7 @@
 three non-zero Gaussian-rational edge weights give a motif Laplacian whose
 signature agrees with numpy's eigensolver, whose projectors sum to the
 complement of the constants, and which a change of one diagonal entry
-turns into a refused matrix."""
+turns into a refused matrix.  ``DEEP`` draws ten times as many."""
 
 import numpy as np
 import pytest
@@ -18,12 +18,14 @@ from wsimplex import (  # noqa: E402
     signature_of_matrix,
 )
 
+from conftest import DEEP  # noqa: E402
+
 _PART = st.fractions(min_value=-20, max_value=20, max_denominator=20)
 _WEIGHT = st.builds(GaussianRational, _PART, _PART).filter(bool)
 _SHIFT = st.fractions(min_value=-5, max_value=5, max_denominator=9).filter(bool)
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(derandomize=True, max_examples=2000 if DEEP else 200, deadline=None)
 @given(_WEIGHT, _WEIGHT, _WEIGHT, st.integers(0, 2), _SHIFT)
 def test_motif_signature_properties(a, b, c, k, shift):
     lap = laplacian_matrix(*ffl_weights(a, b, c), 0)

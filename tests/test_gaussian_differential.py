@@ -5,6 +5,7 @@ Every operation must agree in value, type, ``str``, ``repr`` and ``hash``,
 and raise the same exception with the same message.  Operands mix zero,
 real, purely imaginary and complex values, entries up to 10^30, parts
 10^15 apart in magnitude, and plain ints and Fractions on either side.
+``DEEP`` draws ten times as many.
 """
 
 import operator
@@ -17,9 +18,10 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from wsimplex import GaussianRational  # noqa: E402
 
+from conftest import DEEP  # noqa: E402
 from reference_gaussian import GaussianRational as Reference  # noqa: E402
 
-SETTINGS = settings(derandomize=True, max_examples=300, deadline=None)
+SETTINGS = settings(derandomize=True, max_examples=3000 if DEEP else 300, deadline=None)
 
 BIG = 10**30
 APART = 10**15

@@ -146,6 +146,10 @@ def test_weight_files_parse_as_the_reference():
         strict = rng.random() < 0.3
         got = _outcome(parse_weight_text, text, complex, default, strict)
         assert got == _outcome(reference_parse_weight_text, text, complex, default, strict), text
+        if got[0][0] == "ok":
+            # each key's simplex is the complex's own object, not an equal copy
+            own = {id(s) for s in complex.simplices()}
+            assert all(id(s) in own for (s, _), _ in got[0][1]), text
         seen[got[0][0]] += 1
         seen["warned"] += bool(got[1])
     assert min(seen.values()) > 40, seen
@@ -191,6 +195,8 @@ def test_closure_matches_the_reference():
         K = SimplicialComplex(simplices)
         ref = stack_closure(simplices)
         assert {d: K.basis(d) for d in range(K.max_dim + 1)} == ref
+        # a bare tuple would compare equal but print as (0, 1), not [0,1]
+        assert all(type(s) is Simplex for s in K.simplices())
         assert K.max_dim == max(ref)
         text = "".join(rng.choice(["# c\n", ""]) + " ".join(map(str, s)) +
                        rng.choice(["\n", "\r\n", "  # tail\n"]) for s in simplices)

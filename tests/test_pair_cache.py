@@ -208,14 +208,15 @@ def test_mutating_a_result_changes_no_later_answer():
 
 
 def test_session_writes_each_boundary_once(monkeypatch):
-    written = Counter()
-    signed_faces = chains._signed_faces
+    written = Counter()  # (pair, degree) -> columns built
+    build_columns = chains._build_columns
 
-    def counted(phi, s):
-        written[id(phi), s.dim] += 1
-        return signed_faces(phi, s)
+    def counted(phi, n):
+        columns = build_columns(phi, n)
+        written[id(phi), n] += len(columns)
+        return columns
 
-    monkeypatch.setattr(chains, "_signed_faces", counted)
+    monkeypatch.setattr(chains, "_build_columns", counted)
     held = []  # keeps every id(phi) counted above unique
     for name, _, _, load in pairs():
         complex, phi = load()

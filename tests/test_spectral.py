@@ -407,6 +407,25 @@ def test_inner_weights_validation():
         w.value((1,))
 
 
+def test_inner_weights_at_the_float_range_ends_are_accepted():
+    """Inner weights exactly at the smallest normal float and the largest
+    float pass the range check; a hair beyond either end, and 10^±400, are
+    refused with the weight's magnitude."""
+    from math import sqrt
+    from sys import float_info
+
+    edge = build_complex([(0, 1)])
+    lo, hi = Fraction(float_info.min), Fraction(float_info.max)
+    roots = spectral._root_weights(edge, InnerProductWeights({(0,): lo, (1,): hi}), 0)
+    assert roots.tolist() == [sqrt(float_info.min), sqrt(float_info.max)]
+    for x, magnitude in ((lo - Fraction(1, 10**400), "1e-308"), (hi + 1, "1e+308"),
+                         (Fraction(1, 10**400), "1e-400"), (Fraction(10**400), "1e+400")):
+        with pytest.raises(ValueError) as err:
+            spectral._root_weights(edge, InnerProductWeights({(1,): x}, 1), 0)
+        assert str(err.value) == (f"inner weight of [1] has magnitude about {magnitude}, "
+                                  f"outside the normal float range")
+
+
 def test_parse_inner_weights():
     w = parse_inner_weights_text("# comment\n0 1 | 3/2\n2 | 5\n")
     assert w.value((0, 1)) == Fraction(3, 2)

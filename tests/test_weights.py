@@ -204,6 +204,21 @@ def test_numpy_integers_weight_as_ints():
             cfw_weight(k, w, lambda x: bad)
 
 
+def test_cfw_reads_a_numpy_integer_scale():
+    """The scale C is read with ``__index__`` too: ``np.int64(3)`` gives
+    the table 3 gives, entry for entry and in order, and a bool or a float,
+    numpy's included, is refused with the scale's own message."""
+    k = full_triangle()
+    w = {s: (1, 2, 4)[s.dim] for s in k.simplices()}
+    got = cfw_weight(k, w, lambda x: x + 1, C=np.int64(3))
+    want = cfw_weight(k, w, lambda x: x + 1, C=3)
+    assert got == want and list(got.entries()) == list(want.entries())
+    for bad in (True, 3.0, np.float64(3.0)):
+        with pytest.raises(ValueError) as err:
+            cfw_weight(k, w, lambda x: x + 1, C=bad)
+        assert str(err.value) == f"C must be an integer or 'auto', got {bad!r}"
+
+
 def test_cfw_rejects_zero_f():
     k = hollow_triangle()
     with pytest.raises(ValueError) as err:
