@@ -8,14 +8,15 @@ and ``_build_columns`` writes it once, for every n-simplex at a time: each
 column straight from phi's table, its row indices read from the complex's
 {simplex: position} index, with no face made as a ``Simplex``.
 ``boundary_columns`` (the non-zero entries of each column, in the
-lexicographic bases) is the form ranks, Laplacians and ``apply_boundary``
-read; ``boundary_matrix`` holds the same entries as a sparse
-``ExactMatrix``.  The coboundary in degree n is the transpose of the
-boundary in degree n+1 (both bases are self-dual here), and the adjoint
-against the standard inner product is the conjugate transpose
-(``ExactMatrix.conj_transpose``).  All of them demand a validated weight
-function: for an unvalidated table the composite of two boundaries need
-not vanish and none of the homological formulas downstream apply.
+lexicographic bases) is the form ranks, Laplacians, integer homology and
+``apply_boundary`` read; ``boundary_matrix`` holds the same entries as a
+sparse ``ExactMatrix``, for callers that ask for a matrix.  The
+coboundary in degree n is the transpose of the boundary in degree n+1
+(both bases are self-dual here), and the adjoint against the standard
+inner product is the conjugate transpose (``ExactMatrix.conj_transpose``).
+All of them demand a validated weight function: for an unvalidated table
+the composite of two boundaries need not vanish and none of the
+homological formulas downstream apply.
 
 A weight function stands for its (complex, weight) pair, and each exact
 operator of the pair is built once: ``_cached`` fills the weight
@@ -48,8 +49,9 @@ The lemma needs the composite of two coboundaries to vanish, which holds
 for a validated weight only: callers pass ``_check_pair`` first.  A
 boundary or coboundary matrix carries the pair's rank of its d_n when the
 pair holds it, so its ``rank()`` eliminates nothing; a boundary matrix
-also carries the held torsion and rank of d_n's normal form, so its
-``smith_normal_form`` eliminates nothing either.
+also carries the torsion and rank of d_n's normal form that
+``weighted_homology`` one degree down read off the columns and the pair
+holds, so its ``smith_normal_form`` eliminates nothing either.
 """
 
 from __future__ import annotations

@@ -380,6 +380,8 @@ def main(argv=None) -> int:
             payload, code = _COMMANDS[args.command][0](args)
         except (_InputError, ValueError, RuntimeError) as exc:
             error, code = exc, 2 if isinstance(exc, _InputError) else 1
+        except MemoryError as exc:  # kept as text: its traceback holds what filled memory
+            error, code = f"out of memory: {exc}" if str(exc) else "out of memory", 1
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     if error is not None:

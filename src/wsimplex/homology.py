@@ -18,10 +18,12 @@ entries that exceed 1, and the free rank is dim C_n - rank(d_n) -
 rank(d_{n+1}), with rank(d_n) read from the pair's rank vector, as every
 other dimension count is.  The pair caches that torsion and rank, as it
 caches the boundary columns and rank vector (see ``chains``), so a repeated
-query runs no normal form.  The normal form reads the pair's sparse
-``boundary_matrix``, built from those cached columns, and a later
-``boundary_matrix`` of d_{n+1} carries the held torsion and rank, so its
-``smith_normal_form`` (without transforms) runs none either.
+query runs no normal form.  ``weighted_homology`` fills the integer rows of
+d_{n+1} by one pass over the pair's cached columns and hands them to
+``_diagonal`` and ``_invariant_factors`` itself: no ``ExactMatrix`` is
+built and no entry converted twice.  A later ``boundary_matrix`` of d_{n+1}
+carries the held torsion and rank, so its ``smith_normal_form`` (without
+transforms) runs no elimination either.
 
 ``ngon_homology_closed_form`` gives the degree-0 homology of a weighted
 polygon without a matrix.  The k-th invariant factor has, at every prime
@@ -43,19 +45,13 @@ from bisect import insort
 from itertools import combinations
 from math import gcd
 
-from .chains import _cached, _check_pair, _rank, boundary_matrix
+# boundary_matrix is not called here; homology.boundary_matrix stays the chains
+# function for the benchmark's tracer probe (perfbench/selftest.py), which reads it
+from .chains import _boundary, _cached, _check_pair, _rank, boundary_matrix  # noqa: F401
 from .complexes import Record, SimplicialComplex
 from .gaussian import _integer
 from .matrices import ExactMatrix
 from .weights import WeightFunction
-
-
-def _int_entry(x) -> int:
-    # the normalised triple (a, b, d) of (a + bi)/d: an integer is (a, 0, 1)
-    a, b, d = x._t
-    if b == 0 and d == 1:
-        return a
-    raise ValueError("matrix has non-integer entries")
 
 
 class SNFResult(Record):
@@ -141,7 +137,8 @@ def _diagonal(rows: list[dict], nc: int, U: list[dict] | None = None,
     A heap of per-row lower bounds ``least[i]`` (pushed again when a row
     operation lowers one; a key that is not the row's bound is stale, one
     under the true least |entry| is raised) finds a row with a smallest
-    |entry|; the pivot is its least entry in a column with fewest holders.
+    |entry|; the pivot is its least entry in a column with fewest holders,
+    the first such in the row's order, found in one pass over the row.
     Whether the pivot divides its row and column (a unit always does) is
     decided once.  If it does not and its column has one other entry, a
     unimodular 2x2 row step leaves their gcd as the pivot.  Otherwise one
@@ -165,12 +162,6 @@ def _diagonal(rows: list[dict], nc: int, U: list[dict] | None = None,
     least = [min(map(abs, row.values())) if row else _EMPTY for row in rows]
     heap = [(v, i) for i, v in enumerate(least)]
     heapify(heap)
-
-    def lower(i, low):
-        if low < least[i]:
-            least[i] = low
-            heappush(heap, (low, i))
-
     steps = []
     while heap and heap[0][0] != _EMPTY:  # else every row left is empty
         v, r = heap[0]
@@ -183,13 +174,16 @@ def _diagonal(rows: list[dict], nc: int, U: list[dict] | None = None,
             least[r] = true
             heapreplace(heap, (true, r))
             continue
-        c = min((k for k, x in row.items() if abs(x) == v), key=lambda k: len(holders[k]))
+        fewest = _EMPTY  # the first column, in row order, of the least |entry| held fewest
+        for k, x in row.items():
+            if (x == v or x == -v) and len(holders[k]) < fewest:
+                c, fewest = k, len(holders[k])
         p = row[c]
-        others = holders[c] - {r}
+        held = holders[c]  # r's included: p divides its own entry
         divides = v == 1 or not (any(x % p for x in row.values())
-                                 or any(rows[i][c] % p for i in others))
-        if not divides and len(others) == 1:
-            s = others.pop()
+                                 or any(rows[i][c] % p for i in held))
+        if not divides and fewest == 2:
+            s = next(i for i in held if i != r)
             old, b = rows[s], rows[s][c]
             g, x, y = _bezout(p, b)
             mix = ((x, y), (-b // g, p // g))
@@ -205,9 +199,14 @@ def _diagonal(rows: list[dict], nc: int, U: list[dict] | None = None,
             if U is not None:
                 U[r], U[s] = (_combine(U[r], U[s], y, z) for y, z in mix)
             continue
-        for i in others:
+        for i in list(held):  # a row the pass clears leaves held
+            if i == r:
+                continue
             q = rows[i][c] // p
-            lower(i, _sub_row(rows[i], i, q, row, holders, least[i]))
+            low = _sub_row(rows[i], i, q, row, holders, least[i])
+            if low < least[i]:
+                least[i] = low
+                heappush(heap, (low, i))
             if U is not None:
                 _sub(U[i], q, U[r])
         if V is not None:
@@ -222,7 +221,10 @@ def _diagonal(rows: list[dict], nc: int, U: list[dict] | None = None,
         else:
             quotients = {k: x // p for k, x in row.items() if k != c}
             for i in holders[c]:  # every column op at once on the rows holding c
-                lower(i, _sub_row(rows[i], i, rows[i][c], quotients, holders, least[i]))
+                low = _sub_row(rows[i], i, rows[i][c], quotients, holders, least[i])
+                if low < least[i]:
+                    least[i] = low
+                    heappush(heap, (low, i))
     return steps
 
 
@@ -287,7 +289,10 @@ def smith_normal_form(matrix, transforms: bool = False) -> SNFResult:
         torsion, rank = matrix._snf
         return SNFResult([1] * (rank - len(torsion)) + list(torsion)
                          + [0] * (min(matrix.shape) - rank), rank)
-    rows = [{j: _int_entry(x) for j, x in row.items()} for row in matrix._entries]
+    # the normalised triple (a, b, d) of (a + bi)/d: an integer is (a, 0, 1)
+    if any(x._t[1] or x._t[2] != 1 for row in matrix._entries for x in row.values()):
+        raise ValueError("matrix has non-integer entries")
+    rows = [{j: x._t[0] for j, x in row.items()} for row in matrix._entries]
     if transforms:
         return _transforms(rows, matrix.cols)
     pivots = [abs(p) for p, _, _ in _diagonal(rows, matrix.cols)]
@@ -321,16 +326,24 @@ def weighted_homology(complex: SimplicialComplex, phi: WeightFunction, n: int) -
     """Homology with integer coefficients in degree n.
 
     Needs integer weight entries; rational or complex weights have no
-    torsion story and are rejected.  The pair caches the torsion and rank
-    of d_{n+1}'s normal form.
+    torsion story and are rejected.  On the first ask in a degree the
+    integer rows of d_{n+1} are read off the pair's cached columns (each
+    entry the numerator of its triple (a, 0, 1)) and eliminated by
+    ``_diagonal``; the invariant factors of its pivots give the torsion,
+    their count the rank.  The pair caches that torsion and rank.
     """
     if not phi.is_integral():
         raise ValueError("integer homology needs integer weight values")
     _check_pair(complex, phi)
 
     def upper():
-        snf = smith_normal_form(boundary_matrix(complex, phi, n + 1))
-        return tuple(d for d in snf.diagonal if d > 1), snf.rank
+        columns = _boundary(phi, n + 1)  # integers all: each x._t is (a, 0, 1)
+        rows = [{} for _ in complex.basis(n)]
+        for j, column in enumerate(columns):
+            for i, x in column.items():
+                rows[i][j] = x._t[0]
+        pivots = [abs(p) for p, _, _ in _diagonal(rows, len(columns))]
+        return tuple(d for d in _invariant_factors(pivots, len(pivots)) if d > 1), len(pivots)
 
     torsion, rank = _cached(phi, "snf", n + 1, upper)
     return HomologyGroup(list(torsion), len(complex.basis(n)) - _rank(phi, n) - rank)

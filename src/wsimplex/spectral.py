@@ -286,7 +286,8 @@ def _factor(complex: SimplicialComplex, phi: WeightFunction, n: int,
     M^* M = W^1/2 L W^-1/2.
 
     The eigenvalues are squares of the singular values, so a factor whose
-    squared entries leave float range is refused."""
+    squared entries leave float range is refused, and so is one too large
+    to allocate."""
     import numpy as np
 
     d_n, d_next = _boundary(phi, n), _boundary(phi, n + 1)
@@ -299,8 +300,15 @@ def _factor(complex: SimplicialComplex, phi: WeightFunction, n: int,
     values = [x for column in d_next for x in column.values()]
     values += [x.conjugate() for column in d_n for x in column.values()]
     real = all(x.is_real() for x in values)
-    m = np.zeros((top + len(complex.basis(n - 1)), len(complex.basis(n))),
-                 dtype=np.float64 if real else np.complex128)
+    shape = (top + len(complex.basis(n - 1)), len(complex.basis(n)))
+    dtype = np.dtype(np.float64 if real else np.complex128)
+    try:
+        m = np.zeros(shape, dtype=dtype)
+    except MemoryError:
+        raise ValueError(
+            f"degree {n}: the Laplacian factor, {shape[0]} x {shape[1]} {dtype.name}, "
+            f"needs {shape[0] * shape[1] * dtype.itemsize / 1e6:,.1f} MB, more than "
+            f"can be allocated") from None
     if values:
         m[rows, cols] = to_floats(values, real)
     with np.errstate(over="ignore", under="ignore"):

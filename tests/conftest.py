@@ -34,6 +34,8 @@ from wsimplex import (
     cfw_weight,
     dawson_weight,
     identity_weight,
+    read_complex_file,
+    read_weight_file,
     semi_trivial_weight,
     zero_weight,
 )
@@ -252,6 +254,34 @@ def spectral_fixtures(count=50, seed=20240817, complex_scalars_every=7):
 
 
 # -- files for the CLI ---------------------------------------------------------
+
+FIXTURE_DIR = Path(__file__).parent / "fixtures"
+# every (complex, weights) file pair under fixtures/; pentagon_ones.wts
+# leaves its entries to the default and triangle_bad.wts fails validation,
+# the others are complete and valid
+FILE_PAIRS = [
+    ("cycle40_even.cplx", "cycle40_even.wts"),
+    ("edge.cplx", "edge.wts"),
+    ("edge.cplx", "edge_complex.wts"),
+    ("hollow.cplx", "doubled.wts"),
+    ("pentagon.cplx", "pentagon.wts"),
+    ("pentagon.cplx", "pentagon_imaginary.wts"),
+    ("pentagon.cplx", "pentagon_ones.wts"),
+    ("pentagon.cplx", "pentagon_zeros.wts"),
+    ("simplex5_dawson.cplx", "simplex5_dawson.wts"),
+    ("triangle.cplx", "triangle.wts"),
+    ("triangle.cplx", "triangle_bad.wts"),
+]
+VALID_FILE_PAIRS = [pair for pair in FILE_PAIRS
+                    if pair[1] not in ("pentagon_ones.wts", "triangle_bad.wts")]
+
+
+def load_file_pair(cplx: str, wts: str) -> tuple[SimplicialComplex, WeightFunction]:
+    """A complete and valid fixture file pair, its weights read strictly."""
+    complex = read_complex_file(FIXTURE_DIR / cplx)
+    phi = read_weight_file(FIXTURE_DIR / wts, complex, strict=True)
+    assert not phi.validate()
+    return complex, phi
 
 
 def write_pair(directory: Path, name: str, complex, phi) -> list[str]:

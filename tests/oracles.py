@@ -244,6 +244,126 @@ def assert_matches_dense(matrix):
     assert smith_normal_form(matrix) == dense  # U and V None
 
 
+# -- the frozen elimination ------------------------------------------------------
+
+
+def _reference_sub(y: dict, q: int, x: dict) -> None:
+    for k, v in x.items():
+        w = y.get(k, 0) - q * v
+        if w:
+            y[k] = w
+        else:
+            del y[k]
+
+
+def _reference_sub_row(y: dict, i: int, q: int, x: dict, holders: list, low):
+    for k, v in x.items():
+        w = y.get(k)
+        if w is None:
+            w = -q * v
+            holders[k].add(i)
+        else:
+            w -= q * v
+            if not w:
+                del y[k]
+                holders[k].discard(i)
+                continue
+        y[k] = w
+        if w < 0:
+            w = -w
+        if w < low:
+            low = w
+    return low
+
+
+def _reference_combine(x: dict, y: dict, a: int, b: int) -> dict:
+    return {k: w for k in x.keys() | y.keys() if (w := a * x.get(k, 0) + b * y.get(k, 0))}
+
+
+def _reference_bezout(a: int, b: int) -> tuple[int, int, int]:
+    g = gcd(a, b)
+    s = pow(a // g, -1, b // g)
+    return g, s, (g - s * a) // b
+
+
+def reference_diagonal(rows: list[dict], nc: int, U: list[dict] | None = None,
+                       V: list[dict] | None = None) -> list[tuple[int, int, int]]:
+    """``homology._diagonal`` before its pivot search and row pass were
+    made leaner, with its helpers: the (pivot, row id, column id) steps
+    of the elimination of the sparse integer rows (consumed), applied to
+    U and V when given.  The leaner loop must take the same steps."""
+    from heapq import heapify, heappop, heappush, heapreplace
+
+    empty = float("inf")
+    holders = [set() for _ in range(nc)]
+    for i, row in enumerate(rows):
+        for c in row:
+            holders[c].add(i)
+    least = [min(map(abs, row.values())) if row else empty for row in rows]
+    heap = [(v, i) for i, v in enumerate(least)]
+    heapify(heap)
+
+    def lower(i, low):
+        if low < least[i]:
+            least[i] = low
+            heappush(heap, (low, i))
+
+    steps = []
+    while heap and heap[0][0] != empty:
+        v, r = heap[0]
+        if v != least[r]:
+            heappop(heap)
+            continue
+        row = rows[r]
+        true = min(map(abs, row.values())) if row else empty
+        if true != v:
+            least[r] = true
+            heapreplace(heap, (true, r))
+            continue
+        c = min((k for k, x in row.items() if abs(x) == v), key=lambda k: len(holders[k]))
+        p = row[c]
+        others = holders[c] - {r}
+        divides = v == 1 or not (any(x % p for x in row.values())
+                                 or any(rows[i][c] % p for i in others))
+        if not divides and len(others) == 1:
+            s = others.pop()
+            old, b = rows[s], rows[s][c]
+            g, x, y = _reference_bezout(p, b)
+            mix = ((x, y), (-b // g, p // g))
+            for i, (y, z) in zip((r, s), mix):
+                new = _reference_combine(row, old, y, z)
+                for k in rows[i].keys() - new.keys():
+                    holders[k].discard(i)
+                for k in new.keys() - rows[i].keys():
+                    holders[k].add(i)
+                rows[i] = new
+                least[i] = min(map(abs, new.values())) if new else empty
+                heappush(heap, (least[i], i))
+            if U is not None:
+                U[r], U[s] = (_reference_combine(U[r], U[s], y, z) for y, z in mix)
+            continue
+        for i in others:
+            q = rows[i][c] // p
+            lower(i, _reference_sub_row(rows[i], i, q, row, holders, least[i]))
+            if U is not None:
+                _reference_sub(U[i], q, U[r])
+        if V is not None:
+            for k, x in row.items():
+                if k != c:
+                    _reference_sub(V[k], x // p, V[c])
+        if divides:
+            for k in row:
+                holders[k].discard(r)
+            least[r] = -1
+            steps.append((p, r, c))
+        else:
+            quotients = {k: x // p for k, x in row.items() if k != c}
+            for i in holders[c]:
+                lower(i, _reference_sub_row(rows[i], i, rows[i][c], quotients, holders,
+                                            least[i]))
+    return steps
+
+
 # -- loading references --------------------------------------------------------
 
 

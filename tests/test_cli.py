@@ -805,6 +805,33 @@ def test_an_error_while_writing_is_one_error_line(capsys, monkeypatch):
     assert sys.get_int_max_str_digits() == limit
 
 
+def test_memory_exhaustion_is_one_error_line(capsys, monkeypatch):
+    """A Laplacian factor too large to allocate is refused in one line that
+    names its degree, shape, dtype and size; any other MemoryError is one
+    error line as well.  Both exit 1.  The allocations are made to raise,
+    so no large array is asked for."""
+    import numpy as np
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    pair = ["-k", fx("triangle.cplx"), "-w", fx("triangle.wts")]
+    with monkeypatch.context() as m:
+        m.setattr(np, "zeros", exhausted)
+        assert main(["spectrum", *pair, "-n", "1"]) == 1
+        assert capsys.readouterr() == ("", "error: degree 1: the Laplacian factor, 4 x 3 "
+                                       "float64, needs 0.0 MB, more than can be allocated\n")
+    for raised, line in ((MemoryError(), "error: out of memory\n"),
+                         (MemoryError("no room for 8 GiB"),
+                          "error: out of memory: no room for 8 GiB\n")):
+        def failing(*args, exc=raised):
+            raise exc
+
+        monkeypatch.setattr(cli, "weighted_homology", failing)
+        assert main(["homology", *pair, "-n", "0"]) == 1
+        assert capsys.readouterr() == ("", line)
+
+
 def test_a_writer_bug_keeps_its_traceback(monkeypatch):
     def failing(value, write):
         raise TypeError("no writer for this type")

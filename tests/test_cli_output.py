@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_quotient_weight, write_pair
+from conftest import FILE_PAIRS, random_quotient_weight, write_pair
 from oracles import rounded_lists
 from wsimplex import build_complex, read_complex_file, read_weight_file
 from wsimplex.chains import boundary_matrix, coboundary_matrix
@@ -33,19 +33,6 @@ from wsimplex.spectral import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
-FILE_PAIRS = [
-    ("cycle40_even.cplx", "cycle40_even.wts"),
-    ("edge.cplx", "edge.wts"),
-    ("edge.cplx", "edge_complex.wts"),
-    ("hollow.cplx", "doubled.wts"),
-    ("pentagon.cplx", "pentagon.wts"),
-    ("pentagon.cplx", "pentagon_imaginary.wts"),
-    ("pentagon.cplx", "pentagon_ones.wts"),
-    ("pentagon.cplx", "pentagon_zeros.wts"),
-    ("simplex5_dawson.cplx", "simplex5_dawson.wts"),
-    ("triangle.cplx", "triangle.wts"),
-    ("triangle.cplx", "triangle_bad.wts"),
-]
 DEGREE_COMMANDS = ["boundary", "coboundary", "homology", "cohomology-dim", "snf",
                    "laplacian", "spectrum", "harmonic", "multiplicities"]
 

@@ -38,8 +38,6 @@ from wsimplex import (
     WeightFunction,
     build_complex,
     identity_weight,
-    read_complex_file,
-    read_weight_file,
 )
 from wsimplex import chains, cli, eigen, homology
 from wsimplex.chains import boundary_columns, boundary_matrix, coboundary_matrix
@@ -57,6 +55,8 @@ from wsimplex.spectral import (
 
 from conftest import (
     DEEP,
+    VALID_FILE_PAIRS,
+    load_file_pair,
     random_cfw_weight,
     random_dawson_weight,
     random_flag_complex,
@@ -66,24 +66,6 @@ from conftest import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
-FILE_PAIRS = [
-    ("cycle40_even.cplx", "cycle40_even.wts"),
-    ("edge.cplx", "edge.wts"),
-    ("edge.cplx", "edge_complex.wts"),
-    ("hollow.cplx", "doubled.wts"),
-    ("pentagon.cplx", "pentagon.wts"),
-    ("pentagon.cplx", "pentagon_imaginary.wts"),
-    ("pentagon.cplx", "pentagon_zeros.wts"),
-    ("simplex5_dawson.cplx", "simplex5_dawson.wts"),
-    ("triangle.cplx", "triangle.wts"),
-]
-
-
-def load_file_pair(cplx: str, wts: str):
-    complex = read_complex_file(FIXTURES / cplx)
-    phi = read_weight_file(FIXTURES / wts, complex, strict=True)
-    assert not phi.validate()
-    return complex, phi
 
 
 def fresh_copy(complex, phi):
@@ -98,7 +80,7 @@ def pairs():
     """(name, complex, phi, loader of a fresh equal pair) for every file
     fixture pair and the seeded in-memory fixtures."""
     out = []
-    for cplx, wts in FILE_PAIRS:
+    for cplx, wts in VALID_FILE_PAIRS:
         complex, phi = load_file_pair(cplx, wts)
         out.append((wts, complex, phi, lambda c=cplx, w=wts: load_file_pair(c, w)))
     for name, complex, phi in spectral_fixtures(count=16):
@@ -494,14 +476,15 @@ def test_pairs_are_freed_without_the_collector(monkeypatch, capsys):
 
 
 def test_homology_reads_one_normal_form_per_degree(monkeypatch):
+    """One elimination per degree, on the first ask; a repeat runs none."""
     snf_calls = []
-    snf = homology.smith_normal_form
+    diagonal = homology._diagonal
 
     def counted(*args, **kwargs):
         snf_calls.append(args)
-        return snf(*args, **kwargs)
+        return diagonal(*args, **kwargs)
 
-    monkeypatch.setattr(homology, "smith_normal_form", counted)
+    monkeypatch.setattr(homology, "_diagonal", counted)
     complex, phi = load_file_pair("simplex5_dawson.cplx", "simplex5_dawson.wts")
     degrees = range(-1, complex.max_dim + 2)
     first = [weighted_homology(complex, phi, n) for n in degrees]

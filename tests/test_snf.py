@@ -25,7 +25,7 @@ from wsimplex import (
 from wsimplex import homology
 from wsimplex.cli import main
 
-from conftest import spectral_fixtures, write_pair
+from conftest import VALID_FILE_PAIRS, load_file_pair, spectral_fixtures, write_pair
 from oracles import assert_smith_transforms, gcd_minors_oracle, integer_det
 
 
@@ -202,11 +202,14 @@ def test_homology_out_of_range():
 
 
 def test_one_snf_per_homology_query(monkeypatch, capsys, tmp_path):
-    """weighted_homology and the CLI homology run one Smith normal form, of
-    the boundary above the degree, and answer as the normal forms of both
-    adjacent boundaries do, in every degree from -1 to max_dim + 1."""
+    """weighted_homology and the CLI homology run one elimination, of the
+    boundary above the degree, read straight from the pair's columns, and
+    answer as ``smith_normal_form`` of both adjacent boundary matrices
+    does, on every integer fixture pair, from files and seeded, in every
+    degree from -1 to max_dim + 1."""
+    pairs = [(wts, *load_file_pair(cplx, wts)) for cplx, wts in VALID_FILE_PAIRS]
     cases = []
-    for name, complex, phi in spectral_fixtures(count=16):
+    for name, complex, phi in pairs + spectral_fixtures(count=16):
         if not phi.is_integral():
             continue
         argv = write_pair(tmp_path, name, complex, phi)
@@ -216,16 +219,16 @@ def test_one_snf_per_homology_query(monkeypatch, capsys, tmp_path):
             group = HomologyGroup([d for d in upper.diagonal if d > 1],
                                   len(complex.basis(n)) - lower.rank - upper.rank)
             cases.append((complex, phi, argv, n, group))
-    assert len(cases) > 30
+    assert len(cases) > 50
 
     calls = []
-    snf = homology.smith_normal_form
+    diagonal = homology._diagonal
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return snf(*args, **kwargs)
+        return diagonal(*args, **kwargs)
 
-    monkeypatch.setattr(homology, "smith_normal_form", counted)
+    monkeypatch.setattr(homology, "_diagonal", counted)
     for complex, phi, argv, n, group in cases:
         calls.clear()
         assert weighted_homology(complex, phi, n) == group, (argv, n)

@@ -6,8 +6,11 @@ indexes and pivots in its own order.  The diagonal and rank are unique, so
 they must agree with the dense loop's, with and without transforms; U and
 V are not, so they are checked by their contract (``assert_smith_transforms``:
 unimodular, U @ M @ V == diag(d)), and both input forms, dense rows and an
-ExactMatrix, must give equal results.  The bounded-work checks run the
-sparse loop at sizes the dense one takes seconds to reach.
+ExactMatrix, must give equal results.  The elimination itself must take
+the steps of ``reference_diagonal``, the frozen loop it was made leaner
+from, and leave the same U and V: the pinned transforms rest on that.  The
+bounded-work checks run the sparse loop at sizes the dense one takes
+seconds to reach.
 """
 
 import importlib.util
@@ -35,14 +38,25 @@ from wsimplex import (
     smith_normal_form,
     weighted_homology,
 )
+from wsimplex.chains import boundary_columns
 from wsimplex.cli import main
+from wsimplex.homology import _diagonal
 
-from conftest import DEEP, random_cfw_weight, random_dawson_weight, write_pair
+from conftest import (
+    DEEP,
+    VALID_FILE_PAIRS,
+    load_file_pair,
+    random_cfw_weight,
+    random_dawson_weight,
+    spectral_fixtures,
+    write_pair,
+)
 from oracles import (
     assert_matches_dense,
     assert_smith_transforms,
     dense_smith_normal_form,
     integer_det,
+    reference_diagonal,
     snf_input,
 )
 
@@ -57,12 +71,26 @@ def random_matrix(rng):
             for _ in range(rows)], cols
 
 
+def assert_frozen_steps(rows: list[dict], nc: int) -> None:
+    """``_diagonal`` on the sparse integer rows takes the frozen loop's
+    (pivot, row, column) steps, with U and V and without, and leaves the
+    same U and V."""
+    runs = []
+    for diagonal in (_diagonal, reference_diagonal):
+        U = [{i: 1} for i in range(len(rows))]
+        V = [{j: 1} for j in range(nc)]
+        runs.append((diagonal([dict(row) for row in rows], nc, U, V), U, V))
+    assert runs[0] == runs[1]
+    assert _diagonal([dict(row) for row in rows], nc) == runs[1][0]
+
+
 def test_matches_dense_loop_on_random_matrices():
     rng = random.Random(1998)
     shapes = set()
     for _ in range(3000):
         matrix, cols = random_matrix(rng)
         assert_matches_dense(snf_input(matrix, cols))
+        assert_frozen_steps([{j: x for j, x in enumerate(row) if x} for row in matrix], cols)
         shapes.add((len(matrix), cols, any(map(any, matrix))))
     # empty shapes on both sides and all-zero matrices were drawn
     assert {(0, 5, False), (5, 0, False), (8, 8, False), (8, 8, True)} <= shapes
@@ -78,6 +106,35 @@ def test_matches_dense_loop_on_cycles_and_skeleta():
         for phi in (random_dawson_weight(rng, complex), random_cfw_weight(rng, complex)):
             for n in (1, 2, 3):
                 assert_matches_dense(boundary_matrix(complex, phi, n))
+
+
+def integer_rows(complex, phi, n) -> list[dict]:
+    """The sparse integer rows of d_n, filled from its columns."""
+    rows = [{} for _ in complex.basis(n - 1)]
+    for j, column in enumerate(boundary_columns(complex, phi, n)):
+        for i, x in column.items():
+            rows[i][j] = int(x)
+    return rows
+
+
+def test_frozen_steps_on_fixture_boundaries_and_cycles():
+    """The step list, U and V of the frozen loop on every boundary of every
+    integer fixture pair, from files and seeded, and on 40- and 160-cycles
+    with all-ones weights and with weights drawn from {2, 4, 6, 10, 12}."""
+    rng = random.Random(36)
+    pairs = [load_file_pair(cplx, wts) for cplx, wts in VALID_FILE_PAIRS]
+    pairs += [(complex, phi) for _, complex, phi in spectral_fixtures(count=16)]
+    for n in (40, 160):
+        pairs += [make_ngon([1] * n),
+                  make_ngon([rng.choice([2, 4, 6, 10, 12]) for _ in range(n)])]
+    checked = 0
+    for complex, phi in pairs:
+        if not phi.is_integral():
+            continue
+        for n in range(complex.max_dim + 2):
+            assert_frozen_steps(integer_rows(complex, phi, n), len(complex.basis(n)))
+            checked += 1
+    assert checked > 60
 
 
 def test_sparse_snf_bounded_work(capsys, tmp_path):

@@ -752,9 +752,13 @@ def test_factor_spectrum_matches_formed_laplacian():
 
 
 def test_homology_paths_build_no_dense_boundary(monkeypatch, capsys, tmp_path):
-    """weighted_homology and the CLI homology/snf read the pair's sparse
-    boundary matrices, build no dense matrix, and answer as the library's
-    Smith normal forms of those matrices do."""
+    """weighted_homology and the CLI homology read the pair's boundary
+    columns and build no ExactMatrix at all, the CLI snf reads the pair's
+    sparse boundary matrices and builds no dense matrix, and all answer as
+    the library's Smith normal forms of those matrices do."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("ExactMatrix on the homology path")
+
     def normal_form(complex, phi, n):
         return smith_normal_form(boundary_matrix(complex, phi, n), transforms=True)
 
@@ -773,10 +777,12 @@ def test_homology_paths_build_no_dense_boundary(monkeypatch, capsys, tmp_path):
 
     refuse_dense_matrices(monkeypatch)
     for complex, phi, argv, n, snf, group in cases:
-        assert weighted_homology(complex, phi, n) == group, (argv, n)
-        if n < 0:
-            continue
-        assert main(["homology", *argv, "-n", str(n)]) == 0
+        with monkeypatch.context() as every_matrix:  # each constructor sets the fields
+            every_matrix.setattr(ExactMatrix, "_set", refuse)
+            assert weighted_homology(complex, phi, n) == group, (argv, n)
+            if n < 0:
+                continue
+            assert main(["homology", *argv, "-n", str(n)]) == 0
         assert json.loads(capsys.readouterr().out) == {
             "dimension": n, "free_rank": group.free_rank, "torsion": group.torsion}
         plain = {"dimension": n, "diagonal": snf.diagonal, "rank": snf.rank}
