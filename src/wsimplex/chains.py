@@ -5,8 +5,9 @@ The weighted boundary of an n-simplex s is
     sum_i (-1)^i * phi(s, d_i s) * d_i s
 
 and ``_build_columns`` writes it once, for every n-simplex at a time: each
-column straight from phi's table, its row indices read from the complex's
-{simplex: position} index, with no face made as a ``Simplex``.
+column straight from s's row of phi's weights, its row indices read from
+s's row of the complex's face table (the positions of d_0 s, ..., d_n s in
+basis(n-1)), with no face made or looked up.
 ``boundary_columns`` (the non-zero entries of each column, in the
 lexicographic bases) is the form ranks, Laplacians, integer homology and
 ``apply_boundary`` read; ``boundary_matrix`` holds the same entries as a
@@ -83,14 +84,12 @@ def _cached(phi: WeightFunction, part: str, n: int, build):
 
 def _build_columns(phi: WeightFunction, n: int) -> list[dict]:
     """Column s of d_n: {position of d_i s: (-1)^i phi(s, d_i s)} over the
-    non-zero weights, in the order of i; a vertex has none.  The caller has
-    checked the pair, so every (s, i) is a key of phi's table and every face
-    a key of the complex's index."""
-    table, index = phi._table, phi.complex._index
-    faces = range(n + 1 if n > 0 else 0)
-    return [{index[s[:i] + s[i + 1:]]: -x if i % 2 else x
-             for i in faces if (x := table[s, i])}
-            for s in phi.complex.basis(n)]
+    non-zero weights, in the order of i; a vertex has none.  Each column
+    reads s's row of phi and s's row of the complex's face table."""
+    if not 0 <= n <= phi.complex.max_dim:
+        return []  # no n-simplices
+    return [{f[i]: -x if i % 2 else x for i, x in enumerate(w) if x}
+            for f, w in zip(phi.complex._faces(n), phi._rows[n])]
 
 
 def _boundary(phi: WeightFunction, n: int) -> list[dict]:

@@ -13,8 +13,12 @@ the ascending re-check a subset of an ascending tuple cannot fail; one
 complex then holds one index, {simplex: its position in basis(dim)}, which
 answers membership, ``len``, ``==`` and ``hash``.  It is the one place a
 simplex's basis position is worked out: the weight reader looks vertex
-lists up in it (a plain tuple finds the complex's own ``Simplex``) and the
-boundary columns read their row indices from it.
+lists up in it (a plain tuple finds the complex's own ``Simplex``).  Beside
+it, the complex keeps one face table per degree, built from the index on
+the first ask (``_faces``): for each n-simplex, the positions of its faces
+d_0 s, ..., d_n s in basis(n-1).  The weight reader finds a face's index
+in it, and validation and the boundary columns read face positions from
+it, so no face is made or hashed after the table is built.
 
 All four text formats are read by ``_read_text`` (UTF-8, a leading
 byte-order mark skipped) and ``_data_lines`` (the numbered lines that hold
@@ -100,6 +104,21 @@ class SimplicialComplex:
         self._basis = {d: tuple(map(_trusted, sorted(level))) for d, level in enumerate(levels)}
         # simplex -> its position in basis(dim); tuples of two lengths never collide
         self._index = {s: i for basis in self._basis.values() for i, s in enumerate(basis)}
+        self._face_tables: dict[int, tuple[tuple[int, ...], ...]] = {}  # filled by _faces
+
+    def _faces(self, n: int) -> tuple[tuple[int, ...], ...]:
+        """The face table of degree n: for each n-simplex s in basis order,
+        the positions of d_0 s, ..., d_n s in basis(n - 1); a vertex has
+        none.  Built on the first ask for n, read afterwards; two threads
+        that miss together both build it, and either equal build may stay."""
+        faces = self._face_tables.get(n)
+        if faces is None:
+            # combinations yields d_n s first and d_0 s last
+            position = self._index.__getitem__
+            faces = self._face_tables[n] = tuple(
+                tuple(map(position, combinations(s, n)))[::-1] if n else ()
+                for s in self.basis(n))
+        return faces
 
     @property
     def max_dim(self) -> int:

@@ -213,20 +213,28 @@ def _on_one_thread(call, *args):
 
 def _gejsv(routines, m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """(w, v) for m with rows >= columns >= 1 by LAPACK's xGEJSV on one
-    OpenBLAS thread, w unsorted; None when it reports no convergence."""
+    OpenBLAS thread, w unsorted; None when it reports no convergence.  An
+    input whose copy, V and workspace cannot be allocated is refused."""
     dgejsv, zgejsv, _ = routines
     rows, n = m.shape
     real = not np.iscomplexobj(m)
-    a = np.array(m, dtype=np.float64 if real else np.complex128, order="F")
+    dtype = np.dtype(np.float64 if real else np.complex128)
+    lwork = max(2 * rows + n, 6 * n + 2 * n * n, 7) if real else 4 * n * n + 10 * n
+    try:
+        a = np.array(m, dtype=dtype, order="F")
+        v = np.empty((n, n), dtype=dtype, order="F")
+        work = np.empty(lwork, dtype=dtype)
+    except MemoryError:
+        raise ValueError(
+            f"the SVD of the {rows} x {n} {dtype.name} factor needs "
+            f"{(rows * n + n * n + lwork) * dtype.itemsize / 1e6:,.1f} MB for its copy, "
+            f"V and workspace, more than can be allocated") from None
     sva = np.empty(n)
-    v = np.empty((n, n), dtype=a.dtype, order="F")
-    unused_u = np.empty(1, dtype=a.dtype)
+    unused_u = np.empty(1, dtype=dtype)
     iwork = np.empty(rows + 3 * n, dtype=np.int64)
     if real:
-        work = np.empty(max(2 * rows + n, 6 * n + 2 * n * n, 7))
         scale, workspace = work, (work.ctypes, _int(work.size))
     else:
-        work = np.empty(4 * n * n + 10 * n, dtype=np.complex128)
         scale = np.empty(2 * rows + n + 7)
         workspace = (work.ctypes, _int(work.size), scale.ctypes, _int(scale.size))
     info = ctypes.c_int64()

@@ -20,16 +20,24 @@ simplex weighting; ``cfw_weight`` generalises it to C * f(w(s)) / f(w(d_i s));
 formula for phi(s, d_i s), tabulated over the required pairs and validated
 by the same builder, which refuses a table that fails the condition.
 
+A weight function holds its table as rows, one list per degree:
+``_rows[n][p][i]`` is phi(s, d_i s) for s = basis(n)[p].  Its readers find
+a face by position in the complex's face table (``_faces(n)[p]``, the
+positions of d_0 s, ..., d_n s in basis(n-1)), so no lookup hashes a
+(simplex, face index) key or makes a face.  ``entries()`` yields the
+pairs in ``required_pairs`` order, however the table was given.
+
 Loading does each piece of work once, since the command line loads a pair
 per call and loading used to cost more than the homology after it.
 ``parse_weight_text`` parses each distinct vertex list and value text once
 per call (files repeat them many times), reads a vertex list the complex
-holds as the complex's own simplex through its {simplex: position} index,
-finds face indices in one {face: i} map per simplex, and hands its table,
+holds as the complex's own simplex and its position through the complex's
+{simplex: position} index, takes the face index as the face's place in the
+face table's row, fills that slot of the rows, and hands the rows,
 complete by count, to ``WeightFunction._trusted``, which skips the
-constructor's second walk over the required pairs; ``validate_weight``
-compares the two sides of each condition crosswise on integer triples and
-multiplies out only a violation.
+constructor's walk over the table; ``validate_weight`` reads both sides of
+each condition from the rows through the face table, compares them
+crosswise on integer triples and multiplies out only a violation.
 
 A weight function stands for its (complex, weight) pair.  Its table never
 changes, so it also holds, per degree, what later calls read back of the
@@ -76,10 +84,15 @@ def required_pairs(complex: SimplicialComplex):
 
 class WeightFunction:
     """Total table (simplex, face index) -> scalar over one complex; a key
-    that is not such a pair of the complex is refused."""
+    that is not such a pair of the complex is refused.
+
+    The table is held as rows: ``_rows[n][p][i]`` is phi(s, d_i s) for the
+    n-simplex s = basis(n)[p] (a vertex's row is empty)."""
 
     def __init__(self, complex: SimplicialComplex, table: Mapping):
-        tbl: dict[tuple[Simplex, int], GaussianRational] = {}
+        index = complex._index
+        rows = _empty_rows(complex)
+        foreign = None  # the first key that is not a pair of the complex
         for key, value in table.items():
             s, i = key
             # keys from required_pairs are Simplex and int: convert only what is not
@@ -89,29 +102,29 @@ class WeightFunction:
                 i = _integer(i, f"face index of key {key!r}:")
             if type(value) is not GaussianRational:
                 value = GaussianRational.coerce(value)
-            tbl[s, i] = value
-        count = 0
-        for count, (s, i) in enumerate(required_pairs(complex), 1):
-            if (s, i) not in tbl:
-                raise WeightCompletenessError(f"no weight for ({s}, face {i})")
-        if count != len(tbl):
-            # every required pair is present, so the surplus keys are foreign
-            required = set(required_pairs(complex))
-            s, i = next(pair for pair in tbl if pair not in required)
-            raise ValueError(f"({s}, face {i}) is not a (simplex, face) pair of the complex")
-        self._adopt(complex, tbl)
+            p = index.get(s)
+            if p is not None and 0 <= i < len(rows[len(s) - 1][p]):
+                rows[len(s) - 1][p][i] = value
+            elif foreign is None:
+                foreign = s, i
+        for n, p, i in _holes(rows):
+            raise WeightCompletenessError(f"no weight for ({complex.basis(n)[p]}, face {i})")
+        if foreign is not None:
+            raise ValueError(f"({foreign[0]}, face {foreign[1]}) is not a (simplex, face) "
+                             "pair of the complex")
+        self._adopt(complex, rows)
 
     @classmethod
-    def _trusted(cls, complex: SimplicialComplex, table: dict) -> "WeightFunction":
-        """A weight function on a table already known to hold exactly the
-        required pairs, keyed by Simplex and valued by GaussianRational."""
+    def _trusted(cls, complex: SimplicialComplex, rows: list) -> "WeightFunction":
+        """A weight function on rows already known to be complete and
+        valued by GaussianRational."""
         phi = cls.__new__(cls)
-        phi._adopt(complex, table)
+        phi._adopt(complex, rows)
         return phi
 
-    def _adopt(self, complex: SimplicialComplex, table: dict) -> None:
+    def _adopt(self, complex: SimplicialComplex, rows: list) -> None:
         self.complex = complex
-        self._table = table
+        self._rows = rows
         self._validated = False
         self._integral: bool | None = None  # is_integral's answer, once asked
         # (part, degree) -> sparse exact operator, filled by chains._cached
@@ -124,36 +137,46 @@ class WeightFunction:
     def value(self, simplex, i: int) -> GaussianRational:
         s = Simplex(simplex)
         try:
-            return self._table[(s, i)]
-        except KeyError:
+            # range.index refuses an index outside the faces, -1 included
+            return self._rows[len(s) - 1][self.complex._index[s]][range(len(s)).index(i)]
+        except (KeyError, IndexError, ValueError):
             raise KeyError(f"no weight for ({s}, face {i})") from None
 
     def value_on_face(self, simplex, face) -> GaussianRational:
         """Weight phi(s, t) looked up by the face t itself."""
-        s = Simplex(simplex)
-        t = Simplex(face)
-        for i in range(s.dim + 1):
-            if s.face(i) == t:
-                return self.value(s, i)
-        raise KeyError(f"{t} is not a codimension-one face of {s}")
+        s, t = Simplex(simplex), Simplex(face)
+        index = self.complex._index
+        p = index.get(s)
+        if p is None:
+            raise KeyError(f"{s} is not in the complex")
+        faces = self.complex._faces(s.dim)[p]
+        q = index.get(t)
+        if len(t) != s.dim or q not in faces:
+            raise KeyError(f"{t} is not a codimension-one face of {s}")
+        return self._rows[s.dim][p][faces.index(q)]
 
     def __call__(self, simplex, face_or_index) -> GaussianRational:
         if isinstance(face_or_index, int):
             return self.value(simplex, face_or_index)
         return self.value_on_face(simplex, face_or_index)
 
-    def entries(self):
-        return self._table.items()
+    def entries(self) -> list[tuple[tuple[Simplex, int], GaussianRational]]:
+        """Every ((simplex, face index), value), in ``required_pairs`` order."""
+        return [((s, i), value) for n, level in enumerate(self._rows)
+                for s, row in zip(self.complex.basis(n), level) for i, value in enumerate(row)]
+
+    def _values(self):
+        return (value for level in self._rows for row in level for value in row)
 
     def is_integral(self) -> bool:
         """Whether every value is an integer; the table never changes, so
         it is walked on the first ask only."""
         if self._integral is None:
-            self._integral = all(v.is_integer() for v in self._table.values())
+            self._integral = all(v.is_integer() for v in self._values())
         return self._integral
 
     def is_real(self) -> bool:
-        return all(v.is_real() for v in self._table.values())
+        return all(v.is_real() for v in self._values())
 
     def validate(self) -> list[Violation]:
         return validate_weight(self)
@@ -167,11 +190,27 @@ class WeightFunction:
     def __eq__(self, other):
         if not isinstance(other, WeightFunction):
             return NotImplemented
-        return self.complex == other.complex and self._table == other._table
+        return self.complex == other.complex and self._rows == other._rows
 
     def __repr__(self) -> str:
         state = "validated" if self._validated else "unvalidated"
-        return f"WeightFunction({len(self._table)} entries, {state})"
+        return f"WeightFunction({len(self.entries())} entries, {state})"
+
+
+def _empty_rows(complex: SimplicialComplex) -> list[list[list]]:
+    """Rows of None, one slot per (simplex, face index) pair, by degree."""
+    return [[[None] * len(faces) for faces in complex._faces(n)]
+            for n in range(complex.max_dim + 1)]
+
+
+def _holes(rows: list) -> Iterable[tuple[int, int, int]]:
+    """(degree, position, face index) of each empty slot, in
+    ``required_pairs`` order."""
+    for n, level in enumerate(rows):
+        for p, row in enumerate(level):
+            for i, x in enumerate(row):
+                if x is None:
+                    yield n, p, i
 
 
 def validate_weight(phi: WeightFunction) -> list[Violation]:
@@ -182,20 +221,17 @@ def validate_weight(phi: WeightFunction) -> list[Violation]:
     the two mismatching products.
     """
     K = phi.complex
-    table = phi._table
     violations: list[Violation] = []
     for n in range(2, K.max_dim + 1):
-        for s in K.basis(n):
-            # plain tuples: the faces only look up table keys
-            faces = [s[:i] + s[i + 1:] for i in range(n + 1)]
-            weights = [table[(s, i)] for i in range(n + 1)]
+        below = phi._rows[n - 1]
+        for s, f, w in zip(K.basis(n), K._faces(n), phi._rows[n]):
             for i in range(1, n + 1):
-                di, w_i = faces[i], weights[i]
+                w_i, x_row = w[i], below[f[i]]
                 for j in range(i):
                     # d_j d_i s == d_{i-1} d_j s: both routes must agree
-                    x, y = table[(di, j)], table[(faces[j], i - 1)]
-                    if not products_equal(w_i, x, weights[j], y):
-                        violations.append(Violation(s, i, j, w_i * x, weights[j] * y))
+                    x, y = x_row[j], below[f[j]][i - 1]
+                    if not products_equal(w_i, x, w[j], y):
+                        violations.append(Violation(s, i, j, w_i * x, w[j] * y))
     if not violations:
         phi._validated = True
     return violations
@@ -204,8 +240,11 @@ def validate_weight(phi: WeightFunction) -> list[Violation]:
 def _tabulated(complex: SimplicialComplex, rule: Callable) -> WeightFunction:
     """The weight function phi(s, d_i s) = rule(s, i) over every required
     pair of the complex, which must pass validation."""
-    table = {(s, i): GaussianRational.coerce(rule(s, i)) for s, i in required_pairs(complex)}
-    phi = WeightFunction._trusted(complex, table)  # complete by construction
+    coerce = GaussianRational.coerce
+    rows = [[[coerce(rule(s, i)) for i in range(len(faces))]
+             for s, faces in zip(complex.basis(n), complex._faces(n))]
+            for n in range(complex.max_dim + 1)]
+    phi = WeightFunction._trusted(complex, rows)  # complete by construction
     bad = validate_weight(phi)
     if bad:
         raise ValueError(f"constructed weight fails validation: {bad[0]}")
@@ -347,61 +386,67 @@ def parse_weight_text(
     """
     # the complex's simplex -> position index: a vertex list it holds is a
     # valid simplex, read as the complex's own Simplex with no re-check
-    index = complex._index
-    # field text -> parsed field, for this call only: a repeat skips int(),
-    # Simplex and the scalar regex
-    simplices: dict[str, Simplex] = {}
+    index, basis = complex._index, complex._basis
+    faces = list(map(complex._faces, range(complex.max_dim + 1)))
+    rows = _empty_rows(complex)
+    # field text -> (Simplex, position, face positions, weight row), the last
+    # three None outside the complex, and value text -> value, for this call
+    # only: a repeat skips int(), Simplex and the scalar regex
+    simplices: dict[str, tuple] = {}
     values: dict[str, GaussianRational] = {}
-    face_maps: dict[Simplex, dict[tuple, int]] = {}
 
-    def simplex(field: str) -> Simplex:
+    def simplex(field: str) -> tuple:
         vs = tuple(map(int, field.split()))
-        i = index.get(vs)
-        s = simplices[field] = Simplex(vs) if i is None else complex.basis(len(vs) - 1)[i]
-        return s
+        p = index.get(vs)
+        if p is None:
+            found = Simplex(vs), None, None, None
+        else:
+            n = len(vs) - 1
+            found = basis[n][p], p, faces[n][p], rows[n][p]
+        simplices[field] = found
+        return found
 
-    table: dict[tuple[Simplex, int], GaussianRational] = {}
+    filled = 0
     for lineno, line in _data_lines(text):
-        parts = line.split("|")
-        if len(parts) != 3:
-            raise ValueError(f"line {lineno}: expected 'simplex | face | value'")
-        sf, tf, vf = parts
         try:
-            s = simplices.get(sf) or simplex(sf)
-            t = simplices.get(tf) or simplex(tf)
+            sf, tf, vf = line.split("|")
+        except ValueError:
+            raise ValueError(f"line {lineno}: expected 'simplex | face | value'") from None
+        try:
+            s, _, f, row = simplices.get(sf) or simplex(sf)
+            t, q, _, _ = simplices.get(tf) or simplex(tf)
             value = values.get(vf)
             if value is None:
                 value = values[vf] = GaussianRational.from_string(vf)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        if s not in index:
+        if f is None:
             raise ValueError(f"line {lineno}: {s} is not in the complex")
-        faces = face_maps.get(s)
-        if faces is None:
-            # a vertex maps only the empty tuple, which no parsed face equals
-            faces = face_maps[s] = {s[:i] + s[i + 1:]: i for i in range(len(s))}
-        idx = faces.get(t)
-        if idx is None:
+        # positions of two dimensions can be equal: compare the lengths too
+        if len(t) + 1 != len(s) or q not in f:
             raise ValueError(f"line {lineno}: {t} is not a codimension-one face of {s}")
-        key = (s, idx)
-        if key in table and table[key] != value:
+        i = f.index(q)
+        old = row[i]
+        if old is None:
+            filled += 1
+        elif old != value:
             warnings.warn(f"line {lineno}: duplicate entry for ({s}, {t}); keeping the last")
-        table[key] = value
-    # every key is a distinct required pair, so the count tells whether any is missing
-    required = sum((n + 1) * len(complex.basis(n)) for n in range(1, complex.max_dim + 1))
-    if len(table) < required:
-        missing = [pair for pair in required_pairs(complex) if pair not in table]
+        row[i] = value
+    # each filled slot is a distinct required pair, so the count tells whether any is missing
+    if filled < sum(len(row) for level in rows for row in level):
+        missing = list(_holes(rows))
         if strict:
-            s, i = missing[0]
+            n, p, i = missing[0]
             raise WeightCompletenessError(
-                f"{len(missing)} missing entries, first ({s}, face {i})"
+                f"{len(missing)} missing entries, first ({complex.basis(n)[p]}, face {i})"
             )
         warnings.warn(
             f"{len(missing)} weight entries missing, defaulting to {default}"
         )
-        for pair in missing:
-            table[pair] = GaussianRational.coerce(default)
-    return WeightFunction._trusted(complex, table)
+        value = GaussianRational.coerce(default)
+        for n, p, i in missing:
+            rows[n][p][i] = value
+    return WeightFunction._trusted(complex, rows)
 
 
 def read_weight_file(path, complex, default=Fraction(1), strict=False) -> WeightFunction:

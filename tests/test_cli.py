@@ -832,6 +832,34 @@ def test_memory_exhaustion_is_one_error_line(capsys, monkeypatch):
         assert capsys.readouterr() == ("", line)
 
 
+def test_an_svd_too_large_to_allocate_is_one_error_line(capsys, monkeypatch):
+    """The SVD's own arrays (xGEJSV's copy of M, V and workspace) that
+    cannot be allocated are refused in one line, exit 1, as the factor is.
+    V's allocation, the one Fortran-ordered np.empty, is made to raise,
+    and LAPACK is never called."""
+    import numpy as np
+
+    from wsimplex import eigen
+
+    empty = np.empty
+
+    def exhausted(*args, order="C", **kwargs):
+        if order == "F":
+            raise MemoryError
+        return empty(*args, order=order, **kwargs)
+
+    def never(*args):
+        raise AssertionError("xGEJSV called")
+
+    monkeypatch.setattr(eigen, "_lapack", lambda: (never, never, lambda k: 1))
+    monkeypatch.setattr(np, "empty", exhausted)
+    pair = ["-k", fx("triangle.cplx"), "-w", fx("triangle.wts")]
+    assert main(["spectrum", *pair, "-n", "1"]) == 1
+    assert capsys.readouterr() == ("", "error: the SVD of the 4 x 3 float64 factor needs "
+                                   "0.0 MB for its copy, V and workspace, more than can be "
+                                   "allocated\n")
+
+
 def test_a_writer_bug_keeps_its_traceback(monkeypatch):
     def failing(value, write):
         raise TypeError("no writer for this type")

@@ -134,16 +134,25 @@ def _copies(obj):
 
 
 def test_a_complex_and_a_loaded_pair_survive_pickle_and_copy():
-    """The complex's simplex index pickles and copies with it: a copy is
-    equal, hashes equal, and a copied pair answers as the original."""
+    """The complex's simplex index and its face tables pickle and copy with
+    it: a copy is equal, hashes equal, reads the same face tables, and a
+    copied pair answers as the original.  ``==`` and ``hash`` read the
+    index alone, so a complex whose face tables are built equals one
+    whose tables are not."""
     for _, k, _ in spectral_fixtures(count=8):
+        tables = [k._faces(n) for n in range(k.max_dim + 1)]
+        bare = build_complex(k.simplices())
+        assert not bare._face_tables and bare == k and hash(bare) == hash(k)
         for other in _copies(k):
             assert other == k and hash(other) == hash(k) and len(other) == len(k)
             assert all(s in other for s in k.simplices())
+            assert [other._faces(n) for n in range(k.max_dim + 1)] == tables
+            assert [bare._faces(n) for n in range(k.max_dim + 1)] == tables
     fixtures = Path(__file__).parent / "fixtures"
     k = read_complex_file(fixtures / "simplex5_dawson.cplx")
     phi = read_weight_file(fixtures / "simplex5_dawson.wts", k, strict=True)
     assert not phi.validate()
+    assert sorted(k._face_tables) == list(range(k.max_dim + 1))  # the reader built them
     want = [boundary_columns(k, phi, n) for n in range(k.max_dim + 2)]
     for other_k, other_phi in _copies((k, phi)):
         assert other_k == k and hash(other_k) == hash(k) and other_phi == phi

@@ -183,6 +183,27 @@ def test_eigh_and_gejsv_run_on_one_thread(monkeypatch):
     assert spectrum(ExactMatrix([[1]])).size == 1 and seen[-1] == ("eigh", 2)
 
 
+def test_gejsv_refuses_arrays_it_cannot_allocate(monkeypatch):
+    """xGEJSV's copy of m, V and workspace are asked for before the call;
+    when one cannot be allocated the SVD is refused in one line naming the
+    shape, the dtype and the MB the three need.  The allocation is made to
+    raise and m is a broadcast view, so no large array is asked for."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    m = np.broadcast_to(np.complex128(1), (4824, 3138))
+    monkeypatch.setattr(np, "array", exhausted)
+    with pytest.raises(ValueError) as err:
+        eigen._gejsv((None, None, None), m)
+    # 4824 x 3138 + 3138^2 + 4 x 3138^2 + 10 x 3138 entries of 16 bytes
+    assert str(err.value) == ("the SVD of the 4824 x 3138 complex128 factor needs 1,030.5 MB "
+                              "for its copy, V and workspace, more than can be allocated")
+    monkeypatch.undo()
+    monkeypatch.setattr(np, "empty", exhausted)
+    with pytest.raises(ValueError, match=r"^the SVD of the 5 x 3 float64 factor needs 0\.0 MB"):
+        eigen._gejsv((None, None, None), np.ones((5, 3)))
+
+
 def test_round_robin_schedule():
     for n in range(13):
         steps = _schedule(n)

@@ -34,10 +34,14 @@ import pytest
 
 from wsimplex import (
     GaussianRational,
+    SimplicialComplex,
     UnvalidatedWeightError,
     WeightFunction,
     build_complex,
     identity_weight,
+    read_complex_file,
+    read_weight_file,
+    validate_weight,
 )
 from wsimplex import chains, cli, eigen, homology
 from wsimplex.chains import boundary_columns, boundary_matrix, coboundary_matrix
@@ -211,6 +215,48 @@ def test_session_writes_each_boundary_once(monkeypatch):
             assert written[id(phi), n] == len(complex.basis(n)), (name, n)
         assert sum(count for (key, _), count in written.items() if key == id(phi)) \
             == len(complex), name
+
+
+def test_each_face_table_is_built_once_and_shared(monkeypatch):
+    """A complex builds the face table of each degree once, on the first
+    ask; the weight reader builds every degree's, and validation and the
+    boundary columns read those same tables and build none."""
+    built, asked = Counter(), Counter()  # (complex, degree) -> builds, asks
+    faces = SimplicialComplex._faces
+
+    def counted(self, n):
+        if n not in self._face_tables:
+            built[id(self), n] += 1
+        asked[id(self), n] += 1
+        return faces(self, n)
+
+    monkeypatch.setattr(SimplicialComplex, "_faces", counted)
+    held = []  # keeps every id(complex) counted above unique
+    for cplx, wts in VALID_FILE_PAIRS:
+        complex = read_complex_file(FIXTURES / cplx)
+        held.append(complex)
+        assert not built and not asked, cplx  # the closure builds no face table
+        degrees = range(complex.max_dim + 1)
+        phi = read_weight_file(FIXTURES / wts, complex, strict=True)
+        tables = [complex._face_tables[n] for n in degrees]
+        assert all(built[id(complex), n] == 1 for n in degrees), wts
+        before = Counter(asked)
+        assert not validate_weight(phi)
+        assert all(asked[id(complex), n] == before[id(complex), n] + (n >= 2)
+                   for n in degrees), wts
+        for n in degrees:
+            before = asked[id(complex), n]
+            chains._boundary(phi, n)
+            assert asked[id(complex), n] == before + 1, (wts, n)
+        for _ in range(2):
+            for n in range(-1, complex.max_dim + 2):
+                for call in calls(phi).values():
+                    call(complex, phi, n)
+        assert all(complex._face_tables[n] is tables[n] for n in degrees), wts
+        assert sum(count for (key, _), count in built.items() if key == id(complex)) \
+            == len(degrees), wts
+        built.clear()
+        asked.clear()
 
 
 class Writes(dict):

@@ -73,6 +73,112 @@ def test_face_indices_are_read_as_integers():
         assert str(err.value) == f"face index of key ((0, 1), {bad!r}): {bad!r} is not an integer"
 
 
+def test_lookups_outside_the_faces_are_refused():
+    """``value(s, i)`` answers only for 0 <= i <= dim s on a simplex of the
+    complex of positive dimension: an index of -1 or dim s + 1, any index
+    on a vertex and a simplex outside the complex are refused by the same
+    KeyError, and an index never wraps round to another face."""
+    k, phi = sample_triangle()
+    for s, i in (((0, 1, 2), -1), ((0, 1, 2), 3), ((0, 1), -1), ((0, 1), 2),
+                 ((0,), 0), ((1,), -1), ((0, 5), 0)):
+        for lookup in (phi.value, phi):
+            with pytest.raises(KeyError) as err:
+                lookup(s, i)
+            assert err.value.args == (f"no weight for ({Simplex(s)}, face {i})",)
+    assert phi.value((0, 1, 2), np.int64(2)) == phi.value((0, 1, 2), 2)
+
+
+def test_value_on_face_reads_the_face_table():
+    """``phi(s, t)`` by the face t gives phi(s, d_i s) for the i that
+    deletes t's missing vertex; anything else is a KeyError, a simplex of
+    another dimension whose position equals a face's included."""
+    k, phi = sample_triangle()
+    for (s, i), x in phi.entries():
+        assert phi.value_on_face(s, s.face(i)) == phi(s, s.face(i)) == x
+    for s, t, message in (((0, 1, 2), (0,), "[0] is not a codimension-one face of [0,1,2]"),
+                          ((0, 1, 2), (0, 1, 2), "[0,1,2] is not a codimension-one face of [0,1,2]"),
+                          ((1, 2), (0,), "[0] is not a codimension-one face of [1,2]"),
+                          ((0,), (0,), "[0] is not a codimension-one face of [0]"),
+                          ((0, 5), (0,), "[0,5] is not in the complex")):
+        with pytest.raises(KeyError) as err:
+            phi.value_on_face(s, t)
+        assert err.value.args == (message,)
+
+
+def test_a_face_index_outside_the_faces_is_a_foreign_key():
+    k = full_triangle()
+    for s, i in (((0, 1, 2), -1), ((0, 1, 2), 3), ((0, 1), -1), ((2,), 0)):
+        table = {pair: 1 for pair in required_pairs(k)}
+        table[s, i] = 1
+        with pytest.raises(ValueError) as err:
+            WeightFunction(k, table)
+        assert str(err.value) == \
+            f"({Simplex(s)}, face {i}) is not a (simplex, face) pair of the complex"
+
+
+def test_keys_that_name_one_pair_keep_the_last_value():
+    """Keys that convert to the same (simplex, face index) pair are one
+    entry, whose value is the last one the table yields: equal keys of two
+    spellings (one dict key), and distinct keys that read as one simplex."""
+    k = full_triangle()
+    base = {pair: 1 for pair in required_pairs(k) if pair != ((0, 1), 0)}
+    spellings = (((0, 1), np.int64(0)), (Simplex((0, 1)), 0), (range(2), 0))
+    for first in spellings:
+        for last in spellings:
+            phi = WeightFunction(k, {**base, first: 5, last: 7})
+            assert phi.value((0, 1), 0) == 7 and phi.value((0, 1), 1) == 1
+
+
+def test_construction_errors_keep_their_precedence():
+    """A table with several faults names the first of: a key or value that
+    does not convert (in table order), the first missing pair in
+    ``required_pairs`` order, the first foreign key in table order."""
+    k = full_triangle()
+    table = {pair: 1 for pair in required_pairs(k)}
+    del table[Simplex((1, 2)), 0]
+    del table[Simplex((0, 1)), 1]
+    table[(0, 1, 2), -1] = 1
+    table[(0, 5), 0] = 1
+    table[(0, 2), "x"] = 1
+    with pytest.raises(ValueError) as err:
+        WeightFunction(k, table)
+    assert str(err.value) == "face index of key ((0, 2), 'x'): 'x' is not an integer"
+    del table[(0, 2), "x"]
+    with pytest.raises(WeightCompletenessError) as err:
+        WeightFunction(k, table)
+    assert str(err.value) == "no weight for ([0,1], face 1)"
+    table[(1, 2), 0] = table[(0, 1), 1] = 1
+    with pytest.raises(ValueError) as err:
+        WeightFunction(k, table)
+    assert str(err.value) == "([0,1,2], face -1) is not a (simplex, face) pair of the complex"
+    del table[(0, 1, 2), -1]
+    table[(0, 1, 2), -1] = 1
+    with pytest.raises(ValueError) as err:
+        WeightFunction(k, table)
+    assert str(err.value) == "([0,5], face 0) is not a (simplex, face) pair of the complex"
+
+
+def test_entries_follow_required_pairs_whatever_the_file_order():
+    """``entries()`` yields every pair in ``required_pairs`` order: two
+    files holding one table in shuffled line orders give the same entries
+    in the same order, and a table built from them is the same weight."""
+    k = full_tetrahedron()
+    phi = random_valid_weight(random.Random(37), k)
+    lines = [f"{' '.join(map(str, s))} | {' '.join(map(str, s.face(i)))} | {x}"
+             for (s, i), x in phi.entries()]
+    orders = []
+    for seed in (1, 2):
+        random.Random(seed).shuffle(lines)
+        parsed = parse_weight_text("\n".join(lines), k, strict=True)
+        assert parsed == phi
+        orders.append(list(parsed.entries()))
+    assert orders[0] == orders[1] == list(phi.entries())
+    assert [pair for pair, _ in orders[0]] == list(required_pairs(k))
+    assert WeightFunction(k, dict(phi.entries())) == phi
+    backwards = WeightFunction(k, dict(reversed(list(phi.entries()))))
+    assert list(backwards.entries()) == list(phi.entries())
+
+
 def test_sample_table_validates():
     k, phi = sample_triangle()
     assert phi.validated
