@@ -9,9 +9,12 @@ column straight from s's row of phi's weights, its row indices read from
 s's row of the complex's face table (the positions of d_0 s, ..., d_n s in
 basis(n-1)), with no face made or looked up.
 ``boundary_columns`` (the non-zero entries of each column, in the
-lexicographic bases) is the form ranks, Laplacians, integer homology and
-``apply_boundary`` read; ``boundary_matrix`` holds the same entries as a
-sparse ``ExactMatrix``, for callers that ask for a matrix.  The
+lexicographic bases) is the form ranks, Laplacians and ``apply_boundary``
+read; ``boundary_matrix`` holds the same entries as a sparse
+``ExactMatrix``, for callers that ask for a matrix.  Integer homology
+reads none of them: ``_integer_rows`` fills the rows of d_n as plain
+ints, by the same sign rule, straight from phi's rows and the face table,
+and nothing of them is held.  The
 coboundary in degree n is the transpose of the boundary in degree n+1
 (both bases are self-dual here), and the adjoint against the standard
 inner product is the conjugate transpose (``ExactMatrix.conj_transpose``).
@@ -51,8 +54,8 @@ for a validated weight only: callers pass ``_check_pair`` first.  A
 boundary or coboundary matrix carries the pair's rank of its d_n when the
 pair holds it, so its ``rank()`` eliminates nothing; a boundary matrix
 also carries the torsion and rank of d_n's normal form that
-``weighted_homology`` one degree down read off the columns and the pair
-holds, so its ``smith_normal_form`` eliminates nothing either.
+``weighted_homology`` one degree down read off the integer rows and the
+pair holds, so its ``smith_normal_form`` eliminates nothing either.
 """
 
 from __future__ import annotations
@@ -90,6 +93,21 @@ def _build_columns(phi: WeightFunction, n: int) -> list[dict]:
         return []  # no n-simplices
     return [{f[i]: -x if i % 2 else x for i, x in enumerate(w) if x}
             for f, w in zip(phi.complex._faces(n), phi._rows[n])]
+
+
+def _integer_rows(phi: WeightFunction, n: int) -> list[dict]:
+    """Row t of d_n over the integers, for an integral phi: {position of s:
+    (-1)^i a} over the n-simplices s with d_i s = t and phi(s, d_i s) = a
+    non-zero, in basis order, filled by one pass over phi's rows and the
+    face table; every row is empty outside 1..max_dim."""
+    rows = [{} for _ in phi.complex.basis(n - 1)]
+    if 1 <= n <= phi.complex.max_dim:  # a negative n never reads _rows from the end
+        for p, (f, w) in enumerate(zip(phi.complex._faces(n), phi._rows[n])):
+            for i, x in enumerate(w):
+                a = x._t[0]  # x is (a, 0, 1)
+                if a:
+                    rows[f[i]][p] = -a if i % 2 else a
+    return rows
 
 
 def _boundary(phi: WeightFunction, n: int) -> list[dict]:

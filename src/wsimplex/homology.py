@@ -18,12 +18,13 @@ entries that exceed 1, and the free rank is dim C_n - rank(d_n) -
 rank(d_{n+1}), with rank(d_n) read from the pair's rank vector, as every
 other dimension count is.  The pair caches that torsion and rank, as it
 caches the boundary columns and rank vector (see ``chains``), so a repeated
-query runs no normal form.  ``weighted_homology`` fills the integer rows of
-d_{n+1} by one pass over the pair's cached columns and hands them to
-``_diagonal`` and ``_invariant_factors`` itself: no ``ExactMatrix`` is
-built and no entry converted twice.  A later ``boundary_matrix`` of d_{n+1}
-carries the held torsion and rank, so its ``smith_normal_form`` (without
-transforms) runs no elimination either.
+query runs no normal form.  ``weighted_homology`` has the integer rows of
+d_{n+1} filled by one pass over the weight table (``chains._integer_rows``)
+and hands them to ``_diagonal`` and ``_invariant_factors`` itself: no
+exact scalar, column or ``ExactMatrix`` of d_{n+1} is made, and nothing of
+it is held but the torsion and rank.  A later ``boundary_matrix`` of
+d_{n+1} carries them, so its ``smith_normal_form`` (without transforms)
+runs no elimination either.
 
 ``ngon_homology_closed_form`` gives the degree-0 homology of a weighted
 polygon without a matrix.  The k-th invariant factor has, at every prime
@@ -47,7 +48,7 @@ from math import gcd
 
 # boundary_matrix is not called here; homology.boundary_matrix stays the chains
 # function for the benchmark's tracer probe (perfbench/selftest.py), which reads it
-from .chains import _boundary, _cached, _check_pair, _rank, boundary_matrix  # noqa: F401
+from .chains import _cached, _check_pair, _integer_rows, _rank, boundary_matrix  # noqa: F401
 from .complexes import Record, SimplicialComplex
 from .gaussian import _integer
 from .matrices import ExactMatrix
@@ -327,22 +328,19 @@ def weighted_homology(complex: SimplicialComplex, phi: WeightFunction, n: int) -
 
     Needs integer weight entries; rational or complex weights have no
     torsion story and are rejected.  On the first ask in a degree the
-    integer rows of d_{n+1} are read off the pair's cached columns (each
-    entry the numerator of its triple (a, 0, 1)) and eliminated by
-    ``_diagonal``; the invariant factors of its pivots give the torsion,
-    their count the rank.  The pair caches that torsion and rank.
+    integer rows of d_{n+1} are filled straight from the weight table
+    (each entry the numerator of its triple (a, 0, 1), signed) and
+    eliminated by ``_diagonal``; the invariant factors of its pivots give
+    the torsion, their count the rank.  The pair caches that torsion and
+    rank, and no columns of d_{n+1}.
     """
     if not phi.is_integral():
         raise ValueError("integer homology needs integer weight values")
     _check_pair(complex, phi)
 
     def upper():
-        columns = _boundary(phi, n + 1)  # integers all: each x._t is (a, 0, 1)
-        rows = [{} for _ in complex.basis(n)]
-        for j, column in enumerate(columns):
-            for i, x in column.items():
-                rows[i][j] = x._t[0]
-        pivots = [abs(p) for p, _, _ in _diagonal(rows, len(columns))]
+        rows = _integer_rows(phi, n + 1)
+        pivots = [abs(p) for p, _, _ in _diagonal(rows, len(complex.basis(n + 1)))]
         return tuple(d for d in _invariant_factors(pivots, len(pivots)) if d > 1), len(pivots)
 
     torsion, rank = _cached(phi, "snf", n + 1, upper)

@@ -52,6 +52,7 @@ all but the face indices) bools are refused.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping
@@ -156,9 +157,13 @@ class WeightFunction:
         return self._rows[s.dim][p][faces.index(q)]
 
     def __call__(self, simplex, face_or_index) -> GaussianRational:
-        if isinstance(face_or_index, int):
-            return self.value(simplex, face_or_index)
-        return self.value_on_face(simplex, face_or_index)
+        """phi(s, d_i s) by the face index i (anything with ``__index__``,
+        as ``value`` reads it) or by the face d_i s itself."""
+        try:
+            operator.index(face_or_index)
+        except TypeError:
+            return self.value_on_face(simplex, face_or_index)
+        return self.value(simplex, face_or_index)
 
     def entries(self) -> list[tuple[tuple[Simplex, int], GaussianRational]]:
         """Every ((simplex, face index), value), in ``required_pairs`` order."""

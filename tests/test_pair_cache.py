@@ -39,13 +39,14 @@ from wsimplex import (
     WeightFunction,
     build_complex,
     identity_weight,
+    make_ngon,
     read_complex_file,
     read_weight_file,
     validate_weight,
 )
 from wsimplex import chains, cli, eigen, homology
 from wsimplex.chains import boundary_columns, boundary_matrix, coboundary_matrix
-from wsimplex.homology import smith_normal_form, weighted_homology
+from wsimplex.homology import HomologyGroup, smith_normal_form, weighted_homology
 from wsimplex.matrices import ExactMatrix, column_rank
 from wsimplex.spectral import (
     InnerProductWeights,
@@ -94,6 +95,39 @@ def pairs():
 
 def snf_of_boundary(complex, phi, n):
     return smith_normal_form(boundary_matrix(complex, phi, n))
+
+
+def homology_by_matrices(complex, phi, n) -> HomologyGroup:
+    """H_n of a pair from its boundary matrices alone: the normal form of
+    d_{n+1} for the torsion and its rank, and the rank of d_n."""
+    snf = snf_of_boundary(complex, phi, n + 1)
+    free = len(complex.basis(n)) - boundary_matrix(complex, phi, n).rank() - snf.rank
+    return HomologyGroup([d for d in snf.diagonal if d > 1], free)
+
+
+def cycle_pairs():
+    """(name, complex, phi, loader of a fresh equal pair) for the 40- and
+    160-cycles, with all-ones vertex weights and with seeded weights
+    drawn from {2, 4, 6, 10, 12}, which leave torsion in degree 0."""
+    rng = random.Random(3907)
+    out = []
+    for n in (40, 160):
+        for kind, alphas in (("ones", [1] * n),
+                             ("even", [rng.choice((2, 4, 6, 10, 12)) for _ in range(n)])):
+            out.append((f"cycle{n}_{kind}", *make_ngon(alphas),
+                        lambda a=alphas: make_ngon(a)))
+    return out
+
+
+def held_after_homology(complex, n) -> set:
+    """The parts a fresh pair holds after ``weighted_homology`` in degree
+    n: the normal form of d_{n+1}, and the lows of degrees 0..n and the
+    columns of 1..n behind r_n (the lows of n alone outside 0..max_dim);
+    no columns of d_{n+1}."""
+    below = list(range(1, n + 1)) if 0 <= n <= complex.max_dim else []
+    lows = [0, *below] if 0 <= n <= complex.max_dim else [n]
+    return ({("snf", n + 1)} | {("lows", k) for k in lows}
+            | {("columns", k) for k in below})
 
 
 def inner_weights(complex) -> InnerProductWeights:
@@ -598,13 +632,22 @@ def test_homology_walks_the_weight_table_once(monkeypatch):
 
     monkeypatch.setattr(GaussianRational, "is_integer", counted)
     complex, phi = load_file_pair("simplex5_dawson.cplx", "simplex5_dawson.wts")
-    degrees = range(-1, complex.max_dim + 2)
+    top = complex.max_dim
+    # the degrees at the edges of the integer rows of d_{n+1}, and each as
+    # a numpy integer
+    degrees = [-5, -2, *range(-1, top + 2), top + 3]
+    degrees += [np.int64(n) for n in degrees]
     answers = [weighted_homology(complex, phi, n) for n in degrees]
     # the first round also reads each boundary entry once, as an integer
     first = walked["entries"]
     assert first >= len(list(phi.entries()))
     assert [weighted_homology(complex, phi, n) for n in degrees] == answers
     assert walked["entries"] == first
+    for n, answer in zip(degrees, answers):
+        assert answer == homology_by_matrices(
+            *load_file_pair("simplex5_dawson.cplx", "simplex5_dawson.wts"), n), n
+        assert answer.is_trivial() or 0 <= n <= top, n
+    assert answers[degrees.index(top)] == HomologyGroup([], 10)
 
     halves = build_complex([(0, 1)])
     raw = WeightFunction(halves, {((0, 1), 0): Fraction(1, 2), ((0, 1), 1): 1})
@@ -664,7 +707,9 @@ def test_boundary_matrix_carries_the_held_normal_form(monkeypatch):
     """After ``weighted_homology`` in degree n - 1, the normal form of d_n
     without transforms runs no elimination and equals a fresh pair's;
     with transforms, or for the transpose, it eliminates and gives the
-    same diagonal."""
+    same diagonal.  On a fresh pair that query holds the normal form of
+    d_n and the parts of r_{n-1}, and no columns of d_n.  The integer
+    fixture pairs and the 40- and 160-cycles are asked."""
     eliminations = []
     diagonal = homology._diagonal
 
@@ -673,12 +718,16 @@ def test_boundary_matrix_carries_the_held_normal_form(monkeypatch):
         return diagonal(*args)
 
     monkeypatch.setattr(homology, "_diagonal", counted)
-    for name, complex, phi, load in pairs():
+    for name, complex, phi, load in pairs() + cycle_pairs():
         if not phi.is_integral():
             continue
         for n in range(-1, complex.max_dim + 2):
             fresh_complex, fresh = load()
             expected = snf_of_boundary(fresh_complex, fresh, n)
+            held_complex, held = load()
+            weighted_homology(held_complex, held, n - 1)
+            assert set(held._operators) == held_after_homology(held_complex, n - 1), (name, n)
+            assert snf_of_boundary(held_complex, held, n) == expected, (name, n)
             weighted_homology(complex, phi, n - 1)
             eliminations.clear()
             m = boundary_matrix(complex, phi, n)

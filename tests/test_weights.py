@@ -77,15 +77,22 @@ def test_lookups_outside_the_faces_are_refused():
     """``value(s, i)`` answers only for 0 <= i <= dim s on a simplex of the
     complex of positive dimension: an index of -1 or dim s + 1, any index
     on a vertex and a simplex outside the complex are refused by the same
-    KeyError, and an index never wraps round to another face."""
+    KeyError, and an index never wraps round to another face.  A call
+    ``phi(s, i)`` reads i as ``value`` does: anything with ``__index__``,
+    numpy's integers included (one was once taken for a face and refused
+    with a TypeError), and a bool as before."""
     k, phi = sample_triangle()
     for s, i in (((0, 1, 2), -1), ((0, 1, 2), 3), ((0, 1), -1), ((0, 1), 2),
-                 ((0,), 0), ((1,), -1), ((0, 5), 0)):
+                 ((0,), 0), ((1,), -1), ((0, 5), 0), ((0, 1, 2), np.int64(-1)),
+                 ((0, 1), np.int64(2)), ((0,), True)):
         for lookup in (phi.value, phi):
             with pytest.raises(KeyError) as err:
                 lookup(s, i)
             assert err.value.args == (f"no weight for ({Simplex(s)}, face {i})",)
-    assert phi.value((0, 1, 2), np.int64(2)) == phi.value((0, 1, 2), 2)
+    for (s, i), x in phi.entries():
+        assert phi(s, np.int64(i)) == phi(s, np.uint8(i)) == phi.value(s, np.int64(i)) == x
+    assert phi((0, 1, 2), True) == phi.value((0, 1, 2), 1)
+    assert phi((0, 1, 2), False) == phi.value((0, 1, 2), 0)
 
 
 def test_value_on_face_reads_the_face_table():
@@ -95,6 +102,7 @@ def test_value_on_face_reads_the_face_table():
     k, phi = sample_triangle()
     for (s, i), x in phi.entries():
         assert phi.value_on_face(s, s.face(i)) == phi(s, s.face(i)) == x
+        assert phi(tuple(s), tuple(s.face(i))) == x
     for s, t, message in (((0, 1, 2), (0,), "[0] is not a codimension-one face of [0,1,2]"),
                           ((0, 1, 2), (0, 1, 2), "[0,1,2] is not a codimension-one face of [0,1,2]"),
                           ((1, 2), (0,), "[0] is not a codimension-one face of [1,2]"),
